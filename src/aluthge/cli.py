@@ -146,12 +146,15 @@ def cmd_transform(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         print("error: --lambda must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
-    save_matrix(args.output, aluthge(m, args.lam))
-    if args.factors:
-        pd = polar(m)
-        stem, ext = os.path.splitext(args.output)
-        save_matrix(f"{stem}.isometry{ext or '.json'}", pd.isometry_part)
-        save_matrix(f"{stem}.modulus{ext or '.json'}", pd.modulus)
+    if not args.factors:
+        save_matrix(args.output, aluthge(m, args.lam))
+        return EXIT_OK
+    # One SVD, polar's, serves the transform and both factor files.
+    pd = polar(m)
+    save_matrix(args.output, aluthge(pd, args.lam))
+    stem, ext = os.path.splitext(args.output)
+    save_matrix(f"{stem}.isometry{ext or '.json'}", pd.isometry_part)
+    save_matrix(f"{stem}.modulus{ext or '.json'}", pd.modulus)
     return EXIT_OK
 
 

@@ -37,7 +37,8 @@ from .linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from .reporting import CheckReport, matrix_payload, vector_payload
+from .matrixio import matrix_to_obj
+from .reporting import CheckReport, vector_payload
 from .transform import aluthge, aluthge_rank_one
 
 __all__ = [
@@ -148,7 +149,7 @@ def check_projection_absorb(
         slack = tol.eq_abs * (1.0 + frobenius(a))
         failed |= tracker.observe(
             residual,
-            {"trial": t, "direction": "satisfying", "x": vector_payload(x), "A": matrix_payload(a)},
+            {"trial": t, "direction": "satisfying", "x": vector_payload(x), "A": matrix_to_obj(a)},
             residual > slack or frobenius(p @ a - p) > slack,
         )
 
@@ -164,7 +165,7 @@ def check_projection_absorb(
             agree = (r_delta <= slack_b) == (r_pa <= slack_b)
             failed |= tracker.observe(
                 min(r_delta, r_pa),
-                {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_payload(b)},
+                {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_to_obj(b)},
                 not agree,
             )
             break
@@ -203,7 +204,7 @@ def check_scalar_projection(
                 tracker.vacuous += 1
                 continue
             failed |= tracker.observe(
-                r, {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_payload(b)}, r <= slack_b
+                r, {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_to_obj(b)}, r <= slack_b
             )
             break
         tracker.finish_trial(failed)
@@ -240,7 +241,7 @@ def check_square_identity(
             if r <= slack:
                 # Only T = I may land here; then T^2 = T* must hold too.
                 bad = frobenius(m @ m - m.conj().T) > slack or frobenius(m - eye) > slack
-            failed |= tracker.observe(r, {"trial": t, "T": matrix_payload(m)}, bad)
+            failed |= tracker.observe(r, {"trial": t, "T": matrix_to_obj(m)}, bad)
             break
         tracker.finish_trial(failed)
     return _report("square_identity", spec, lam, trials, tol, tracker)
@@ -268,7 +269,7 @@ def check_selfadjoint_lemmas(
         r_fwd = frobenius(aluthge(s, lam, tol) - s.conj().T)
         slack = tol.eq_abs * (1.0 + frobenius(s))
         failed |= tracker.observe(
-            r_fwd, {"trial": t, "part": "hermitian", "S": matrix_payload(s)}, r_fwd > slack
+            r_fwd, {"trial": t, "part": "hermitian", "S": matrix_to_obj(s)}, r_fwd > slack
         )
 
         # Injective flavor: non-Hermitian invertible S refutes Delta(S) = S*.
@@ -283,7 +284,7 @@ def check_selfadjoint_lemmas(
                 tracker.vacuous += 1
                 continue
             failed |= tracker.observe(
-                r, {"trial": t, "part": "injective", "S": matrix_payload(m)}, r <= slack_m
+                r, {"trial": t, "part": "injective", "S": matrix_to_obj(m)}, r <= slack_m
             )
             break
 
@@ -295,7 +296,7 @@ def check_selfadjoint_lemmas(
         slack_n = tol.eq_abs * (1.0 + frobenius(n))
         r_qn = frobenius(aluthge(n.conj().T, lam, tol) - n)
         failed |= tracker.observe(
-            r_qn, {"trial": t, "part": "quasinormal", "S": matrix_payload(n)}, r_qn <= REFUTE_FACTOR * slack_n
+            r_qn, {"trial": t, "part": "quasinormal", "S": matrix_to_obj(n)}, r_qn <= REFUTE_FACTOR * slack_n
         )
         tracker.finish_trial(failed)
     return _report("selfadjoint_lemmas", spec, lam, trials, tol, tracker)
@@ -319,7 +320,7 @@ def check_nilpotent_kernel(
         r_zero = frobenius(aluthge(n, lam, tol))
         slack = tol.eq_abs * (1.0 + frobenius(n))
         failed |= tracker.observe(
-            r_zero, {"trial": t, "direction": "square_zero", "T": matrix_payload(n)}, r_zero > slack
+            r_zero, {"trial": t, "direction": "square_zero", "T": matrix_to_obj(n)}, r_zero > slack
         )
 
         for _ in range(MAX_REDRAWS):
@@ -329,7 +330,7 @@ def check_nilpotent_kernel(
                 continue
             r = frobenius(aluthge(g, lam, tol))
             failed |= tracker.observe(
-                r, {"trial": t, "direction": "generic", "T": matrix_payload(g)}, r <= 1e-5
+                r, {"trial": t, "direction": "generic", "T": matrix_to_obj(g)}, r <= 1e-5
             )
             break
         tracker.finish_trial(failed)
@@ -349,7 +350,7 @@ def check_spectrum_invariance(
         m = ginibre(rng, spec.dim)
         dist = spectra_pairing_distance(spectrum(m), spectrum(aluthge(m, lam, tol)))
         bound = 1e-7 * (1.0 + frobenius(m))
-        failed = tracker.observe(dist, {"trial": t, "T": matrix_payload(m)}, dist > bound)
+        failed = tracker.observe(dist, {"trial": t, "T": matrix_to_obj(m)}, dist > bound)
         tracker.finish_trial(failed)
     return _report("spectrum_invariance", spec, lam, trials, tol, tracker)
 

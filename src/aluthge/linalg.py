@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "Tolerances",
@@ -187,6 +186,9 @@ def spectrum(m) -> np.ndarray:
 
 def spectra_pairing_distance(a, b) -> float:
     """Largest matched distance under the optimal pairing of two eigenvalue multisets."""
+    # Imported here so that loading the package does not pay for scipy.
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=np.complex128).ravel()
     b = np.asarray(b, dtype=np.complex128).ravel()
     if a.shape != b.shape:

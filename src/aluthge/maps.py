@@ -32,7 +32,8 @@ from .linalg import (
     rank_one,
     validate_matrix,
 )
-from .reporting import CheckReport, matrix_payload, vector_payload
+from .matrixio import matrix_to_obj
+from .reporting import CheckReport, vector_payload
 from .transform import aluthge
 
 __all__ = [
@@ -133,7 +134,7 @@ def _check_condition(
             b = ginibre(rng, spec.dim)
             residual, lhs_n, rhs_n = _condition_residual(resolved, a, b, lam, tol, star)
             slack = tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
-            witness = {"trial": t, "A": matrix_payload(a), "B": matrix_payload(b)}
+            witness = {"trial": t, "A": matrix_to_obj(a), "B": matrix_to_obj(b)}
             if expect == "pass":
                 failed = tracker.observe(residual, witness, residual > slack)
                 break
@@ -246,7 +247,7 @@ def check_structural_properties(
 
         failed = tracker.observe(
             max(r_commute, r_square),
-            {"trial": t, "U": matrix_payload(resolved.unitary), "ranks": [k, j, m]},
+            {"trial": t, "U": matrix_to_obj(resolved.unitary), "ranks": [k, j, m]},
             bad,
         )
         tracker.finish_trial(failed)
@@ -271,7 +272,7 @@ def check_vector_state_identity(
         deviation = abs(inner(apply_map(resolved, a) @ y, y) - inner(a @ x, x))
         slack = tol.eq_abs * (1.0 + frobenius(a))
         failed = tracker.observe(
-            deviation, {"trial": t, "A": matrix_payload(a), "x": vector_payload(x)}, deviation > slack
+            deviation, {"trial": t, "A": matrix_to_obj(a), "x": vector_payload(x)}, deviation > slack
         )
         tracker.finish_trial(failed)
     # The identity involves no transform; lambda is recorded as 0.0.

@@ -15,22 +15,12 @@ import numpy as np
 
 from .linalg import Tolerances
 
-__all__ = ["CheckReport", "matrix_payload", "vector_payload", "dumps_canonical"]
-
-
-def matrix_payload(m) -> dict:
-    """Nested [re, im] encoding of a matrix, the same layout as MatrixFile."""
-    m = np.asarray(m, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
+__all__ = ["CheckReport", "vector_payload", "dumps_canonical"]
 
 
 def vector_payload(v) -> list:
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in v]
+    """[re, im] pairs of a vector, the row layout of ``matrixio.matrix_to_obj``."""
+    return np.asarray(v, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
 @dataclass(frozen=True)

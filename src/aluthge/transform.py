@@ -36,23 +36,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarDecomposition:
-    """Factors of T = V|T| with V a partial isometry and |T| = (T*T)^(1/2) PSD."""
+    """Factors of T = V|T| with V a partial isometry and |T| = (T*T)^(1/2) PSD.
+
+    ``singular_values``, ``right`` and ``rank`` are the pieces of the SVD
+    T = W S X* the factors were built from (S descending, X = ``right``, and
+    the numerical rank); ``aluthge`` reuses them instead of a second SVD.
+    """
 
     isometry_part: np.ndarray
     modulus: np.ndarray
+    singular_values: np.ndarray
+    right: np.ndarray
+    rank: int
 
 
-def _polar_svd(t, tol: Tolerances):
-    """SVD-based polar factors plus the raw (s, right-frame) data for reuse."""
+def _svd(t, tol: Tolerances):
+    """One SVD T = W S X*: returns V = W_r X_r*, S, X and the numerical rank r."""
     t = validate_matrix(t, square=True)
     w, s, xh = np.linalg.svd(t)
     n = t.shape[0]
     smax = s[0] if s.size else 0.0
     r = int(np.count_nonzero(s > tol.rank_rel * smax * n))
-    v = w[:, :r] @ xh[:r, :]
-    x = xh.conj().T
-    modulus = (x * s) @ xh
-    return v, modulus, s, x, r
+    return w[:, :r] @ xh[:r, :], s, xh.conj().T, r
 
 
 def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
@@ -61,25 +66,29 @@ def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     Built from the SVD T = W S X*: with r the numerical rank,
     V = W_r X_r* and |T| = X S X*. The zero matrix yields V = 0, |T| = 0.
     """
-    v, modulus, _, _, _ = _polar_svd(t, tol)
-    return PolarDecomposition(isometry_part=v, modulus=modulus)
+    v, s, x, r = _svd(t, tol)
+    return PolarDecomposition(isometry_part=v, modulus=(x * s) @ x.conj().T, singular_values=s, right=x, rank=r)
 
 
 def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1]."""
+    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1].
+
+    ``t`` may also be ``polar(T)``, whose SVD is then reused (its rank was
+    decided by the tolerances given to ``polar``, so ``tol`` is not used).
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    v, modulus, s, x, r = _polar_svd(t, tol)
-    if lam == 0.0:
-        return v @ modulus
-    if lam == 1.0:
-        return modulus @ v
+    pd = t if isinstance(t, PolarDecomposition) else None
+    v, s, x, r = _svd(t, tol) if pd is None else (pd.isometry_part, pd.singular_values, pd.right, pd.rank)
+    xh = x.conj().T
+    if lam == 0.0 or lam == 1.0:
+        modulus = (x * s) @ xh if pd is None else pd.modulus
+        return v @ modulus if lam == 0.0 else modulus @ v
     # |T|^g = X S^g X*. Singular values below the rank cutoff are zeroed
     # first: fractional powers amplify roundoff-level values (1e-16^0.3 ~ 1e-5)
     # far beyond the equality slack otherwise.
     sc = s.copy()
     sc[r:] = 0.0
-    xh = x.conj().T
     left = (x * np.power(sc, lam)) @ xh
     right = (x * np.power(sc, 1.0 - lam)) @ xh
     return left @ v @ right

@@ -1,13 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aluthge import cli
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.linalg import frobenius
 from aluthge.matrixio import load_matrix, save_matrix
-from aluthge.transform import aluthge, iterate_aluthge
+from aluthge.transform import aluthge, iterate_aluthge, polar
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -55,6 +59,48 @@ class TestTransform:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 2], [3, 4]]}))
         assert main(["transform", str(bad), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"rows": 1, "cols": 1, "data": [[[1.0, \xff]]]}',
+            b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 401 + b", 0]]]}",
+            b'{"rows": 1, "cols": 1, "data": [[[' + b"1" * 4301 + b", 0]]]}",
+            b'{"rows": 1, "cols": 1, "data": 5}',
+        ],
+        ids=["not_utf8", "int_overflows_double", "int_over_4300_digits", "data_not_a_list"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["transform", str(bad), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_factors_one_svd_bit_exact(self, tmp_path, monkeypatch, lam, rank):
+        rng = np.random.default_rng(31)
+        m = (rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))) @ (
+            rng.standard_normal((rank, 6)) + 1j * rng.standard_normal((rank, 6))
+        )
+        src = write(tmp_path / "in.json", m)
+        out = tmp_path / "out.json"
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert main(["transform", src, "--lambda", str(lam), "--output", str(out), "--factors"]) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.undo()
+        pd = polar(m)
+        assert load_matrix(out).tobytes() == aluthge(m, lam).tobytes()
+        assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
+        assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
@@ -250,3 +296,9 @@ class TestComposition:
         trace = iterate_aluthge(m, 0.5, max_iter=2, conv_tol=1e-300)
         # file round-trip is exact (repr doubles), so agreement is tight
         assert frobenius(load_matrix(out) - trace.iterates[2]) <= 1e-10 * (1 + frobenius(m))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, aluthge.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
