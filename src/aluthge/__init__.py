@@ -9,21 +9,15 @@ and spectrum facts plus the rigidity of Jordan-product-commuting maps.
 from .generators import GeneratorSpec
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEig,
-    SvdFactors,
     Tolerances,
-    adjoint,
-    hermitian_eig,
     is_normal,
     is_partial_isometry,
     is_projection,
     is_quasi_normal,
     jordan_product,
-    psd_power,
     rank_one,
     spectra_pairing_distance,
     spectrum,
-    svd,
 )
 from .maps import CandidateMap, adjoint_counterexample, apply_map
 from .reporting import CheckReport
@@ -45,17 +39,13 @@ __all__ = [
     "CheckReport",
     "DEFAULT_TOL",
     "GeneratorSpec",
-    "HermitianEig",
     "PolarDecomposition",
-    "SvdFactors",
     "Tolerances",
-    "adjoint",
     "adjoint_counterexample",
     "aluthge",
     "aluthge_rank_one",
     "apply_map",
     "duggal",
-    "hermitian_eig",
     "is_normal",
     "is_partial_isometry",
     "is_projection",
@@ -63,9 +53,7 @@ __all__ = [
     "iterate_aluthge",
     "jordan_product",
     "polar",
-    "psd_power",
     "rank_one",
     "spectra_pairing_distance",
     "spectrum",
-    "svd",
 ]

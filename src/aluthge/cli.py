@@ -16,16 +16,18 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import lemmas, maps
-from .generators import GeneratorSpec, trial_rng, unit_vector, check_key
+from .generators import GeneratorSpec
+from .lemmas import lambda_admitted, run_check
 from .linalg import DEFAULT_TOL, Tolerances, frobenius, spectra_pairing_distance, spectrum
+from .maps import CHECKS
 from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
-from .reporting import CheckReport, dumps_canonical, vector_payload
+from .reporting import dumps_canonical
 from .transform import aluthge, iterate_aluthge, polar
 
 EXIT_OK = 0
@@ -37,57 +39,6 @@ DEFAULT_DIMS = [2, 3, 4, 5, 6]
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
-
-
-def _run_adjoint_counterexample(spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances) -> CheckReport:
-    """Random (x, x') witnesses: the decomposition-path gap between
-    Delta(A*) and Delta(A)* must be positive and match the closed form."""
-    key = check_key("adjoint_counterexample")
-    tracker = lemmas._Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        while True:
-            x = unit_vector(rng, spec.dim)
-            xp = unit_vector(rng, spec.dim)
-            c = abs(np.vdot(xp, x))
-            if 0.05 <= c <= 0.95:
-                break
-        result = maps.adjoint_counterexample(lam, x, xp, tol)
-        mismatch = abs(result.residual - result.closed_form_residual)
-        failed = mismatch > 1e-10 or result.residual <= 0.0
-        got = tracker.observe(
-            mismatch, {"trial": t, "x": vector_payload(x), "xprime": vector_payload(xp)}, failed
-        )
-        tracker.finish_trial(got)
-    return lemmas._report("adjoint_counterexample", spec, lam, trials, tol, tracker)
-
-
-def _map_runner(kind: str, star: bool, expect: str, scale: complex = 1.0):
-    def run(spec, lam, trials, tol):
-        phi = maps.CandidateMap(kind=kind, scale=scale)
-        check = maps.check_star_jordan_condition if star else maps.check_jordan_condition
-        return check(phi, lam, spec, trials, tol, expect=expect)
-
-    return run
-
-
-CHECK_REGISTRY = dict(lemmas.LEMMA_CHECKS)
-CHECK_REGISTRY.update(
-    {
-        "jordan_condition_unitary": _map_runner("unitary_conj", star=False, expect="pass"),
-        "jordan_condition_adjoint": _map_runner("adjoint_conj", star=False, expect="fail"),
-        "jordan_condition_scaled": _map_runner("scaled_unitary_conj", star=False, expect="fail", scale=2.0),
-        "star_jordan_condition_unitary": _map_runner("unitary_conj", star=True, expect="pass"),
-        "star_jordan_condition_adjoint": _map_runner("adjoint_conj", star=True, expect="fail"),
-        "structural_properties": lambda spec, lam, trials, tol: maps.check_structural_properties(
-            maps.CandidateMap(kind="unitary_conj"), lam, spec, trials, tol
-        ),
-        "vector_state_identity": lambda spec, lam, trials, tol: maps.check_vector_state_identity(
-            maps.CandidateMap(kind="unitary_conj"), spec, trials, tol
-        ),
-        "adjoint_counterexample": _run_adjoint_counterexample,
-    }
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--seed", type=int, default=None)
     p_vf.add_argument("--tol-eq", type=float, default=None)
     p_vf.add_argument("--tol-rank", type=float, default=None)
-    p_vf.add_argument("--checks", nargs="+", default=None, choices=sorted(CHECK_REGISTRY))
+    p_vf.add_argument("--checks", nargs="+", default=None, choices=sorted(CHECKS))
     p_vf.add_argument("--format", choices=["json", "csv"], default="json")
     p_vf.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (CI determinism)")
     p_vf.add_argument("--output-dir", default="reports")
@@ -167,8 +118,8 @@ def cmd_iterate(args) -> int:
     except _NonSquare as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or args.conv_tol <= 0:
-        print("error: require 0 < lambda < 1, max-iter >= 1, conv-tol > 0", file=sys.stderr)
+    if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
+        print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
     trace = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
     sigma0 = spectrum(trace.iterates[0])
@@ -192,7 +143,7 @@ def _verify_config(args) -> dict:
         "trials": DEFAULT_TRIALS,
         "seed": DEFAULT_SEED,
         "tolerances": DEFAULT_TOL.to_dict(),
-        "checks": sorted(CHECK_REGISTRY),
+        "checks": sorted(CHECKS),
     }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -202,7 +153,13 @@ def _verify_config(args) -> dict:
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        tol = {**cfg["tolerances"], **loaded.pop("tolerances", {})}
+        tol = loaded.pop("tolerances", {})
+        # type() rather than isinstance(): JSON true/false must not pass as numbers.
+        if not isinstance(tol, dict) or set(tol) - set(cfg["tolerances"]) or any(
+            type(v) not in (int, float) for v in tol.values()
+        ):
+            raise ValueError(f"tolerances must be an object of numbers keyed by {sorted(cfg['tolerances'])}")
+        tol = {**cfg["tolerances"], **tol}
         cfg.update(loaded)
         cfg["tolerances"] = tol
     if args.lam is not None:
@@ -222,15 +179,24 @@ def _verify_config(args) -> dict:
     if args.checks:
         cfg["checks"] = list(args.checks)
 
-    if not 0.0 <= cfg["lambda"] <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    if cfg["trials"] < 1:
-        raise ValueError("trials must be >= 1")
-    if not cfg["dims"] or any(d < 2 for d in cfg["dims"]):
-        raise ValueError("dims must all be >= 2")
-    bad = set(cfg["checks"]) - set(CHECK_REGISTRY)
+    lam = cfg["lambda"]
+    if type(lam) not in (int, float) or not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be a number in [0, 1], got {lam!r}")
+    for name, low in (("seed", 0), ("trials", 1)):
+        if type(cfg[name]) is not int or cfg[name] < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {cfg[name]!r}")
+    dims = cfg["dims"]
+    if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 2 for d in dims):
+        raise ValueError(f"dims must be a non-empty list of integers >= 2, got {dims!r}")
+    checks = cfg["checks"]
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ValueError(f"checks must be a list of check ids, got {checks!r}")
+    bad = set(checks) - set(CHECKS)
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}")
+    excluded = [f"{c} {CHECKS[c].domain}" for c in checks if not lambda_admitted(lam, CHECKS[c].domain)]
+    if excluded:
+        raise ValueError(f"lambda {lam!r} lies outside the domain of: {', '.join(excluded)}")
     Tolerances(**cfg["tolerances"])  # validates ranges
     return cfg
 
@@ -247,10 +213,9 @@ def cmd_verify(args) -> int:
     reports = []
     total_failures = 0
     for check_id in cfg["checks"]:
-        runner = CHECK_REGISTRY[check_id]
         for dim in cfg["dims"]:
             spec = GeneratorSpec(dim=dim, seed=cfg["seed"])
-            report = runner(spec, cfg["lambda"], cfg["trials"], tol)
+            report = run_check(CHECKS[check_id], spec, cfg["lambda"], cfg["trials"], tol)
             reports.append(report)
             total_failures += report.failures
             verdict = "PASS" if report.failures == 0 else "FAIL"

@@ -11,16 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = (
-    "ginibre",
-    "unitary",
-    "projection_rank1",
-    "projection_rankk",
-    "normal",
-    "nilpotent_sq_zero",
-    "psd",
-)
-
 # Smallest allowed sigma_min/sigma_max when a well-conditioned (injective) draw
 # is requested; draws below it are resampled.
 MIN_CONDITION = 1e-6
@@ -29,14 +19,11 @@ MIN_CONDITION = 1e-6
 @dataclass(frozen=True)
 class GeneratorSpec:
     dim: int
-    kind: str = "ginibre"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -81,18 +68,6 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def projection_rank1(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = unit_vector(rng, dim)
-    return np.outer(x, x.conj())
-
-
-def projection_rankk(rng: np.random.Generator, dim: int, k: int | None = None) -> np.ndarray:
-    if k is None:
-        k = int(rng.integers(1, dim))
-    u = haar_unitary(rng, dim)[:, :k]
-    return u @ u.conj().T
-
-
 def normal_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     u = haar_unitary(rng, dim)
     d = complex_gaussian(rng, dim)
@@ -114,25 +89,3 @@ def nilpotent_sq_zero(rng: np.random.Generator, dim: int, similarity: bool = Tru
         s = np.eye(dim) + 0.3 * ginibre(rng, dim)
         t = s @ t @ np.linalg.inv(s)
     return t
-
-
-def psd_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    b = ginibre(rng, dim)
-    return b @ b.conj().T
-
-
-_SAMPLERS = {
-    "ginibre": ginibre,
-    "unitary": haar_unitary,
-    "projection_rank1": projection_rank1,
-    "projection_rankk": projection_rankk,
-    "normal": normal_matrix,
-    "nilpotent_sq_zero": nilpotent_sq_zero,
-    "psd": psd_matrix,
-}
-
-
-def sample(spec: GeneratorSpec, trial: int) -> np.ndarray:
-    """One matrix of the spec's kind, drawn from the (seed, trial) stream."""
-    rng = trial_rng(spec.seed, trial)
-    return _SAMPLERS[spec.kind](rng, spec.dim)

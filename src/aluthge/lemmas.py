@@ -1,19 +1,26 @@
-"""Randomized, seeded checks for the rank-one / projection / self-adjointness
-/ kernel / spectrum facts about the lambda-Aluthge transform.
+"""The check driver, and randomized, seeded checks for the rank-one /
+projection / self-adjointness / kernel / spectrum facts about the
+lambda-Aluthge transform.
 
-Conventions shared by every check:
+A check is a ``Check`` record: an id, the lambda domain it is stated on and a
+per-trial function holding only the mathematics. ``run_check`` owns what every
+check shares:
 
-* trial t draws from the stream (seed, crc32(check_id), dim, t), so reports
+* trial t draws from the stream (seed, crc32(check id), dim, t), so reports
   are reproducible and order-independent;
 * "iff" statements are exercised in BOTH directions: a constructive
   satisfying instance must land within the equality slack, and a generic
   refuting instance must land above 10x the slack. Residuals falling in the
   dead band between the two are discarded and redrawn (tallied as vacuous);
 * failures are counted per trial; the worst trial's inputs are kept as a
-  witness, with failing trials taking precedence.
+  witness, with failing trials taking precedence, and only the kept witness
+  is encoded for the report.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,14 +49,19 @@ from .reporting import CheckReport, vector_payload
 from .transform import aluthge, aluthge_rank_one
 
 __all__ = [
-    "check_rank_one_formula",
-    "check_projection_absorb",
-    "check_scalar_projection",
-    "check_square_identity",
-    "check_selfadjoint_lemmas",
-    "check_nilpotent_kernel",
-    "check_spectrum_invariance",
-    "LEMMA_CHECKS",
+    "Check",
+    "CheckRun",
+    "check",
+    "run_check",
+    "in_dead_band",
+    "lambda_admitted",
+    "rank_one_formula",
+    "projection_absorb",
+    "scalar_projection",
+    "square_identity",
+    "selfadjoint_lemmas",
+    "nilpotent_kernel",
+    "spectrum_invariance",
 ]
 
 # Generic refuting residuals must clear this multiple of the pass slack;
@@ -58,198 +70,225 @@ REFUTE_FACTOR = 10.0
 MAX_REDRAWS = 64
 
 
-class _Tracker:
-    """Per-check accumulator: failures (per trial), vacuous redraws, worst
-    residual and its witness. Failing witnesses take precedence."""
+@dataclass(frozen=True)
+class Check:
+    """One randomized check.
 
-    def __init__(self) -> None:
+    id     : report ``check_id``; also seeds the trial streams
+    trial  : runs one trial against a ``CheckRun``
+    domain : lambda interval the check is stated on, "(0, 1)", "(0, 1]" or
+             "[0, 1]"; None for a check that does not use lambda, whose
+             report records lambda as 0.0
+    """
+
+    id: str
+    trial: Callable[["CheckRun"], None]
+    domain: str | None = "(0, 1)"
+
+
+def check(id: str, domain: str | None = "(0, 1)"):
+    """Decorator turning a per-trial function into a ``Check``."""
+    return lambda trial: Check(id, trial, domain)
+
+
+def lambda_admitted(lam: float, domain: str | None) -> bool:
+    """Whether ``lam`` lies in ``domain`` (see ``Check``); None admits any."""
+    if domain is None:
+        return True
+    low = 0.0 < lam if domain[0] == "(" else 0.0 <= lam
+    high = lam < 1.0 if domain[-1] == ")" else lam <= 1.0
+    return low and high
+
+
+def in_dead_band(slack: float, *residuals: float) -> bool:
+    """True if any residual is above the pass slack but not clear of it by
+    REFUTE_FACTOR: such a draw decides nothing and is redrawn."""
+    return any(slack < r <= REFUTE_FACTOR * slack for r in residuals)
+
+
+def _payload(value):
+    if isinstance(value, np.ndarray):
+        return matrix_to_obj(value) if value.ndim == 2 else vector_payload(value)
+    return value
+
+
+class CheckRun:
+    """State of one check run, handed to the check's per-trial function.
+
+    ``rng`` is the current trial's stream and ``trial`` its index; ``dim``,
+    ``lam`` and ``tol`` are the run's parameters. A trial records outcomes
+    through ``observe`` and ``redraw``; the other fields are the tally.
+    """
+
+    def __init__(self, dim: int, lam: float, tol: Tolerances) -> None:
+        self.dim = dim
+        self.lam = lam
+        self.tol = tol
+        self.rng: np.random.Generator | None = None
+        self.trial = 0
+        self.trial_failed = False
         self.failures = 0
         self.vacuous = 0
         self.worst = 0.0
-        self.witness: dict | None = None
+        self._witness: tuple[int, dict] | None = None
         self._witness_failed = False
 
-    def observe(self, residual: float, witness: dict, failed: bool = False) -> bool:
+    def observe(self, residual: float, failed: bool, **witness) -> None:
+        """Record one outcome of the current trial. ``witness`` holds its
+        inputs (arrays are encoded only if they end up as the report's)."""
+        failed = bool(failed)
         take = (failed and not self._witness_failed) or (
             residual > self.worst and failed == self._witness_failed
-        ) or self.witness is None
+        ) or self._witness is None
         if take:
-            self.witness = witness
+            self._witness = (self.trial, witness)
             self._witness_failed = self._witness_failed or failed
         self.worst = max(self.worst, residual)
-        return failed
+        self.trial_failed = self.trial_failed or failed
 
-    def finish_trial(self, failed: bool) -> None:
-        if failed:
-            self.failures += 1
+    def redraw(self, draw: Callable[[], tuple[float, bool, dict] | None]) -> None:
+        """Observe the first informative draw. ``draw()`` returns None for a
+        vacuous draw, or the ``(residual, failed, witness)`` to observe; after
+        MAX_REDRAWS vacuous draws the trial records nothing."""
+        for _ in range(MAX_REDRAWS):
+            outcome = draw()
+            if outcome is not None:
+                residual, failed, witness = outcome
+                self.observe(residual, failed, **witness)
+                return
+            self.vacuous += 1
+
+    def witness(self) -> dict | None:
+        if self._witness is None:
+            return None
+        trial, fields = self._witness
+        return {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
 
 
-def _require_lambda_open(lam: float) -> None:
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
-
-
-def _report(check_id, spec, lam, trials, tol, tracker: _Tracker) -> CheckReport:
+def run_check(
+    check: Check, spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
+) -> CheckReport:
+    """Run ``trials`` trials of ``check`` at ``spec``'s dimension and seed."""
+    if not lambda_admitted(lam, check.domain):
+        raise ValueError(f"{check.id}: lambda must lie in {check.domain}, got {lam!r}")
+    run = CheckRun(spec.dim, lam, tol)
+    key = check_key(check.id)
+    for t in range(trials):
+        run.trial, run.rng, run.trial_failed = t, trial_rng(spec.seed, key, spec.dim, t), False
+        check.trial(run)
+        run.failures += run.trial_failed
     return CheckReport(
-        check_id=check_id,
+        check_id=check.id,
         seed=spec.seed,
         dim=spec.dim,
-        lam=lam,
+        lam=lam if check.domain is not None else 0.0,
         trials=trials,
-        failures=tracker.failures,
-        vacuous=tracker.vacuous,
-        worst_residual=tracker.worst,
+        failures=run.failures,
+        vacuous=run.vacuous,
+        worst_residual=run.worst,
         tolerances=tol,
-        witness=tracker.witness,
+        witness=run.witness(),
     )
 
 
-def check_rank_one_formula(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("rank_one_formula")
+def rank_one_formula(run: CheckRun) -> None:
     """Delta_lambda(x⊗y) equals (<x,y>/||y||^2)(y⊗y) on random vector pairs."""
-    _require_lambda_open(lam)
-    key = check_key("rank_one_formula")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        x = complex_gaussian(rng, spec.dim)
-        y = complex_gaussian(rng, spec.dim)
-        residual = frobenius(aluthge(rank_one(x, y), lam, tol) - aluthge_rank_one(x, y, lam))
-        slack = tol.eq_abs * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
-        failed = tracker.observe(
-            residual, {"trial": t, "x": vector_payload(x), "y": vector_payload(y)}, residual > slack
-        )
-        tracker.finish_trial(failed)
-    return _report("rank_one_formula", spec, lam, trials, tol, tracker)
+    x = complex_gaussian(run.rng, run.dim)
+    y = complex_gaussian(run.rng, run.dim)
+    residual = frobenius(aluthge(rank_one(x, y), run.lam, run.tol) - aluthge_rank_one(x, y, run.lam))
+    slack = run.tol.eq_abs * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
+    run.observe(residual, residual > slack, x=x, y=y)
 
 
-def check_projection_absorb(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("projection_absorb")
+def projection_absorb(run: CheckRun) -> None:
     """Delta_lambda(A∘P) = P iff PA = P, for rank-one projections P = x⊗x.
 
     Direction (a) corrects a random A so that A*x = x (hence PA = P) and
     demands agreement; direction (b) draws a generic A and demands both sides
     of the biconditional carry the same truth value under slack.
     """
-    _require_lambda_open(lam)
-    key = check_key("projection_absorb")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        x = unit_vector(rng, spec.dim)
-        p = np.outer(x, x.conj())
-        failed = False
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    x = unit_vector(rng, n)
+    p = np.outer(x, x.conj())
 
-        # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
-        a0 = ginibre(rng, spec.dim)
-        a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
-        residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - p)
-        slack = tol.eq_abs * (1.0 + frobenius(a))
-        failed |= tracker.observe(
-            residual,
-            {"trial": t, "direction": "satisfying", "x": vector_payload(x), "A": matrix_to_obj(a)},
-            residual > slack or frobenius(p @ a - p) > slack,
-        )
+    # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
+    a0 = ginibre(rng, n)
+    a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
+    residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - p)
+    slack = tol.eq_abs * (1.0 + frobenius(a))
+    run.observe(residual, residual > slack or frobenius(p @ a - p) > slack, direction="satisfying", x=x, A=a)
 
-        # (b) generic: both sides of the iff must agree.
-        for _ in range(MAX_REDRAWS):
-            b = ginibre(rng, spec.dim)
-            slack_b = tol.eq_abs * (1.0 + frobenius(b))
-            r_delta = frobenius(aluthge(jordan_product(b, p), lam, tol) - p)
-            r_pa = frobenius(p @ b - p)
-            if (slack_b < r_delta <= REFUTE_FACTOR * slack_b) or (slack_b < r_pa <= REFUTE_FACTOR * slack_b):
-                tracker.vacuous += 1
-                continue
-            agree = (r_delta <= slack_b) == (r_pa <= slack_b)
-            failed |= tracker.observe(
-                min(r_delta, r_pa),
-                {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_to_obj(b)},
-                not agree,
-            )
-            break
-        tracker.finish_trial(failed)
-    return _report("projection_absorb", spec, lam, trials, tol, tracker)
+    # (b) generic: both sides of the iff must agree.
+    def generic():
+        b = ginibre(rng, n)
+        slack_b = tol.eq_abs * (1.0 + frobenius(b))
+        r_delta = frobenius(aluthge(jordan_product(b, p), lam, tol) - p)
+        r_pa = frobenius(p @ b - p)
+        if in_dead_band(slack_b, r_delta, r_pa):
+            return None
+        agree = (r_delta <= slack_b) == (r_pa <= slack_b)
+        return min(r_delta, r_pa), not agree, {"direction": "generic", "x": x, "A": b}
+
+    run.redraw(generic)
 
 
-def check_scalar_projection(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("scalar_projection")
+def scalar_projection(run: CheckRun) -> None:
     """Delta_lambda(A∘P) = A iff A = alpha P, for rank-one projections P."""
-    _require_lambda_open(lam)
-    key = check_key("scalar_projection")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        x = unit_vector(rng, spec.dim)
-        p = np.outer(x, x.conj())
-        failed = False
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    x = unit_vector(rng, n)
+    p = np.outer(x, x.conj())
 
-        alpha = complex(complex_gaussian(rng, 1)[0])
-        a = alpha * p
-        residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - a)
-        slack = tol.eq_abs * (1.0 + abs(alpha))
-        failed |= tracker.observe(
-            residual,
-            {"trial": t, "direction": "satisfying", "alpha": [alpha.real, alpha.imag], "x": vector_payload(x)},
-            residual > slack,
-        )
+    alpha = complex(complex_gaussian(rng, 1)[0])
+    a = alpha * p
+    residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - a)
+    slack = tol.eq_abs * (1.0 + abs(alpha))
+    run.observe(residual, residual > slack, direction="satisfying", alpha=[alpha.real, alpha.imag], x=x)
 
-        for _ in range(MAX_REDRAWS):
-            b = ginibre(rng, spec.dim)
-            slack_b = tol.eq_abs * (1.0 + frobenius(b))
-            r = frobenius(aluthge(jordan_product(b, p), lam, tol) - b)
-            if slack_b < r <= REFUTE_FACTOR * slack_b:
-                tracker.vacuous += 1
-                continue
-            failed |= tracker.observe(
-                r, {"trial": t, "direction": "generic", "x": vector_payload(x), "A": matrix_to_obj(b)}, r <= slack_b
-            )
-            break
-        tracker.finish_trial(failed)
-    return _report("scalar_projection", spec, lam, trials, tol, tracker)
+    def generic():
+        b = ginibre(rng, n)
+        slack_b = tol.eq_abs * (1.0 + frobenius(b))
+        r = frobenius(aluthge(jordan_product(b, p), lam, tol) - b)
+        if in_dead_band(slack_b, r):
+            return None
+        return r, r <= slack_b, {"direction": "generic", "x": x, "A": b}
+
+    run.redraw(generic)
 
 
-def check_square_identity(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("square_identity")
+def square_identity(run: CheckRun) -> None:
     """Delta_lambda(T^2) = T iff T = I, over well-conditioned invertible T.
 
     The identity passes (trial 0's satisfying part); generic invertible T must
     refute. If a sampled T ever satisfies the equation within slack, the
     injective-case implication T^2 = T* is asserted as well.
     """
-    _require_lambda_open(lam)
-    key = check_key("square_identity")
-    tracker = _Tracker()
-    eye = np.eye(spec.dim)
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        failed = False
-        if t == 0:
-            r_eye = frobenius(aluthge(eye, lam, tol) - eye)
-            failed |= tracker.observe(r_eye, {"trial": t, "direction": "identity"}, r_eye > tol.eq_abs)
-        for _ in range(MAX_REDRAWS):
-            m = invertible_ginibre(rng, spec.dim)
-            slack = tol.eq_abs * (1.0 + frobenius(m))
-            r = frobenius(aluthge(m @ m, lam, tol) - m)
-            if slack < r <= REFUTE_FACTOR * slack:
-                tracker.vacuous += 1
-                continue
-            bad = False
-            if r <= slack:
-                # Only T = I may land here; then T^2 = T* must hold too.
-                bad = frobenius(m @ m - m.conj().T) > slack or frobenius(m - eye) > slack
-            failed |= tracker.observe(r, {"trial": t, "T": matrix_to_obj(m)}, bad)
-            break
-        tracker.finish_trial(failed)
-    return _report("square_identity", spec, lam, trials, tol, tracker)
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    eye = np.eye(n)
+    if run.trial == 0:
+        r_eye = frobenius(aluthge(eye, lam, tol) - eye)
+        run.observe(r_eye, r_eye > tol.eq_abs, direction="identity")
+
+    def generic():
+        m = invertible_ginibre(rng, n)
+        slack = tol.eq_abs * (1.0 + frobenius(m))
+        r = frobenius(aluthge(m @ m, lam, tol) - m)
+        if in_dead_band(slack, r):
+            return None
+        bad = False
+        if r <= slack:
+            # Only T = I may land here; then T^2 = T* must hold too.
+            bad = frobenius(m @ m - m.conj().T) > slack or frobenius(m - eye) > slack
+        return r, bad, {"T": m}
+
+    run.redraw(generic)
 
 
-def check_selfadjoint_lemmas(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("selfadjoint_lemmas")
+def selfadjoint_lemmas(run: CheckRun) -> None:
     """Self-adjointness rigidity, both flavors.
 
     selfadjoint_injective:   Delta(S) = S*  forces S = S*  (S, S* injective);
@@ -257,110 +296,61 @@ def check_selfadjoint_lemmas(
     Hermitian draws must satisfy both equalities; non-Hermitian invertible
     draws must refute the first, normal non-Hermitian draws the second.
     """
-    _require_lambda_open(lam)
-    key = check_key("selfadjoint_lemmas")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        failed = False
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    g = ginibre(rng, n)
+    s = (g + g.conj().T) / 2.0
+    r_fwd = frobenius(aluthge(s, lam, tol) - s.conj().T)
+    slack = tol.eq_abs * (1.0 + frobenius(s))
+    run.observe(r_fwd, r_fwd > slack, part="hermitian", S=s)
 
-        g = ginibre(rng, spec.dim)
-        s = (g + g.conj().T) / 2.0
-        r_fwd = frobenius(aluthge(s, lam, tol) - s.conj().T)
-        slack = tol.eq_abs * (1.0 + frobenius(s))
-        failed |= tracker.observe(
-            r_fwd, {"trial": t, "part": "hermitian", "S": matrix_to_obj(s)}, r_fwd > slack
-        )
+    # Injective flavor: non-Hermitian invertible S refutes Delta(S) = S*.
+    def injective():
+        m = invertible_ginibre(rng, n)
+        slack_m = tol.eq_abs * (1.0 + frobenius(m))
+        if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
+            return None
+        r = frobenius(aluthge(m, lam, tol) - m.conj().T)
+        if in_dead_band(slack_m, r):
+            return None
+        return r, r <= slack_m, {"part": "injective", "S": m}
 
-        # Injective flavor: non-Hermitian invertible S refutes Delta(S) = S*.
-        for _ in range(MAX_REDRAWS):
-            m = invertible_ginibre(rng, spec.dim)
-            slack_m = tol.eq_abs * (1.0 + frobenius(m))
-            if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
-                tracker.vacuous += 1
-                continue
-            r = frobenius(aluthge(m, lam, tol) - m.conj().T)
-            if slack_m < r <= REFUTE_FACTOR * slack_m:
-                tracker.vacuous += 1
-                continue
-            failed |= tracker.observe(
-                r, {"trial": t, "part": "injective", "S": matrix_to_obj(m)}, r <= slack_m
-            )
-            break
+    run.redraw(injective)
 
-        # Quasi-normal flavor: normal non-Hermitian S refutes Delta(S*) = S.
-        u = haar_unitary(rng, spec.dim)
-        d = complex_gaussian(rng, spec.dim)
-        im = np.where(np.abs(d.imag) < 0.3, np.copysign(np.abs(d.imag) + 0.3, d.imag), d.imag)
-        n = (u * (d.real + 1j * im)) @ u.conj().T
-        slack_n = tol.eq_abs * (1.0 + frobenius(n))
-        r_qn = frobenius(aluthge(n.conj().T, lam, tol) - n)
-        failed |= tracker.observe(
-            r_qn, {"trial": t, "part": "quasinormal", "S": matrix_to_obj(n)}, r_qn <= REFUTE_FACTOR * slack_n
-        )
-        tracker.finish_trial(failed)
-    return _report("selfadjoint_lemmas", spec, lam, trials, tol, tracker)
+    # Quasi-normal flavor: normal non-Hermitian S refutes Delta(S*) = S.
+    u = haar_unitary(rng, n)
+    d = complex_gaussian(rng, n)
+    im = np.where(np.abs(d.imag) < 0.3, np.copysign(np.abs(d.imag) + 0.3, d.imag), d.imag)
+    q = (u * (d.real + 1j * im)) @ u.conj().T
+    slack_q = tol.eq_abs * (1.0 + frobenius(q))
+    r_qn = frobenius(aluthge(q.conj().T, lam, tol) - q)
+    run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
 
-def check_nilpotent_kernel(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("nilpotent_kernel", domain="(0, 1]")
+def nilpotent_kernel(run: CheckRun) -> None:
     """Delta_lambda(T) = 0 iff T^2 = 0, both directions sampled."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam!r}")
-    key = check_key("nilpotent_kernel")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        failed = False
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    t = nilpotent_sq_zero(rng, n)
+    if frobenius(t @ t) > 1e-12 * (1.0 + frobenius(t) ** 2):
+        raise AssertionError("square-zero generator self-test failed")
+    r_zero = frobenius(aluthge(t, lam, tol))
+    slack = tol.eq_abs * (1.0 + frobenius(t))
+    run.observe(r_zero, r_zero > slack, direction="square_zero", T=t)
 
-        n = nilpotent_sq_zero(rng, spec.dim)
-        if frobenius(n @ n) > 1e-12 * (1.0 + frobenius(n) ** 2):
-            raise AssertionError("square-zero generator self-test failed")
-        r_zero = frobenius(aluthge(n, lam, tol))
-        slack = tol.eq_abs * (1.0 + frobenius(n))
-        failed |= tracker.observe(
-            r_zero, {"trial": t, "direction": "square_zero", "T": matrix_to_obj(n)}, r_zero > slack
-        )
+    def generic():
+        g = ginibre(rng, n)
+        if frobenius(g @ g) <= 1e-3:
+            return None
+        r = frobenius(aluthge(g, lam, tol))
+        return r, r <= 1e-5, {"direction": "generic", "T": g}
 
-        for _ in range(MAX_REDRAWS):
-            g = ginibre(rng, spec.dim)
-            if frobenius(g @ g) <= 1e-3:
-                tracker.vacuous += 1
-                continue
-            r = frobenius(aluthge(g, lam, tol))
-            failed |= tracker.observe(
-                r, {"trial": t, "direction": "generic", "T": matrix_to_obj(g)}, r <= 1e-5
-            )
-            break
-        tracker.finish_trial(failed)
-    return _report("nilpotent_kernel", spec, lam, trials, tol, tracker)
+    run.redraw(generic)
 
 
-def check_spectrum_invariance(
-    spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("spectrum_invariance", domain="[0, 1]")
+def spectrum_invariance(run: CheckRun) -> None:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    key = check_key("spectrum_invariance")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        m = ginibre(rng, spec.dim)
-        dist = spectra_pairing_distance(spectrum(m), spectrum(aluthge(m, lam, tol)))
-        bound = 1e-7 * (1.0 + frobenius(m))
-        failed = tracker.observe(dist, {"trial": t, "T": matrix_to_obj(m)}, dist > bound)
-        tracker.finish_trial(failed)
-    return _report("spectrum_invariance", spec, lam, trials, tol, tracker)
-
-
-LEMMA_CHECKS = {
-    "rank_one_formula": check_rank_one_formula,
-    "projection_absorb": check_projection_absorb,
-    "scalar_projection": check_scalar_projection,
-    "square_identity": check_square_identity,
-    "selfadjoint_lemmas": check_selfadjoint_lemmas,
-    "nilpotent_kernel": check_nilpotent_kernel,
-    "spectrum_invariance": check_spectrum_invariance,
-}
+    m = ginibre(run.rng, run.dim)
+    dist = spectra_pairing_distance(spectrum(m), spectrum(aluthge(m, run.lam, run.tol)))
+    bound = 1e-7 * (1.0 + frobenius(m))
+    run.observe(dist, dist > bound, T=m)

@@ -1,9 +1,8 @@
 """Dense complex-matrix primitives.
 
-Products, Hermitian eigendecomposition, SVD, fractional powers of positive
-semidefinite matrices, spectra, and the structural predicates (normal,
-quasi-normal, projection, partial isometry) used by the transform and
-verification layers. All functions are pure and operate on immutable inputs;
+Products, spectra, and the structural predicates (normal, quasi-normal,
+projection, partial isometry) used by the transform and verification
+layers. All functions are pure and operate on immutable inputs;
 matrices are plain ``numpy.ndarray`` values of dtype complex128.
 """
 
@@ -16,21 +15,13 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "HermitianEig",
-    "SvdFactors",
     "validate_matrix",
-    "adjoint",
     "jordan_product",
     "rank_one",
     "inner",
-    "hermitian_eig",
-    "svd",
-    "psd_power",
     "spectrum",
     "spectra_pairing_distance",
     "frobenius",
-    "matrices_close",
-    "equality_residual",
     "is_normal",
     "is_quasi_normal",
     "is_projection",
@@ -82,11 +73,6 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return validate_matrix(a).conj().T
-
-
 def jordan_product(a, b) -> np.ndarray:
     """Symmetrized product (AB + BA) / 2 of two square matrices."""
     a = validate_matrix(a, square=True)
@@ -112,70 +98,6 @@ def rank_one(x, y) -> np.ndarray:
     return np.outer(x, y.conj())
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition M = Q diag(w) Q* of a Hermitian matrix.
-
-    ``eigenvalues`` ascending, ``eigenvectors`` unitary with eigenvectors[:, k]
-    the eigenvector of eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    The input is symmetrized as (M + M*)/2 before factorization; inputs that
-    are non-Hermitian beyond the equality slack are rejected.
-    """
-    m = validate_matrix(m, square=True)
-    herm_defect = frobenius(m - m.conj().T)
-    if herm_defect > tol.eq_abs * (1.0 + frobenius(m)):
-        raise ValueError(f"matrix is not Hermitian within slack (defect {herm_defect:.3e})")
-    sym = (m + m.conj().T) / 2.0
-    w, q = np.linalg.eigh(sym)
-    return HermitianEig(eigenvalues=w, eigenvectors=q)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """SVD M = left @ diag(singular_values) @ right*, singular values descending."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-
-def svd(m) -> SvdFactors:
-    m = validate_matrix(m)
-    u, s, vh = np.linalg.svd(m)
-    return SvdFactors(left=u, singular_values=s, right=vh.conj().T)
-
-
-def psd_power(m, gamma: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power M^gamma of a positive semidefinite matrix.
-
-    Eigenvalues in the roundoff band [-clip, clip] with clip = rank_rel *
-    lambda_max are set to zero before taking powers (fractional powers amplify
-    roundoff-level values past any slack); eigenvalues more negative than
-    -clip are an error.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    eig = hermitian_eig(m, tol)
-    w = eig.eigenvalues.copy()
-    lam_max = max(float(w[-1]), 0.0)
-    # Absolute floor covers |T| assembled from an SVD of the zero matrix.
-    clip = tol.rank_rel * lam_max + 64.0 * np.finfo(float).eps * max(1.0, lam_max)
-    if w[0] < -clip:
-        raise ValueError(f"matrix is not PSD within cutoff (min eigenvalue {w[0]:.3e})")
-    w[w <= clip] = 0.0
-    q = eig.eigenvectors
-    return (q * np.power(w, gamma)) @ q.conj().T
-
-
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a square matrix with multiplicity, sorted by (re, im)."""
     m = validate_matrix(m, square=True)
@@ -198,16 +120,6 @@ def spectra_pairing_distance(a, b) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def equality_residual(x, y) -> float:
-    return frobenius(np.asarray(x) - np.asarray(y))
-
-
-def matrices_close(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Mixed absolute/relative equality: ||X-Y||_F <= eq_abs * (1 + max norm)."""
-    scale = 1.0 + max(frobenius(x), frobenius(y))
-    return equality_residual(x, y) <= tol.eq_abs * scale
 
 
 def is_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:

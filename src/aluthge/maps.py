@@ -3,6 +3,8 @@ facts: unitary conjugation commutes with the Aluthge transform through Jordan
 and star-Jordan products and preserves all the structural sets; the adjoint
 form is falsified by an explicit rank-one counterexample, and scaling by any
 c != 1 breaks the condition already at A = B = I.
+
+``CHECKS`` is the registry of every check ``aluthge verify`` runs.
 """
 
 from __future__ import annotations
@@ -11,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lemmas
 from .generators import (
     GeneratorSpec,
-    check_key,
-    complex_gaussian,
     ginibre,
     haar_unitary,
     normal_matrix,
-    trial_rng,
     unit_vector,
 )
-from .lemmas import MAX_REDRAWS, REFUTE_FACTOR, _report, _require_lambda_open, _Tracker
+from .lemmas import Check, CheckRun, check, in_dead_band, lambda_admitted, run_check
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -32,8 +32,7 @@ from .linalg import (
     rank_one,
     validate_matrix,
 )
-from .matrixio import matrix_to_obj
-from .reporting import CheckReport, vector_payload
+from .reporting import CheckReport
 from .transform import aluthge
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "adjoint_counterexample",
     "CounterexampleResult",
     "MAP_KINDS",
+    "CHECKS",
 ]
 
 MAP_KINDS = ("unitary_conj", "adjoint_conj", "scaled_unitary_conj")
@@ -110,46 +110,33 @@ def _condition_residual(phi, a, b, lam, tol, star: bool) -> tuple[float, float, 
     return frobenius(lhs - rhs), frobenius(lhs), frobenius(rhs)
 
 
-def _check_condition(
-    check_id: str,
-    phi: CandidateMap,
-    lam: float,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: Tolerances,
-    star: bool,
-    expect: str,
-) -> CheckReport:
-    _require_lambda_open(lam)
+def _condition_check(phi: CandidateMap, star: bool, expect: str) -> Check:
+    """Delta_lambda(Phi(A)∘Phi(B)) = Phi(Delta_lambda(A∘B)), or its star form
+    with B* in place of B, on random pairs; a fresh Haar U per trial unless
+    ``phi`` pins one."""
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
-    key = check_key(check_id)
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        resolved = phi.resolved(spec.dim, rng)
-        failed = False
-        for _ in range(MAX_REDRAWS):
-            a = ginibre(rng, spec.dim)
-            b = ginibre(rng, spec.dim)
-            residual, lhs_n, rhs_n = _condition_residual(resolved, a, b, lam, tol, star)
-            slack = tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
-            witness = {"trial": t, "A": matrix_to_obj(a), "B": matrix_to_obj(b)}
+
+    def trial(run: CheckRun) -> None:
+        resolved = phi.resolved(run.dim, run.rng)
+
+        def draw():
+            a = ginibre(run.rng, run.dim)
+            b = ginibre(run.rng, run.dim)
+            residual, lhs_n, rhs_n = _condition_residual(resolved, a, b, run.lam, run.tol, star)
+            slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
+            witness = {"A": a, "B": b}
             if expect == "pass":
-                failed = tracker.observe(residual, witness, residual > slack)
-                break
+                return residual, residual > slack, witness
             # Expected falsification. Trials where both sides vanish carry no
             # information; dead-band residuals are redrawn.
-            if max(lhs_n, rhs_n) <= slack:
-                tracker.vacuous += 1
-                continue
-            if slack < residual <= REFUTE_FACTOR * slack:
-                tracker.vacuous += 1
-                continue
-            failed = tracker.observe(residual, witness, residual <= slack)
-            break
-        tracker.finish_trial(failed)
-    return _report(check_id, spec, lam, trials, tol, tracker)
+            if max(lhs_n, rhs_n) <= slack or in_dead_band(slack, residual):
+                return None
+            return residual, residual <= slack, witness
+
+        run.redraw(draw)
+
+    return Check(f"{'star_' if star else ''}jordan_condition_{phi.kind}", trial)
 
 
 def check_jordan_condition(
@@ -166,7 +153,7 @@ def check_jordan_condition(
     failures; ``expect="fail"`` (adjoint / scaled competitors) counts trials
     where the condition unexpectedly holds.
     """
-    return _check_condition(f"jordan_condition_{phi.kind}", phi, lam, spec, trials, tol, star=False, expect=expect)
+    return run_check(_condition_check(phi, star=False, expect=expect), spec, lam, trials, tol)
 
 
 def check_star_jordan_condition(
@@ -178,36 +165,16 @@ def check_star_jordan_condition(
     expect: str = "pass",
 ) -> CheckReport:
     """Delta_lambda(Phi(A)∘Phi(B)*) = Phi(Delta_lambda(A∘B*)) on random pairs."""
-    return _check_condition(
-        f"star_jordan_condition_{phi.kind}", phi, lam, spec, trials, tol, star=True, expect=expect
-    )
+    return run_check(_condition_check(phi, star=True, expect=expect), spec, lam, trials, tol)
 
 
-def check_structural_properties(
-    phi: CandidateMap,
-    lam: float,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CheckReport:
-    """Structural preservation under unitary conjugation.
-
-    Per trial: (i) the map commutes with the transform, (ii) squares of normal
-    matrices map to squares, (iii) projections to projections, (iv) orthogonal
-    projection pairs stay orthogonal, (v) nested projections stay nested,
-    (vi) additivity on orthogonal projections, (vii) rank-one projections to
-    rank-one projections, plus preservation of self-adjointness.
-    """
-    _require_lambda_open(lam)
+def _structural_check(phi: CandidateMap) -> Check:
     if phi.kind != "unitary_conj":
         raise ValueError("structural properties are asserted for unitary conjugation only")
-    key = check_key("structural_properties")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        resolved = phi.resolved(spec.dim, rng)
-        n = spec.dim
-        failed = False
+
+    def trial(run: CheckRun) -> None:
+        rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+        resolved = phi.resolved(n, rng)
 
         # Random frame; disjoint column blocks give orthogonal projections,
         # nested leading blocks give ordered ones.
@@ -245,13 +212,44 @@ def check_structural_properties(
         fh = apply_map(resolved, h)
         bad |= frobenius(fh - fh.conj().T) > slack * (1.0 + frobenius(h))
 
-        failed = tracker.observe(
-            max(r_commute, r_square),
-            {"trial": t, "U": matrix_to_obj(resolved.unitary), "ranks": [k, j, m]},
-            bad,
-        )
-        tracker.finish_trial(failed)
-    return _report("structural_properties", spec, lam, trials, tol, tracker)
+        run.observe(max(r_commute, r_square), bad, U=resolved.unitary, ranks=[k, j, m])
+
+    return Check("structural_properties", trial)
+
+
+def check_structural_properties(
+    phi: CandidateMap,
+    lam: float,
+    spec: GeneratorSpec,
+    trials: int,
+    tol: Tolerances = DEFAULT_TOL,
+) -> CheckReport:
+    """Structural preservation under unitary conjugation.
+
+    Per trial: (i) the map commutes with the transform, (ii) squares of normal
+    matrices map to squares, (iii) projections to projections, (iv) orthogonal
+    projection pairs stay orthogonal, (v) nested projections stay nested,
+    (vi) additivity on orthogonal projections, (vii) rank-one projections to
+    rank-one projections, plus preservation of self-adjointness.
+    """
+    return run_check(_structural_check(phi), spec, lam, trials, tol)
+
+
+def _vector_state_check(phi: CandidateMap) -> Check:
+    if phi.kind != "unitary_conj":
+        raise ValueError("the vector-state identity is asserted for unitary conjugation only")
+
+    def trial(run: CheckRun) -> None:
+        resolved = phi.resolved(run.dim, run.rng)
+        a = ginibre(run.rng, run.dim)
+        x = unit_vector(run.rng, run.dim)
+        y = resolved.unitary @ x
+        deviation = abs(inner(apply_map(resolved, a) @ y, y) - inner(a @ x, x))
+        slack = run.tol.eq_abs * (1.0 + frobenius(a))
+        run.observe(deviation, deviation > slack, A=a, x=x)
+
+    # The identity involves no transform, so it has no lambda domain.
+    return Check("vector_state_identity", trial, domain=None)
 
 
 def check_vector_state_identity(
@@ -259,24 +257,7 @@ def check_vector_state_identity(
 ) -> CheckReport:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree."""
-    if phi.kind != "unitary_conj":
-        raise ValueError("the vector-state identity is asserted for unitary conjugation only")
-    key = check_key("vector_state_identity")
-    tracker = _Tracker()
-    for t in range(trials):
-        rng = trial_rng(spec.seed, key, spec.dim, t)
-        resolved = phi.resolved(spec.dim, rng)
-        a = ginibre(rng, spec.dim)
-        x = unit_vector(rng, spec.dim)
-        y = resolved.unitary @ x
-        deviation = abs(inner(apply_map(resolved, a) @ y, y) - inner(a @ x, x))
-        slack = tol.eq_abs * (1.0 + frobenius(a))
-        failed = tracker.observe(
-            deviation, {"trial": t, "A": matrix_to_obj(a), "x": vector_payload(x)}, deviation > slack
-        )
-        tracker.finish_trial(failed)
-    # The identity involves no transform; lambda is recorded as 0.0.
-    return _report("vector_state_identity", spec, 0.0, trials, tol, tracker)
+    return run_check(_vector_state_check(phi), spec, 0.0, trials, tol)
 
 
 @dataclass(frozen=True)
@@ -296,7 +277,8 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
     The closed form |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with
     c = <x,x'> is returned alongside the decomposition-path residual.
     """
-    _require_lambda_open(lam)
+    if not lambda_admitted(lam, "(0, 1)"):
+        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
     x = np.asarray(x, dtype=np.complex128).ravel()
     xprime = np.asarray(xprime, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(xprime) - 1.0) > 1e-9:
@@ -317,3 +299,41 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
         delta_of_adjoint=delta_of_adjoint,
         adjoint_of_delta=adjoint_of_delta,
     )
+
+
+@check("adjoint_counterexample")
+def _adjoint_counterexample_check(run: CheckRun) -> None:
+    """Random (x, x') witnesses: the decomposition-path gap between
+    Delta(A*) and Delta(A)* must be positive and match the closed form."""
+    while True:
+        x = unit_vector(run.rng, run.dim)
+        xp = unit_vector(run.rng, run.dim)
+        if 0.05 <= abs(np.vdot(xp, x)) <= 0.95:
+            break
+    result = adjoint_counterexample(run.lam, x, xp, run.tol)
+    mismatch = abs(result.residual - result.closed_form_residual)
+    run.observe(mismatch, mismatch > 1e-10 or result.residual <= 0.0, x=x, xprime=xp)
+
+
+# Keyed by the CLI id, which also names the report file. For the five
+# condition checks the record's ``id`` (report check_id and RNG stream name)
+# differs from it, e.g. jordan_condition_unitary_conj.
+CHECKS: dict[str, Check] = {
+    "rank_one_formula": lemmas.rank_one_formula,
+    "projection_absorb": lemmas.projection_absorb,
+    "scalar_projection": lemmas.scalar_projection,
+    "square_identity": lemmas.square_identity,
+    "selfadjoint_lemmas": lemmas.selfadjoint_lemmas,
+    "nilpotent_kernel": lemmas.nilpotent_kernel,
+    "spectrum_invariance": lemmas.spectrum_invariance,
+    "jordan_condition_unitary": _condition_check(CandidateMap("unitary_conj"), star=False, expect="pass"),
+    "jordan_condition_adjoint": _condition_check(CandidateMap("adjoint_conj"), star=False, expect="fail"),
+    "jordan_condition_scaled": _condition_check(
+        CandidateMap("scaled_unitary_conj", scale=2.0), star=False, expect="fail"
+    ),
+    "star_jordan_condition_unitary": _condition_check(CandidateMap("unitary_conj"), star=True, expect="pass"),
+    "star_jordan_condition_adjoint": _condition_check(CandidateMap("adjoint_conj"), star=True, expect="fail"),
+    "structural_properties": _structural_check(CandidateMap("unitary_conj")),
+    "vector_state_identity": _vector_state_check(CandidateMap("unitary_conj")),
+    "adjoint_counterexample": _adjoint_counterexample_check,
+}

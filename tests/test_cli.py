@@ -14,6 +14,11 @@ from aluthge.matrixio import load_matrix, save_matrix
 from aluthge.transform import aluthge, iterate_aluthge, polar
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
+MATRIX_2X2 = b'{"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}'
+# Command lines for the malformed-input cases; IN is the bad file, OUT the output.
+TRANSFORM = ["transform", "IN", "--output", "OUT"]
+VERIFY = ["verify", "--config", "IN", "--output-dir", "OUT"]
+ITERATE = ["iterate", "IN", "--output", "OUT"]
 
 
 def write(path, m):
@@ -61,21 +66,41 @@ class TestTransform:
         assert main(["transform", str(bad), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "content",
+        "argv, content",
         [
-            b'{"rows": 1, "cols": 1, "data": [[[1.0, \xff]]]}',
-            b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 401 + b", 0]]]}",
-            b'{"rows": 1, "cols": 1, "data": [[[' + b"1" * 4301 + b", 0]]]}",
-            b'{"rows": 1, "cols": 1, "data": 5}',
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[1.0, \xff]]]}', id="not_utf8"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 401 + b", 0]]]}",
+                         id="int_overflows_double"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[' + b"1" * 4301 + b", 0]]]}",
+                         id="int_over_4300_digits"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": 5}', id="data_not_a_list"),
+            pytest.param(VERIFY, b'{"tolerances": 5}', id="verify_tolerances_not_object"),
+            pytest.param(VERIFY, b'{"tolerances": {"bogus": 1e-3}}', id="verify_tolerances_unknown_key"),
+            pytest.param(VERIFY, b'{"tolerances": {"eq_abs": "1e-9"}}', id="verify_tolerance_not_number"),
+            pytest.param(VERIFY, b'{"trials": 1.5}', id="verify_trials_float"),
+            pytest.param(VERIFY, b'{"trials": "10"}', id="verify_trials_string"),
+            pytest.param(VERIFY, b'{"trials": true}', id="verify_trials_bool"),
+            pytest.param(VERIFY, b'{"lambda": "x"}', id="verify_lambda_string"),
+            pytest.param(VERIFY, b'{"dims": 5}', id="verify_dims_not_list"),
+            pytest.param(VERIFY, b'{"dims": [2.5]}', id="verify_dims_float"),
+            pytest.param(VERIFY, b'{"seed": -1}', id="verify_seed_negative"),
+            pytest.param(VERIFY, b'{"seed": 1.5}', id="verify_seed_float"),
+            pytest.param(VERIFY, b'{"checks": 5}', id="verify_checks_not_list"),
+            pytest.param(VERIFY + ["--seed", "-1"], b"{}", id="verify_seed_flag_negative"),
+            pytest.param(VERIFY + ["--lambda", "0"], b"{}", id="verify_lambda_0_open_checks"),
+            pytest.param(VERIFY + ["--lambda", "1"], b"{}", id="verify_lambda_1_open_checks"),
+            pytest.param(ITERATE + ["--conv-tol", "nan"], MATRIX_2X2, id="iterate_conv_tol_nan"),
+            pytest.param(ITERATE + ["--conv-tol", "inf"], MATRIX_2X2, id="iterate_conv_tol_inf"),
         ],
-        ids=["not_utf8", "int_overflows_double", "int_over_4300_digits", "data_not_a_list"],
     )
-    def test_malformed_input_exits_2(self, tmp_path, capsys, content):
+    def test_malformed_input_exits_2(self, tmp_path, capsys, argv, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
-        assert main(["transform", str(bad), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+        out = tmp_path / "o.json"
+        argv = [{"IN": str(bad), "OUT": str(out)}.get(arg, arg) for arg in argv]
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "o.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("rank", [6, 3])
@@ -240,6 +265,8 @@ class TestVerify:
         agg = json.loads((outdir / "aggregate.json").read_text())
         assert agg["config"]["seed"] == 4242
         assert all(r["seed"] == 4242 for r in agg["reports"])
+        monkeypatch.setenv("ALUTHGE_SEED", "-3")
+        assert run_verify(tmp_path, "env_negative")[0] == EXIT_USAGE
 
     def test_csv_format(self, tmp_path):
         code, outdir = run_verify(tmp_path, "csv", "--format", "csv")
@@ -272,6 +299,16 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--output-dir", out]) == EXIT_USAGE
         cfg.write_text("[]")
         assert main(["verify", "--config", str(cfg), "--output-dir", out]) == EXIT_USAGE
+
+    def test_lambda_checked_against_each_selected_check(self, tmp_path, capsys):
+        out = str(tmp_path / "lam")
+        assert main(["verify", "--lambda", "0", "--output-dir", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "rank_one_formula (0, 1)" in err and "nilpotent_kernel (0, 1]" in err
+        assert "spectrum_invariance" not in err and "vector_state_identity" not in err
+        code = main(["verify", "--lambda", "1", "--checks", "nilpotent_kernel", "spectrum_invariance",
+                     "--dims", "2", "--trials", "5", "--no-timestamp", "--output-dir", out])
+        assert code == EXIT_OK
 
     def test_unknown_check_rejected_by_parser(self, tmp_path):
         code = main(["verify", "--checks", "no_such_check", "--output-dir", str(tmp_path / "x")])

@@ -4,20 +4,15 @@ import pytest
 from aluthge.linalg import (
     DEFAULT_TOL,
     Tolerances,
-    adjoint,
     frobenius,
-    hermitian_eig,
     is_normal,
     is_partial_isometry,
     is_projection,
     is_quasi_normal,
     jordan_product,
-    matrices_close,
-    psd_power,
     rank_one,
     spectra_pairing_distance,
     spectrum,
-    svd,
     validate_matrix,
 )
 
@@ -55,25 +50,6 @@ class TestTolerances:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             Tolerances(**bad)
-
-
-class TestAdjoint:
-    def test_real_transpose(self):
-        np.testing.assert_array_equal(adjoint(NIL), np.array([[0, 0], [1, 0]], dtype=complex))
-
-    def test_conjugates(self):
-        np.testing.assert_array_equal(adjoint([[1j]]), np.array([[-1j]]))
-
-    def test_hermitian_fixed(self):
-        h = np.array([[1, 2 - 1j], [2 + 1j, 3]], dtype=complex)
-        np.testing.assert_array_equal(adjoint(h), h)
-
-    def test_involution_and_isometry(self):
-        rng = crng(1)
-        for _ in range(50):
-            a = cgauss(rng, 4, 4)
-            np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-            assert frobenius(adjoint(a)) == pytest.approx(frobenius(a), rel=1e-14)
 
 
 class TestJordanProduct:
@@ -125,91 +101,6 @@ class TestRankOne:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             rank_one([0, 0], [1, 0])
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        eig = hermitian_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 3.0])
-
-    def test_pauli_x(self):
-        # characteristic polynomial x^2 - 1 by hand
-        eig = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(eig.eigenvalues, [-1.0, 1.0])
-
-    def test_identity(self):
-        eig = hermitian_eig(np.eye(5))
-        np.testing.assert_allclose(eig.eigenvalues, np.ones(5))
-
-    def test_reconstruction_and_unitarity(self):
-        rng = crng(6)
-        g = cgauss(rng, 6, 6)
-        h = (g + g.conj().T) / 2
-        eig = hermitian_eig(h)
-        q, w = eig.eigenvectors, eig.eigenvalues
-        assert frobenius(h - (q * w) @ q.conj().T) <= 1e-12 * (1 + frobenius(h))
-        assert frobenius(q.conj().T @ q - np.eye(6)) <= 1e-12
-        assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(NIL)
-
-
-class TestSvd:
-    def test_singular_values_by_gram_oracle(self):
-        # T*T of [[0,2],[0,0]] is diag(0,4), so singular values are [2, 0]
-        f = svd(np.array([[0, 2], [0, 0]], dtype=complex))
-        np.testing.assert_allclose(f.singular_values, [2.0, 0.0], atol=1e-14)
-
-    def test_unitary_has_unit_singular_values(self):
-        rng = crng(7)
-        q, _ = np.linalg.qr(cgauss(rng, 5, 5))
-        np.testing.assert_allclose(svd(q).singular_values, np.ones(5), atol=1e-12)
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(svd(np.zeros((3, 3))).singular_values, np.zeros(3))
-
-    def test_reconstruction(self):
-        rng = crng(8)
-        m = cgauss(rng, 4, 4)
-        f = svd(m)
-        rec = (f.left * f.singular_values) @ f.right.conj().T
-        assert frobenius(m - rec) <= 1e-12 * (1 + frobenius(m))
-        assert np.all(np.diff(f.singular_values) <= 0) and np.all(f.singular_values >= 0)
-
-
-class TestPsdPower:
-    def test_diagonal_square_root(self):
-        np.testing.assert_allclose(psd_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_modulus_of_rank_one(self):
-        # |T| = (||x||/||y||) (y⊗y) for T = x⊗y
-        rng = crng(9)
-        x, y = cgauss(rng, 4), cgauss(rng, 4)
-        t = rank_one(x, y)
-        modulus = psd_power(t.conj().T @ t, 0.5)
-        expected = (np.linalg.norm(x) / np.linalg.norm(y)) * rank_one(y, y)
-        np.testing.assert_allclose(modulus, expected, atol=1e-10)
-
-    def test_exponent_additivity_split(self):
-        rng = crng(10)
-        g = cgauss(rng, 5, 5)
-        m = g @ g.conj().T
-        np.testing.assert_allclose(psd_power(m, 0.3) @ psd_power(m, 0.7), m, atol=1e-9 * (1 + frobenius(m)))
-
-    def test_exponent_law_many(self):
-        rng = crng(11)
-        for _ in range(200):
-            g = cgauss(rng, 6, 6)
-            m = g @ g.conj().T
-            a, b = rng.uniform(0.05, 2.0, 2)
-            resid = frobenius(psd_power(m, a) @ psd_power(m, b) - psd_power(m, a + b))
-            assert resid <= 1e-8 * (1 + frobenius(m) ** (a + b))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            psd_power(np.diag([1.0, -1.0]), 0.5)
 
 
 class TestSpectrum:
@@ -275,7 +166,3 @@ class TestPredicates:
         for _ in range(300):
             t = cgauss(rng, 4, 4)
             assert is_quasi_normal(t) == is_normal(t)
-
-    def test_matrices_close_mixed_rule(self):
-        assert matrices_close(np.zeros((2, 2)), np.full((2, 2), 1e-10))
-        assert not matrices_close(np.zeros((2, 2)), np.full((2, 2), 1e-3))
