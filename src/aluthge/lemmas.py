@@ -51,6 +51,9 @@ from .transform import aluthge, aluthge_rank_one
 __all__ = [
     "Check",
     "CheckRun",
+    "OPEN",
+    "HALF_OPEN",
+    "CLOSED",
     "check",
     "run_check",
     "in_dead_band",
@@ -70,23 +73,35 @@ REFUTE_FACTOR = 10.0
 MAX_REDRAWS = 64
 
 
+# The lambda domains a check may be stated on, each mapped to whether its
+# lower and upper ends are open.
+OPEN = "(0, 1)"
+HALF_OPEN = "(0, 1]"
+CLOSED = "[0, 1]"
+_OPEN_ENDS = {OPEN: (True, True), HALF_OPEN: (True, False), CLOSED: (False, False)}
+
+
 @dataclass(frozen=True)
 class Check:
     """One randomized check.
 
     id     : report ``check_id``; also seeds the trial streams
     trial  : runs one trial against a ``CheckRun``
-    domain : lambda interval the check is stated on, "(0, 1)", "(0, 1]" or
-             "[0, 1]"; None for a check that does not use lambda, whose
+    domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
+             CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
     """
 
     id: str
     trial: Callable[["CheckRun"], None]
-    domain: str | None = "(0, 1)"
+    domain: str | None = OPEN
+
+    def __post_init__(self) -> None:
+        if self.domain is not None and self.domain not in _OPEN_ENDS:
+            raise ValueError(f"{self.id}: unknown lambda domain {self.domain!r}")
 
 
-def check(id: str, domain: str | None = "(0, 1)"):
+def check(id: str, domain: str | None = OPEN):
     """Decorator turning a per-trial function into a ``Check``."""
     return lambda trial: Check(id, trial, domain)
 
@@ -95,8 +110,9 @@ def lambda_admitted(lam: float, domain: str | None) -> bool:
     """Whether ``lam`` lies in ``domain`` (see ``Check``); None admits any."""
     if domain is None:
         return True
-    low = 0.0 < lam if domain[0] == "(" else 0.0 <= lam
-    high = lam < 1.0 if domain[-1] == ")" else lam <= 1.0
+    low_open, high_open = _OPEN_ENDS[domain]
+    low = 0.0 < lam if low_open else 0.0 <= lam
+    high = lam < 1.0 if high_open else lam <= 1.0
     return low and high
 
 
@@ -117,7 +133,8 @@ class CheckRun:
 
     ``rng`` is the current trial's stream and ``trial`` its index; ``dim``,
     ``lam`` and ``tol`` are the run's parameters. A trial records outcomes
-    through ``observe`` and ``redraw``; the other fields are the tally.
+    through ``observe``, or ``redraw`` for draws that may be vacuous; the
+    other fields are the tally.
     """
 
     def __init__(self, dim: int, lam: float, tol: Tolerances) -> None:
@@ -146,15 +163,12 @@ class CheckRun:
         self.worst = max(self.worst, residual)
         self.trial_failed = self.trial_failed or failed
 
-    def redraw(self, draw: Callable[[], tuple[float, bool, dict] | None]) -> None:
-        """Observe the first informative draw. ``draw()`` returns None for a
-        vacuous draw, or the ``(residual, failed, witness)`` to observe; after
+    def redraw(self, draw: Callable[[], bool]) -> None:
+        """Draw until one draw is informative. ``draw()`` observes its outcome
+        and returns True, or returns False for a vacuous draw; after
         MAX_REDRAWS vacuous draws the trial records nothing."""
         for _ in range(MAX_REDRAWS):
-            outcome = draw()
-            if outcome is not None:
-                residual, failed, witness = outcome
-                self.observe(residual, failed, **witness)
+            if draw():
                 return
             self.vacuous += 1
 
@@ -227,9 +241,10 @@ def projection_absorb(run: CheckRun) -> None:
         r_delta = frobenius(aluthge(jordan_product(b, p), lam, tol) - p)
         r_pa = frobenius(p @ b - p)
         if in_dead_band(slack_b, r_delta, r_pa):
-            return None
+            return False
         agree = (r_delta <= slack_b) == (r_pa <= slack_b)
-        return min(r_delta, r_pa), not agree, {"direction": "generic", "x": x, "A": b}
+        run.observe(min(r_delta, r_pa), not agree, direction="generic", x=x, A=b)
+        return True
 
     run.redraw(generic)
 
@@ -252,8 +267,9 @@ def scalar_projection(run: CheckRun) -> None:
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
         r = frobenius(aluthge(jordan_product(b, p), lam, tol) - b)
         if in_dead_band(slack_b, r):
-            return None
-        return r, r <= slack_b, {"direction": "generic", "x": x, "A": b}
+            return False
+        run.observe(r, r <= slack_b, direction="generic", x=x, A=b)
+        return True
 
     run.redraw(generic)
 
@@ -277,12 +293,13 @@ def square_identity(run: CheckRun) -> None:
         slack = tol.eq_abs * (1.0 + frobenius(m))
         r = frobenius(aluthge(m @ m, lam, tol) - m)
         if in_dead_band(slack, r):
-            return None
+            return False
         bad = False
         if r <= slack:
             # Only T = I may land here; then T^2 = T* must hold too.
             bad = frobenius(m @ m - m.conj().T) > slack or frobenius(m - eye) > slack
-        return r, bad, {"T": m}
+        run.observe(r, bad, T=m)
+        return True
 
     run.redraw(generic)
 
@@ -308,11 +325,12 @@ def selfadjoint_lemmas(run: CheckRun) -> None:
         m = invertible_ginibre(rng, n)
         slack_m = tol.eq_abs * (1.0 + frobenius(m))
         if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
-            return None
+            return False
         r = frobenius(aluthge(m, lam, tol) - m.conj().T)
         if in_dead_band(slack_m, r):
-            return None
-        return r, r <= slack_m, {"part": "injective", "S": m}
+            return False
+        run.observe(r, r <= slack_m, part="injective", S=m)
+        return True
 
     run.redraw(injective)
 
@@ -326,7 +344,7 @@ def selfadjoint_lemmas(run: CheckRun) -> None:
     run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
 
-@check("nilpotent_kernel", domain="(0, 1]")
+@check("nilpotent_kernel", domain=HALF_OPEN)
 def nilpotent_kernel(run: CheckRun) -> None:
     """Delta_lambda(T) = 0 iff T^2 = 0, both directions sampled."""
     rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
@@ -340,14 +358,15 @@ def nilpotent_kernel(run: CheckRun) -> None:
     def generic():
         g = ginibre(rng, n)
         if frobenius(g @ g) <= 1e-3:
-            return None
+            return False
         r = frobenius(aluthge(g, lam, tol))
-        return r, r <= 1e-5, {"direction": "generic", "T": g}
+        run.observe(r, r <= 1e-5, direction="generic", T=g)
+        return True
 
     run.redraw(generic)
 
 
-@check("spectrum_invariance", domain="[0, 1]")
+@check("spectrum_invariance", domain=CLOSED)
 def spectrum_invariance(run: CheckRun) -> None:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
     m = ginibre(run.rng, run.dim)

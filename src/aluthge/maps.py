@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lemmas
 from .generators import (
     GeneratorSpec,
     ginibre,
@@ -21,7 +20,22 @@ from .generators import (
     normal_matrix,
     unit_vector,
 )
-from .lemmas import Check, CheckRun, check, in_dead_band, lambda_admitted, run_check
+from .lemmas import (
+    OPEN,
+    Check,
+    CheckRun,
+    check,
+    in_dead_band,
+    lambda_admitted,
+    nilpotent_kernel,
+    projection_absorb,
+    rank_one_formula,
+    run_check,
+    scalar_projection,
+    selfadjoint_lemmas,
+    spectrum_invariance,
+    square_identity,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -125,14 +139,15 @@ def _condition_check(phi: CandidateMap, star: bool, expect: str) -> Check:
             b = ginibre(run.rng, run.dim)
             residual, lhs_n, rhs_n = _condition_residual(resolved, a, b, run.lam, run.tol, star)
             slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
-            witness = {"A": a, "B": b}
             if expect == "pass":
-                return residual, residual > slack, witness
+                run.observe(residual, residual > slack, A=a, B=b)
+                return True
             # Expected falsification. Trials where both sides vanish carry no
             # information; dead-band residuals are redrawn.
             if max(lhs_n, rhs_n) <= slack or in_dead_band(slack, residual):
-                return None
-            return residual, residual <= slack, witness
+                return False
+            run.observe(residual, residual <= slack, A=a, B=b)
+            return True
 
         run.redraw(draw)
 
@@ -277,8 +292,8 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
     The closed form |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with
     c = <x,x'> is returned alongside the decomposition-path residual.
     """
-    if not lambda_admitted(lam, "(0, 1)"):
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
+    if not lambda_admitted(lam, OPEN):
+        raise ValueError(f"lambda must lie in {OPEN}, got {lam!r}")
     x = np.asarray(x, dtype=np.complex128).ravel()
     xprime = np.asarray(xprime, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(xprime) - 1.0) > 1e-9:
@@ -319,13 +334,13 @@ def _adjoint_counterexample_check(run: CheckRun) -> None:
 # condition checks the record's ``id`` (report check_id and RNG stream name)
 # differs from it, e.g. jordan_condition_unitary_conj.
 CHECKS: dict[str, Check] = {
-    "rank_one_formula": lemmas.rank_one_formula,
-    "projection_absorb": lemmas.projection_absorb,
-    "scalar_projection": lemmas.scalar_projection,
-    "square_identity": lemmas.square_identity,
-    "selfadjoint_lemmas": lemmas.selfadjoint_lemmas,
-    "nilpotent_kernel": lemmas.nilpotent_kernel,
-    "spectrum_invariance": lemmas.spectrum_invariance,
+    "rank_one_formula": rank_one_formula,
+    "projection_absorb": projection_absorb,
+    "scalar_projection": scalar_projection,
+    "square_identity": square_identity,
+    "selfadjoint_lemmas": selfadjoint_lemmas,
+    "nilpotent_kernel": nilpotent_kernel,
+    "spectrum_invariance": spectrum_invariance,
     "jordan_condition_unitary": _condition_check(CandidateMap("unitary_conj"), star=False, expect="pass"),
     "jordan_condition_adjoint": _condition_check(CandidateMap("adjoint_conj"), star=False, expect="fail"),
     "jordan_condition_scaled": _condition_check(

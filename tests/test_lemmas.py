@@ -5,12 +5,32 @@ import pytest
 
 from aluthge import lemmas
 from aluthge.generators import GeneratorSpec
-from aluthge.lemmas import MAX_REDRAWS, Check, run_check
+from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj
 from aluthge.reporting import vector_payload
 
 TRIALS = 150
+
+# Report check_id of each registry entry, written out so that a registry key
+# bound to the wrong record fails test_all_checks_pass.
+REPORT_IDS = {
+    "rank_one_formula": "rank_one_formula",
+    "projection_absorb": "projection_absorb",
+    "scalar_projection": "scalar_projection",
+    "square_identity": "square_identity",
+    "selfadjoint_lemmas": "selfadjoint_lemmas",
+    "nilpotent_kernel": "nilpotent_kernel",
+    "spectrum_invariance": "spectrum_invariance",
+    "jordan_condition_unitary": "jordan_condition_unitary_conj",
+    "jordan_condition_adjoint": "jordan_condition_adjoint_conj",
+    "jordan_condition_scaled": "jordan_condition_scaled_unitary_conj",
+    "star_jordan_condition_unitary": "star_jordan_condition_unitary_conj",
+    "star_jordan_condition_adjoint": "star_jordan_condition_adjoint_conj",
+    "structural_properties": "structural_properties",
+    "vector_state_identity": "vector_state_identity",
+    "adjoint_counterexample": "adjoint_counterexample",
+}
 
 
 def spec(dim=4, seed=99):
@@ -27,7 +47,8 @@ def test_all_checks_pass(check, dim):
     report = run(check, 0.5, TRIALS, dim=dim)
     assert report.failures == 0, f"{check} dim={dim}: {report.to_json()}"
     assert report.trials == TRIALS
-    assert report.check_id == CHECKS[check].id
+    assert report.check_id == REPORT_IDS[check]
+
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.75])
@@ -122,15 +143,24 @@ class TestDriver:
         assert report.worst_residual == 0.0
 
     def test_redraw_stops_at_first_informative_draw(self):
-        draws = iter([None, None, (2.0, True, {"k": 0}), (9.0, False, {"k": 1})])
-        record = Check("toy", lambda r: r.redraw(lambda: next(draws)))
+        outcomes = iter([None, None, (2.0, True, 0), (9.0, False, 1)])
+
+        def draw(r):
+            outcome = next(outcomes)
+            if outcome is None:
+                return False
+            residual, failed, k = outcome
+            r.observe(residual, failed, k=k)
+            return True
+
+        record = Check("toy", lambda r: r.redraw(lambda: draw(r)))
         report = run_check(record, spec(), 0.5, 1)
         assert (report.vacuous, report.failures, report.witness) == (2, 1, {"trial": 0, "k": 0})
 
     def test_two_failing_parts_count_once(self):
         def trial(r):
             r.observe(1.0, True)
-            r.redraw(lambda: (2.0, True, {}))
+            r.redraw(lambda: r.observe(2.0, True) or True)
 
         report = run_check(Check("toy", trial), spec(), 0.5, 7)
         assert report.failures == 7
@@ -138,9 +168,9 @@ class TestDriver:
     @pytest.mark.parametrize(
         "domain, admitted, excluded",
         [
-            ("(0, 1)", [0.5], [0.0, 1.0]),
-            ("(0, 1]", [0.5, 1.0], [0.0, 1.5]),
-            ("[0, 1]", [0.0, 0.5, 1.0], [-0.1, 1.5]),
+            (OPEN, [0.5], [0.0, 1.0]),
+            (HALF_OPEN, [0.5, 1.0], [0.0, 1.5]),
+            (CLOSED, [0.0, 0.5, 1.0], [-0.1, 1.5]),
             (None, [0.0, 0.5, 2.0], []),
         ],
     )
@@ -154,6 +184,11 @@ class TestDriver:
             with pytest.raises(ValueError, match="lambda must lie in"):
                 run_check(record, spec(), lam, 1)
         assert calls == admitted
+
+    @pytest.mark.parametrize("domain", ["0..1", "[0,1", "(0, 1"])
+    def test_unknown_lambda_domain_rejected(self, domain):
+        with pytest.raises(ValueError, match="unknown lambda domain"):
+            Check("toy", lambda r: None, domain)
 
     def test_witness_encoded_only_when_kept(self, monkeypatch):
         encoded = []
