@@ -73,27 +73,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_square(path: str) -> np.ndarray:
-    m = load_matrix(path)
-    if m.shape[0] != m.shape[1]:
-        raise _NonSquare(path, m.shape)
-    return m
-
-
-class _NonSquare(Exception):
-    def __init__(self, path, shape):
-        super().__init__(f"{path}: matrix of shape {shape} is not square")
-
-
-def cmd_transform(args) -> int:
+def _load_square(path: str) -> np.ndarray | int:
+    """The square matrix in ``path``, or, after printing why there is none,
+    the exit code: EXIT_USAGE for a malformed file, EXIT_SHAPE if not square."""
     try:
-        m = _load_square(args.input)
+        m = load_matrix(path)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NonSquare as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if m.shape[0] != m.shape[1]:
+        print(f"error: {path}: matrix of shape {m.shape} is not square", file=sys.stderr)
         return EXIT_SHAPE
+    return m
+
+
+def cmd_transform(args) -> int:
+    m = _load_square(args.input)
+    if isinstance(m, int):
+        return m
     if not 0.0 <= args.lam <= 1.0:
         print("error: --lambda must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
@@ -110,14 +107,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    try:
-        m = _load_square(args.input)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NonSquare as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+    m = _load_square(args.input)
+    if isinstance(m, int):
+        return m
     if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
         print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
@@ -189,8 +181,8 @@ def _verify_config(args) -> dict:
     if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 2 for d in dims):
         raise ValueError(f"dims must be a non-empty list of integers >= 2, got {dims!r}")
     checks = cfg["checks"]
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ValueError(f"checks must be a list of check ids, got {checks!r}")
+    if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
+        raise ValueError(f"checks must be a non-empty list of check ids, got {checks!r}")
     bad = set(checks) - set(CHECKS)
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}")

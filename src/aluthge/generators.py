@@ -74,18 +74,14 @@ def normal_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (u * d) @ u.conj().T
 
 
-def nilpotent_sq_zero(rng: np.random.Generator, dim: int, similarity: bool = True) -> np.ndarray:
-    """Square-zero matrix x⊗y with <x,y>=0, optionally conjugated by a
-    well-conditioned similarity (T^2 = 0 is preserved in exact arithmetic)."""
+def nilpotent_sq_zero(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Square-zero matrix x⊗y with <x,y>=0, conjugated by a well-conditioned
+    similarity (T^2 = 0 is preserved in exact arithmetic)."""
     x = unit_vector(rng, dim)
     y = complex_gaussian(rng, dim)
     y = y - np.vdot(x, y) * x
     nrm = np.linalg.norm(y)
     if nrm < 1e-6:
-        return nilpotent_sq_zero(rng, dim, similarity)
-    y = y / nrm
-    t = np.outer(x, y.conj())
-    if similarity:
-        s = np.eye(dim) + 0.3 * ginibre(rng, dim)
-        t = s @ t @ np.linalg.inv(s)
-    return t
+        return nilpotent_sq_zero(rng, dim)
+    s = np.eye(dim) + 0.3 * ginibre(rng, dim)
+    return s @ np.outer(x, (y / nrm).conj()) @ np.linalg.inv(s)

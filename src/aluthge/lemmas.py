@@ -44,8 +44,8 @@ from .linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from .matrixio import matrix_to_obj
-from .reporting import CheckReport, vector_payload
+from .matrixio import matrix_to_obj, vector_payload
+from .reporting import CheckReport
 from .transform import aluthge, aluthge_rank_one
 
 __all__ = [

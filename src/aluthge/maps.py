@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import (
-    GeneratorSpec,
     ginibre,
     haar_unitary,
     normal_matrix,
@@ -30,7 +29,6 @@ from .lemmas import (
     nilpotent_kernel,
     projection_absorb,
     rank_one_formula,
-    run_check,
     scalar_projection,
     selfadjoint_lemmas,
     spectrum_invariance,
@@ -46,16 +44,14 @@ from .linalg import (
     rank_one,
     validate_matrix,
 )
-from .reporting import CheckReport
 from .transform import aluthge
 
 __all__ = [
     "CandidateMap",
     "apply_map",
-    "check_jordan_condition",
-    "check_star_jordan_condition",
-    "check_structural_properties",
-    "check_vector_state_identity",
+    "condition_check",
+    "structural_properties",
+    "vector_state_identity",
     "adjoint_counterexample",
     "CounterexampleResult",
     "MAP_KINDS",
@@ -71,38 +67,27 @@ class CandidateMap:
 
     kind    : unitary_conj A -> UAU*, adjoint_conj A -> UA*U*,
               scaled_unitary_conj A -> scale * UAU*
-    unitary : the conjugating unitary; None means "draw a fresh Haar unitary
-              from each trial's RNG stream" in the randomized checks
+    unitary : the conjugating unitary
     scale   : only meaningful for scaled_unitary_conj
     """
 
     kind: str
-    unitary: np.ndarray | None = None
+    unitary: np.ndarray
     scale: complex = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.unitary is not None:
-            u = validate_matrix(self.unitary, square=True)
-            defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-            if defect > 1e-12 * u.shape[0]:
-                raise ValueError(f"conjugating matrix is not unitary (defect {defect:.3e})")
-            object.__setattr__(self, "unitary", u)
-
-    def resolved(self, dim: int, rng: np.random.Generator) -> "CandidateMap":
-        """Concrete map for one trial: a fresh unitary if none is pinned."""
-        u = self.unitary if self.unitary is not None else haar_unitary(rng, dim)
-        if u.shape[0] != dim:
-            raise ValueError(f"unitary dimension {u.shape[0]} does not match {dim}")
-        return CandidateMap(kind=self.kind, unitary=u, scale=self.scale)
+        u = validate_matrix(self.unitary, square=True)
+        defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+        if defect > 1e-12 * u.shape[0]:
+            raise ValueError(f"conjugating matrix is not unitary (defect {defect:.3e})")
+        object.__setattr__(self, "unitary", u)
 
 
 def apply_map(phi: CandidateMap, a) -> np.ndarray:
     """Evaluate the candidate map on a square matrix."""
     a = validate_matrix(a, square=True)
-    if phi.unitary is None:
-        raise ValueError("cannot apply an unresolved map (unitary is None)")
     u = phi.unitary
     if a.shape != u.shape:
         raise ValueError(f"dimension mismatch: map is {u.shape}, input is {a.shape}")
@@ -124,20 +109,25 @@ def _condition_residual(phi, a, b, lam, tol, star: bool) -> tuple[float, float, 
     return frobenius(lhs - rhs), frobenius(lhs), frobenius(rhs)
 
 
-def _condition_check(phi: CandidateMap, star: bool, expect: str) -> Check:
+def condition_check(id: str, kind: str, star: bool, expect: str, scale: complex = 1.0) -> Check:
     """Delta_lambda(Phi(A)∘Phi(B)) = Phi(Delta_lambda(A∘B)), or its star form
-    with B* in place of B, on random pairs; a fresh Haar U per trial unless
-    ``phi`` pins one."""
+    with B* in place of B, on random pairs, for the map of ``kind`` (and
+    ``scale``) with a fresh Haar U per trial.
+
+    ``expect="pass"`` (unitary conjugation) counts residuals above slack as
+    failures; ``expect="fail"`` (adjoint / scaled competitors) counts trials
+    where the condition unexpectedly holds.
+    """
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
     def trial(run: CheckRun) -> None:
-        resolved = phi.resolved(run.dim, run.rng)
+        phi = CandidateMap(kind, haar_unitary(run.rng, run.dim), scale)
 
         def draw():
             a = ginibre(run.rng, run.dim)
             b = ginibre(run.rng, run.dim)
-            residual, lhs_n, rhs_n = _condition_residual(resolved, a, b, run.lam, run.tol, star)
+            residual, lhs_n, rhs_n = _condition_residual(phi, a, b, run.lam, run.tol, star)
             slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
             if expect == "pass":
                 run.observe(residual, residual > slack, A=a, B=b)
@@ -151,94 +141,11 @@ def _condition_check(phi: CandidateMap, star: bool, expect: str) -> Check:
 
         run.redraw(draw)
 
-    return Check(f"{'star_' if star else ''}jordan_condition_{phi.kind}", trial)
+    return Check(id, trial)
 
 
-def check_jordan_condition(
-    phi: CandidateMap,
-    lam: float,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    expect: str = "pass",
-) -> CheckReport:
-    """Delta_lambda(Phi(A)∘Phi(B)) = Phi(Delta_lambda(A∘B)) on random pairs.
-
-    ``expect="pass"`` (unitary conjugation) counts residuals above slack as
-    failures; ``expect="fail"`` (adjoint / scaled competitors) counts trials
-    where the condition unexpectedly holds.
-    """
-    return run_check(_condition_check(phi, star=False, expect=expect), spec, lam, trials, tol)
-
-
-def check_star_jordan_condition(
-    phi: CandidateMap,
-    lam: float,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-    expect: str = "pass",
-) -> CheckReport:
-    """Delta_lambda(Phi(A)∘Phi(B)*) = Phi(Delta_lambda(A∘B*)) on random pairs."""
-    return run_check(_condition_check(phi, star=True, expect=expect), spec, lam, trials, tol)
-
-
-def _structural_check(phi: CandidateMap) -> Check:
-    if phi.kind != "unitary_conj":
-        raise ValueError("structural properties are asserted for unitary conjugation only")
-
-    def trial(run: CheckRun) -> None:
-        rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
-        resolved = phi.resolved(n, rng)
-
-        # Random frame; disjoint column blocks give orthogonal projections,
-        # nested leading blocks give ordered ones.
-        w = haar_unitary(rng, n)
-        k = int(rng.integers(1, n))
-        j = int(rng.integers(1, k + 1))
-        m = int(rng.integers(1, n - k + 1))
-        p = w[:, :k] @ w[:, :k].conj().T
-        q_nested = w[:, :j] @ w[:, :j].conj().T
-        q_orth = w[:, k : k + m] @ w[:, k : k + m].conj().T
-
-        fp, fq_nested, fq_orth = (apply_map(resolved, z) for z in (p, q_nested, q_orth))
-        slack = tol.fix_rel
-
-        a = ginibre(rng, n)
-        r_commute = frobenius(aluthge(apply_map(resolved, a), lam, tol) - apply_map(resolved, aluthge(a, lam, tol)))
-        bad = r_commute > slack * (1.0 + frobenius(a))
-
-        nm = normal_matrix(rng, n)
-        fnm = apply_map(resolved, nm)
-        r_square = frobenius(apply_map(resolved, nm @ nm) - fnm @ fnm)
-        bad |= r_square > slack * (1.0 + frobenius(nm) ** 2)
-
-        bad |= not is_projection(fp, tol)
-        bad |= frobenius(fp @ fq_orth) > slack or frobenius(fq_orth @ fp) > slack
-        bad |= frobenius(jordan_product(fp, fq_nested) - fq_nested) > slack
-        bad |= frobenius(apply_map(resolved, p + q_orth) - (fp + fq_orth)) > slack
-
-        x = unit_vector(rng, n)
-        f_rank1 = apply_map(resolved, np.outer(x, x.conj()))
-        bad |= not is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
-
-        g = ginibre(rng, n)
-        h = (g + g.conj().T) / 2.0
-        fh = apply_map(resolved, h)
-        bad |= frobenius(fh - fh.conj().T) > slack * (1.0 + frobenius(h))
-
-        run.observe(max(r_commute, r_square), bad, U=resolved.unitary, ranks=[k, j, m])
-
-    return Check("structural_properties", trial)
-
-
-def check_structural_properties(
-    phi: CandidateMap,
-    lam: float,
-    spec: GeneratorSpec,
-    trials: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CheckReport:
+@check("structural_properties")
+def structural_properties(run: CheckRun) -> None:
     """Structural preservation under unitary conjugation.
 
     Per trial: (i) the map commutes with the transform, (ii) squares of normal
@@ -247,32 +154,60 @@ def check_structural_properties(
     (vi) additivity on orthogonal projections, (vii) rank-one projections to
     rank-one projections, plus preservation of self-adjointness.
     """
-    return run_check(_structural_check(phi), spec, lam, trials, tol)
+    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    phi = CandidateMap("unitary_conj", haar_unitary(rng, n))
+
+    # Random frame; disjoint column blocks give orthogonal projections,
+    # nested leading blocks give ordered ones.
+    w = haar_unitary(rng, n)
+    k = int(rng.integers(1, n))
+    j = int(rng.integers(1, k + 1))
+    m = int(rng.integers(1, n - k + 1))
+    p = w[:, :k] @ w[:, :k].conj().T
+    q_nested = w[:, :j] @ w[:, :j].conj().T
+    q_orth = w[:, k : k + m] @ w[:, k : k + m].conj().T
+
+    fp, fq_nested, fq_orth = (apply_map(phi, z) for z in (p, q_nested, q_orth))
+    slack = tol.fix_rel
+
+    a = ginibre(rng, n)
+    r_commute = frobenius(aluthge(apply_map(phi, a), lam, tol) - apply_map(phi, aluthge(a, lam, tol)))
+    bad = r_commute > slack * (1.0 + frobenius(a))
+
+    nm = normal_matrix(rng, n)
+    fnm = apply_map(phi, nm)
+    r_square = frobenius(apply_map(phi, nm @ nm) - fnm @ fnm)
+    bad |= r_square > slack * (1.0 + frobenius(nm) ** 2)
+
+    bad |= not is_projection(fp, tol)
+    bad |= frobenius(fp @ fq_orth) > slack or frobenius(fq_orth @ fp) > slack
+    bad |= frobenius(jordan_product(fp, fq_nested) - fq_nested) > slack
+    bad |= frobenius(apply_map(phi, p + q_orth) - (fp + fq_orth)) > slack
+
+    x = unit_vector(rng, n)
+    f_rank1 = apply_map(phi, np.outer(x, x.conj()))
+    bad |= not is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
+
+    g = ginibre(rng, n)
+    h = (g + g.conj().T) / 2.0
+    fh = apply_map(phi, h)
+    bad |= frobenius(fh - fh.conj().T) > slack * (1.0 + frobenius(h))
+
+    run.observe(max(r_commute, r_square), bad, U=phi.unitary, ranks=[k, j, m])
 
 
-def _vector_state_check(phi: CandidateMap) -> Check:
-    if phi.kind != "unitary_conj":
-        raise ValueError("the vector-state identity is asserted for unitary conjugation only")
-
-    def trial(run: CheckRun) -> None:
-        resolved = phi.resolved(run.dim, run.rng)
-        a = ginibre(run.rng, run.dim)
-        x = unit_vector(run.rng, run.dim)
-        y = resolved.unitary @ x
-        deviation = abs(inner(apply_map(resolved, a) @ y, y) - inner(a @ x, x))
-        slack = run.tol.eq_abs * (1.0 + frobenius(a))
-        run.observe(deviation, deviation > slack, A=a, x=x)
-
-    # The identity involves no transform, so it has no lambda domain.
-    return Check("vector_state_identity", trial, domain=None)
-
-
-def check_vector_state_identity(
-    phi: CandidateMap, spec: GeneratorSpec, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+@check("vector_state_identity", domain=None)
+def vector_state_identity(run: CheckRun) -> None:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
-    corresponding unit vectors (hence sampled numerical-range points) agree."""
-    return run_check(_vector_state_check(phi), spec, 0.0, trials, tol)
+    corresponding unit vectors (hence sampled numerical-range points) agree.
+    The identity involves no transform, so it has no lambda domain."""
+    phi = CandidateMap("unitary_conj", haar_unitary(run.rng, run.dim))
+    a = ginibre(run.rng, run.dim)
+    x = unit_vector(run.rng, run.dim)
+    y = phi.unitary @ x
+    deviation = abs(inner(apply_map(phi, a) @ y, y) - inner(a @ x, x))
+    slack = run.tol.eq_abs * (1.0 + frobenius(a))
+    run.observe(deviation, deviation > slack, A=a, x=x)
 
 
 @dataclass(frozen=True)
@@ -341,14 +276,22 @@ CHECKS: dict[str, Check] = {
     "selfadjoint_lemmas": selfadjoint_lemmas,
     "nilpotent_kernel": nilpotent_kernel,
     "spectrum_invariance": spectrum_invariance,
-    "jordan_condition_unitary": _condition_check(CandidateMap("unitary_conj"), star=False, expect="pass"),
-    "jordan_condition_adjoint": _condition_check(CandidateMap("adjoint_conj"), star=False, expect="fail"),
-    "jordan_condition_scaled": _condition_check(
-        CandidateMap("scaled_unitary_conj", scale=2.0), star=False, expect="fail"
+    "jordan_condition_unitary": condition_check(
+        "jordan_condition_unitary_conj", "unitary_conj", star=False, expect="pass"
     ),
-    "star_jordan_condition_unitary": _condition_check(CandidateMap("unitary_conj"), star=True, expect="pass"),
-    "star_jordan_condition_adjoint": _condition_check(CandidateMap("adjoint_conj"), star=True, expect="fail"),
-    "structural_properties": _structural_check(CandidateMap("unitary_conj")),
-    "vector_state_identity": _vector_state_check(CandidateMap("unitary_conj")),
+    "jordan_condition_adjoint": condition_check(
+        "jordan_condition_adjoint_conj", "adjoint_conj", star=False, expect="fail"
+    ),
+    "jordan_condition_scaled": condition_check(
+        "jordan_condition_scaled_unitary_conj", "scaled_unitary_conj", star=False, expect="fail", scale=2.0
+    ),
+    "star_jordan_condition_unitary": condition_check(
+        "star_jordan_condition_unitary_conj", "unitary_conj", star=True, expect="pass"
+    ),
+    "star_jordan_condition_adjoint": condition_check(
+        "star_jordan_condition_adjoint_conj", "adjoint_conj", star=True, expect="fail"
+    ),
+    "structural_properties": structural_properties,
+    "vector_state_identity": vector_state_identity,
     "adjoint_counterexample": _adjoint_counterexample_check,
 }

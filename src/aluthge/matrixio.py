@@ -18,7 +18,15 @@ import numpy as np
 
 from .linalg import validate_matrix
 
-__all__ = ["MatrixFileError", "load_matrix", "save_matrix", "matrix_to_obj", "matrix_from_obj", "atomic_write_text"]
+__all__ = [
+    "MatrixFileError",
+    "load_matrix",
+    "save_matrix",
+    "matrix_to_obj",
+    "vector_payload",
+    "matrix_from_obj",
+    "atomic_write_text",
+]
 
 
 class MatrixFileError(ValueError):
@@ -34,6 +42,11 @@ def matrix_to_obj(m) -> dict:
     rows = _float_rows(m)
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     return {"rows": n_rows, "cols": cols, "data": rows.reshape(n_rows, cols, 2).tolist()}
+
+
+def vector_payload(v) -> list:
+    """[re, im] pairs of a vector, the row layout of ``matrix_to_obj``."""
+    return np.asarray(v, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
 def _encode(m) -> str:

@@ -11,16 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .linalg import Tolerances
 
-__all__ = ["CheckReport", "vector_payload", "dumps_canonical"]
-
-
-def vector_payload(v) -> list:
-    """[re, im] pairs of a vector, the row layout of ``matrixio.matrix_to_obj``."""
-    return np.asarray(v, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist()
+__all__ = ["CheckReport", "dumps_canonical"]
 
 
 @dataclass(frozen=True)
@@ -39,10 +32,6 @@ class CheckReport:
     def __post_init__(self) -> None:
         if self.failures > self.trials:
             raise ValueError("failures cannot exceed trials")
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
 
     def to_dict(self) -> dict:
         out = {

@@ -18,6 +18,7 @@ from aluthge.generators import (
     normal_matrix,
     unit_vector,
 )
+from aluthge.lemmas import run_check
 from aluthge.linalg import (
     frobenius,
     inner,
@@ -27,14 +28,7 @@ from aluthge.linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from aluthge.maps import (
-    CandidateMap,
-    adjoint_counterexample,
-    apply_map,
-    check_jordan_condition,
-    check_star_jordan_condition,
-    check_structural_properties,
-)
+from aluthge.maps import CHECKS, CandidateMap, adjoint_counterexample, apply_map
 from aluthge.transform import aluthge, iterate_aluthge
 
 
@@ -125,9 +119,8 @@ def test_criterion_5_jordan_conditions_unitary(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
         spec = GeneratorSpec(dim=dim, seed=5)
-        phi = CandidateMap(kind="unitary_conj")
-        failures += check_jordan_condition(phi, 0.5, spec, 1000).failures
-        failures += check_star_jordan_condition(phi, 0.5, spec, 1000).failures
+        failures += run_check(CHECKS["jordan_condition_unitary"], spec, 0.5, 1000).failures
+        failures += run_check(CHECKS["star_jordan_condition_unitary"], spec, 0.5, 1000).failures
     announce(capsys, "criterion 5 Jordan/star-Jordan conditions", failures == 0,
              f"{failures} failures over 1000 trials x dims 3-6 x both conditions")
 
@@ -159,7 +152,7 @@ def test_criterion_7_structural_suite(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
         spec = GeneratorSpec(dim=dim, seed=7)
-        report = check_structural_properties(CandidateMap(kind="unitary_conj"), 0.5, spec, 500)
+        report = run_check(CHECKS["structural_properties"], spec, 0.5, 500)
         failures += report.failures
     announce(capsys, "criterion 7 structural suite", failures == 0,
              f"{failures} failures over 500 projection configurations x dims 3-6")

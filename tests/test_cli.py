@@ -86,6 +86,7 @@ class TestTransform:
             pytest.param(VERIFY, b'{"seed": -1}', id="verify_seed_negative"),
             pytest.param(VERIFY, b'{"seed": 1.5}', id="verify_seed_float"),
             pytest.param(VERIFY, b'{"checks": 5}', id="verify_checks_not_list"),
+            pytest.param(VERIFY, b'{"checks": []}', id="verify_checks_empty"),
             pytest.param(VERIFY + ["--seed", "-1"], b"{}", id="verify_seed_flag_negative"),
             pytest.param(VERIFY + ["--lambda", "0"], b"{}", id="verify_lambda_0_open_checks"),
             pytest.param(VERIFY + ["--lambda", "1"], b"{}", id="verify_lambda_1_open_checks"),

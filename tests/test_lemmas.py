@@ -7,8 +7,7 @@ from aluthge import lemmas
 from aluthge.generators import GeneratorSpec
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
-from aluthge.matrixio import matrix_to_obj
-from aluthge.reporting import vector_payload
+from aluthge.matrixio import matrix_to_obj, vector_payload
 
 TRIALS = 150
 

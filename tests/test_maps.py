@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from aluthge.generators import GeneratorSpec, haar_unitary
+from aluthge.lemmas import run_check
 from aluthge.linalg import frobenius, jordan_product, rank_one
-from aluthge.maps import (
-    CandidateMap,
-    adjoint_counterexample,
-    apply_map,
-    check_jordan_condition,
-    check_star_jordan_condition,
-    check_structural_properties,
-    check_vector_state_identity,
-)
+from aluthge.maps import CHECKS, CandidateMap, adjoint_counterexample, apply_map, condition_check
 from aluthge.transform import aluthge
 
 TRIALS = 150
@@ -19,6 +12,10 @@ TRIALS = 150
 
 def spec(dim=4, seed=31):
     return GeneratorSpec(dim=dim, seed=seed)
+
+
+def run(check_id, lam, trials, **spec_args):
+    return run_check(CHECKS[check_id], spec(**spec_args), lam, trials)
 
 
 def cgauss(rng, *shape):
@@ -49,37 +46,25 @@ class TestCandidateMap:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            CandidateMap(kind="transpose")
+            CandidateMap(kind="transpose", unitary=np.eye(2))
 
     def test_dimension_mismatch(self):
         phi = CandidateMap(kind="unitary_conj", unitary=np.eye(2))
         with pytest.raises(ValueError, match="mismatch"):
             apply_map(phi, np.eye(3))
 
-    def test_unresolved_map_rejected(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            apply_map(CandidateMap(kind="unitary_conj"), np.eye(3))
-
 
 class TestJordanCondition:
     def test_unitary_passes(self):
-        report = check_jordan_condition(CandidateMap(kind="unitary_conj"), 0.5, spec(), TRIALS)
-        assert report.failures == 0
-
-    def test_unitary_passes_fixed_u(self):
-        rng = np.random.default_rng(2)
-        phi = CandidateMap(kind="unitary_conj", unitary=haar_unitary(rng, 4))
-        assert check_jordan_condition(phi, 0.3, spec(), TRIALS).failures == 0
+        assert run("jordan_condition_unitary", 0.5, TRIALS).failures == 0
 
     def test_adjoint_fails_as_expected(self):
-        report = check_jordan_condition(
-            CandidateMap(kind="adjoint_conj"), 0.5, spec(), TRIALS, expect="fail"
-        )
+        report = run("jordan_condition_adjoint", 0.5, TRIALS)
         assert report.failures == 0  # every non-vacuous trial refutes
 
     def test_adjoint_violates_condition_when_expected_to_pass(self):
-        report = check_jordan_condition(CandidateMap(kind="adjoint_conj"), 0.5, spec(), 50)
-        assert report.failures > 0
+        record = condition_check("jordan_condition_adjoint_expect_pass", "adjoint_conj", star=False, expect="pass")
+        assert run_check(record, spec(), 0.5, 50).failures > 0
 
     def test_scaled_fails_even_on_identity_pair(self):
         # c UAU* with c=2: at A = B = I the condition demands 4I = 2I
@@ -87,10 +72,7 @@ class TestJordanCondition:
         lhs = aluthge(jordan_product(apply_map(phi, np.eye(3)), apply_map(phi, np.eye(3))), 0.5)
         rhs = apply_map(phi, aluthge(jordan_product(np.eye(3), np.eye(3)), 0.5))
         assert frobenius(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
-        report = check_jordan_condition(
-            CandidateMap(kind="scaled_unitary_conj", scale=2.0), 0.5, spec(), TRIALS, expect="fail"
-        )
-        assert report.failures == 0
+        assert run("jordan_condition_scaled", 0.5, TRIALS).failures == 0
 
     def test_adjoint_witness_residual_half(self):
         # A = e1⊗x', x' = (e1+e2)/sqrt(2), B = I, Phi = adjoint: spectral gap 1/2
@@ -105,14 +87,10 @@ class TestJordanCondition:
 
 class TestStarJordanCondition:
     def test_unitary_passes(self):
-        report = check_star_jordan_condition(CandidateMap(kind="unitary_conj"), 0.5, spec(), TRIALS)
-        assert report.failures == 0
+        assert run("star_jordan_condition_unitary", 0.5, TRIALS).failures == 0
 
     def test_adjoint_fails_as_expected(self):
-        report = check_star_jordan_condition(
-            CandidateMap(kind="adjoint_conj"), 0.5, spec(), TRIALS, expect="fail"
-        )
-        assert report.failures == 0
+        assert run("star_jordan_condition_adjoint", 0.5, TRIALS).failures == 0
 
     def test_selfadjoint_b_matches_plain_condition(self):
         # with B = B* the star condition coincides with the plain one trialwise
@@ -130,12 +108,7 @@ class TestStarJordanCondition:
 class TestStructural:
     @pytest.mark.parametrize("dim", [3, 4, 6])
     def test_unitary_preserves_structure(self, dim):
-        report = check_structural_properties(CandidateMap(kind="unitary_conj"), 0.5, spec(dim=dim), TRIALS)
-        assert report.failures == 0
-
-    def test_requires_unitary_kind(self):
-        with pytest.raises(ValueError, match="unitary"):
-            check_structural_properties(CandidateMap(kind="adjoint_conj"), 0.5, spec(), 10)
+        assert run("structural_properties", 0.5, TRIALS, dim=dim).failures == 0
 
 
 class TestVectorState:
@@ -150,7 +123,7 @@ class TestVectorState:
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_random_pairs_agree(self):
-        report = check_vector_state_identity(CandidateMap(kind="unitary_conj"), spec(dim=5), TRIALS)
+        report = run("vector_state_identity", 0.0, TRIALS, dim=5)
         assert report.failures == 0
         assert report.worst_residual <= 1e-10
 
