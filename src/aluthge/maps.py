@@ -4,7 +4,8 @@ and star-Jordan products and preserves all the structural sets; the adjoint
 form is falsified by an explicit rank-one counterexample, and scaling by any
 c != 1 breaks the condition already at A = B = I.
 
-``CHECKS`` is the registry of every check ``aluthge verify`` runs.
+``CHECKS`` is the registry of every check ``aluthge verify`` runs, keyed by
+each record's id, which is also its CLI id and report file name.
 """
 
 from __future__ import annotations
@@ -265,33 +266,23 @@ def _adjoint_counterexample_check(run: CheckRun) -> None:
     run.observe(mismatch, mismatch > 1e-10 or result.residual <= 0.0, x=x, xprime=xp)
 
 
-# Keyed by the CLI id, which also names the report file. For the five
-# condition checks the record's ``id`` (report check_id and RNG stream name)
-# differs from it, e.g. jordan_condition_unitary_conj.
 CHECKS: dict[str, Check] = {
-    "rank_one_formula": rank_one_formula,
-    "projection_absorb": projection_absorb,
-    "scalar_projection": scalar_projection,
-    "square_identity": square_identity,
-    "selfadjoint_lemmas": selfadjoint_lemmas,
-    "nilpotent_kernel": nilpotent_kernel,
-    "spectrum_invariance": spectrum_invariance,
-    "jordan_condition_unitary": condition_check(
-        "jordan_condition_unitary_conj", "unitary_conj", star=False, expect="pass"
-    ),
-    "jordan_condition_adjoint": condition_check(
-        "jordan_condition_adjoint_conj", "adjoint_conj", star=False, expect="fail"
-    ),
-    "jordan_condition_scaled": condition_check(
-        "jordan_condition_scaled_unitary_conj", "scaled_unitary_conj", star=False, expect="fail", scale=2.0
-    ),
-    "star_jordan_condition_unitary": condition_check(
-        "star_jordan_condition_unitary_conj", "unitary_conj", star=True, expect="pass"
-    ),
-    "star_jordan_condition_adjoint": condition_check(
-        "star_jordan_condition_adjoint_conj", "adjoint_conj", star=True, expect="fail"
-    ),
-    "structural_properties": structural_properties,
-    "vector_state_identity": vector_state_identity,
-    "adjoint_counterexample": _adjoint_counterexample_check,
+    c.id: c
+    for c in (
+        rank_one_formula,
+        projection_absorb,
+        scalar_projection,
+        square_identity,
+        selfadjoint_lemmas,
+        nilpotent_kernel,
+        spectrum_invariance,
+        condition_check("jordan_condition_unitary", "unitary_conj", star=False, expect="pass"),
+        condition_check("jordan_condition_adjoint", "adjoint_conj", star=False, expect="fail"),
+        condition_check("jordan_condition_scaled", "scaled_unitary_conj", star=False, expect="fail", scale=2.0),
+        condition_check("star_jordan_condition_unitary", "unitary_conj", star=True, expect="pass"),
+        condition_check("star_jordan_condition_adjoint", "adjoint_conj", star=True, expect="fail"),
+        structural_properties,
+        vector_state_identity,
+        _adjoint_counterexample_check,
+    )
 }

@@ -311,6 +311,15 @@ class TestVerify:
                      "--dims", "2", "--trials", "5", "--no-timestamp", "--output-dir", out])
         assert code == EXIT_OK
 
+    def test_report_id_is_cli_id(self, tmp_path):
+        outdir = tmp_path / "ids"
+        code = main(["verify", "--dims", "2", "--trials", "3", "--no-timestamp", "--output-dir", str(outdir)])
+        assert code == EXIT_OK
+        files = sorted(outdir.glob("*_dim2.json"))
+        assert len(files) == 15
+        for path in files:
+            assert json.loads(path.read_text())["check_id"] == path.name[: -len("_dim2.json")]
+
     def test_unknown_check_rejected_by_parser(self, tmp_path):
         code = main(["verify", "--checks", "no_such_check", "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_USAGE

@@ -11,25 +11,26 @@ from aluthge.matrixio import matrix_to_obj, vector_payload
 
 TRIALS = 150
 
-# Report check_id of each registry entry, written out so that a registry key
-# bound to the wrong record fails test_all_checks_pass.
-REPORT_IDS = {
-    "rank_one_formula": "rank_one_formula",
-    "projection_absorb": "projection_absorb",
-    "scalar_projection": "scalar_projection",
-    "square_identity": "square_identity",
-    "selfadjoint_lemmas": "selfadjoint_lemmas",
-    "nilpotent_kernel": "nilpotent_kernel",
-    "spectrum_invariance": "spectrum_invariance",
-    "jordan_condition_unitary": "jordan_condition_unitary_conj",
-    "jordan_condition_adjoint": "jordan_condition_adjoint_conj",
-    "jordan_condition_scaled": "jordan_condition_scaled_unitary_conj",
-    "star_jordan_condition_unitary": "star_jordan_condition_unitary_conj",
-    "star_jordan_condition_adjoint": "star_jordan_condition_adjoint_conj",
-    "structural_properties": "structural_properties",
-    "vector_state_identity": "vector_state_identity",
-    "adjoint_counterexample": "adjoint_counterexample",
-}
+# Every check id, which is its report check_id, the name of its RNG stream and
+# its report file name. Written out rather than read from CHECKS so that a
+# renamed or dropped check fails test_registry_ids_pinned.
+REPORT_IDS = [
+    "adjoint_counterexample",
+    "jordan_condition_adjoint",
+    "jordan_condition_scaled",
+    "jordan_condition_unitary",
+    "nilpotent_kernel",
+    "projection_absorb",
+    "rank_one_formula",
+    "scalar_projection",
+    "selfadjoint_lemmas",
+    "spectrum_invariance",
+    "square_identity",
+    "star_jordan_condition_adjoint",
+    "star_jordan_condition_unitary",
+    "structural_properties",
+    "vector_state_identity",
+]
 
 
 def spec(dim=4, seed=99):
@@ -40,14 +41,17 @@ def run(check_id, lam, trials, **spec_args):
     return run_check(CHECKS[check_id], spec(**spec_args), lam, trials)
 
 
-@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_registry_ids_pinned():
+    assert sorted(CHECKS) == REPORT_IDS
+
+
+@pytest.mark.parametrize("check", REPORT_IDS)
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_all_checks_pass(check, dim):
     report = run(check, 0.5, TRIALS, dim=dim)
     assert report.failures == 0, f"{check} dim={dim}: {report.to_json()}"
     assert report.trials == TRIALS
-    assert report.check_id == REPORT_IDS[check]
-
+    assert report.check_id == check
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.75])

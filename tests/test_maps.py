@@ -63,7 +63,7 @@ class TestJordanCondition:
         assert report.failures == 0  # every non-vacuous trial refutes
 
     def test_adjoint_violates_condition_when_expected_to_pass(self):
-        record = condition_check("jordan_condition_adjoint_expect_pass", "adjoint_conj", star=False, expect="pass")
+        record = condition_check("adjoint_expected_to_pass", "adjoint_conj", star=False, expect="pass")
         assert run_check(record, spec(), 0.5, 50).failures > 0
 
     def test_scaled_fails_even_on_identity_pair(self):
