@@ -26,6 +26,7 @@ from .transform import (
     PolarDecomposition,
     aluthge,
     aluthge_rank_one,
+    aluthge_stack,
     duggal,
     iterate_aluthge,
     polar,
@@ -44,6 +45,7 @@ __all__ = [
     "adjoint_counterexample",
     "aluthge",
     "aluthge_rank_one",
+    "aluthge_stack",
     "apply_map",
     "duggal",
     "is_normal",

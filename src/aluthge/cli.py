@@ -113,7 +113,11 @@ def cmd_iterate(args) -> int:
     if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
         print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
-    trace = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+    try:
+        trace = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+    except FloatingPointError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sigma0 = spectrum(trace.iterates[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -8,6 +8,8 @@ check shares:
 
 * trial t draws from the stream (seed, crc32(check id), dim, t), so reports
   are reproducible and order-independent;
+* the trials run in lockstep, and each round's lambda-Aluthge transforms for
+  all of them are one stacked ``aluthge_stack`` call;
 * "iff" statements are exercised in BOTH directions: a constructive
   satisfying instance must land within the equality slack, and a generic
   refuting instance must land above 10x the slack. Residuals falling in the
@@ -19,8 +21,9 @@ check shares:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .linalg import (
 )
 from .matrixio import matrix_to_obj, vector_payload
 from .reporting import CheckReport
-from .transform import aluthge, aluthge_rank_one
+from .transform import aluthge_rank_one, aluthge_stack
 
 __all__ = [
     "Check",
@@ -71,6 +74,11 @@ __all__ = [
 # the band in between is redrawn.
 REFUTE_FACTOR = 10.0
 MAX_REDRAWS = 64
+# Trials run in blocks of STACK_ENTRIES // dim^2 (at least one), which bounds
+# the live trials and the stacked transforms at every dim. Stacks of 50 to 500
+# small matrices already take most of the stacking gain; a larger cap mostly
+# adds memory.
+STACK_ENTRIES = 1 << 11
 
 
 # The lambda domains a check may be stated on, each mapped to whether its
@@ -86,7 +94,10 @@ class Check:
     """One randomized check.
 
     id     : report ``check_id``; also seeds the trial streams
-    trial  : runs one trial against a ``CheckRun``
+    trial  : runs one trial against a ``CheckRun``. A trial that needs
+             lambda-Aluthge transforms is a generator: ``d, e = yield (m, k)``
+             hands the driver matrices and receives their transforms. One
+             that needs none is a plain function.
     domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
              CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
@@ -129,108 +140,139 @@ def _payload(value):
 
 
 class CheckRun:
-    """State of one check run, handed to the check's per-trial function.
+    """One trial of a check run, handed to the check's per-trial function.
 
-    ``rng`` is the current trial's stream and ``trial`` its index; ``dim``,
-    ``lam`` and ``tol`` are the run's parameters. A trial records outcomes
-    through ``observe``, or ``redraw`` for draws that may be vacuous; the
-    other fields are the tally.
+    ``rng`` is the trial's own stream and ``trial`` its index; ``dim``, ``lam``
+    and ``tol`` are the run's parameters. The trial records outcomes through
+    ``observe``, or ``redraw`` for draws that may be vacuous; ``run_check``
+    replays them into the report in trial order.
     """
 
-    def __init__(self, dim: int, lam: float, tol: Tolerances) -> None:
+    def __init__(self, dim: int, lam: float, tol: Tolerances, trial: int, rng: np.random.Generator) -> None:
         self.dim = dim
         self.lam = lam
         self.tol = tol
-        self.rng: np.random.Generator | None = None
-        self.trial = 0
-        self.trial_failed = False
-        self.failures = 0
+        self.trial = trial
+        self.rng = rng
+        self.outcomes: list[tuple[float, bool, dict]] = []
         self.vacuous = 0
-        self.worst = 0.0
-        self._witness: tuple[int, dict] | None = None
-        self._witness_failed = False
 
     def observe(self, residual: float, failed: bool, **witness) -> None:
-        """Record one outcome of the current trial. ``witness`` holds its
-        inputs (arrays are encoded only if they end up as the report's)."""
-        failed = bool(failed)
-        take = (failed and not self._witness_failed) or (
-            residual > self.worst and failed == self._witness_failed
-        ) or self._witness is None
-        if take:
-            self._witness = (self.trial, witness)
-            self._witness_failed = self._witness_failed or failed
-        self.worst = max(self.worst, residual)
-        self.trial_failed = self.trial_failed or failed
+        """Record one outcome of this trial. ``witness`` holds its inputs
+        (arrays are encoded only if they end up as the report's)."""
+        self.outcomes.append((residual, bool(failed), witness))
 
-    def redraw(self, draw: Callable[[], bool]) -> None:
-        """Draw until one draw is informative. ``draw()`` observes its outcome
-        and returns True, or returns False for a vacuous draw; after
-        MAX_REDRAWS vacuous draws the trial records nothing."""
+    def redraw(self, draw: Callable[[], Generator]) -> Generator:
+        """Draw until one draw is informative: ``yield from run.redraw(draw)``.
+        ``draw()`` is a generator like a trial; it observes its outcome and
+        returns True, or returns False for a vacuous draw. After MAX_REDRAWS
+        vacuous draws the trial records nothing."""
         for _ in range(MAX_REDRAWS):
-            if draw():
+            if (yield from draw()):
                 return
             self.vacuous += 1
 
-    def witness(self) -> dict | None:
-        if self._witness is None:
-            return None
-        trial, fields = self._witness
-        return {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
+
+def _lockstep(trials: list, lam: float, tol: Tolerances) -> None:
+    """Run trial generators to the end together. Each round stacks the
+    matrices every live trial yielded into one ``aluthge_stack`` call and
+    sends each trial the transforms of its own matrices, in order."""
+    pending = [(gen, None) for gen in trials]
+    while pending:
+        requests = []
+        for gen, sent in pending:
+            try:
+                requests.append((gen, gen.send(sent)))
+            except StopIteration:
+                pass
+        if not requests:
+            return
+        done = iter(aluthge_stack(np.stack([m for _, ms in requests for m in ms]), lam, tol))
+        pending = [(gen, tuple(islice(done, len(ms)))) for gen, ms in requests]
 
 
 def run_check(
     check: Check, spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> CheckReport:
-    """Run ``trials`` trials of ``check`` at ``spec``'s dimension and seed."""
+    """Run ``trials`` trials of ``check`` at ``spec``'s dimension and seed.
+
+    Trials run in blocks of at most STACK_ENTRIES // dim^2, each block in
+    lockstep; every trial draws only from its own stream and its outcomes are
+    replayed in trial order, so the report does not depend on the blocking.
+    """
     if not lambda_admitted(lam, check.domain):
         raise ValueError(f"{check.id}: lambda must lie in {check.domain}, got {lam!r}")
-    run = CheckRun(spec.dim, lam, tol)
     key = check_key(check.id)
-    for t in range(trials):
-        run.trial, run.rng, run.trial_failed = t, trial_rng(spec.seed, key, spec.dim, t), False
-        check.trial(run)
-        run.failures += run.trial_failed
+    block = max(1, STACK_ENTRIES // spec.dim**2)
+    failures = vacuous = 0
+    worst = 0.0
+    witness: tuple[int, dict] | None = None
+    witness_failed = False
+    for start in range(0, trials, block):
+        runs = [
+            CheckRun(spec.dim, lam, tol, t, trial_rng(spec.seed, key, spec.dim, t))
+            for t in range(start, min(start + block, trials))
+        ]
+        # A plain trial function has run to its end here and returned None.
+        _lockstep([gen for gen in map(check.trial, runs) if gen is not None], lam, tol)
+        for run in runs:
+            # The worst outcome is the witness, failing ones taking precedence.
+            for residual, failed, fields in run.outcomes:
+                take = (failed and not witness_failed) or (
+                    residual > worst and failed == witness_failed
+                ) or witness is None
+                if take:
+                    witness = (run.trial, fields)
+                    witness_failed = witness_failed or failed
+                worst = max(worst, residual)
+            failures += any(failed for _, failed, _ in run.outcomes)
+            vacuous += run.vacuous
+    encoded = None
+    if witness is not None:
+        trial, fields = witness
+        encoded = {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
     return CheckReport(
         check_id=check.id,
         seed=spec.seed,
         dim=spec.dim,
         lam=lam if check.domain is not None else 0.0,
         trials=trials,
-        failures=run.failures,
-        vacuous=run.vacuous,
-        worst_residual=run.worst,
+        failures=failures,
+        vacuous=vacuous,
+        worst_residual=worst,
         tolerances=tol,
-        witness=run.witness(),
+        witness=encoded,
     )
 
 
 @check("rank_one_formula")
-def rank_one_formula(run: CheckRun) -> None:
+def rank_one_formula(run: CheckRun) -> Generator:
     """Delta_lambda(x⊗y) equals (<x,y>/||y||^2)(y⊗y) on random vector pairs."""
     x = complex_gaussian(run.rng, run.dim)
     y = complex_gaussian(run.rng, run.dim)
-    residual = frobenius(aluthge(rank_one(x, y), run.lam, run.tol) - aluthge_rank_one(x, y, run.lam))
+    (d,) = yield (rank_one(x, y),)
+    residual = frobenius(d - aluthge_rank_one(x, y, run.lam))
     slack = run.tol.eq_abs * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
     run.observe(residual, residual > slack, x=x, y=y)
 
 
 @check("projection_absorb")
-def projection_absorb(run: CheckRun) -> None:
+def projection_absorb(run: CheckRun) -> Generator:
     """Delta_lambda(A∘P) = P iff PA = P, for rank-one projections P = x⊗x.
 
     Direction (a) corrects a random A so that A*x = x (hence PA = P) and
     demands agreement; direction (b) draws a generic A and demands both sides
     of the biconditional carry the same truth value under slack.
     """
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     x = unit_vector(rng, n)
     p = np.outer(x, x.conj())
 
     # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
     a0 = ginibre(rng, n)
     a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
-    residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - p)
+    (d,) = yield (jordan_product(a, p),)
+    residual = frobenius(d - p)
     slack = tol.eq_abs * (1.0 + frobenius(a))
     run.observe(residual, residual > slack or frobenius(p @ a - p) > slack, direction="satisfying", x=x, A=a)
 
@@ -238,7 +280,8 @@ def projection_absorb(run: CheckRun) -> None:
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        r_delta = frobenius(aluthge(jordan_product(b, p), lam, tol) - p)
+        (d,) = yield (jordan_product(b, p),)
+        r_delta = frobenius(d - p)
         r_pa = frobenius(p @ b - p)
         if in_dead_band(slack_b, r_delta, r_pa):
             return False
@@ -246,52 +289,56 @@ def projection_absorb(run: CheckRun) -> None:
         run.observe(min(r_delta, r_pa), not agree, direction="generic", x=x, A=b)
         return True
 
-    run.redraw(generic)
+    yield from run.redraw(generic)
 
 
 @check("scalar_projection")
-def scalar_projection(run: CheckRun) -> None:
+def scalar_projection(run: CheckRun) -> Generator:
     """Delta_lambda(A∘P) = A iff A = alpha P, for rank-one projections P."""
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     x = unit_vector(rng, n)
     p = np.outer(x, x.conj())
 
     alpha = complex(complex_gaussian(rng, 1)[0])
     a = alpha * p
-    residual = frobenius(aluthge(jordan_product(a, p), lam, tol) - a)
+    (d,) = yield (jordan_product(a, p),)
+    residual = frobenius(d - a)
     slack = tol.eq_abs * (1.0 + abs(alpha))
     run.observe(residual, residual > slack, direction="satisfying", alpha=[alpha.real, alpha.imag], x=x)
 
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        r = frobenius(aluthge(jordan_product(b, p), lam, tol) - b)
+        (d,) = yield (jordan_product(b, p),)
+        r = frobenius(d - b)
         if in_dead_band(slack_b, r):
             return False
         run.observe(r, r <= slack_b, direction="generic", x=x, A=b)
         return True
 
-    run.redraw(generic)
+    yield from run.redraw(generic)
 
 
 @check("square_identity")
-def square_identity(run: CheckRun) -> None:
+def square_identity(run: CheckRun) -> Generator:
     """Delta_lambda(T^2) = T iff T = I, over well-conditioned invertible T.
 
     The identity passes (trial 0's satisfying part); generic invertible T must
     refute. If a sampled T ever satisfies the equation within slack, the
     injective-case implication T^2 = T* is asserted as well.
     """
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     eye = np.eye(n)
     if run.trial == 0:
-        r_eye = frobenius(aluthge(eye, lam, tol) - eye)
+        (d,) = yield (eye,)
+        r_eye = frobenius(d - eye)
         run.observe(r_eye, r_eye > tol.eq_abs, direction="identity")
 
     def generic():
         m = invertible_ginibre(rng, n)
         slack = tol.eq_abs * (1.0 + frobenius(m))
-        r = frobenius(aluthge(m @ m, lam, tol) - m)
+        (d,) = yield (m @ m,)
+        r = frobenius(d - m)
         if in_dead_band(slack, r):
             return False
         bad = False
@@ -301,11 +348,11 @@ def square_identity(run: CheckRun) -> None:
         run.observe(r, bad, T=m)
         return True
 
-    run.redraw(generic)
+    yield from run.redraw(generic)
 
 
 @check("selfadjoint_lemmas")
-def selfadjoint_lemmas(run: CheckRun) -> None:
+def selfadjoint_lemmas(run: CheckRun) -> Generator:
     """Self-adjointness rigidity, both flavors.
 
     selfadjoint_injective:   Delta(S) = S*  forces S = S*  (S, S* injective);
@@ -313,10 +360,11 @@ def selfadjoint_lemmas(run: CheckRun) -> None:
     Hermitian draws must satisfy both equalities; non-Hermitian invertible
     draws must refute the first, normal non-Hermitian draws the second.
     """
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     g = ginibre(rng, n)
     s = (g + g.conj().T) / 2.0
-    r_fwd = frobenius(aluthge(s, lam, tol) - s.conj().T)
+    (d,) = yield (s,)
+    r_fwd = frobenius(d - s.conj().T)
     slack = tol.eq_abs * (1.0 + frobenius(s))
     run.observe(r_fwd, r_fwd > slack, part="hermitian", S=s)
 
@@ -326,13 +374,14 @@ def selfadjoint_lemmas(run: CheckRun) -> None:
         slack_m = tol.eq_abs * (1.0 + frobenius(m))
         if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
             return False
-        r = frobenius(aluthge(m, lam, tol) - m.conj().T)
+        (d,) = yield (m,)
+        r = frobenius(d - m.conj().T)
         if in_dead_band(slack_m, r):
             return False
         run.observe(r, r <= slack_m, part="injective", S=m)
         return True
 
-    run.redraw(injective)
+    yield from run.redraw(injective)
 
     # Quasi-normal flavor: normal non-Hermitian S refutes Delta(S*) = S.
     u = haar_unitary(rng, n)
@@ -340,18 +389,20 @@ def selfadjoint_lemmas(run: CheckRun) -> None:
     im = np.where(np.abs(d.imag) < 0.3, np.copysign(np.abs(d.imag) + 0.3, d.imag), d.imag)
     q = (u * (d.real + 1j * im)) @ u.conj().T
     slack_q = tol.eq_abs * (1.0 + frobenius(q))
-    r_qn = frobenius(aluthge(q.conj().T, lam, tol) - q)
+    (dq,) = yield (q.conj().T,)
+    r_qn = frobenius(dq - q)
     run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
 
 @check("nilpotent_kernel", domain=HALF_OPEN)
-def nilpotent_kernel(run: CheckRun) -> None:
+def nilpotent_kernel(run: CheckRun) -> Generator:
     """Delta_lambda(T) = 0 iff T^2 = 0, both directions sampled."""
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     t = nilpotent_sq_zero(rng, n)
     if frobenius(t @ t) > 1e-12 * (1.0 + frobenius(t) ** 2):
         raise AssertionError("square-zero generator self-test failed")
-    r_zero = frobenius(aluthge(t, lam, tol))
+    (d,) = yield (t,)
+    r_zero = frobenius(d)
     slack = tol.eq_abs * (1.0 + frobenius(t))
     run.observe(r_zero, r_zero > slack, direction="square_zero", T=t)
 
@@ -359,17 +410,19 @@ def nilpotent_kernel(run: CheckRun) -> None:
         g = ginibre(rng, n)
         if frobenius(g @ g) <= 1e-3:
             return False
-        r = frobenius(aluthge(g, lam, tol))
+        (d,) = yield (g,)
+        r = frobenius(d)
         run.observe(r, r <= 1e-5, direction="generic", T=g)
         return True
 
-    run.redraw(generic)
+    yield from run.redraw(generic)
 
 
 @check("spectrum_invariance", domain=CLOSED)
-def spectrum_invariance(run: CheckRun) -> None:
+def spectrum_invariance(run: CheckRun) -> Generator:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
     m = ginibre(run.rng, run.dim)
-    dist = spectra_pairing_distance(spectrum(m), spectrum(aluthge(m, run.lam, run.tol)))
+    (d,) = yield (m,)
+    dist = spectra_pairing_distance(spectrum(m), spectrum(d))
     bound = 1e-7 * (1.0 + frobenius(m))
     run.observe(dist, dist > bound, T=m)

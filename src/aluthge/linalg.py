@@ -55,22 +55,32 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def validate_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array, rejecting NaN/Inf entries."""
+def validate_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 2-d complex128 array, or with ``stack`` to a 3-d
+    stack of matrices, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    if m.ndim != (3 if stack else 2):
+        raise ValueError(f"expected a {'stack of matrices' if stack else '2-d matrix'}, got ndim={m.ndim}")
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
         raise ValueError("matrix dimensions must be positive")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """||a||_F, bit for bit as ``np.linalg.norm(a, "fro")`` computes it for a
+    2-d float or complex array, without that function's dispatch."""
+    x = np.asarray(a)
+    if x.ndim != 2 or x.dtype.kind not in "fc":
+        return float(np.linalg.norm(x, "fro"))
+    x = x.ravel(order="K")
+    if x.dtype.kind == "f":
+        return float(np.sqrt(x.dot(x)))
+    re, im = x.real, x.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)))
 
 
 def jordan_product(a, b) -> np.ndarray:

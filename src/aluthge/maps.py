@@ -10,6 +10,7 @@ each record's id, which is also its CLI id and report file name.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +101,14 @@ def apply_map(phi: CandidateMap, a) -> np.ndarray:
     return phi.scale * (u @ a @ uh)
 
 
-def _condition_residual(phi, a, b, lam, tol, star: bool) -> tuple[float, float, float]:
-    """Residual of the (star-)Jordan commuting condition plus both side norms."""
+def _condition_residual(phi, a, b, star: bool) -> Generator:
+    """Residual of the (star-)Jordan commuting condition plus both side norms,
+    as a trial generator yielding the two Jordan products to transform."""
     bb = b.conj().T if star else b
     pb = apply_map(phi, b)
     pb = pb.conj().T if star else pb
-    lhs = aluthge(jordan_product(apply_map(phi, a), pb), lam, tol)
-    rhs = apply_map(phi, aluthge(jordan_product(a, bb), lam, tol))
+    lhs, delta = yield (jordan_product(apply_map(phi, a), pb), jordan_product(a, bb))
+    rhs = apply_map(phi, delta)
     return frobenius(lhs - rhs), frobenius(lhs), frobenius(rhs)
 
 
@@ -122,13 +124,13 @@ def condition_check(id: str, kind: str, star: bool, expect: str, scale: complex 
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
-    def trial(run: CheckRun) -> None:
+    def trial(run: CheckRun) -> Generator:
         phi = CandidateMap(kind, haar_unitary(run.rng, run.dim), scale)
 
         def draw():
             a = ginibre(run.rng, run.dim)
             b = ginibre(run.rng, run.dim)
-            residual, lhs_n, rhs_n = _condition_residual(phi, a, b, run.lam, run.tol, star)
+            residual, lhs_n, rhs_n = yield from _condition_residual(phi, a, b, star)
             slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
             if expect == "pass":
                 run.observe(residual, residual > slack, A=a, B=b)
@@ -140,13 +142,13 @@ def condition_check(id: str, kind: str, star: bool, expect: str, scale: complex 
             run.observe(residual, residual <= slack, A=a, B=b)
             return True
 
-        run.redraw(draw)
+        yield from run.redraw(draw)
 
     return Check(id, trial)
 
 
 @check("structural_properties")
-def structural_properties(run: CheckRun) -> None:
+def structural_properties(run: CheckRun) -> Generator:
     """Structural preservation under unitary conjugation.
 
     Per trial: (i) the map commutes with the transform, (ii) squares of normal
@@ -155,7 +157,7 @@ def structural_properties(run: CheckRun) -> None:
     (vi) additivity on orthogonal projections, (vii) rank-one projections to
     rank-one projections, plus preservation of self-adjointness.
     """
-    rng, n, lam, tol = run.rng, run.dim, run.lam, run.tol
+    rng, n, tol = run.rng, run.dim, run.tol
     phi = CandidateMap("unitary_conj", haar_unitary(rng, n))
 
     # Random frame; disjoint column blocks give orthogonal projections,
@@ -172,7 +174,8 @@ def structural_properties(run: CheckRun) -> None:
     slack = tol.fix_rel
 
     a = ginibre(rng, n)
-    r_commute = frobenius(aluthge(apply_map(phi, a), lam, tol) - apply_map(phi, aluthge(a, lam, tol)))
+    d_phi_a, d_a = yield (apply_map(phi, a), a)
+    r_commute = frobenius(d_phi_a - apply_map(phi, d_a))
     bad = r_commute > slack * (1.0 + frobenius(a))
 
     nm = normal_matrix(rng, n)
@@ -240,8 +243,13 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
     if 1.0 - abs(c) <= 1e-9:
         raise ValueError("x and x' must be linearly independent")
     a = rank_one(x, xprime)
-    delta_of_adjoint = aluthge(a.conj().T, lam, tol)
-    adjoint_of_delta = aluthge(a, lam, tol).conj().T
+    return _counterexample_result(c, aluthge(a.conj().T, lam, tol), aluthge(a, lam, tol))
+
+
+def _counterexample_result(c: complex, delta_of_adjoint, delta) -> CounterexampleResult:
+    """Both residuals of ``adjoint_counterexample`` from Delta(A*), Delta(A)
+    and c = <x, x'>."""
+    adjoint_of_delta = delta.conj().T
     residual = float(np.linalg.norm(delta_of_adjoint - adjoint_of_delta, 2))
     closed = abs(c) * float(np.sqrt(max(0.0, 1.0 - abs(c) ** 2)))
     return CounterexampleResult(
@@ -253,15 +261,18 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
 
 
 @check("adjoint_counterexample")
-def _adjoint_counterexample_check(run: CheckRun) -> None:
+def _adjoint_counterexample_check(run: CheckRun) -> Generator:
     """Random (x, x') witnesses: the decomposition-path gap between
-    Delta(A*) and Delta(A)* must be positive and match the closed form."""
+    Delta(A*) and Delta(A)* must be positive and match the closed form.
+    The draws meet ``adjoint_counterexample``'s conditions on x and x'."""
     while True:
         x = unit_vector(run.rng, run.dim)
         xp = unit_vector(run.rng, run.dim)
         if 0.05 <= abs(np.vdot(xp, x)) <= 0.95:
             break
-    result = adjoint_counterexample(run.lam, x, xp, run.tol)
+    a = rank_one(x, xp)
+    delta_of_adjoint, delta = yield (a.conj().T, a)
+    result = _counterexample_result(inner(x, xp), delta_of_adjoint, delta)
     mismatch = abs(result.residual - result.closed_form_residual)
     run.observe(mismatch, mismatch > 1e-10 or result.residual <= 0.0, x=x, xprime=xp)
 

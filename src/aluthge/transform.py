@@ -5,10 +5,13 @@ N(V) = N(T): V is the rank-truncated product of the SVD's singular-vector
 frames, so V annihilates exactly the numerical null space of T. The
 lambda-Aluthge transform is |T|^lambda V |T|^(1-lambda); lambda endpoints
 bypass fractional powers entirely and return V|T| (= T) resp. |T|V (Duggal).
+The kernel works on stacks T[B, n, n] with one stacked SVD; a single matrix
+is a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +31,7 @@ __all__ = [
     "AluthgeTrace",
     "polar",
     "aluthge",
+    "aluthge_stack",
     "aluthge_rank_one",
     "duggal",
     "iterate_aluthge",
@@ -50,14 +54,49 @@ class PolarDecomposition:
     rank: int
 
 
-def _svd(t, tol: Tolerances):
-    """One SVD T = W S X*: returns V = W_r X_r*, S, X and the numerical rank r."""
-    t = validate_matrix(t, square=True)
+def _decompose(t: np.ndarray, tol: Tolerances):
+    """One stacked SVD T = W S X* of a validated stack T[B, n, n]: returns
+    V = W_r X_r*, S, X and the numerical ranks r, one per element."""
     w, s, xh = np.linalg.svd(t)
-    n = t.shape[0]
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol.rank_rel * smax * n))
-    return w[:, :r] @ xh[:r, :], s, xh.conj().T, r
+    n = t.shape[-1]
+    ranks = (s > tol.rank_rel * s[:, :1] * n).sum(axis=-1)
+    r = int(ranks.max(initial=0))
+    if (ranks == r).all():
+        # One rank for the whole stack: the truncated frames are views.
+        v = w[..., :r] @ xh[..., :r, :]
+    else:
+        v = np.empty_like(t)
+        for rank in set(ranks.tolist()):
+            group = ranks == rank
+            v[group] = w[group][..., :rank] @ xh[group][..., :rank, :]
+    return v, s, xh.conj().swapaxes(-1, -2), ranks
+
+
+def _modulus(s, x) -> np.ndarray:
+    """|T| = X S X* for each element of a stack."""
+    return (x * s[:, None, :]) @ x.conj().swapaxes(-1, -2)
+
+
+def _transform(v, s, x, ranks, lam: float, modulus=None) -> np.ndarray:
+    """|T|^lam V |T|^(1-lam) for each element of the stacked polar factors
+    (``modulus`` may hold |T| already, for lam = 0 or 1)."""
+    if lam == 0.0 or lam == 1.0:
+        if modulus is None:
+            modulus = _modulus(s, x)
+        return v @ modulus if lam == 0.0 else modulus @ v
+    xh = x.conj().swapaxes(-1, -2)
+    # |T|^g = X S^g X*. Singular values below the rank cutoff are zeroed
+    # first: fractional powers amplify roundoff-level values (1e-16^0.3 ~ 1e-5)
+    # far beyond the equality slack otherwise.
+    sc = np.where(np.arange(s.shape[-1]) < ranks[:, None], s, 0.0)
+    left = (x * np.power(sc, lam)[:, None, :]) @ xh
+    right = left if lam == 0.5 else (x * np.power(sc, 1.0 - lam)[:, None, :]) @ xh
+    return left @ v @ right
+
+
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
 
 
 def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
@@ -66,32 +105,39 @@ def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     Built from the SVD T = W S X*: with r the numerical rank,
     V = W_r X_r* and |T| = X S X*. The zero matrix yields V = 0, |T| = 0.
     """
-    v, s, x, r = _svd(t, tol)
-    return PolarDecomposition(isometry_part=v, modulus=(x * s) @ x.conj().T, singular_values=s, right=x, rank=r)
+    t = validate_matrix(t, square=True)
+    v, s, x, ranks = _decompose(t[None], tol)
+    return PolarDecomposition(
+        isometry_part=v[0],
+        modulus=_modulus(s, x)[0],
+        singular_values=s[0],
+        right=x[0],
+        rank=int(ranks[0]),
+    )
+
+
+def aluthge_stack(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """lambda-Aluthge transform of every matrix of a stack T[B, n, n], lam in
+    [0, 1], from one stacked SVD; element b of the result is bit for bit
+    ``aluthge(T[b], lam, tol)``."""
+    _check_lambda(lam)
+    t = validate_matrix(t, square=True, stack=True)
+    return _transform(*_decompose(t, tol), lam)
 
 
 def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1].
+    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1]: the
+    stacked kernel ``aluthge_stack`` applied to a stack of one.
 
     ``t`` may also be ``polar(T)``, whose SVD is then reused (its rank was
     decided by the tolerances given to ``polar``, so ``tol`` is not used).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    pd = t if isinstance(t, PolarDecomposition) else None
-    v, s, x, r = _svd(t, tol) if pd is None else (pd.isometry_part, pd.singular_values, pd.right, pd.rank)
-    xh = x.conj().T
-    if lam == 0.0 or lam == 1.0:
-        modulus = (x * s) @ xh if pd is None else pd.modulus
-        return v @ modulus if lam == 0.0 else modulus @ v
-    # |T|^g = X S^g X*. Singular values below the rank cutoff are zeroed
-    # first: fractional powers amplify roundoff-level values (1e-16^0.3 ~ 1e-5)
-    # far beyond the equality slack otherwise.
-    sc = s.copy()
-    sc[r:] = 0.0
-    left = (x * np.power(sc, lam)) @ xh
-    right = (x * np.power(sc, 1.0 - lam)) @ xh
-    return left @ v @ right
+    _check_lambda(lam)
+    if isinstance(t, PolarDecomposition):
+        factors = (t.isometry_part[None], t.singular_values[None], t.right[None], np.array([t.rank]))
+        return _transform(*factors, lam, t.modulus[None])[0]
+    t = validate_matrix(t, square=True)
+    return _transform(*_decompose(t[None], tol), lam)[0]
 
 
 def duggal(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -136,7 +182,8 @@ def iterate_aluthge(
     successive iterates falls below conv_tol * (1 + ||T||_F) or max_iter is hit.
 
     Quasi-normality of the final iterate is judged with fix_rel relaxed 10x to
-    absorb accumulated iteration error.
+    absorb accumulated iteration error. Raises FloatingPointError when
+    ||T||_F or a step's delta is not finite, where no convergence test holds.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
@@ -145,13 +192,18 @@ def iterate_aluthge(
     if conv_tol <= 0:
         raise ValueError("conv_tol must be positive")
     t = validate_matrix(t, square=True)
-    scale = 1.0 + frobenius(t)
+    with np.errstate(over="ignore"):
+        scale = 1.0 + frobenius(t)
+    if not math.isfinite(scale):
+        raise FloatingPointError("the Frobenius norm of the input overflows; scale the matrix down")
     iterates = [t]
     deltas: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         nxt = aluthge(iterates[-1], lam, tol)
         delta = frobenius(nxt - iterates[-1])
+        if not math.isfinite(delta):
+            raise FloatingPointError(f"step {step}: the Frobenius delta is not finite ({delta!r})")
         iterates.append(nxt)
         deltas.append(delta)
         if delta <= conv_tol * scale:

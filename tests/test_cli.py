@@ -10,11 +10,15 @@ import pytest
 from aluthge import cli
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.linalg import frobenius
-from aluthge.matrixio import load_matrix, save_matrix
+from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
 from aluthge.transform import aluthge, iterate_aluthge, polar
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 MATRIX_2X2 = b'{"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}'
+# 1e160 times a 4x4 Ginibre draw: finite entries whose Frobenius norm overflows.
+MATRIX_1E160 = json.dumps(
+    matrix_to_obj(1e160 * (np.random.default_rng(5).standard_normal((4, 4, 2)) @ [1.0, 1j]))
+).encode()
 # Command lines for the malformed-input cases; IN is the bad file, OUT the output.
 TRANSFORM = ["transform", "IN", "--output", "OUT"]
 VERIFY = ["verify", "--config", "IN", "--output-dir", "OUT"]
@@ -92,6 +96,7 @@ class TestTransform:
             pytest.param(VERIFY + ["--lambda", "1"], b"{}", id="verify_lambda_1_open_checks"),
             pytest.param(ITERATE + ["--conv-tol", "nan"], MATRIX_2X2, id="iterate_conv_tol_nan"),
             pytest.param(ITERATE + ["--conv-tol", "inf"], MATRIX_2X2, id="iterate_conv_tol_inf"),
+            pytest.param(ITERATE, MATRIX_1E160, id="iterate_norm_overflows"),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, content):

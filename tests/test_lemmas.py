@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from aluthge import lemmas
-from aluthge.generators import GeneratorSpec
+from aluthge.generators import GeneratorSpec, ginibre
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj, vector_payload
+from aluthge.transform import aluthge
 
 TRIALS = 150
 
@@ -138,8 +139,16 @@ class TestDriver:
 
     def test_exhausted_redraw_is_vacuous_only(self):
         draws = []
-        record = Check("toy", lambda r: r.redraw(lambda: draws.append(r.trial)))
-        report = run_check(record, spec(), 0.5, 3)
+
+        def trial(r):
+            def draw():
+                draws.append(r.trial)
+                yield (np.eye(r.dim),)
+                return False
+
+            yield from r.redraw(draw)
+
+        report = run_check(Check("toy", trial), spec(), 0.5, 3)
         assert len(draws) == report.vacuous == 3 * MAX_REDRAWS
         assert report.failures == 0
         assert report.witness is None
@@ -148,25 +157,71 @@ class TestDriver:
     def test_redraw_stops_at_first_informative_draw(self):
         outcomes = iter([None, None, (2.0, True, 0), (9.0, False, 1)])
 
-        def draw(r):
-            outcome = next(outcomes)
-            if outcome is None:
-                return False
-            residual, failed, k = outcome
-            r.observe(residual, failed, k=k)
-            return True
+        def trial(r):
+            def draw():
+                yield (np.eye(r.dim),)
+                outcome = next(outcomes)
+                if outcome is None:
+                    return False
+                residual, failed, k = outcome
+                r.observe(residual, failed, k=k)
+                return True
 
-        record = Check("toy", lambda r: r.redraw(lambda: draw(r)))
-        report = run_check(record, spec(), 0.5, 1)
+            yield from r.redraw(draw)
+
+        report = run_check(Check("toy", trial), spec(), 0.5, 1)
         assert (report.vacuous, report.failures, report.witness) == (2, 1, {"trial": 0, "k": 0})
 
     def test_two_failing_parts_count_once(self):
         def trial(r):
             r.observe(1.0, True)
-            r.redraw(lambda: r.observe(2.0, True) or True)
+
+            def draw():
+                yield (np.eye(r.dim),)
+                r.observe(2.0, True)
+                return True
+
+            yield from r.redraw(draw)
 
         report = run_check(Check("toy", trial), spec(), 0.5, 7)
         assert report.failures == 7
+
+    def test_tied_residuals_across_rounds_keep_first_trial(self):
+        # Trial 0 needs the most rounds, so it finishes last; its witness
+        # must still win the tie, and each trial fails once.
+        def trial(r):
+            for _ in range(5 - r.trial % 5):
+                yield (np.eye(r.dim),)
+            r.observe(1.0, True, k=r.trial)
+            r.observe(1.0, True, k=r.trial)
+
+        report = run_check(Check("toy", trial), spec(), 0.5, 12)
+        assert report.witness == {"trial": 0, "k": 0}
+        assert report.failures == 12
+        assert report.worst_residual == 1.0
+
+    def test_each_trial_receives_its_own_transforms(self):
+        # Trials yield different numbers of matrices per round and run for
+        # different numbers of rounds; every transform must be the one
+        # aluthge gives for that matrix, bit for bit.
+        def trial(r):
+            for _ in range(1 + r.trial % 2):
+                ms = tuple(ginibre(r.rng, r.dim) for _ in range(1 + r.trial % 3))
+                ds = yield ms
+                same = len(ds) == len(ms) and all(np.array_equal(d, aluthge(m, r.lam)) for m, d in zip(ms, ds))
+                r.observe(0.0, not same)
+
+        assert run_check(Check("toy", trial), spec(), 0.3, 9).failures == 0
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_blocking_leaves_reports_unchanged(self, monkeypatch, dim, per_block):
+        # One trial per block is the sequential order; 7 splits 40 trials
+        # into uneven blocks. The default runs all 40 in one block.
+        assert lemmas.STACK_ENTRIES // dim**2 >= 40
+        default = [run_check(c, spec(dim), 0.5, 40).to_json() for c in CHECKS.values()]
+        monkeypatch.setattr(lemmas, "STACK_ENTRIES", per_block * dim**2)
+        assert [run_check(c, spec(dim), 0.5, 40).to_json() for c in CHECKS.values()] == default
 
     @pytest.mark.parametrize(
         "domain, admitted, excluded",

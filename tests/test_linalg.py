@@ -41,6 +41,58 @@ class TestValidate:
             validate_matrix(np.zeros((2, 3)), square=True)
 
 
+    @pytest.mark.parametrize(
+        "entry", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(-np.inf, 0.0), complex(0.0, -np.inf)]
+    )
+    def test_rejects_each_non_finite_part(self, entry):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+            validate_matrix([[1.0, entry], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("entry", [np.finfo(float).max, -5e-324, complex(-0.0, 1e-310), 1j * np.finfo(float).max])
+    def test_accepts_finite_extremes(self, entry):
+        assert validate_matrix([[entry]])[0, 0] == entry
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            cgauss(crng(30), 5, 3),
+            crng(31).standard_normal((4, 4)),
+            np.array([[3.0 - 4.0j]]),
+            np.array([[-2.5]]),
+            np.full((3, 3), 5e-324 + 3e-320j),
+            np.full((2, 2), 1e-310),
+            np.full((2, 2), 1e200 + 1e200j),
+            np.full((2, 2), 1e200),
+            cgauss(crng(32), 6, 6).T,
+            np.array([[1, 2], [3, 4]]),
+        ],
+        ids=["complex", "real", "1x1_complex", "1x1_real", "subnormal_complex", "subnormal_real",
+             "overflow_complex", "overflow_real", "transposed", "integer"],
+    )
+    def test_bitwise_equal_to_numpy(self, a):
+        with np.errstate(over="ignore"):
+            assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
+
+    @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(-np.inf, 2.0)], ids=["nan_imag", "neg_inf_real"])
+    def test_non_finite_part(self, entry):
+        a = np.array([[1.0, entry], [0.5j, 2.0]])
+        assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
+        assert np.isnan(frobenius(a)) if np.isnan(entry.imag) else frobenius(a) == np.inf
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2)), np.float64(2.0)])
+    def test_non_2d_errors_match_numpy(self, a):
+        with pytest.raises(ValueError) as expected:
+            np.linalg.norm(a, "fro")
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            frobenius(a)
+
+
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()

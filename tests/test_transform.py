@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from aluthge import transform
 from aluthge.linalg import frobenius, is_normal, is_partial_isometry, rank_one, spectra_pairing_distance, spectrum
 from aluthge.transform import (
     aluthge,
     aluthge_rank_one,
+    aluthge_stack,
     duggal,
     iterate_aluthge,
     polar,
@@ -131,6 +133,55 @@ class TestAluthge:
             aluthge(np.eye(2), 1.5)
 
 
+def low_rank(rng, n, rank):
+    return cgauss(rng, n, rank) @ cgauss(rng, rank, n)
+
+
+class TestAluthgeStack:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("ranks", [(6, 1, 3, 0, 6, 3), (6, 6, 6)], ids=["mixed", "uniform"])
+    def test_stack_equals_each_element_bit_for_bit(self, lam, ranks):
+        rng = np.random.default_rng(40)
+        stack = np.stack([low_rank(rng, 6, r) for r in ranks])
+        out = aluthge_stack(stack, lam)
+        assert out.shape == stack.shape
+        for t, d in zip(stack, out):
+            np.testing.assert_array_equal(d, aluthge(t, lam))
+
+    def test_mixed_ranks_are_decided_per_element(self):
+        rng = np.random.default_rng(41)
+        stack = np.stack([low_rank(rng, 4, r) for r in (4, 1, 2, 0)])
+        *_, ranks = transform._decompose(stack, transform.DEFAULT_TOL)
+        assert ranks.tolist() == [4, 1, 2, 0]
+
+    def test_non_finite_element_rejected(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        stack[2, 1, 0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
+            aluthge_stack(stack, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.zeros((2, 3, 2)), np.zeros((2, 0, 0))])
+    def test_malformed_stack_rejected(self, bad):
+        with pytest.raises(ValueError):
+            aluthge_stack(bad, 0.5)
+
+    def test_lambda_out_of_range(self):
+        with pytest.raises(ValueError, match="lambda"):
+            aluthge_stack(np.eye(2)[None], -0.1)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+    def test_polar_svd_reused(self, monkeypatch, lam):
+        rng = np.random.default_rng(42)
+        t = low_rank(rng, 5, 3)
+        expected = aluthge(t, lam)
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        d = aluthge(polar(t), lam)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(d, expected)
+
+
 class TestAluthgeRankOne:
     def test_hand_example(self):
         x = np.array([1.0, 0.0])
@@ -213,6 +264,16 @@ class TestIterate:
         sigma0 = spectrum(trace.iterates[0])
         for it in trace.iterates[1:]:
             assert spectra_pairing_distance(sigma0, spectrum(it)) <= 1e-7 * (1 + frobenius(t))
+
+    def test_overflowing_norm_raises(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(FloatingPointError, match="overflows"):
+            iterate_aluthge(1e160 * cgauss(rng, 4, 4), 0.5)
+
+    def test_non_finite_delta_raises(self, monkeypatch):
+        monkeypatch.setattr(transform, "aluthge", lambda t, lam, tol: np.full_like(t, np.nan))
+        with pytest.raises(FloatingPointError, match="step 1"):
+            iterate_aluthge(np.eye(2), 0.5)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
