@@ -6,7 +6,6 @@ harness for the transform's rank-one, projection, self-adjointness, kernel
 and spectrum facts plus the rigidity of Jordan-product-commuting maps.
 """
 
-from .generators import GeneratorSpec
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -19,7 +18,7 @@ from .linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from .maps import CandidateMap, adjoint_counterexample, apply_map
+from .maps import adjoint_counterexample
 from .reporting import CheckReport
 from .transform import (
     AluthgeTrace,
@@ -36,17 +35,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AluthgeTrace",
-    "CandidateMap",
     "CheckReport",
     "DEFAULT_TOL",
-    "GeneratorSpec",
     "PolarDecomposition",
     "Tolerances",
     "adjoint_counterexample",
     "aluthge",
     "aluthge_rank_one",
     "aluthge_stack",
-    "apply_map",
     "duggal",
     "is_normal",
     "is_partial_isometry",

@@ -22,9 +22,8 @@ import sys
 
 import numpy as np
 
-from .generators import GeneratorSpec
-from .lemmas import lambda_admitted, run_check
-from .linalg import DEFAULT_TOL, Tolerances, frobenius, spectra_pairing_distance, spectrum
+from .lemmas import run_check
+from .linalg import DEFAULT_TOL, Tolerances, frobenius, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
 from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
 from .reporting import dumps_canonical
@@ -210,8 +209,7 @@ def cmd_verify(args) -> int:
     total_failures = 0
     for check_id in cfg["checks"]:
         for dim in cfg["dims"]:
-            spec = GeneratorSpec(dim=dim, seed=cfg["seed"])
-            report = run_check(CHECKS[check_id], spec, cfg["lambda"], cfg["trials"], tol)
+            report = run_check(CHECKS[check_id], dim, cfg["seed"], cfg["lambda"], cfg["trials"], tol)
             reports.append(report)
             total_failures += report.failures
             verdict = "PASS" if report.failures == 0 else "FAIL"

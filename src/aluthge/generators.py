@@ -7,23 +7,12 @@ deterministic and order-independent regardless of how trials are scheduled.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 # Smallest allowed sigma_min/sigma_max when a well-conditioned (injective) draw
 # is requested; draws below it are resampled.
 MIN_CONDITION = 1e-6
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    dim: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -37,7 +26,9 @@ def check_key(check_id: str) -> int:
 
 
 def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard complex Gaussian array: real parts, then imaginary, in one draw."""
+    z = rng.standard_normal((2, *shape))
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

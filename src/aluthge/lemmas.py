@@ -28,7 +28,6 @@ from itertools import islice
 import numpy as np
 
 from .generators import (
-    GeneratorSpec,
     check_key,
     complex_gaussian,
     ginibre,
@@ -39,10 +38,14 @@ from .generators import (
     unit_vector,
 )
 from .linalg import (
+    CLOSED,
     DEFAULT_TOL,
+    HALF_OPEN,
+    OPEN,
     Tolerances,
+    _jordan,
     frobenius,
-    jordan_product,
+    lambda_admitted,
     rank_one,
     spectra_pairing_distance,
     spectrum,
@@ -54,13 +57,9 @@ from .transform import aluthge_rank_one, aluthge_stack
 __all__ = [
     "Check",
     "CheckRun",
-    "OPEN",
-    "HALF_OPEN",
-    "CLOSED",
     "check",
     "run_check",
     "in_dead_band",
-    "lambda_admitted",
     "rank_one_formula",
     "projection_absorb",
     "scalar_projection",
@@ -81,14 +80,6 @@ MAX_REDRAWS = 64
 STACK_ENTRIES = 1 << 11
 
 
-# The lambda domains a check may be stated on, each mapped to whether its
-# lower and upper ends are open.
-OPEN = "(0, 1)"
-HALF_OPEN = "(0, 1]"
-CLOSED = "[0, 1]"
-_OPEN_ENDS = {OPEN: (True, True), HALF_OPEN: (True, False), CLOSED: (False, False)}
-
-
 @dataclass(frozen=True)
 class Check:
     """One randomized check.
@@ -97,34 +88,24 @@ class Check:
     trial  : runs one trial against a ``CheckRun``. A trial that needs
              lambda-Aluthge transforms is a generator: ``d, e = yield (m, k)``
              hands the driver matrices and receives their transforms. One
-             that needs none is a plain function.
+             that needs none is a plain function returning None.
     domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
              CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
     """
 
     id: str
-    trial: Callable[["CheckRun"], None]
+    trial: Callable[["CheckRun"], Generator | None]
     domain: str | None = OPEN
 
     def __post_init__(self) -> None:
-        if self.domain is not None and self.domain not in _OPEN_ENDS:
+        if self.domain not in (None, OPEN, HALF_OPEN, CLOSED):
             raise ValueError(f"{self.id}: unknown lambda domain {self.domain!r}")
 
 
 def check(id: str, domain: str | None = OPEN):
     """Decorator turning a per-trial function into a ``Check``."""
     return lambda trial: Check(id, trial, domain)
-
-
-def lambda_admitted(lam: float, domain: str | None) -> bool:
-    """Whether ``lam`` lies in ``domain`` (see ``Check``); None admits any."""
-    if domain is None:
-        return True
-    low_open, high_open = _OPEN_ENDS[domain]
-    low = 0.0 < lam if low_open else 0.0 <= lam
-    high = lam < 1.0 if high_open else lam <= 1.0
-    return low and high
 
 
 def in_dead_band(slack: float, *residuals: float) -> bool:
@@ -192,25 +173,27 @@ def _lockstep(trials: list, lam: float, tol: Tolerances) -> None:
 
 
 def run_check(
-    check: Check, spec: GeneratorSpec, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
+    check: Check, dim: int, seed: int, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
 ) -> CheckReport:
-    """Run ``trials`` trials of ``check`` at ``spec``'s dimension and seed.
+    """Run ``trials`` trials of ``check`` at dimension ``dim`` >= 2 from ``seed``.
 
     Trials run in blocks of at most STACK_ENTRIES // dim^2, each block in
     lockstep; every trial draws only from its own stream and its outcomes are
     replayed in trial order, so the report does not depend on the blocking.
     """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
     if not lambda_admitted(lam, check.domain):
         raise ValueError(f"{check.id}: lambda must lie in {check.domain}, got {lam!r}")
     key = check_key(check.id)
-    block = max(1, STACK_ENTRIES // spec.dim**2)
+    block = max(1, STACK_ENTRIES // dim**2)
     failures = vacuous = 0
     worst = 0.0
     witness: tuple[int, dict] | None = None
     witness_failed = False
     for start in range(0, trials, block):
         runs = [
-            CheckRun(spec.dim, lam, tol, t, trial_rng(spec.seed, key, spec.dim, t))
+            CheckRun(dim, lam, tol, t, trial_rng(seed, key, dim, t))
             for t in range(start, min(start + block, trials))
         ]
         # A plain trial function has run to its end here and returned None.
@@ -233,8 +216,8 @@ def run_check(
         encoded = {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
     return CheckReport(
         check_id=check.id,
-        seed=spec.seed,
-        dim=spec.dim,
+        seed=seed,
+        dim=dim,
         lam=lam if check.domain is not None else 0.0,
         trials=trials,
         failures=failures,
@@ -271,7 +254,7 @@ def projection_absorb(run: CheckRun) -> Generator:
     # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
     a0 = ginibre(rng, n)
     a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
-    (d,) = yield (jordan_product(a, p),)
+    (d,) = yield (_jordan(a, p),)
     residual = frobenius(d - p)
     slack = tol.eq_abs * (1.0 + frobenius(a))
     run.observe(residual, residual > slack or frobenius(p @ a - p) > slack, direction="satisfying", x=x, A=a)
@@ -280,7 +263,7 @@ def projection_absorb(run: CheckRun) -> Generator:
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield (jordan_product(b, p),)
+        (d,) = yield (_jordan(b, p),)
         r_delta = frobenius(d - p)
         r_pa = frobenius(p @ b - p)
         if in_dead_band(slack_b, r_delta, r_pa):
@@ -301,7 +284,7 @@ def scalar_projection(run: CheckRun) -> Generator:
 
     alpha = complex(complex_gaussian(rng, 1)[0])
     a = alpha * p
-    (d,) = yield (jordan_product(a, p),)
+    (d,) = yield (_jordan(a, p),)
     residual = frobenius(d - a)
     slack = tol.eq_abs * (1.0 + abs(alpha))
     run.observe(residual, residual > slack, direction="satisfying", alpha=[alpha.real, alpha.imag], x=x)
@@ -309,7 +292,7 @@ def scalar_projection(run: CheckRun) -> Generator:
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield (jordan_product(b, p),)
+        (d,) = yield (_jordan(b, p),)
         r = frobenius(d - b)
         if in_dead_band(slack_b, r):
             return False

@@ -15,6 +15,11 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "OPEN",
+    "HALF_OPEN",
+    "CLOSED",
+    "lambda_admitted",
+    "check_lambda",
     "validate_matrix",
     "jordan_product",
     "rank_one",
@@ -54,6 +59,27 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# The lambda domains a transform or check may be stated on.
+OPEN = "(0, 1)"
+HALF_OPEN = "(0, 1]"
+CLOSED = "[0, 1]"
+
+
+def lambda_admitted(lam: float, domain: str | None) -> bool:
+    """Whether ``lam`` lies in ``domain`` (OPEN, HALF_OPEN or CLOSED, whose
+    brackets say which ends are open); None admits any."""
+    if domain is None:
+        return True
+    low = 0.0 < lam if domain[0] == "(" else 0.0 <= lam
+    high = lam < 1.0 if domain[-1] == ")" else lam <= 1.0
+    return low and high
+
+
+def check_lambda(lam: float, domain: str) -> None:
+    """Raise ValueError unless ``lam`` lies in ``domain``."""
+    if not lambda_admitted(lam, domain):
+        raise ValueError(f"lambda must lie in {domain}, got {lam!r}")
+
 
 def validate_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex128 array, or with ``stack`` to a 3-d
@@ -89,6 +115,11 @@ def jordan_product(a, b) -> np.ndarray:
     b = validate_matrix(b, square=True)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return _jordan(a, b)
+
+
+def _jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(AB + BA) / 2 of two square arrays of one shape, unvalidated."""
     return (a @ b + b @ a) / 2.0
 
 

@@ -10,7 +10,7 @@ each record's id, which is also its CLI id and report file name.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +22,10 @@ from .generators import (
     unit_vector,
 )
 from .lemmas import (
-    OPEN,
     Check,
     CheckRun,
     check,
     in_dead_band,
-    lambda_admitted,
     nilpotent_kernel,
     projection_absorb,
     rank_one_formula,
@@ -38,84 +36,50 @@ from .lemmas import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    OPEN,
     Tolerances,
+    _jordan,
+    check_lambda,
     frobenius,
     inner,
     is_projection,
-    jordan_product,
     rank_one,
-    validate_matrix,
 )
 from .transform import aluthge
 
 __all__ = [
-    "CandidateMap",
-    "apply_map",
+    "unitary_conj",
+    "adjoint_conj",
+    "scaled_conj",
     "condition_check",
     "structural_properties",
     "vector_state_identity",
     "adjoint_counterexample",
     "CounterexampleResult",
-    "MAP_KINDS",
     "CHECKS",
 ]
 
-MAP_KINDS = ("unitary_conj", "adjoint_conj", "scaled_unitary_conj")
+
+def unitary_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The candidate map A -> UAU*. The caller passes a unitary ``u`` and
+    ``a`` as square complex arrays of one shape; neither is validated."""
+    return u @ a @ u.conj().T
 
 
-@dataclass(frozen=True)
-class CandidateMap:
-    """A structured bijective map on square matrices.
-
-    kind    : unitary_conj A -> UAU*, adjoint_conj A -> UA*U*,
-              scaled_unitary_conj A -> scale * UAU*
-    unitary : the conjugating unitary
-    scale   : only meaningful for scaled_unitary_conj
-    """
-
-    kind: str
-    unitary: np.ndarray
-    scale: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        u = validate_matrix(self.unitary, square=True)
-        defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-        if defect > 1e-12 * u.shape[0]:
-            raise ValueError(f"conjugating matrix is not unitary (defect {defect:.3e})")
-        object.__setattr__(self, "unitary", u)
+def adjoint_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The candidate map A -> UA*U*, with arguments as for ``unitary_conj``."""
+    return u @ a.conj().T @ u.conj().T
 
 
-def apply_map(phi: CandidateMap, a) -> np.ndarray:
-    """Evaluate the candidate map on a square matrix."""
-    a = validate_matrix(a, square=True)
-    u = phi.unitary
-    if a.shape != u.shape:
-        raise ValueError(f"dimension mismatch: map is {u.shape}, input is {a.shape}")
-    uh = u.conj().T
-    if phi.kind == "unitary_conj":
-        return u @ a @ uh
-    if phi.kind == "adjoint_conj":
-        return u @ a.conj().T @ uh
-    return phi.scale * (u @ a @ uh)
+def scaled_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The candidate map A -> 2UAU*, with arguments as for ``unitary_conj``."""
+    return 2.0 * (u @ a @ u.conj().T)
 
 
-def _condition_residual(phi, a, b, star: bool) -> Generator:
-    """Residual of the (star-)Jordan commuting condition plus both side norms,
-    as a trial generator yielding the two Jordan products to transform."""
-    bb = b.conj().T if star else b
-    pb = apply_map(phi, b)
-    pb = pb.conj().T if star else pb
-    lhs, delta = yield (jordan_product(apply_map(phi, a), pb), jordan_product(a, bb))
-    rhs = apply_map(phi, delta)
-    return frobenius(lhs - rhs), frobenius(lhs), frobenius(rhs)
-
-
-def condition_check(id: str, kind: str, star: bool, expect: str, scale: complex = 1.0) -> Check:
+def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
     """Delta_lambda(Phi(A)∘Phi(B)) = Phi(Delta_lambda(A∘B)), or its star form
-    with B* in place of B, on random pairs, for the map of ``kind`` (and
-    ``scale``) with a fresh Haar U per trial.
+    with B* in place of B, on random pairs, for Phi = ``phi(U, ·)`` (one of
+    the map functions above) with a fresh Haar U per trial.
 
     ``expect="pass"`` (unitary conjugation) counts residuals above slack as
     failures; ``expect="fail"`` (adjoint / scaled competitors) counts trials
@@ -125,19 +89,23 @@ def condition_check(id: str, kind: str, star: bool, expect: str, scale: complex 
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
     def trial(run: CheckRun) -> Generator:
-        phi = CandidateMap(kind, haar_unitary(run.rng, run.dim), scale)
+        u = haar_unitary(run.rng, run.dim)
 
         def draw():
             a = ginibre(run.rng, run.dim)
             b = ginibre(run.rng, run.dim)
-            residual, lhs_n, rhs_n = yield from _condition_residual(phi, a, b, star)
+            pb = phi(u, b)
+            pb, bb = (pb.conj().T, b.conj().T) if star else (pb, b)
+            lhs, delta = yield (_jordan(phi(u, a), pb), _jordan(a, bb))
+            rhs = phi(u, delta)
+            residual = frobenius(lhs - rhs)
             slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
             if expect == "pass":
                 run.observe(residual, residual > slack, A=a, B=b)
                 return True
             # Expected falsification. Trials where both sides vanish carry no
             # information; dead-band residuals are redrawn.
-            if max(lhs_n, rhs_n) <= slack or in_dead_band(slack, residual):
+            if max(frobenius(lhs), frobenius(rhs)) <= slack or in_dead_band(slack, residual):
                 return False
             run.observe(residual, residual <= slack, A=a, B=b)
             return True
@@ -158,7 +126,7 @@ def structural_properties(run: CheckRun) -> Generator:
     rank-one projections, plus preservation of self-adjointness.
     """
     rng, n, tol = run.rng, run.dim, run.tol
-    phi = CandidateMap("unitary_conj", haar_unitary(rng, n))
+    u = haar_unitary(rng, n)
 
     # Random frame; disjoint column blocks give orthogonal projections,
     # nested leading blocks give ordered ones.
@@ -170,34 +138,34 @@ def structural_properties(run: CheckRun) -> Generator:
     q_nested = w[:, :j] @ w[:, :j].conj().T
     q_orth = w[:, k : k + m] @ w[:, k : k + m].conj().T
 
-    fp, fq_nested, fq_orth = (apply_map(phi, z) for z in (p, q_nested, q_orth))
+    fp, fq_nested, fq_orth = (unitary_conj(u, z) for z in (p, q_nested, q_orth))
     slack = tol.fix_rel
 
     a = ginibre(rng, n)
-    d_phi_a, d_a = yield (apply_map(phi, a), a)
-    r_commute = frobenius(d_phi_a - apply_map(phi, d_a))
+    d_phi_a, d_a = yield (unitary_conj(u, a), a)
+    r_commute = frobenius(d_phi_a - unitary_conj(u, d_a))
     bad = r_commute > slack * (1.0 + frobenius(a))
 
     nm = normal_matrix(rng, n)
-    fnm = apply_map(phi, nm)
-    r_square = frobenius(apply_map(phi, nm @ nm) - fnm @ fnm)
+    fnm = unitary_conj(u, nm)
+    r_square = frobenius(unitary_conj(u, nm @ nm) - fnm @ fnm)
     bad |= r_square > slack * (1.0 + frobenius(nm) ** 2)
 
     bad |= not is_projection(fp, tol)
     bad |= frobenius(fp @ fq_orth) > slack or frobenius(fq_orth @ fp) > slack
-    bad |= frobenius(jordan_product(fp, fq_nested) - fq_nested) > slack
-    bad |= frobenius(apply_map(phi, p + q_orth) - (fp + fq_orth)) > slack
+    bad |= frobenius(_jordan(fp, fq_nested) - fq_nested) > slack
+    bad |= frobenius(unitary_conj(u, p + q_orth) - (fp + fq_orth)) > slack
 
     x = unit_vector(rng, n)
-    f_rank1 = apply_map(phi, np.outer(x, x.conj()))
+    f_rank1 = unitary_conj(u, np.outer(x, x.conj()))
     bad |= not is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
 
     g = ginibre(rng, n)
     h = (g + g.conj().T) / 2.0
-    fh = apply_map(phi, h)
+    fh = unitary_conj(u, h)
     bad |= frobenius(fh - fh.conj().T) > slack * (1.0 + frobenius(h))
 
-    run.observe(max(r_commute, r_square), bad, U=phi.unitary, ranks=[k, j, m])
+    run.observe(max(r_commute, r_square), bad, U=u, ranks=[k, j, m])
 
 
 @check("vector_state_identity", domain=None)
@@ -205,11 +173,11 @@ def vector_state_identity(run: CheckRun) -> None:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree.
     The identity involves no transform, so it has no lambda domain."""
-    phi = CandidateMap("unitary_conj", haar_unitary(run.rng, run.dim))
+    u = haar_unitary(run.rng, run.dim)
     a = ginibre(run.rng, run.dim)
     x = unit_vector(run.rng, run.dim)
-    y = phi.unitary @ x
-    deviation = abs(inner(apply_map(phi, a) @ y, y) - inner(a @ x, x))
+    y = u @ x
+    deviation = abs(inner(unitary_conj(u, a) @ y, y) - inner(a @ x, x))
     slack = run.tol.eq_abs * (1.0 + frobenius(a))
     run.observe(deviation, deviation > slack, A=a, x=x)
 
@@ -231,8 +199,7 @@ def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL)
     The closed form |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with
     c = <x,x'> is returned alongside the decomposition-path residual.
     """
-    if not lambda_admitted(lam, OPEN):
-        raise ValueError(f"lambda must lie in {OPEN}, got {lam!r}")
+    check_lambda(lam, OPEN)
     x = np.asarray(x, dtype=np.complex128).ravel()
     xprime = np.asarray(xprime, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(xprime) - 1.0) > 1e-9:
@@ -287,11 +254,11 @@ CHECKS: dict[str, Check] = {
         selfadjoint_lemmas,
         nilpotent_kernel,
         spectrum_invariance,
-        condition_check("jordan_condition_unitary", "unitary_conj", star=False, expect="pass"),
-        condition_check("jordan_condition_adjoint", "adjoint_conj", star=False, expect="fail"),
-        condition_check("jordan_condition_scaled", "scaled_unitary_conj", star=False, expect="fail", scale=2.0),
-        condition_check("star_jordan_condition_unitary", "unitary_conj", star=True, expect="pass"),
-        condition_check("star_jordan_condition_adjoint", "adjoint_conj", star=True, expect="fail"),
+        condition_check("jordan_condition_unitary", unitary_conj, star=False, expect="pass"),
+        condition_check("jordan_condition_adjoint", adjoint_conj, star=False, expect="fail"),
+        condition_check("jordan_condition_scaled", scaled_conj, star=False, expect="fail"),
+        condition_check("star_jordan_condition_unitary", unitary_conj, star=True, expect="pass"),
+        condition_check("star_jordan_condition_adjoint", adjoint_conj, star=True, expect="fail"),
         structural_properties,
         vector_state_identity,
         _adjoint_counterexample_check,

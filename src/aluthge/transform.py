@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    CLOSED,
     DEFAULT_TOL,
+    OPEN,
     Tolerances,
+    check_lambda,
     frobenius,
     inner,
     is_quasi_normal,
@@ -94,11 +97,6 @@ def _transform(v, s, x, ranks, lam: float, modulus=None) -> np.ndarray:
     return left @ v @ right
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-
-
 def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """Polar decomposition with the null-space convention N(V) = N(T).
 
@@ -120,7 +118,7 @@ def aluthge_stack(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """lambda-Aluthge transform of every matrix of a stack T[B, n, n], lam in
     [0, 1], from one stacked SVD; element b of the result is bit for bit
     ``aluthge(T[b], lam, tol)``."""
-    _check_lambda(lam)
+    check_lambda(lam, CLOSED)
     t = validate_matrix(t, square=True, stack=True)
     return _transform(*_decompose(t, tol), lam)
 
@@ -132,7 +130,7 @@ def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ``t`` may also be ``polar(T)``, whose SVD is then reused (its rank was
     decided by the tolerances given to ``polar``, so ``tol`` is not used).
     """
-    _check_lambda(lam)
+    check_lambda(lam, CLOSED)
     if isinstance(t, PolarDecomposition):
         factors = (t.isometry_part[None], t.singular_values[None], t.right[None], np.array([t.rank]))
         return _transform(*factors, lam, t.modulus[None])[0]
@@ -150,8 +148,7 @@ def aluthge_rank_one(x, y, lam: float) -> np.ndarray:
 
     No decomposition is performed; agrees with the SVD path within slack.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
+    check_lambda(lam, OPEN)
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
     if not np.any(x) or not np.any(y):
@@ -179,22 +176,22 @@ def iterate_aluthge(
     tol: Tolerances = DEFAULT_TOL,
 ) -> AluthgeTrace:
     """Iterate the lambda-Aluthge transform until the Frobenius delta between
-    successive iterates falls below conv_tol * (1 + ||T||_F) or max_iter is hit.
+    successive iterates falls to conv_tol * ||T||_F or max_iter is hit; the
+    test does not depend on the scale of T, and T = 0 converges at step 1.
 
     Quasi-normality of the final iterate is judged with fix_rel relaxed 10x to
     absorb accumulated iteration error. Raises FloatingPointError when
     ||T||_F or a step's delta is not finite, where no convergence test holds.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
+    check_lambda(lam, OPEN)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if conv_tol <= 0:
         raise ValueError("conv_tol must be positive")
     t = validate_matrix(t, square=True)
     with np.errstate(over="ignore"):
-        scale = 1.0 + frobenius(t)
-    if not math.isfinite(scale):
+        norm = frobenius(t)
+    if not math.isfinite(norm):
         raise FloatingPointError("the Frobenius norm of the input overflows; scale the matrix down")
     iterates = [t]
     deltas: list[float] = []
@@ -206,7 +203,7 @@ def iterate_aluthge(
             raise FloatingPointError(f"step {step}: the Frobenius delta is not finite ({delta!r})")
         iterates.append(nxt)
         deltas.append(delta)
-        if delta <= conv_tol * scale:
+        if delta <= conv_tol * norm:
             converged = True
             break
     relaxed = Tolerances(rank_rel=tol.rank_rel, eq_abs=tol.eq_abs, fix_rel=min(10.0 * tol.fix_rel, 0.99))

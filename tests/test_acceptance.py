@@ -11,7 +11,6 @@ import pytest
 
 from aluthge.cli import main as cli_main
 from aluthge.generators import (
-    GeneratorSpec,
     ginibre,
     haar_unitary,
     nilpotent_sq_zero,
@@ -28,7 +27,7 @@ from aluthge.linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from aluthge.maps import CHECKS, CandidateMap, adjoint_counterexample, apply_map
+from aluthge.maps import CHECKS, adjoint_conj, adjoint_counterexample
 from aluthge.transform import aluthge, iterate_aluthge
 
 
@@ -118,9 +117,8 @@ def test_criterion_4_fixed_points(capsys):
 def test_criterion_5_jordan_conditions_unitary(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
-        spec = GeneratorSpec(dim=dim, seed=5)
-        failures += run_check(CHECKS["jordan_condition_unitary"], spec, 0.5, 1000).failures
-        failures += run_check(CHECKS["star_jordan_condition_unitary"], spec, 0.5, 1000).failures
+        failures += run_check(CHECKS["jordan_condition_unitary"], dim, 5, 0.5, 1000).failures
+        failures += run_check(CHECKS["star_jordan_condition_unitary"], dim, 5, 0.5, 1000).failures
     announce(capsys, "criterion 5 Jordan/star-Jordan conditions", failures == 0,
              f"{failures} failures over 1000 trials x dims 3-6 x both conditions")
 
@@ -139,9 +137,9 @@ def test_criterion_6_competitor_falsification(capsys):
     rng = np.random.default_rng(6)
     min_break = np.inf
     for _ in range(50):
-        phi = CandidateMap(kind="adjoint_conj", unitary=haar_unitary(rng, 2))
-        lhs = aluthge(jordan_product(apply_map(phi, a), apply_map(phi, np.eye(2))), 0.5)
-        rhs = apply_map(phi, aluthge(jordan_product(a, np.eye(2)), 0.5))
+        u = haar_unitary(rng, 2)
+        lhs = aluthge(jordan_product(adjoint_conj(u, a), adjoint_conj(u, np.eye(2, dtype=complex))), 0.5)
+        rhs = adjoint_conj(u, aluthge(jordan_product(a, np.eye(2)), 0.5))
         min_break = min(min_break, frobenius(lhs - rhs))
     ok = abs(oracle - 0.5) <= 1e-14 and worst_gap <= 1e-10 and min_break > 1e-4
     announce(capsys, "criterion 6 competitor falsification", ok,
@@ -151,8 +149,7 @@ def test_criterion_6_competitor_falsification(capsys):
 def test_criterion_7_structural_suite(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
-        spec = GeneratorSpec(dim=dim, seed=7)
-        report = run_check(CHECKS["structural_properties"], spec, 0.5, 500)
+        report = run_check(CHECKS["structural_properties"], dim, 7, 0.5, 500)
         failures += report.failures
     announce(capsys, "criterion 7 structural suite", failures == 0,
              f"{failures} failures over 500 projection configurations x dims 3-6")

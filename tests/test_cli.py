@@ -9,6 +9,7 @@ import pytest
 
 from aluthge import cli
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
+from aluthge.generators import ginibre
 from aluthge.linalg import frobenius
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
 from aluthge.transform import aluthge, iterate_aluthge, polar
@@ -187,6 +188,18 @@ class TestIterate:
         assert len(rows) == len(trace.step_deltas)
         for line, delta in zip(rows, trace.step_deltas):
             assert float(line.split(",")[1]) == pytest.approx(float(delta), abs=1e-15)
+
+    def test_tiny_scale_does_not_converge_falsely(self, tmp_path):
+        # 1e-12 T takes the same steps as T, and neither converges.
+        t = ginibre(np.random.default_rng(4), 4)
+        tails = []
+        for name, c in (("unit", 1.0), ("tiny", 1e-12)):
+            src = write(tmp_path / f"{name}.json", c * t)
+            out = tmp_path / f"{name}.csv"
+            assert main(["iterate", src, "--max-iter", "200", "--output", str(out)]) == EXIT_OK
+            rows, tail = self.read_rows(out)
+            tails.append((len(rows), tail))
+        assert tails == [(200, "# converged=false")] * 2
 
     def test_max_iter_respected(self, tmp_path):
         rng = np.random.default_rng(6)

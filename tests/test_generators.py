@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from aluthge.generators import (
-    GeneratorSpec,
     MIN_CONDITION,
+    complex_gaussian,
     ginibre,
     haar_unitary,
     invertible_ginibre,
@@ -17,12 +17,6 @@ from aluthge.linalg import frobenius
 STRUCT_TOL = 1e-12
 
 
-class TestSpec:
-    def test_rejects_small_dim(self):
-        with pytest.raises(ValueError, match="dim"):
-            GeneratorSpec(dim=1)
-
-
 class TestStreams:
     def test_trial_rng_reproducible(self):
         a = trial_rng(7, 1, 2).standard_normal(5)
@@ -33,6 +27,16 @@ class TestStreams:
         a = trial_rng(7, 1, 2).standard_normal(5)
         b = trial_rng(7, 1, 3).standard_normal(5)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4), (1,), (6, 6)])
+    def test_complex_gaussian_matches_two_draw_form(self, shape):
+        # One draw of 2 x shape gives the values, bit for bit, and leaves the
+        # stream where separate real and imaginary draws would.
+        one, two = trial_rng(3, *shape), trial_rng(3, *shape)
+        z = complex_gaussian(one, *shape)
+        expected = (two.standard_normal(shape) + 1j * two.standard_normal(shape)) / np.sqrt(2.0)
+        assert z.tobytes() == expected.tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 class TestStructuralSelfTests:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aluthge import lemmas
-from aluthge.generators import GeneratorSpec, ginibre
+from aluthge.generators import ginibre
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj, vector_payload
@@ -34,12 +34,8 @@ REPORT_IDS = [
 ]
 
 
-def spec(dim=4, seed=99):
-    return GeneratorSpec(dim=dim, seed=seed)
-
-
-def run(check_id, lam, trials, **spec_args):
-    return run_check(CHECKS[check_id], spec(**spec_args), lam, trials)
+def run(check_id, lam, trials, dim=4, seed=99):
+    return run_check(CHECKS[check_id], dim, seed, lam, trials)
 
 
 def test_registry_ids_pinned():
@@ -132,7 +128,7 @@ class TestDriver:
     def test_failing_witness_outranks_larger_passing_residual(self):
         outcomes = [(5.0, False), (1.0, True), (3.0, False), (0.5, True)]
         record = Check("toy", lambda r: r.observe(*outcomes[r.trial], k=r.trial))
-        report = run_check(record, spec(), 0.5, len(outcomes))
+        report = run_check(record, 4, 99, 0.5, len(outcomes))
         assert report.witness == {"trial": 1, "k": 1}
         assert report.worst_residual == 5.0
         assert report.failures == 2
@@ -148,7 +144,7 @@ class TestDriver:
 
             yield from r.redraw(draw)
 
-        report = run_check(Check("toy", trial), spec(), 0.5, 3)
+        report = run_check(Check("toy", trial), 4, 99, 0.5, 3)
         assert len(draws) == report.vacuous == 3 * MAX_REDRAWS
         assert report.failures == 0
         assert report.witness is None
@@ -169,7 +165,7 @@ class TestDriver:
 
             yield from r.redraw(draw)
 
-        report = run_check(Check("toy", trial), spec(), 0.5, 1)
+        report = run_check(Check("toy", trial), 4, 99, 0.5, 1)
         assert (report.vacuous, report.failures, report.witness) == (2, 1, {"trial": 0, "k": 0})
 
     def test_two_failing_parts_count_once(self):
@@ -183,7 +179,7 @@ class TestDriver:
 
             yield from r.redraw(draw)
 
-        report = run_check(Check("toy", trial), spec(), 0.5, 7)
+        report = run_check(Check("toy", trial), 4, 99, 0.5, 7)
         assert report.failures == 7
 
     def test_tied_residuals_across_rounds_keep_first_trial(self):
@@ -195,7 +191,7 @@ class TestDriver:
             r.observe(1.0, True, k=r.trial)
             r.observe(1.0, True, k=r.trial)
 
-        report = run_check(Check("toy", trial), spec(), 0.5, 12)
+        report = run_check(Check("toy", trial), 4, 99, 0.5, 12)
         assert report.witness == {"trial": 0, "k": 0}
         assert report.failures == 12
         assert report.worst_residual == 1.0
@@ -211,7 +207,7 @@ class TestDriver:
                 same = len(ds) == len(ms) and all(np.array_equal(d, aluthge(m, r.lam)) for m, d in zip(ms, ds))
                 r.observe(0.0, not same)
 
-        assert run_check(Check("toy", trial), spec(), 0.3, 9).failures == 0
+        assert run_check(Check("toy", trial), 4, 99, 0.3, 9).failures == 0
 
     @pytest.mark.parametrize("per_block", [1, 7])
     @pytest.mark.parametrize("dim", [2, 5])
@@ -219,9 +215,9 @@ class TestDriver:
         # One trial per block is the sequential order; 7 splits 40 trials
         # into uneven blocks. The default runs all 40 in one block.
         assert lemmas.STACK_ENTRIES // dim**2 >= 40
-        default = [run_check(c, spec(dim), 0.5, 40).to_json() for c in CHECKS.values()]
+        default = [run_check(c, dim, 99, 0.5, 40).to_json() for c in CHECKS.values()]
         monkeypatch.setattr(lemmas, "STACK_ENTRIES", per_block * dim**2)
-        assert [run_check(c, spec(dim), 0.5, 40).to_json() for c in CHECKS.values()] == default
+        assert [run_check(c, dim, 99, 0.5, 40).to_json() for c in CHECKS.values()] == default
 
     @pytest.mark.parametrize(
         "domain, admitted, excluded",
@@ -236,12 +232,16 @@ class TestDriver:
         calls = []
         record = Check("toy", lambda r: calls.append(r.lam), domain)
         for lam in admitted:
-            report = run_check(record, spec(), lam, 1)
+            report = run_check(record, 4, 99, lam, 1)
             assert report.lam == (lam if domain else 0.0)
         for lam in excluded:
             with pytest.raises(ValueError, match="lambda must lie in"):
-                run_check(record, spec(), lam, 1)
+                run_check(record, 4, 99, lam, 1)
         assert calls == admitted
+
+    def test_rejects_small_dim(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            run_check(CHECKS["rank_one_formula"], dim=1, seed=0, lam=0.5, trials=1)
 
     @pytest.mark.parametrize("domain", ["0..1", "[0,1", "(0, 1"])
     def test_unknown_lambda_domain_rejected(self, domain):
@@ -255,6 +255,6 @@ class TestDriver:
         a = [np.full((2, 2), float(t)) for t in range(10)]
         x = [np.full(2, 1j * t) for t in range(10)]
         record = Check("toy", lambda r: r.observe(float(r.trial), False, A=a[r.trial], x=x[r.trial], tag="t"))
-        report = run_check(record, spec(), 0.5, 10)
+        report = run_check(record, 4, 99, 0.5, 10)
         assert len(encoded) == 2
         assert report.witness == {"trial": 9, "A": matrix_to_obj(a[9]), "x": vector_payload(x[9]), "tag": "t"}

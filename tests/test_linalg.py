@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from aluthge.linalg import (
     spectrum,
     validate_matrix,
 )
+from aluthge.maps import adjoint_counterexample
+from aluthge.transform import aluthge, aluthge_rank_one, aluthge_stack, iterate_aluthge
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -102,6 +106,22 @@ class TestTolerances:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             Tolerances(**bad)
+
+
+class TestLambdaDomain:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: aluthge(np.eye(2), 1.5), "[0, 1], got 1.5"),
+            (lambda: aluthge_stack(np.eye(2)[None], -0.1), "[0, 1], got -0.1"),
+            (lambda: aluthge_rank_one([1, 0], [1, 1], 1.0), "(0, 1), got 1.0"),
+            (lambda: iterate_aluthge(np.eye(2), 0.0), "(0, 1), got 0.0"),
+            (lambda: adjoint_counterexample(1, [1, 0], [0.6, 0.8]), "(0, 1), got 1"),
+        ],
+    )
+    def test_each_entry_point_names_its_domain(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(f"lambda must lie in {message}")):
+            call()
 
 
 class TestJordanProduct:

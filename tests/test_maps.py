@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
-from aluthge.generators import GeneratorSpec, haar_unitary
+from aluthge.generators import haar_unitary
 from aluthge.lemmas import run_check
 from aluthge.linalg import frobenius, jordan_product, rank_one
-from aluthge.maps import CHECKS, CandidateMap, adjoint_counterexample, apply_map, condition_check
+from aluthge.maps import (
+    CHECKS,
+    adjoint_conj,
+    adjoint_counterexample,
+    condition_check,
+    scaled_conj,
+    unitary_conj,
+)
 from aluthge.transform import aluthge
 
 TRIALS = 150
 
 
-def spec(dim=4, seed=31):
-    return GeneratorSpec(dim=dim, seed=seed)
-
-
-def run(check_id, lam, trials, **spec_args):
-    return run_check(CHECKS[check_id], spec(**spec_args), lam, trials)
+def run(check_id, lam, trials, dim=4, seed=31):
+    return run_check(CHECKS[check_id], dim, seed, lam, trials)
 
 
 def cgauss(rng, *shape):
@@ -23,35 +26,22 @@ def cgauss(rng, *shape):
 
 
 class TestCandidateMap:
+    """The map functions A -> UAU*, UA*U* and 2UAU*."""
+
     def test_identity_map(self):
-        phi = CandidateMap(kind="unitary_conj", unitary=np.eye(3))
         rng = np.random.default_rng(0)
         a = cgauss(rng, 3, 3)
-        np.testing.assert_array_equal(apply_map(phi, a), a)
+        np.testing.assert_array_equal(unitary_conj(np.eye(3, dtype=complex), a), a)
 
     def test_zero_and_identity_preserved(self):
         rng = np.random.default_rng(1)
-        phi = CandidateMap(kind="unitary_conj", unitary=haar_unitary(rng, 4))
-        np.testing.assert_allclose(apply_map(phi, np.zeros((4, 4))), np.zeros((4, 4)), atol=1e-15)
-        np.testing.assert_allclose(apply_map(phi, np.eye(4)), np.eye(4), atol=1e-14)
+        u = haar_unitary(rng, 4)
+        np.testing.assert_allclose(unitary_conj(u, np.zeros((4, 4), dtype=complex)), np.zeros((4, 4)), atol=1e-15)
+        np.testing.assert_allclose(unitary_conj(u, np.eye(4, dtype=complex)), np.eye(4), atol=1e-14)
 
     def test_plain_adjoint(self):
-        phi = CandidateMap(kind="adjoint_conj", unitary=np.eye(2))
         nil = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_array_equal(apply_map(phi, nil), nil.conj().T)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            CandidateMap(kind="unitary_conj", unitary=2.0 * np.eye(2))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            CandidateMap(kind="transpose", unitary=np.eye(2))
-
-    def test_dimension_mismatch(self):
-        phi = CandidateMap(kind="unitary_conj", unitary=np.eye(2))
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_map(phi, np.eye(3))
+        np.testing.assert_array_equal(adjoint_conj(np.eye(2, dtype=complex), nil), nil.conj().T)
 
 
 class TestJordanCondition:
@@ -63,14 +53,14 @@ class TestJordanCondition:
         assert report.failures == 0  # every non-vacuous trial refutes
 
     def test_adjoint_violates_condition_when_expected_to_pass(self):
-        record = condition_check("adjoint_expected_to_pass", "adjoint_conj", star=False, expect="pass")
-        assert run_check(record, spec(), 0.5, 50).failures > 0
+        record = condition_check("adjoint_expected_to_pass", adjoint_conj, star=False, expect="pass")
+        assert run_check(record, 4, 31, 0.5, 50).failures > 0
 
     def test_scaled_fails_even_on_identity_pair(self):
         # c UAU* with c=2: at A = B = I the condition demands 4I = 2I
-        phi = CandidateMap(kind="scaled_unitary_conj", unitary=np.eye(3), scale=2.0)
-        lhs = aluthge(jordan_product(apply_map(phi, np.eye(3)), apply_map(phi, np.eye(3))), 0.5)
-        rhs = apply_map(phi, aluthge(jordan_product(np.eye(3), np.eye(3)), 0.5))
+        eye = np.eye(3, dtype=complex)
+        lhs = aluthge(jordan_product(scaled_conj(eye, eye), scaled_conj(eye, eye)), 0.5)
+        rhs = scaled_conj(eye, aluthge(jordan_product(eye, eye), 0.5))
         assert frobenius(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
         assert run("jordan_condition_scaled", 0.5, TRIALS).failures == 0
 
@@ -79,9 +69,9 @@ class TestJordanCondition:
         x = np.array([1.0, 0.0])
         xp = np.array([1.0, 1.0]) / np.sqrt(2)
         a = rank_one(x, xp)
-        phi = CandidateMap(kind="adjoint_conj", unitary=np.eye(2))
-        lhs = aluthge(jordan_product(apply_map(phi, a), np.eye(2)), 0.5)
-        rhs = apply_map(phi, aluthge(jordan_product(a, np.eye(2)), 0.5))
+        eye = np.eye(2, dtype=complex)
+        lhs = aluthge(jordan_product(adjoint_conj(eye, a), eye), 0.5)
+        rhs = adjoint_conj(eye, aluthge(jordan_product(a, eye), 0.5))
         assert np.linalg.norm(lhs - rhs, 2) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -96,12 +86,11 @@ class TestStarJordanCondition:
         # with B = B* the star condition coincides with the plain one trialwise
         rng = np.random.default_rng(3)
         u = haar_unitary(rng, 4)
-        phi = CandidateMap(kind="unitary_conj", unitary=u)
         a = cgauss(rng, 4, 4)
         g = cgauss(rng, 4, 4)
         b = (g + g.conj().T) / 2
-        lhs_star = aluthge(jordan_product(apply_map(phi, a), apply_map(phi, b).conj().T), 0.5)
-        lhs_plain = aluthge(jordan_product(apply_map(phi, a), apply_map(phi, b)), 0.5)
+        lhs_star = aluthge(jordan_product(unitary_conj(u, a), unitary_conj(u, b).conj().T), 0.5)
+        lhs_plain = aluthge(jordan_product(unitary_conj(u, a), unitary_conj(u, b)), 0.5)
         np.testing.assert_allclose(lhs_star, lhs_plain, atol=1e-12)
 
 
@@ -115,11 +104,10 @@ class TestVectorState:
     def test_identity_matrix_both_sides_one(self):
         rng = np.random.default_rng(4)
         u = haar_unitary(rng, 5)
-        phi = CandidateMap(kind="unitary_conj", unitary=u)
         x = cgauss(rng, 5)
         x /= np.linalg.norm(x)
         y = u @ x
-        val = np.vdot(y, apply_map(phi, np.eye(5)) @ y)
+        val = np.vdot(y, unitary_conj(u, np.eye(5, dtype=complex)) @ y)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_random_pairs_agree(self):

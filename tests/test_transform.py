@@ -265,6 +265,16 @@ class TestIterate:
         for it in trace.iterates[1:]:
             assert spectra_pairing_distance(sigma0, spectrum(it)) <= 1e-7 * (1 + frobenius(t))
 
+    def test_convergence_test_is_scale_free(self):
+        # The stop test is relative to ||T||_F: 1e-12 T must not pass it at
+        # step 1 while T runs all 500 steps unconverged.
+        t = cgauss(np.random.default_rng(4), 4, 4)
+        for c in (1.0, 1e-12):
+            trace = iterate_aluthge(c * t, 0.5)
+            assert not trace.converged
+            assert len(trace.step_deltas) == 500
+        assert iterate_aluthge(np.zeros((3, 3)), 0.5).converged
+
     def test_overflowing_norm_raises(self):
         rng = np.random.default_rng(15)
         with pytest.raises(FloatingPointError, match="overflows"):
