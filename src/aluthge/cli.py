@@ -65,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--seed", type=int, default=None)
     p_vf.add_argument("--tol-eq", type=float, default=None)
     p_vf.add_argument("--tol-rank", type=float, default=None)
+    p_vf.add_argument("--tol-fix", type=float, default=None)
     p_vf.add_argument("--checks", nargs="+", default=None, choices=sorted(CHECKS))
     p_vf.add_argument("--format", choices=["json", "csv"], default="json")
     p_vf.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (CI determinism)")
@@ -171,6 +172,8 @@ def _verify_config(args) -> dict:
         cfg["tolerances"]["eq_abs"] = args.tol_eq
     if args.tol_rank is not None:
         cfg["tolerances"]["rank_rel"] = args.tol_rank
+    if args.tol_fix is not None:
+        cfg["tolerances"]["fix_rel"] = args.tol_fix
     if args.checks:
         cfg["checks"] = list(args.checks)
 

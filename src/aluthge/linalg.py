@@ -148,34 +148,62 @@ def spectrum(m) -> np.ndarray:
 
 
 def spectra_pairing_distance(a, b) -> float:
-    """Largest matched distance under the optimal pairing of two eigenvalue multisets."""
-    # Imported here so that loading the package does not pay for scipy.
-    from scipy.optimize import linear_sum_assignment
-
+    """Largest matched distance under the optimal pairing of two eigenvalue
+    multisets, the one-to-one pairing that minimizes the sum of |a_i - b_j|.
+    Raises ValueError for unequal lengths or a NaN/Inf entry."""
     a = np.asarray(a, dtype=np.complex128).ravel()
     b = np.asarray(b, dtype=np.complex128).ravel()
     if a.shape != b.shape:
         raise ValueError("spectra must have equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spectra must be finite (no NaN/Inf)")
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
+    nearest = cost.argmin(axis=1)
+    worst = cost[np.arange(a.size), nearest].max()
+    # Every pairing's sum is at least the sum of the row minima. When the row
+    # argmins form a permutation, that bound is met, so a pairing is optimal
+    # only if every row sits at its row minimum: every optimal pairing, the
+    # solver's included, has this largest matched distance, ties or not. A
+    # row whose every distance overflows goes to the solver, which rejects it.
+    if worst < np.inf and np.bincount(nearest, minlength=a.size).max() == 1:
+        return float(worst)
+    # Imported here: only spectra with an ambiguous nearest match pay for scipy.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
 
+def _unit_scaled(t: np.ndarray) -> np.ndarray:
+    """T / 2^e with 2^e the power of two just above the largest real or
+    imaginary part, which then lies in [1/2, 1): exact but for parts that
+    fall below the normal range, and free of overflow in the cubic products
+    the predicates take. The zero matrix stays zero."""
+    x = np.ascontiguousarray(t).view(np.float64)
+    e = np.frexp(np.abs(x).max())[1]
+    return np.ldexp(x, -e).view(np.complex128)
+
+
 def is_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    t = validate_matrix(t, square=True)
+    """True iff T commutes with T*: ||T*T - TT*||_F <= fix_rel * ||T||_F^2,
+    judged on T scaled by a power of two, so that the verdict does not
+    depend on the scale of T."""
+    t = _unit_scaled(validate_matrix(t, square=True))
     th = t.conj().T
     resid = frobenius(th @ t - t @ th)
-    return resid <= tol.fix_rel * (1.0 + frobenius(t) ** 2)
+    return resid <= tol.fix_rel * frobenius(t) ** 2
 
 
 def is_quasi_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff T commutes with T*T: ||TT*T - T*T^2||_F <= fix_rel * (1 + ||T||_F^3)."""
-    t = validate_matrix(t, square=True)
+    """True iff T commutes with T*T: ||TT*T - T*T^2||_F <= fix_rel * ||T||_F^3,
+    judged on T scaled by a power of two, so that the verdict does not
+    depend on the scale of T."""
+    t = _unit_scaled(validate_matrix(t, square=True))
     th = t.conj().T
     resid = frobenius(t @ th @ t - th @ t @ t)
-    return resid <= tol.fix_rel * (1.0 + frobenius(t) ** 3)
+    return resid <= tol.fix_rel * frobenius(t) ** 3
 
 
 def is_projection(t, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -190,16 +190,16 @@ class TestIterate:
             assert float(line.split(",")[1]) == pytest.approx(float(delta), abs=1e-15)
 
     def test_tiny_scale_does_not_converge_falsely(self, tmp_path):
-        # 1e-12 T takes the same steps as T, and neither converges.
+        # 1e-12 T and 1e150 T take the same steps as T, and none converges.
         t = ginibre(np.random.default_rng(4), 4)
         tails = []
-        for name, c in (("unit", 1.0), ("tiny", 1e-12)):
+        for name, c in (("unit", 1.0), ("tiny", 1e-12), ("huge", 1e150)):
             src = write(tmp_path / f"{name}.json", c * t)
             out = tmp_path / f"{name}.csv"
             assert main(["iterate", src, "--max-iter", "200", "--output", str(out)]) == EXIT_OK
             rows, tail = self.read_rows(out)
             tails.append((len(rows), tail))
-        assert tails == [(200, "# converged=false")] * 2
+        assert tails == [(200, "# converged=false")] * 3
 
     def test_max_iter_respected(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -348,6 +348,13 @@ class TestVerify:
         assert agg["config"]["tolerances"]["eq_abs"] == 1e-7
         assert agg["config"]["tolerances"]["rank_rel"] == 1e-11
 
+    def test_tol_fix_flag(self, tmp_path):
+        _, outdir = run_verify(tmp_path, "fix", "--tol-fix", "1e-6")
+        agg = json.loads((outdir / "aggregate.json").read_text())
+        assert agg["config"]["tolerances"]["fix_rel"] == 1e-6
+        for bad in ("0", "1", "nan"):
+            assert run_verify(tmp_path, f"fix_{bad}", "--tol-fix", bad)[0] == EXIT_USAGE
+
 
 class TestComposition:
     def test_transform_twice_matches_second_iterate(self, tmp_path):
@@ -367,3 +374,15 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     code = "import sys, aluthge.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_verify_and_iterate_leave_scipy_unloaded(tmp_path):
+    # Spectra with distinct eigenvalues are paired without scipy's solver.
+    src = write(tmp_path / "in.json", ginibre(np.random.default_rng(3), 4))
+    verify = ["verify", "--checks", "spectrum_invariance", "--dims", "2", "3", "--trials", "5",
+              "--output-dir", str(tmp_path / "v")]
+    iterate = ["iterate", src, "--output", str(tmp_path / "trace.csv")]
+    code = f"import sys\nfrom aluthge.cli import main\nprint(main({verify!r}), main({iterate!r}), 'scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 0 False"

@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aluthge.linalg import (
     DEFAULT_TOL,
@@ -197,7 +200,68 @@ class TestSpectrum:
             assert d <= 1e-8 * (1 + frobenius(a))
 
 
+def assignment_distance(a, b):
+    """Reference: the largest matched distance of scipy's optimal assignment."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def spectra_pair(kind, n, rng):
+    """Two spectra of length n: unrelated; b a permutation of a perturbed by
+    1e-12 or 0.3; or both drawn from two points, so that values repeat."""
+    if kind == "repeated":
+        points = cgauss(rng, 2)
+        return points[np.arange(n) % 2], points[rng.integers(0, 2, n)]
+    a = cgauss(rng, n)
+    if kind == "unrelated":
+        return a, cgauss(rng, n)
+    eps = {"near": 1e-12, "far": 0.3}[kind]
+    return a, a[rng.permutation(n)] + eps * cgauss(rng, n)
+
+
 class TestPairingDistance:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["unrelated", "near", "far", "repeated"]),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 128]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_optimal_assignment(self, kind, n, seed):
+        a, b = spectra_pair(kind, n, np.random.default_rng(seed))
+        assert spectra_pairing_distance(a, b) == assignment_distance(a, b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6), st.randoms())
+    def test_equals_optimal_assignment_on_a_grid(self, points, random):
+        # Integer points make exact ties between distances common.
+        a = [complex(*p) for p in points]
+        b = [complex(random.randint(-2, 2), random.randint(-2, 2)) for _ in a]
+        assert spectra_pairing_distance(a, b) == assignment_distance(a, b)
+
+    @pytest.mark.parametrize("kind, solver_calls", [("near", 0), ("repeated", 1)])
+    def test_solver_runs_only_on_an_ambiguous_nearest_match(self, monkeypatch, kind, solver_calls):
+        a, b = spectra_pair(kind, 4, np.random.default_rng(0))
+        expected = assignment_distance(a, b)
+        calls = []
+        solver = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda cost: calls.append(1) or solver(cost))
+        assert spectra_pairing_distance(a, b) == expected
+        assert len(calls) == solver_calls
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spectra_pairing_distance([bad, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            spectra_pairing_distance([0.0, 1.0], [1.0, bad])
+
+    def test_overflowing_distance_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            spectra_pairing_distance([1e308], [-1e308])
+
     def test_permutation_invariant(self):
         assert spectra_pairing_distance([1, 2j, 3], [3, 1, 2j]) == 0.0
 
@@ -226,6 +290,15 @@ class TestPredicates:
         assert is_partial_isometry(NIL)
         # a scaled shift is not: TT*T = 4T != T
         assert not is_partial_isometry(np.array([[0, 2], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-6, 1.0, 1e150, 1e300])
+    def test_normality_verdicts_do_not_depend_on_scale(self, c):
+        q, _ = np.linalg.qr(cgauss(crng(14), 4, 4))
+        assert is_normal(c * q) and is_quasi_normal(c * q)
+        assert not is_normal(c * NIL) and not is_quasi_normal(c * NIL)
+
+    def test_zero_matrix_is_normal(self):
+        assert is_normal(np.zeros((3, 3))) and is_quasi_normal(np.zeros((3, 3)))
 
     def test_rank_one_unit_projection(self):
         rng = crng(15)

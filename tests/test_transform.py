@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aluthge import transform
 from aluthge.linalg import frobenius, is_normal, is_partial_isometry, rank_one, spectra_pairing_distance, spectrum
@@ -23,6 +25,14 @@ def haar(rng, n):
     q, r = np.linalg.qr(cgauss(rng, n, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+# Hypothesis drives the seed of a Ginibre draw, its size, lambda and a scale.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(2, 6)
+LAMBDAS = st.floats(0.0, 1.0)
+SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
 class TestPolar:
@@ -231,6 +241,31 @@ class TestDuggal:
             assert d <= 1e-7 * (1 + frobenius(t))
 
 
+class TestProperties:
+    """Exact identities of the transform, within roundoff."""
+
+    @PROPERTY
+    @given(SEEDS, DIMS, LAMBDAS, SCALES)
+    def test_homogeneous(self, seed, n, lam, c):
+        t = cgauss(np.random.default_rng(seed), n, n)
+        d = aluthge(t, lam)
+        assert frobenius(aluthge(c * t, lam) / c - d) <= 1e-12 * frobenius(d)
+
+    @PROPERTY
+    @given(SEEDS, DIMS, LAMBDAS)
+    def test_unitary_covariant(self, seed, n, lam):
+        rng = np.random.default_rng(seed)
+        t, u = cgauss(rng, n, n), haar(rng, n)
+        d = aluthge(t, lam)
+        assert frobenius(aluthge(u @ t @ u.conj().T, lam) - u @ d @ u.conj().T) <= 1e-12 * frobenius(d)
+
+    @PROPERTY
+    @given(SEEDS, DIMS, LAMBDAS, SCALES)
+    def test_spectral_norm_bound(self, seed, n, lam, c):
+        t = c * cgauss(np.random.default_rng(seed), n, n)
+        assert np.linalg.norm(aluthge(t, lam), 2) <= np.linalg.norm(t, 2) * (1 + 1e-12)
+
+
 class TestIterate:
     def test_normal_converges_immediately(self):
         rng = np.random.default_rng(13)
@@ -267,12 +302,16 @@ class TestIterate:
 
     def test_convergence_test_is_scale_free(self):
         # The stop test is relative to ||T||_F: 1e-12 T must not pass it at
-        # step 1 while T runs all 500 steps unconverged.
+        # step 1 while T runs all 500 steps unconverged. The quasi-normality
+        # of the limit is homogeneous too: no scale may flip or overflow it.
         t = cgauss(np.random.default_rng(4), 4, 4)
-        for c in (1.0, 1e-12):
+        limits = []
+        for c in (1.0, 1e-6, 1e-12, 1e150):
             trace = iterate_aluthge(c * t, 0.5)
             assert not trace.converged
             assert len(trace.step_deltas) == 500
+            limits.append(trace.limit_quasi_normal)
+        assert limits == [limits[0]] * 4
         assert iterate_aluthge(np.zeros((3, 3)), 0.5).converged
 
     def test_overflowing_norm_raises(self):
