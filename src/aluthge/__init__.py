@@ -18,15 +18,12 @@ from .linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from .maps import adjoint_counterexample
 from .reporting import CheckReport
 from .transform import (
-    AluthgeTrace,
     PolarDecomposition,
     aluthge,
     aluthge_rank_one,
     aluthge_stack,
-    duggal,
     iterate_aluthge,
     polar,
 )
@@ -34,16 +31,13 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AluthgeTrace",
     "CheckReport",
     "DEFAULT_TOL",
     "PolarDecomposition",
     "Tolerances",
-    "adjoint_counterexample",
     "aluthge",
     "aluthge_rank_one",
     "aluthge_stack",
-    "duggal",
     "is_normal",
     "is_partial_isometry",
     "is_projection",

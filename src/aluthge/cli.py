@@ -113,21 +113,20 @@ def cmd_iterate(args) -> int:
     if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
         print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        trace = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
-    except FloatingPointError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    sigma0 = spectrum(trace.iterates[0])
+    sigma0 = spectrum(m)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    for step, delta in enumerate(trace.step_deltas, start=1):
-        it = trace.iterates[step]
-        dist_normal = frobenius(it @ it.conj().T - it.conj().T @ it)
-        drift = spectra_pairing_distance(sigma0, spectrum(it))
-        writer.writerow([step, repr(float(delta)), repr(dist_normal), repr(drift)])
-    buf.write(f"# converged={'true' if trace.converged else 'false'}\n")
+    steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+    try:
+        for step, (it, delta, converged) in enumerate(steps, start=1):
+            dist_normal = frobenius(it @ it.conj().T - it.conj().T @ it)
+            drift = spectra_pairing_distance(sigma0, spectrum(it))
+            writer.writerow([step, repr(delta), repr(dist_normal), repr(drift)])
+    except FloatingPointError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    buf.write(f"# converged={'true' if converged else 'false'}\n")
     atomic_write_text(args.output, buf.getvalue())
     return EXIT_OK
 

@@ -11,7 +11,6 @@ each record's id, which is also its CLI id and report file name.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,12 @@ from .lemmas import (
     square_identity,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    OPEN,
-    Tolerances,
     _jordan,
-    check_lambda,
     frobenius,
     inner,
     is_projection,
     rank_one,
 )
-from .transform import aluthge
 
 __all__ = [
     "unitary_conj",
@@ -55,7 +49,6 @@ __all__ = [
     "structural_properties",
     "vector_state_identity",
     "adjoint_counterexample",
-    "CounterexampleResult",
     "CHECKS",
 ]
 
@@ -182,56 +175,12 @@ def vector_state_identity(run: CheckRun) -> None:
     run.observe(deviation, deviation > slack, A=a, x=x)
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
-    """Both sides of Delta(A*) vs Delta(A)* for A = x⊗x', plus residuals."""
-
-    residual: float
-    closed_form_residual: float
-    delta_of_adjoint: np.ndarray
-    adjoint_of_delta: np.ndarray
-
-
-def adjoint_counterexample(lam: float, x, xprime, tol: Tolerances = DEFAULT_TOL) -> CounterexampleResult:
-    """Spectral-norm gap between Delta_lambda(A*) and (Delta_lambda(A))* for
-    the rank-one A = x⊗x' built from unit, independent, non-orthogonal x, x'.
-
-    The closed form |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with
-    c = <x,x'> is returned alongside the decomposition-path residual.
-    """
-    check_lambda(lam, OPEN)
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    xprime = np.asarray(xprime, dtype=np.complex128).ravel()
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(xprime) - 1.0) > 1e-9:
-        raise ValueError("x and x' must be unit vectors")
-    c = inner(x, xprime)
-    if abs(c) <= 1e-9:
-        raise ValueError("x and x' must be non-orthogonal")
-    if 1.0 - abs(c) <= 1e-9:
-        raise ValueError("x and x' must be linearly independent")
-    a = rank_one(x, xprime)
-    return _counterexample_result(c, aluthge(a.conj().T, lam, tol), aluthge(a, lam, tol))
-
-
-def _counterexample_result(c: complex, delta_of_adjoint, delta) -> CounterexampleResult:
-    """Both residuals of ``adjoint_counterexample`` from Delta(A*), Delta(A)
-    and c = <x, x'>."""
-    adjoint_of_delta = delta.conj().T
-    residual = float(np.linalg.norm(delta_of_adjoint - adjoint_of_delta, 2))
-    closed = abs(c) * float(np.sqrt(max(0.0, 1.0 - abs(c) ** 2)))
-    return CounterexampleResult(
-        residual=residual,
-        closed_form_residual=closed,
-        delta_of_adjoint=delta_of_adjoint,
-        adjoint_of_delta=adjoint_of_delta,
-    )
-
-
 @check("adjoint_counterexample")
-def _adjoint_counterexample_check(run: CheckRun) -> Generator:
-    """Random (x, x') witnesses: the decomposition-path gap between
-    Delta(A*) and Delta(A)* must be positive and match the closed form.
-    The draws meet ``adjoint_counterexample``'s conditions on x and x'."""
+def adjoint_counterexample(run: CheckRun) -> Generator:
+    """Delta_lambda(A*) != Delta_lambda(A)* for the rank-one A = x⊗x' built
+    from random unit, non-orthogonal, independent x, x': the spectral-norm
+    gap between the two sides must be positive and match its closed form
+    |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with c = <x,x'>."""
     while True:
         x = unit_vector(run.rng, run.dim)
         xp = unit_vector(run.rng, run.dim)
@@ -239,9 +188,11 @@ def _adjoint_counterexample_check(run: CheckRun) -> Generator:
             break
     a = rank_one(x, xp)
     delta_of_adjoint, delta = yield (a.conj().T, a)
-    result = _counterexample_result(inner(x, xp), delta_of_adjoint, delta)
-    mismatch = abs(result.residual - result.closed_form_residual)
-    run.observe(mismatch, mismatch > 1e-10 or result.residual <= 0.0, x=x, xprime=xp)
+    residual = float(np.linalg.norm(delta_of_adjoint - delta.conj().T, 2))
+    c = abs(inner(x, xp))
+    closed = c * float(np.sqrt(max(0.0, 1.0 - c**2)))
+    mismatch = abs(residual - closed)
+    run.observe(mismatch, mismatch > 1e-10 or residual <= 0.0, x=x, xprime=xp)
 
 
 CHECKS: dict[str, Check] = {
@@ -261,6 +212,6 @@ CHECKS: dict[str, Check] = {
         condition_check("star_jordan_condition_adjoint", adjoint_conj, star=True, expect="fail"),
         structural_properties,
         vector_state_identity,
-        _adjoint_counterexample_check,
+        adjoint_counterexample,
     )
 }

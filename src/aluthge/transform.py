@@ -12,7 +12,8 @@ is a stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +25,16 @@ from .linalg import (
     check_lambda,
     frobenius,
     inner,
-    is_quasi_normal,
     rank_one,
     validate_matrix,
 )
 
 __all__ = [
     "PolarDecomposition",
-    "AluthgeTrace",
     "polar",
     "aluthge",
     "aluthge_stack",
     "aluthge_rank_one",
-    "duggal",
     "iterate_aluthge",
 ]
 
@@ -138,11 +136,6 @@ def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _transform(*_decompose(t[None], tol), lam)[0]
 
 
-def duggal(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Duggal transform |T| V (the lambda = 1 Aluthge transform)."""
-    return aluthge(t, 1.0, tol)
-
-
 def aluthge_rank_one(x, y, lam: float) -> np.ndarray:
     """Closed form Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), lambda in (0,1).
 
@@ -157,31 +150,23 @@ def aluthge_rank_one(x, y, lam: float) -> np.ndarray:
     return (inner(x, y) / ynorm2) * rank_one(y, y)
 
 
-@dataclass(frozen=True)
-class AluthgeTrace:
-    """Iterated-transform record: iterates[n+1] = Delta_lambda(iterates[n])."""
-
-    lam: float
-    iterates: list = field(default_factory=list)
-    step_deltas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    converged: bool = False
-    limit_quasi_normal: bool = False
-
-
 def iterate_aluthge(
     t,
     lam: float,
     max_iter: int = 500,
     conv_tol: float = 1e-10,
     tol: Tolerances = DEFAULT_TOL,
-) -> AluthgeTrace:
-    """Iterate the lambda-Aluthge transform until the Frobenius delta between
-    successive iterates falls to conv_tol * ||T||_F or max_iter is hit; the
-    test does not depend on the scale of T, and T = 0 converges at step 1.
+) -> Iterator[tuple[np.ndarray, float, bool]]:
+    """Follow the Aluthge sequence T_{k+1} = Delta_lambda(T_k) from T_0 = T,
+    yielding (T_k, delta_k, converged) for steps k = 1, 2, ..., where delta_k
+    = ||T_k - T_{k-1}||_F. A step has converged when delta_k <= conv_tol *
+    ||T||_F, a test that does not depend on the scale of T (T = 0 converges
+    at step 1); the sequence stops after the first converged step or after
+    max_iter steps.
 
-    Quasi-normality of the final iterate is judged with fix_rel relaxed 10x to
-    absorb accumulated iteration error. Raises FloatingPointError when
-    ||T||_F or a step's delta is not finite, where no convergence test holds.
+    Nothing runs before the first ``next()``, which is where argument errors
+    surface. Raises FloatingPointError when ||T||_F or a step's delta is not
+    finite, where no convergence test holds.
     """
     check_lambda(lam, OPEN)
     if max_iter < 1:
@@ -193,24 +178,13 @@ def iterate_aluthge(
         norm = frobenius(t)
     if not math.isfinite(norm):
         raise FloatingPointError("the Frobenius norm of the input overflows; scale the matrix down")
-    iterates = [t]
-    deltas: list[float] = []
-    converged = False
     for step in range(1, max_iter + 1):
-        nxt = aluthge(iterates[-1], lam, tol)
-        delta = frobenius(nxt - iterates[-1])
+        nxt = aluthge(t, lam, tol)
+        delta = frobenius(nxt - t)
         if not math.isfinite(delta):
             raise FloatingPointError(f"step {step}: the Frobenius delta is not finite ({delta!r})")
-        iterates.append(nxt)
-        deltas.append(delta)
-        if delta <= conv_tol * norm:
-            converged = True
-            break
-    relaxed = Tolerances(rank_rel=tol.rank_rel, eq_abs=tol.eq_abs, fix_rel=min(10.0 * tol.fix_rel, 0.99))
-    return AluthgeTrace(
-        lam=lam,
-        iterates=iterates,
-        step_deltas=np.asarray(deltas),
-        converged=converged,
-        limit_quasi_normal=is_quasi_normal(iterates[-1], relaxed),
-    )
+        converged = delta <= conv_tol * norm
+        yield nxt, delta, converged
+        if converged:
+            return
+        t = nxt

@@ -184,9 +184,9 @@ class TestIterate:
         out = tmp_path / "trace.csv"
         assert main(["iterate", src, "--lambda", "0.4", "--conv-tol", "1e-8", "--output", str(out)]) == EXIT_OK
         rows, _ = self.read_rows(out)
-        trace = iterate_aluthge(m, 0.4, conv_tol=1e-8)
-        assert len(rows) == len(trace.step_deltas)
-        for line, delta in zip(rows, trace.step_deltas):
+        deltas = [delta for _, delta, _ in iterate_aluthge(m, 0.4, conv_tol=1e-8)]
+        assert len(rows) == len(deltas)
+        for line, delta in zip(rows, deltas):
             assert float(line.split(",")[1]) == pytest.approx(float(delta), abs=1e-15)
 
     def test_tiny_scale_does_not_converge_falsely(self, tmp_path):
@@ -365,9 +365,9 @@ class TestComposition:
         out = tmp_path / "m2.json"
         assert main(["transform", src, "--lambda", "0.5", "--output", str(mid)]) == EXIT_OK
         assert main(["transform", str(mid), "--lambda", "0.5", "--output", str(out)]) == EXIT_OK
-        trace = iterate_aluthge(m, 0.5, max_iter=2, conv_tol=1e-300)
+        second = list(iterate_aluthge(m, 0.5, max_iter=2, conv_tol=1e-300))[1][0]
         # file round-trip is exact (repr doubles), so agreement is tight
-        assert frobenius(load_matrix(out) - trace.iterates[2]) <= 1e-10 * (1 + frobenius(m))
+        assert frobenius(load_matrix(out) - second) <= 1e-10 * (1 + frobenius(m))
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,7 +9,6 @@ from aluthge.transform import (
     aluthge,
     aluthge_rank_one,
     aluthge_stack,
-    duggal,
     iterate_aluthge,
     polar,
 )
@@ -107,7 +106,8 @@ class TestAluthge:
         rng = np.random.default_rng(5)
         t = cgauss(rng, 4, 4)
         np.testing.assert_allclose(aluthge(t, 0.0), t, atol=1e-10 * (1 + frobenius(t)))
-        np.testing.assert_allclose(aluthge(t, 1.0), duggal(t), atol=1e-12)
+        pd = polar(t)
+        np.testing.assert_allclose(aluthge(t, 1.0), pd.modulus @ pd.isometry_part, atol=1e-12)
 
     def test_endpoint_zero_on_singular_input(self):
         # endpoints bypass fractional powers, so singular T reconstructs exactly
@@ -223,21 +223,23 @@ class TestAluthgeRankOne:
 
 
 class TestDuggal:
+    """The Duggal transform |T|V, which is aluthge(T, 1.0)."""
+
     def test_normal_fixed(self):
         rng = np.random.default_rng(11)
         u = haar(rng, 3)
         t = (u * cgauss(rng, 3)) @ u.conj().T
-        np.testing.assert_allclose(duggal(t), t, atol=1e-10 * (1 + frobenius(t)))
+        np.testing.assert_allclose(aluthge(t, 1.0), t, atol=1e-10 * (1 + frobenius(t)))
 
     def test_explicit_2x2(self):
         # |T| V = diag(0,2) @ [[0,1],[0,0]] = 0 by direct multiplication
-        np.testing.assert_allclose(duggal(np.array([[0, 2], [0, 0]], dtype=complex)), np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(aluthge(np.array([[0, 2], [0, 0]], dtype=complex), 1.0), np.zeros((2, 2)), atol=1e-14)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             t = cgauss(rng, 4, 4)
-            d = spectra_pairing_distance(spectrum(t), spectrum(duggal(t)))
+            d = spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, 1.0)))
             assert d <= 1e-7 * (1 + frobenius(t))
 
 
@@ -271,63 +273,83 @@ class TestIterate:
         rng = np.random.default_rng(13)
         u = haar(rng, 3)
         t = (u * cgauss(rng, 3)) @ u.conj().T
-        trace = iterate_aluthge(t, 0.5, conv_tol=1e-8)
-        assert trace.converged and len(trace.step_deltas) == 1
-        assert frobenius(trace.iterates[-1] - t) <= 1e-8 * (1 + frobenius(t))
-        assert trace.limit_quasi_normal
+        steps = list(iterate_aluthge(t, 0.5, conv_tol=1e-8))
+        assert len(steps) == 1 and steps[0][2]
+        assert frobenius(steps[0][0] - t) <= 1e-8 * (1 + frobenius(t))
+        assert is_normal(steps[0][0])
 
     def test_nilpotent_hits_zero(self):
-        trace = iterate_aluthge(NIL, 0.5, conv_tol=1e-10)
-        assert trace.converged
-        np.testing.assert_allclose(trace.iterates[1], np.zeros((2, 2)), atol=1e-14)
+        steps = list(iterate_aluthge(NIL, 0.5, conv_tol=1e-10))
+        assert steps[-1][2]
+        np.testing.assert_allclose(steps[0][0], np.zeros((2, 2)), atol=1e-14)
 
     def test_random_2x2_converges_to_normal(self):
         rng = np.random.default_rng(42)
         t = cgauss(rng, 2, 2)
-        trace = iterate_aluthge(t, 0.5, max_iter=500, conv_tol=1e-10)
-        assert trace.converged
-        limit = trace.iterates[-1]
+        limit, _, converged = list(iterate_aluthge(t, 0.5, max_iter=500, conv_tol=1e-10))[-1]
+        assert converged
         assert frobenius(limit @ limit.conj().T - limit.conj().T @ limit) <= 1e-6
 
     def test_trace_invariants(self):
         rng = np.random.default_rng(14)
         t = cgauss(rng, 3, 3)
-        trace = iterate_aluthge(t, 0.5, max_iter=50, conv_tol=1e-9)
-        assert len(trace.step_deltas) == len(trace.iterates) - 1
-        if trace.converged:
-            assert trace.step_deltas[-1] <= 1e-9 * (1 + frobenius(t))
-        sigma0 = spectrum(trace.iterates[0])
-        for it in trace.iterates[1:]:
+        steps = list(iterate_aluthge(t, 0.5, max_iter=50, conv_tol=1e-9))
+        assert 1 <= len(steps) <= 50
+        if steps[-1][2]:
+            assert steps[-1][1] <= 1e-9 * frobenius(t)
+        sigma0 = spectrum(t)
+        for it, _, _ in steps:
             assert spectra_pairing_distance(sigma0, spectrum(it)) <= 1e-7 * (1 + frobenius(t))
+
+    def test_stops_at_first_converged_step(self):
+        # Steps converge exactly when delta <= conv_tol ||T||_F, and the
+        # sequence ends with the first one: every earlier step is unconverged.
+        rng = np.random.default_rng(16)
+        ended = []
+        for _ in range(20):
+            t = cgauss(rng, 2, 2)
+            steps = list(iterate_aluthge(t, 0.5, conv_tol=1e-8))
+            flags = [c for _, _, c in steps]
+            assert not any(flags[:-1]) and (flags[-1] or len(steps) == 500)
+            assert [d <= 1e-8 * frobenius(t) for _, d, _ in steps] == flags
+            ended.append(flags[-1])
+        assert sum(ended) >= 15
+        steps = list(iterate_aluthge(cgauss(rng, 3, 3), 0.5, max_iter=3, conv_tol=1e-300))
+        assert [c for _, _, c in steps] == [False] * 3
+
+    def test_streams_one_transform_per_step(self, monkeypatch):
+        # Each next() runs one transform; nothing runs before the first.
+        calls = []
+        monkeypatch.setattr(transform, "aluthge", lambda t, lam, tol: calls.append(1) or aluthge(t, lam, tol))
+        steps = iterate_aluthge(cgauss(np.random.default_rng(17), 3, 3), 0.5)
+        assert calls == []
+        for k in range(1, 4):
+            next(steps)
+            assert len(calls) == k
 
     def test_convergence_test_is_scale_free(self):
         # The stop test is relative to ||T||_F: 1e-12 T must not pass it at
-        # step 1 while T runs all 500 steps unconverged. The quasi-normality
-        # of the limit is homogeneous too: no scale may flip or overflow it.
+        # step 1 while T runs all 500 steps unconverged.
         t = cgauss(np.random.default_rng(4), 4, 4)
-        limits = []
         for c in (1.0, 1e-6, 1e-12, 1e150):
-            trace = iterate_aluthge(c * t, 0.5)
-            assert not trace.converged
-            assert len(trace.step_deltas) == 500
-            limits.append(trace.limit_quasi_normal)
-        assert limits == [limits[0]] * 4
-        assert iterate_aluthge(np.zeros((3, 3)), 0.5).converged
+            steps = list(iterate_aluthge(c * t, 0.5))
+            assert len(steps) == 500 and not any(converged for _, _, converged in steps)
+        assert list(iterate_aluthge(np.zeros((3, 3)), 0.5))[-1][2]
 
     def test_overflowing_norm_raises(self):
         rng = np.random.default_rng(15)
         with pytest.raises(FloatingPointError, match="overflows"):
-            iterate_aluthge(1e160 * cgauss(rng, 4, 4), 0.5)
+            next(iterate_aluthge(1e160 * cgauss(rng, 4, 4), 0.5))
 
     def test_non_finite_delta_raises(self, monkeypatch):
         monkeypatch.setattr(transform, "aluthge", lambda t, lam, tol: np.full_like(t, np.nan))
         with pytest.raises(FloatingPointError, match="step 1"):
-            iterate_aluthge(np.eye(2), 0.5)
+            next(iterate_aluthge(np.eye(2), 0.5))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            iterate_aluthge(np.eye(2), 0.5, max_iter=0)
+            next(iterate_aluthge(np.eye(2), 0.5, max_iter=0))
         with pytest.raises(ValueError):
-            iterate_aluthge(np.eye(2), 0.0)
+            next(iterate_aluthge(np.eye(2), 0.0))
         with pytest.raises(ValueError):
-            iterate_aluthge(np.eye(2), 0.5, conv_tol=0.0)
+            next(iterate_aluthge(np.eye(2), 0.5, conv_tol=0.0))
