@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .lemmas import run_check
-from .linalg import DEFAULT_TOL, Tolerances, frobenius, lambda_admitted, spectra_pairing_distance, spectrum
+from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
 from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
 from .reporting import dumps_canonical
@@ -87,6 +87,16 @@ def _load_square(path: str) -> np.ndarray | int:
     return m
 
 
+def _written(path: str, write, *args) -> bool:
+    """Whether ``write(path, *args)`` wrote ``path``; if not, it says why."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_transform(args) -> int:
     m = _load_square(args.input)
     if isinstance(m, int):
@@ -95,14 +105,19 @@ def cmd_transform(args) -> int:
         print("error: --lambda must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
     if not args.factors:
-        save_matrix(args.output, aluthge(m, args.lam))
-        return EXIT_OK
-    # One SVD, polar's, serves the transform and both factor files.
-    pd = polar(m)
-    save_matrix(args.output, aluthge(pd, args.lam))
-    stem, ext = os.path.splitext(args.output)
-    save_matrix(f"{stem}.isometry{ext or '.json'}", pd.isometry_part)
-    save_matrix(f"{stem}.modulus{ext or '.json'}", pd.modulus)
+        outputs = {args.output: aluthge(m, args.lam)}
+    else:
+        # One SVD, polar's, serves the transform and both factor files.
+        pd = polar(m)
+        stem, ext = os.path.splitext(args.output)
+        outputs = {
+            args.output: aluthge(pd, args.lam),
+            f"{stem}.isometry{ext or '.json'}": pd.isometry_part,
+            f"{stem}.modulus{ext or '.json'}": pd.modulus,
+        }
+    for path, matrix in outputs.items():
+        if not _written(path, save_matrix, matrix):
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -120,15 +135,13 @@ def cmd_iterate(args) -> int:
     steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
     try:
         for step, (it, delta, converged) in enumerate(steps, start=1):
-            dist_normal = frobenius(it @ it.conj().T - it.conj().T @ it)
             drift = spectra_pairing_distance(sigma0, spectrum(it))
-            writer.writerow([step, repr(delta), repr(dist_normal), repr(drift)])
+            writer.writerow([step, repr(delta), repr(_distance_to_normal(it)), repr(drift)])
     except FloatingPointError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     buf.write(f"# converged={'true' if converged else 'false'}\n")
-    atomic_write_text(args.output, buf.getvalue())
-    return EXIT_OK
+    return EXIT_OK if _written(args.output, atomic_write_text, buf.getvalue()) else EXIT_USAGE
 
 
 def _verify_config(args) -> dict:
@@ -206,7 +219,8 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
 
     tol = Tolerances(**cfg["tolerances"])
-    os.makedirs(args.output_dir, exist_ok=True)
+    if not _written(args.output_dir, lambda path: os.makedirs(path, exist_ok=True)):
+        return EXIT_USAGE
     reports = []
     total_failures = 0
     for check_id in cfg["checks"]:
@@ -219,9 +233,9 @@ def cmd_verify(args) -> int:
                 f"{verdict} {check_id} dim={dim} trials={report.trials} "
                 f"failures={report.failures} vacuous={report.vacuous} worst={report.worst_residual:.3e}"
             )
-            atomic_write_text(
-                os.path.join(args.output_dir, f"{check_id}_dim{dim}.json"), report.to_json() + "\n"
-            )
+            path = os.path.join(args.output_dir, f"{check_id}_dim{dim}.json")
+            if not _written(path, atomic_write_text, report.to_json() + "\n"):
+                return EXIT_USAGE
 
     aggregate = {
         "config": cfg,
@@ -230,14 +244,17 @@ def cmd_verify(args) -> int:
     }
     if not args.no_timestamp:
         aggregate["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    atomic_write_text(os.path.join(args.output_dir, "aggregate.json"), dumps_canonical(aggregate) + "\n")
+    outputs = {"aggregate.json": dumps_canonical(aggregate) + "\n"}
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check_id", "dim", "lambda", "trials", "failures", "vacuous", "worst_residual"])
         for r in reports:
             writer.writerow([r.check_id, r.dim, r.lam, r.trials, r.failures, r.vacuous, repr(r.worst_residual)])
-        atomic_write_text(os.path.join(args.output_dir, "aggregate.csv"), buf.getvalue())
+        outputs["aggregate.csv"] = buf.getvalue()
+    for name, text in outputs.items():
+        if not _written(os.path.join(args.output_dir, name), atomic_write_text, text):
+            return EXIT_USAGE
     return EXIT_OK if total_failures == 0 else EXIT_CHECK_FAILURES
 
 

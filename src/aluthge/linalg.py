@@ -176,21 +176,38 @@ def spectra_pairing_distance(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
-def _unit_scaled(t: np.ndarray) -> np.ndarray:
-    """T / 2^e with 2^e the power of two just above the largest real or
-    imaginary part, which then lies in [1/2, 1): exact but for parts that
-    fall below the normal range, and free of overflow in the cubic products
-    the predicates take. The zero matrix stays zero."""
+def _unit_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
+    """(T / 2^e, e) for a complex128 T, with 2^e the power of two just above
+    its largest real or imaginary part, which then lies in [1/2, 1): exact but
+    for parts that fall below the normal range, and free of overflow in the
+    cubic products the predicates take. The zero matrix gives (0, 0)."""
     x = np.ascontiguousarray(t).view(np.float64)
-    e = np.frexp(np.abs(x).max())[1]
-    return np.ldexp(x, -e).view(np.complex128)
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e).view(np.complex128), e
+
+
+def _scaled_frobenius(t: np.ndarray) -> float:
+    """||T||_F of a complex128 T, taken on T / 2^e so that no square over- or
+    underflows: bit for bit ``frobenius(t)`` wherever none does, and inf
+    only where the norm itself exceeds the double range."""
+    u, e = _unit_scaled(t)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(frobenius(u), e))
+
+
+def _distance_to_normal(t: np.ndarray) -> float:
+    """||TT* - T*T||_F of a complex128 T, taken on U = T / 2^e and scaled
+    back by 4^e, with the guarantees of ``_scaled_frobenius``."""
+    u, e = _unit_scaled(t)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(frobenius(u @ u.conj().T - u.conj().T @ u), 2 * e))
 
 
 def is_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff T commutes with T*: ||T*T - TT*||_F <= fix_rel * ||T||_F^2,
     judged on T scaled by a power of two, so that the verdict does not
     depend on the scale of T."""
-    t = _unit_scaled(validate_matrix(t, square=True))
+    t, _ = _unit_scaled(validate_matrix(t, square=True))
     th = t.conj().T
     resid = frobenius(th @ t - t @ th)
     return resid <= tol.fix_rel * frobenius(t) ** 2
@@ -200,7 +217,7 @@ def is_quasi_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff T commutes with T*T: ||TT*T - T*T^2||_F <= fix_rel * ||T||_F^3,
     judged on T scaled by a power of two, so that the verdict does not
     depend on the scale of T."""
-    t = _unit_scaled(validate_matrix(t, square=True))
+    t, _ = _unit_scaled(validate_matrix(t, square=True))
     th = t.conj().T
     resid = frobenius(t @ th @ t - th @ t @ t)
     return resid <= tol.fix_rel * frobenius(t) ** 3

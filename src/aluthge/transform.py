@@ -22,8 +22,8 @@ from .linalg import (
     DEFAULT_TOL,
     OPEN,
     Tolerances,
+    _scaled_frobenius,
     check_lambda,
-    frobenius,
     inner,
     rank_one,
     validate_matrix,
@@ -174,13 +174,12 @@ def iterate_aluthge(
     if conv_tol <= 0:
         raise ValueError("conv_tol must be positive")
     t = validate_matrix(t, square=True)
-    with np.errstate(over="ignore"):
-        norm = frobenius(t)
+    norm = _scaled_frobenius(t)
     if not math.isfinite(norm):
         raise FloatingPointError("the Frobenius norm of the input overflows; scale the matrix down")
     for step in range(1, max_iter + 1):
         nxt = aluthge(t, lam, tol)
-        delta = frobenius(nxt - t)
+        delta = _scaled_frobenius(nxt - t)
         if not math.isfinite(delta):
             raise FloatingPointError(f"step {step}: the Frobenius delta is not finite ({delta!r})")
         converged = delta <= conv_tol * norm

@@ -16,11 +16,10 @@ from aluthge.transform import aluthge, iterate_aluthge, polar
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 MATRIX_2X2 = b'{"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}'
-# 1e160 times a 4x4 Ginibre draw: finite entries whose Frobenius norm overflows.
-MATRIX_1E160 = json.dumps(
-    matrix_to_obj(1e160 * (np.random.default_rng(5).standard_normal((4, 4, 2)) @ [1.0, 1j]))
-).encode()
-# Command lines for the malformed-input cases; IN is the bad file, OUT the output.
+# A 4x4 matrix of entries 1e308: finite, but its Frobenius norm exceeds the double range.
+MATRIX_1E308 = json.dumps(matrix_to_obj(np.full((4, 4), 1e308, dtype=complex))).encode()
+# Command lines for the malformed-input cases; IN is the bad file, OUT the
+# output, NODIR an output path in a directory that does not exist.
 TRANSFORM = ["transform", "IN", "--output", "OUT"]
 VERIFY = ["verify", "--config", "IN", "--output-dir", "OUT"]
 ITERATE = ["iterate", "IN", "--output", "OUT"]
@@ -97,14 +96,18 @@ class TestTransform:
             pytest.param(VERIFY + ["--lambda", "1"], b"{}", id="verify_lambda_1_open_checks"),
             pytest.param(ITERATE + ["--conv-tol", "nan"], MATRIX_2X2, id="iterate_conv_tol_nan"),
             pytest.param(ITERATE + ["--conv-tol", "inf"], MATRIX_2X2, id="iterate_conv_tol_inf"),
-            pytest.param(ITERATE, MATRIX_1E160, id="iterate_norm_overflows"),
+            pytest.param(ITERATE, MATRIX_1E308, id="iterate_norm_overflows"),
+            pytest.param(["verify", "--output-dir", "IN"], b"{}", id="verify_output_dir_is_a_file"),
+            pytest.param(["transform", "IN", "--output", "NODIR"], MATRIX_2X2, id="transform_output_unwritable"),
+            pytest.param(["iterate", "IN", "--output", "NODIR"], MATRIX_2X2, id="iterate_output_unwritable"),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         out = tmp_path / "o.json"
-        argv = [{"IN": str(bad), "OUT": str(out)}.get(arg, arg) for arg in argv]
+        nodir = str(tmp_path / "no_such_dir" / "o.json")
+        argv = [{"IN": str(bad), "OUT": str(out), "NODIR": nodir}.get(arg, arg) for arg in argv]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -190,16 +193,21 @@ class TestIterate:
             assert float(line.split(",")[1]) == pytest.approx(float(delta), abs=1e-15)
 
     def test_tiny_scale_does_not_converge_falsely(self, tmp_path):
-        # 1e-12 T and 1e150 T take the same steps as T, and none converges.
+        # 1e-12 T, 1e-160 T, 1e150 T and 1e160 T take the same steps as T,
+        # and none converges. Squares of entries of 1e-160 T underflow and
+        # those of 1e160 T overflow, so the norms are taken on T scaled by a
+        # power of two; at 1e150 the distance to normal is finite.
         t = ginibre(np.random.default_rng(4), 4)
         tails = []
-        for name, c in (("unit", 1.0), ("tiny", 1e-12), ("huge", 1e150)):
+        for name, c in (("unit", 1.0), ("tiny", 1e-12), ("tinier", 1e-160), ("huge", 1e150), ("huger", 1e160)):
             src = write(tmp_path / f"{name}.json", c * t)
             out = tmp_path / f"{name}.csv"
             assert main(["iterate", src, "--max-iter", "200", "--output", str(out)]) == EXIT_OK
             rows, tail = self.read_rows(out)
             tails.append((len(rows), tail))
-        assert tails == [(200, "# converged=false")] * 3
+            if name == "huge":
+                assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+        assert tails == [(200, "# converged=false")] * 5
 
     def test_max_iter_respected(self, tmp_path):
         rng = np.random.default_rng(6)

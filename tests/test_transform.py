@@ -31,6 +31,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(2, 6)
 LAMBDAS = st.floats(0.0, 1.0)
+OPEN_LAMBDAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
@@ -267,6 +268,35 @@ class TestProperties:
         t = c * cgauss(np.random.default_rng(seed), n, n)
         assert np.linalg.norm(aluthge(t, lam), 2) <= np.linalg.norm(t, 2) * (1 + 1e-12)
 
+    @PROPERTY
+    @given(SEEDS, DIMS, OPEN_LAMBDAS, SCALES)
+    def test_rank_one_closed_form(self, seed, n, lam, c):
+        # Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), with x scaled by c.
+        rng = np.random.default_rng(seed)
+        x, y = cgauss(rng, n), cgauss(rng, n)
+        gap = aluthge(rank_one(c * x, y), lam) - aluthge_rank_one(c * x, y, lam)
+        assert frobenius(gap / c) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    @PROPERTY
+    @given(SEEDS, DIMS, OPEN_LAMBDAS)
+    def test_adjoint_gap_closed_form(self, seed, n, lam):
+        # ||Delta(A*) - Delta(A)*||_2 = |c| sqrt(1 - |c|^2) for A = x⊗x' with
+        # unit x, x' and c = <x,x'>: the adjoint does not commute with Delta.
+        rng = np.random.default_rng(seed)
+        x, xp = (v / np.linalg.norm(v) for v in (cgauss(rng, n), cgauss(rng, n)))
+        a = rank_one(x, xp)
+        c = abs(np.vdot(xp, x))
+        gap = np.linalg.norm(aluthge(a.conj().T, lam) - aluthge(a, lam).conj().T, 2)
+        assert abs(gap - c * np.sqrt(1.0 - c**2)) <= 1e-12
+
+    @PROPERTY
+    @given(SEEDS, DIMS, LAMBDAS)
+    def test_spectrum_invariant(self, seed, n, lam):
+        # sigma(Delta_lambda(T)) = sigma(T) (Jung-Ko-Pearcy 2000), to roundoff
+        # amplified by the eigenvalues' condition numbers.
+        t = cgauss(np.random.default_rng(seed), n, n)
+        assert spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, lam))) <= 1e-10 * frobenius(t)
+
 
 class TestIterate:
     def test_normal_converges_immediately(self):
@@ -329,17 +359,19 @@ class TestIterate:
 
     def test_convergence_test_is_scale_free(self):
         # The stop test is relative to ||T||_F: 1e-12 T must not pass it at
-        # step 1 while T runs all 500 steps unconverged.
+        # step 1 while T runs all 500 steps unconverged. At 1e-160 and 1e160
+        # the squares of the entries under- and overflow, so the norms are
+        # taken on T scaled by a power of two.
         t = cgauss(np.random.default_rng(4), 4, 4)
-        for c in (1.0, 1e-6, 1e-12, 1e150):
+        for c in (1.0, 1e-6, 1e-12, 1e-160, 1e150, 1e160):
             steps = list(iterate_aluthge(c * t, 0.5))
             assert len(steps) == 500 and not any(converged for _, _, converged in steps)
         assert list(iterate_aluthge(np.zeros((3, 3)), 0.5))[-1][2]
 
     def test_overflowing_norm_raises(self):
-        rng = np.random.default_rng(15)
+        # Finite entries whose Frobenius norm exceeds the double range.
         with pytest.raises(FloatingPointError, match="overflows"):
-            next(iterate_aluthge(1e160 * cgauss(rng, 4, 4), 0.5))
+            next(iterate_aluthge(np.full((4, 4), 1e308), 0.5))
 
     def test_non_finite_delta_raises(self, monkeypatch):
         monkeypatch.setattr(transform, "aluthge", lambda t, lam, tol: np.full_like(t, np.nan))
