@@ -158,11 +158,11 @@ def iterate_aluthge(
     tol: Tolerances = DEFAULT_TOL,
 ) -> Iterator[tuple[np.ndarray, float, bool]]:
     """Follow the Aluthge sequence T_{k+1} = Delta_lambda(T_k) from T_0 = T,
-    yielding (T_k, delta_k, converged) for steps k = 1, 2, ..., where delta_k
-    = ||T_k - T_{k-1}||_F. A step has converged when delta_k <= conv_tol *
-    ||T||_F, a test that does not depend on the scale of T (T = 0 converges
-    at step 1); the sequence stops after the first converged step or after
-    max_iter steps.
+    yielding (T_k, delta_k, converged) for k = 1, 2, ..., with delta_k =
+    ||T_k - T_{k-1}||_F taken, like ||T||_F, on a power-of-two scaling so that
+    no square over- or underflows. A step has converged when delta_k <=
+    conv_tol * ||T||_F, a test free of the scale of T (T = 0 converges at
+    step 1); the sequence ends after the first converged step or max_iter.
 
     Nothing runs before the first ``next()``, which is where argument errors
     surface. Raises FloatingPointError when ||T||_F or a step's delta is not
