@@ -18,7 +18,6 @@ from .linalg import (
     spectra_pairing_distance,
     spectrum,
 )
-from .reporting import CheckReport
 from .transform import (
     PolarDecomposition,
     aluthge,
@@ -31,7 +30,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport",
     "DEFAULT_TOL",
     "PolarDecomposition",
     "Tolerances",

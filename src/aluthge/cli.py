@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
 from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
-from .reporting import dumps_canonical
 from .transform import aluthge, iterate_aluthge, polar
 
 EXIT_OK = 0
@@ -144,13 +144,21 @@ def cmd_iterate(args) -> int:
     return EXIT_OK if _written(args.output, atomic_write_text, buf.getvalue()) else EXIT_USAGE
 
 
-def _verify_config(args) -> dict:
+def _canonical(obj) -> str:
+    """Canonical JSON: sorted keys, no spaces, shortest round-trip floats, so
+    identical runs give identical bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _verify_config(args) -> tuple[dict, Tolerances]:
+    """The run configuration (defaults, then --config, then flags and
+    ALUTHGE_SEED), validated, and its tolerances."""
     cfg = {
         "lambda": DEFAULT_LAMBDA,
         "dims": DEFAULT_DIMS,
         "trials": DEFAULT_TRIALS,
         "seed": DEFAULT_SEED,
-        "tolerances": DEFAULT_TOL.to_dict(),
+        "tolerances": asdict(DEFAULT_TOL),
         "checks": sorted(CHECKS),
     }
     if args.config:
@@ -207,18 +215,16 @@ def _verify_config(args) -> dict:
     excluded = [f"{c} {CHECKS[c].domain}" for c in checks if not lambda_admitted(lam, CHECKS[c].domain)]
     if excluded:
         raise ValueError(f"lambda {lam!r} lies outside the domain of: {', '.join(excluded)}")
-    Tolerances(**cfg["tolerances"])  # validates ranges
-    return cfg
+    return cfg, Tolerances(**cfg["tolerances"])  # Tolerances validates ranges
 
 
 def cmd_verify(args) -> int:
     try:
-        cfg = _verify_config(args)
+        cfg, tol = _verify_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    tol = Tolerances(**cfg["tolerances"])
     if not _written(args.output_dir, lambda path: os.makedirs(path, exist_ok=True)):
         return EXIT_USAGE
     reports = []
@@ -227,30 +233,30 @@ def cmd_verify(args) -> int:
         for dim in cfg["dims"]:
             report = run_check(CHECKS[check_id], dim, cfg["seed"], cfg["lambda"], cfg["trials"], tol)
             reports.append(report)
-            total_failures += report.failures
-            verdict = "PASS" if report.failures == 0 else "FAIL"
+            total_failures += report["failures"]
+            verdict = "PASS" if report["failures"] == 0 else "FAIL"
             print(
-                f"{verdict} {check_id} dim={dim} trials={report.trials} "
-                f"failures={report.failures} vacuous={report.vacuous} worst={report.worst_residual:.3e}"
+                f"{verdict} {check_id} dim={dim} trials={report['trials']} "
+                f"failures={report['failures']} vacuous={report['vacuous']} worst={report['worst_residual']:.3e}"
             )
             path = os.path.join(args.output_dir, f"{check_id}_dim{dim}.json")
-            if not _written(path, atomic_write_text, report.to_json() + "\n"):
+            if not _written(path, atomic_write_text, _canonical(report) + "\n"):
                 return EXIT_USAGE
 
     aggregate = {
         "config": cfg,
         "failures": total_failures,
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
     }
     if not args.no_timestamp:
         aggregate["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    outputs = {"aggregate.json": dumps_canonical(aggregate) + "\n"}
+    outputs = {"aggregate.json": _canonical(aggregate) + "\n"}
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check_id", "dim", "lambda", "trials", "failures", "vacuous", "worst_residual"])
-        for r in reports:
-            writer.writerow([r.check_id, r.dim, r.lam, r.trials, r.failures, r.vacuous, repr(r.worst_residual)])
+        columns = ["check_id", "dim", "lambda", "trials", "failures", "vacuous", "worst_residual"]
+        writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(reports)
         outputs["aggregate.csv"] = buf.getvalue()
     for name, text in outputs.items():
         if not _written(os.path.join(args.output_dir, name), atomic_write_text, text):

@@ -16,13 +16,14 @@ check shares:
   dead band between the two are discarded and redrawn (tallied as vacuous);
 * failures are counted per trial; the worst trial's inputs are kept as a
   witness, with failing trials taking precedence, and only the kept witness
-  is encoded for the report.
+  is encoded for the report;
+* the report is a JSON-ready dict, built in one place.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
@@ -51,7 +52,6 @@ from .linalg import (
     spectrum,
 )
 from .matrixio import matrix_to_obj, vector_payload
-from .reporting import CheckReport
 from .transform import aluthge_rank_one, aluthge_stack
 
 __all__ = [
@@ -174,12 +174,15 @@ def _lockstep(trials: list, lam: float, tol: Tolerances) -> None:
 
 def run_check(
     check: Check, dim: int, seed: int, lam: float, trials: int, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+) -> dict:
     """Run ``trials`` trials of ``check`` at dimension ``dim`` >= 2 from ``seed``.
 
     Trials run in blocks of at most STACK_ENTRIES // dim^2, each block in
     lockstep; every trial draws only from its own stream and its outcomes are
     replayed in trial order, so the report does not depend on the blocking.
+
+    Returns the report, a dict of JSON values that ``json.load`` of its file
+    gives back unchanged.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
@@ -190,7 +193,7 @@ def run_check(
     failures = vacuous = 0
     worst = 0.0
     witness: tuple[int, dict] | None = None
-    witness_failed = False
+    witness_key: tuple[bool, float] | None = None
     for start in range(0, trials, block):
         runs = [
             CheckRun(dim, lam, tol, t, trial_rng(seed, key, dim, t))
@@ -199,33 +202,29 @@ def run_check(
         # A plain trial function has run to its end here and returned None.
         _lockstep([gen for gen in map(check.trial, runs) if gen is not None], lam, tol)
         for run in runs:
-            # The worst outcome is the witness, failing ones taking precedence.
+            # The witness is the failing outcome with the largest residual,
+            # else the largest residual; ties keep the first.
             for residual, failed, fields in run.outcomes:
-                take = (failed and not witness_failed) or (
-                    residual > worst and failed == witness_failed
-                ) or witness is None
-                if take:
-                    witness = (run.trial, fields)
-                    witness_failed = witness_failed or failed
+                if witness is None or (failed, residual) > witness_key:
+                    witness, witness_key = (run.trial, fields), (failed, residual)
                 worst = max(worst, residual)
             failures += any(failed for _, failed, _ in run.outcomes)
             vacuous += run.vacuous
-    encoded = None
+    report = {
+        "check_id": check.id,
+        "seed": int(seed),
+        "dim": int(dim),
+        "lambda": float(lam) if check.domain is not None else 0.0,
+        "trials": int(trials),
+        "failures": failures,
+        "vacuous": vacuous,
+        "worst_residual": float(worst),
+        "tolerances": asdict(tol),
+    }
     if witness is not None:
         trial, fields = witness
-        encoded = {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
-    return CheckReport(
-        check_id=check.id,
-        seed=seed,
-        dim=dim,
-        lam=lam if check.domain is not None else 0.0,
-        trials=trials,
-        failures=failures,
-        vacuous=vacuous,
-        worst_residual=worst,
-        tolerances=tol,
-        witness=encoded,
-    )
+        report["witness"] = {"trial": trial, **{name: _payload(value) for name, value in fields.items()}}
+    return report
 
 
 @check("rank_one_formula")

@@ -53,9 +53,6 @@ class Tolerances:
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
-    def to_dict(self) -> dict:
-        return {"rank_rel": self.rank_rel, "eq_abs": self.eq_abs, "fix_rel": self.fix_rel}
-
 
 DEFAULT_TOL = Tolerances()
 

@@ -171,8 +171,8 @@ def iterate_aluthge(
     check_lambda(lam, OPEN)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if conv_tol <= 0:
-        raise ValueError("conv_tol must be positive")
+    if not 0 < conv_tol < math.inf:
+        raise ValueError(f"conv_tol must be positive and finite, got {conv_tol!r}")
     t = validate_matrix(t, square=True)
     norm = _scaled_frobenius(t)
     if not math.isfinite(norm):

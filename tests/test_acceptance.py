@@ -117,8 +117,8 @@ def test_criterion_4_fixed_points(capsys):
 def test_criterion_5_jordan_conditions_unitary(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
-        failures += run_check(CHECKS["jordan_condition_unitary"], dim, 5, 0.5, 1000).failures
-        failures += run_check(CHECKS["star_jordan_condition_unitary"], dim, 5, 0.5, 1000).failures
+        failures += run_check(CHECKS["jordan_condition_unitary"], dim, 5, 0.5, 1000)["failures"]
+        failures += run_check(CHECKS["star_jordan_condition_unitary"], dim, 5, 0.5, 1000)["failures"]
     announce(capsys, "criterion 5 Jordan/star-Jordan conditions", failures == 0,
              f"{failures} failures over 1000 trials x dims 3-6 x both conditions")
 
@@ -150,7 +150,7 @@ def test_criterion_7_structural_suite(capsys):
     failures = 0
     for dim in (3, 4, 5, 6):
         report = run_check(CHECKS["structural_properties"], dim, 7, 0.5, 500)
-        failures += report.failures
+        failures += report["failures"]
     announce(capsys, "criterion 7 structural suite", failures == 0,
              f"{failures} failures over 500 projection configurations x dims 3-6")
 

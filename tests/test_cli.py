@@ -10,7 +10,9 @@ import pytest
 from aluthge import cli
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
-from aluthge.linalg import frobenius
+from aluthge.lemmas import run_check
+from aluthge.linalg import Tolerances, frobenius
+from aluthge.maps import CHECKS
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
 from aluthge.transform import aluthge, iterate_aluthge, polar
 
@@ -301,6 +303,30 @@ class TestVerify:
         lines = (outdir / "aggregate.csv").read_text().splitlines()
         assert lines[0] == "check_id,dim,lambda,trials,failures,vacuous,worst_residual"
         assert len(lines) == 5
+
+    def test_csv_lambda_matches_report(self, tmp_path):
+        # A config may give lambda as a JSON integer; both outputs record it as a float.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 1, "checks": ["spectrum_invariance"]}))
+        outdir = tmp_path / "lam1"
+        code = main(["verify", "--config", str(cfg), "--dims", "2", "--trials", "5", "--format", "csv",
+                     "--no-timestamp", "--output-dir", str(outdir)])
+        assert code == EXIT_OK
+        report = json.loads((outdir / "spectrum_invariance_dim2.json").read_text())
+        assert report["lambda"] == 1.0
+        row = (outdir / "aggregate.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == repr(report["lambda"]) == "1.0"
+
+    def test_failing_run_exits_1_and_report_round_trips(self, tmp_path, capsys):
+        outdir = tmp_path / "fail"
+        code = main(["verify", "--tol-eq", "0.5", "--checks", "square_identity", "--dims", "3", "--trials", "50",
+                     "--seed", "3", "--no-timestamp", "--output-dir", str(outdir)])
+        assert code == EXIT_CHECK_FAILURES
+        assert capsys.readouterr().out.startswith("FAIL square_identity dim=3 ")
+        # A written report reads back as the very dict run_check returns.
+        report = json.loads((outdir / "square_identity_dim3.json").read_text())
+        assert report == run_check(CHECKS["square_identity"], 3, 3, 0.5, 50, Tolerances(eq_abs=0.5))
+        assert report["failures"] > 0 and report["witness"]
 
     def test_config_file_merged_and_overridden(self, tmp_path):
         cfg = tmp_path / "cfg.json"

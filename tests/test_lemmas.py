@@ -1,9 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from aluthge import lemmas
+from aluthge.cli import _canonical
 from aluthge.generators import ginibre
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
@@ -46,41 +45,46 @@ def test_registry_ids_pinned():
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_all_checks_pass(check, dim):
     report = run(check, 0.5, TRIALS, dim=dim)
-    assert report.failures == 0, f"{check} dim={dim}: {report.to_json()}"
-    assert report.trials == TRIALS
-    assert report.check_id == check
+    assert report["failures"] == 0, f"{check} dim={dim}: {_canonical(report)}"
+    assert report["trials"] == TRIALS
+    assert report["check_id"] == check
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.75])
 def test_checks_pass_off_center_lambda(lam):
     for check in ("rank_one_formula", "nilpotent_kernel", "spectrum_invariance"):
-        assert run(check, lam, TRIALS).failures == 0
+        assert run(check, lam, TRIALS)["failures"] == 0
 
 
 def test_reports_deterministic():
     a = run("projection_absorb", 0.5, 50)
     b = run("projection_absorb", 0.5, 50)
-    assert a.to_json() == b.to_json()
-    assert dataclasses.asdict(a).keys() == dataclasses.asdict(b).keys()
+    assert _canonical(a) == _canonical(b)
+    assert a.keys() == b.keys()
+
+
+def test_report_is_json_for_numpy_integer_arguments():
+    report = run_check(CHECKS["rank_one_formula"], np.int64(2), np.int64(3), np.float64(0.5), np.int64(4))
+    assert _canonical(report) == _canonical(run_check(CHECKS["rank_one_formula"], 2, 3, 0.5, 4))
 
 
 def test_reports_change_with_seed():
     a = run("rank_one_formula", 0.5, 50, seed=1)
     b = run("rank_one_formula", 0.5, 50, seed=2)
-    assert a.worst_residual != b.worst_residual
+    assert a["worst_residual"] != b["worst_residual"]
 
 
 def test_witness_always_recorded():
     report = run("spectrum_invariance", 0.5, 20)
-    assert report.witness is not None
-    assert "T" in report.witness
+    assert "witness" in report
+    assert "T" in report["witness"]
 
 
 def test_endpoint_lambda_rules():
     # spectrum invariance admits the endpoints, the open-interval checks do not
-    assert run("spectrum_invariance", 0.0, 30).failures == 0
-    assert run("spectrum_invariance", 1.0, 30).failures == 0
-    assert run("nilpotent_kernel", 1.0, 30).failures == 0
+    assert run("spectrum_invariance", 0.0, 30)["failures"] == 0
+    assert run("spectrum_invariance", 1.0, 30)["failures"] == 0
+    assert run("nilpotent_kernel", 1.0, 30)["failures"] == 0
     with pytest.raises(ValueError):
         run("rank_one_formula", 0.0, 10)
     with pytest.raises(ValueError):
@@ -126,12 +130,18 @@ class TestDriver:
     """The driver's shared rules, each on a small hand-written record."""
 
     def test_failing_witness_outranks_larger_passing_residual(self):
-        outcomes = [(5.0, False), (1.0, True), (3.0, False), (0.5, True)]
-        record = Check("toy", lambda r: r.observe(*outcomes[r.trial], k=r.trial))
-        report = run_check(record, 4, 99, 0.5, len(outcomes))
-        assert report.witness == {"trial": 1, "k": 1}
-        assert report.worst_residual == 5.0
-        assert report.failures == 2
+        # (outcomes by trial, witness trial, failures): the witness is the
+        # failing outcome with the largest residual, not the first failing one.
+        cases = [
+            ([(5.0, False), (1.0, True), (3.0, False), (0.5, True)], 1, 2),
+            ([(5.0, False), (1.0, True), (3.0, True)], 2, 2),
+        ]
+        for outcomes, witness_trial, failures in cases:
+            record = Check("toy", lambda r: r.observe(*outcomes[r.trial], k=r.trial))
+            report = run_check(record, 4, 99, 0.5, len(outcomes))
+            assert report["witness"] == {"trial": witness_trial, "k": witness_trial}
+            assert report["worst_residual"] == 5.0
+            assert report["failures"] == failures
 
     def test_exhausted_redraw_is_vacuous_only(self):
         draws = []
@@ -145,10 +155,10 @@ class TestDriver:
             yield from r.redraw(draw)
 
         report = run_check(Check("toy", trial), 4, 99, 0.5, 3)
-        assert len(draws) == report.vacuous == 3 * MAX_REDRAWS
-        assert report.failures == 0
-        assert report.witness is None
-        assert report.worst_residual == 0.0
+        assert len(draws) == report["vacuous"] == 3 * MAX_REDRAWS
+        assert report["failures"] == 0
+        assert "witness" not in report
+        assert report["worst_residual"] == 0.0
 
     def test_redraw_stops_at_first_informative_draw(self):
         outcomes = iter([None, None, (2.0, True, 0), (9.0, False, 1)])
@@ -166,7 +176,7 @@ class TestDriver:
             yield from r.redraw(draw)
 
         report = run_check(Check("toy", trial), 4, 99, 0.5, 1)
-        assert (report.vacuous, report.failures, report.witness) == (2, 1, {"trial": 0, "k": 0})
+        assert (report["vacuous"], report["failures"], report["witness"]) == (2, 1, {"trial": 0, "k": 0})
 
     def test_two_failing_parts_count_once(self):
         def trial(r):
@@ -180,7 +190,7 @@ class TestDriver:
             yield from r.redraw(draw)
 
         report = run_check(Check("toy", trial), 4, 99, 0.5, 7)
-        assert report.failures == 7
+        assert report["failures"] == 7
 
     def test_tied_residuals_across_rounds_keep_first_trial(self):
         # Trial 0 needs the most rounds, so it finishes last; its witness
@@ -192,9 +202,9 @@ class TestDriver:
             r.observe(1.0, True, k=r.trial)
 
         report = run_check(Check("toy", trial), 4, 99, 0.5, 12)
-        assert report.witness == {"trial": 0, "k": 0}
-        assert report.failures == 12
-        assert report.worst_residual == 1.0
+        assert report["witness"] == {"trial": 0, "k": 0}
+        assert report["failures"] == 12
+        assert report["worst_residual"] == 1.0
 
     def test_each_trial_receives_its_own_transforms(self):
         # Trials yield different numbers of matrices per round and run for
@@ -207,7 +217,7 @@ class TestDriver:
                 same = len(ds) == len(ms) and all(np.array_equal(d, aluthge(m, r.lam)) for m, d in zip(ms, ds))
                 r.observe(0.0, not same)
 
-        assert run_check(Check("toy", trial), 4, 99, 0.3, 9).failures == 0
+        assert run_check(Check("toy", trial), 4, 99, 0.3, 9)["failures"] == 0
 
     @pytest.mark.parametrize("per_block", [1, 7])
     @pytest.mark.parametrize("dim", [2, 5])
@@ -215,9 +225,9 @@ class TestDriver:
         # One trial per block is the sequential order; 7 splits 40 trials
         # into uneven blocks. The default runs all 40 in one block.
         assert lemmas.STACK_ENTRIES // dim**2 >= 40
-        default = [run_check(c, dim, 99, 0.5, 40).to_json() for c in CHECKS.values()]
+        default = [_canonical(run_check(c, dim, 99, 0.5, 40)) for c in CHECKS.values()]
         monkeypatch.setattr(lemmas, "STACK_ENTRIES", per_block * dim**2)
-        assert [run_check(c, dim, 99, 0.5, 40).to_json() for c in CHECKS.values()] == default
+        assert [_canonical(run_check(c, dim, 99, 0.5, 40)) for c in CHECKS.values()] == default
 
     @pytest.mark.parametrize(
         "domain, admitted, excluded",
@@ -233,7 +243,7 @@ class TestDriver:
         record = Check("toy", lambda r: calls.append(r.lam), domain)
         for lam in admitted:
             report = run_check(record, 4, 99, lam, 1)
-            assert report.lam == (lam if domain else 0.0)
+            assert report["lambda"] == (lam if domain else 0.0)
         for lam in excluded:
             with pytest.raises(ValueError, match="lambda must lie in"):
                 run_check(record, 4, 99, lam, 1)
@@ -257,4 +267,4 @@ class TestDriver:
         record = Check("toy", lambda r: r.observe(float(r.trial), False, A=a[r.trial], x=x[r.trial], tag="t"))
         report = run_check(record, 4, 99, 0.5, 10)
         assert len(encoded) == 2
-        assert report.witness == {"trial": 9, "A": matrix_to_obj(a[9]), "x": vector_payload(x[9]), "tag": "t"}
+        assert report["witness"] == {"trial": 9, "A": matrix_to_obj(a[9]), "x": vector_payload(x[9]), "tag": "t"}

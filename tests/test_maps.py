@@ -45,15 +45,15 @@ class TestCandidateMap:
 
 class TestJordanCondition:
     def test_unitary_passes(self):
-        assert run("jordan_condition_unitary", 0.5, TRIALS).failures == 0
+        assert run("jordan_condition_unitary", 0.5, TRIALS)["failures"] == 0
 
     def test_adjoint_fails_as_expected(self):
         report = run("jordan_condition_adjoint", 0.5, TRIALS)
-        assert report.failures == 0  # every non-vacuous trial refutes
+        assert report["failures"] == 0  # every non-vacuous trial refutes
 
     def test_adjoint_violates_condition_when_expected_to_pass(self):
         record = condition_check("adjoint_expected_to_pass", adjoint_conj, star=False, expect="pass")
-        assert run_check(record, 4, 31, 0.5, 50).failures > 0
+        assert run_check(record, 4, 31, 0.5, 50)["failures"] > 0
 
     def test_scaled_fails_even_on_identity_pair(self):
         # c UAU* with c=2: at A = B = I the condition demands 4I = 2I
@@ -61,7 +61,7 @@ class TestJordanCondition:
         lhs = aluthge(jordan_product(scaled_conj(eye, eye), scaled_conj(eye, eye)), 0.5)
         rhs = scaled_conj(eye, aluthge(jordan_product(eye, eye), 0.5))
         assert frobenius(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
-        assert run("jordan_condition_scaled", 0.5, TRIALS).failures == 0
+        assert run("jordan_condition_scaled", 0.5, TRIALS)["failures"] == 0
 
     def test_adjoint_witness_residual_half(self):
         # A = e1⊗x', x' = (e1+e2)/sqrt(2), B = I, Phi = adjoint: spectral gap 1/2
@@ -76,10 +76,10 @@ class TestJordanCondition:
 
 class TestStarJordanCondition:
     def test_unitary_passes(self):
-        assert run("star_jordan_condition_unitary", 0.5, TRIALS).failures == 0
+        assert run("star_jordan_condition_unitary", 0.5, TRIALS)["failures"] == 0
 
     def test_adjoint_fails_as_expected(self):
-        assert run("star_jordan_condition_adjoint", 0.5, TRIALS).failures == 0
+        assert run("star_jordan_condition_adjoint", 0.5, TRIALS)["failures"] == 0
 
     def test_selfadjoint_b_matches_plain_condition(self):
         # with B = B* the star condition coincides with the plain one trialwise
@@ -96,7 +96,7 @@ class TestStarJordanCondition:
 class TestStructural:
     @pytest.mark.parametrize("dim", [3, 4, 6])
     def test_unitary_preserves_structure(self, dim):
-        assert run("structural_properties", 0.5, TRIALS, dim=dim).failures == 0
+        assert run("structural_properties", 0.5, TRIALS, dim=dim)["failures"] == 0
 
 
 class TestVectorState:
@@ -111,8 +111,8 @@ class TestVectorState:
 
     def test_random_pairs_agree(self):
         report = run("vector_state_identity", 0.0, TRIALS, dim=5)
-        assert report.failures == 0
-        assert report.worst_residual <= 1e-10
+        assert report["failures"] == 0
+        assert report["worst_residual"] <= 1e-10
 
 
 class TestAdjointCounterexample:

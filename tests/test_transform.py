@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,3 +387,7 @@ class TestIterate:
             next(iterate_aluthge(np.eye(2), 0.0))
         with pytest.raises(ValueError):
             next(iterate_aluthge(np.eye(2), 0.5, conv_tol=0.0))
+        # A non-finite tolerance would declare convergence at step 1 (inf) or never (nan).
+        for conv_tol in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                next(iterate_aluthge(np.eye(2), 0.5, conv_tol=conv_tol))
