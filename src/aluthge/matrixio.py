@@ -4,15 +4,19 @@
 
 The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
-repr that round-trips the double. Writes are atomic (temp file + rename) and
-honour the process umask.
+repr that round-trips the double. A matrix of at least ``PARALLEL_ENTRIES``
+entries has its rows formatted on every usable CPU, in forked workers and the
+calling process at once, with the same bytes. Writes are atomic (temp file +
+rename) and honour the process umask.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -24,13 +28,51 @@ __all__ = [
     "save_matrix",
     "matrix_to_obj",
     "vector_payload",
-    "matrix_from_obj",
     "atomic_write_text",
 ]
+
+# Entries from which a save formats its rows on every usable CPU. Below about
+# n = 180 square, starting the workers costs more than the formatting they share.
+PARALLEL_ENTRIES = 180 * 180
 
 
 class MatrixFileError(ValueError):
     """Raised for malformed matrix files."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _WorkerPool:
+    """Up to ``usable CPUs - 1`` forked worker processes, started by the first
+    ``submit`` and joined on exit, so one pool can serve several saves.
+
+    Workers are forked: they start at once, with every module already loaded.
+    A fork copies only the calling thread, so tasks must not call BLAS or
+    LAPACK, whose thread pools the parent may hold.
+    """
+
+    def __init__(self) -> None:
+        self.workers = _usable_cpus() - 1
+        self._executor = None
+
+    def submit(self, fn, *args):
+        if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"))
+        return self._executor.submit(fn, *args)
+
+    def __enter__(self) -> _WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
 
 
 def _float_rows(m) -> np.ndarray:
@@ -49,38 +91,62 @@ def vector_payload(v) -> list:
     return np.asarray(v, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
-def _encode(m) -> str:
-    """``json.dumps(matrix_to_obj(m)) + "\\n"``, formatted one row at a time."""
-    rows = _float_rows(m)
-    n_rows, cols = rows.shape[0], rows.shape[1] // 2
+def _format_rows(rows: np.ndarray) -> str:
+    """The JSON rows of a block of ``_float_rows``, joined by ", "."""
     # %r is float.__repr__, the formatter json.dumps uses for floats.
-    row_fmt = "[" + ", ".join(["[%r, %r]"] * cols) + "]"
-    data = ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
-    return f'{{"rows": {n_rows}, "cols": {cols}, "data": [{data}]}}\n'
+    row_fmt = "[" + ", ".join(["[%r, %r]"] * (rows.shape[1] // 2)) + "]"
+    return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def _encode(rows: np.ndarray, pool: _WorkerPool):
+    """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows = _float_rows(m)``.
+
+    A large matrix is cut into one row block per usable CPU: ``pool``'s workers
+    format all blocks but the first while this process formats that one.
+    """
+    n_rows, cols = rows.shape[0], rows.shape[1] // 2
+    yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
+    shares = pool.workers + 1 if n_rows * cols >= PARALLEL_ENTRIES else 1
+    first, *rest = [block for block in np.array_split(rows, shares) if len(block)]
+    futures = [pool.submit(_format_rows, block) for block in rest]
+    yield _format_rows(first)
+    for future in futures:
+        yield ", "
+        yield future.result()
+    yield "]}\n"
+
+
+def _matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFileError(f"missing or malformed field: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixFileError("rows and cols must be positive")
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise MatrixFileError(f"missing field: {exc}") from exc
+    # type() rather than isinstance(): JSON true/false must not pass as integers.
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+        raise MatrixFileError(f"rows and cols must be positive integers, got {rows!r} and {cols!r}")
     try:
         shape_ok = len(data) == rows and all(len(row) == cols for row in data)
     except TypeError:
         shape_ok = False
     if not shape_ok:
         raise MatrixFileError(f"data shape does not match {rows}x{cols}")
+    entries = list(chain.from_iterable(data))
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in data], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
+        pairs = set(map(len, entries)) == {2}
+    except TypeError:
+        pairs = False
+    parts = list(chain.from_iterable(entries)) if pairs else []
+    if not pairs or not set(map(type, parts)) <= {int, float}:
+        raise MatrixFileError("entries must be [re, im] pairs of JSON numbers")
+    try:
+        m = np.array(parts, dtype=np.float64)
+    except OverflowError as exc:
         raise MatrixFileError(f"entries must be [re, im] pairs of doubles: {exc}") from exc
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise MatrixFileError("entries must be finite")
-    return m
+    return m.view(np.complex128).reshape(rows, cols)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -92,7 +158,7 @@ def load_matrix(path) -> np.ndarray:
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError and over-long integer literals.
         raise MatrixFileError(f"invalid JSON in {path}: {exc}") from exc
-    return matrix_from_obj(obj)
+    return _matrix_from_obj(obj)
 
 
 def _umask() -> int:
@@ -101,14 +167,20 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of string pieces, to ``path``
+    through a temp file renamed over it. A symlink is followed and its target
+    replaced; an existing target that is not a regular file (a FIFO, a device,
+    a directory) is refused with an OSError before anything is written."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError("not a regular file")
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp creates the file 0600; give it the mode open() would.
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -116,5 +188,9 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def save_matrix(path, m) -> None:
-    atomic_write_text(path, _encode(m))
+def save_matrix(path, m, pool: _WorkerPool | None = None) -> None:
+    """Write ``m`` to ``path``. A large matrix is formatted in ``pool``'s
+    workers, or, with no pool given, in workers started for this save alone."""
+    rows = _float_rows(m)
+    with _WorkerPool() if pool is None else contextlib.nullcontext(pool) as pool:
+        atomic_write_text(path, _encode(rows, pool))

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthge import cli
+from aluthge import cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
 from aluthge.lemmas import run_check
@@ -80,6 +82,13 @@ class TestTransform:
             pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[' + b"1" * 4301 + b", 0]]]}",
                          id="int_over_4300_digits"),
             pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": 5}', id="data_not_a_list"),
+            pytest.param(TRANSFORM, b'{"rows": 1.9, "cols": 1, "data": [[[1.0, 0.0]]]}', id="rows_float"),
+            pytest.param(TRANSFORM, b'{"rows": "1", "cols": 1, "data": [[[1.0, 0.0]]]}', id="rows_string"),
+            pytest.param(TRANSFORM, b'{"rows": true, "cols": true, "data": [[[true, false]]]}',
+                         id="rows_cols_and_entry_bool"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[true, 0.0]]]}', id="entry_bool"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[1.0, "0"]]]}', id="entry_string"),
+            pytest.param(TRANSFORM, b'{"rows": 1, "cols": 1, "data": [[[1.0, 0.0, 0.0]]]}', id="entry_not_a_pair"),
             pytest.param(VERIFY, b'{"tolerances": 5}', id="verify_tolerances_not_object"),
             pytest.param(VERIFY, b'{"tolerances": {"bogus": 1e-3}}', id="verify_tolerances_unknown_key"),
             pytest.param(VERIFY, b'{"tolerances": {"eq_abs": "1e-9"}}', id="verify_tolerance_not_number"),
@@ -138,6 +147,27 @@ class TestTransform:
         assert load_matrix(out).tobytes() == aluthge(m, lam).tobytes()
         assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
         assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
+
+    def test_factors_share_one_worker_pool(self, tmp_path, monkeypatch):
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
+        outputs = ["out.json", "out.isometry.json", "out.modulus.json"]
+        os.mkdir(tmp_path / "serial")
+        assert main(["transform", src, "--output", str(tmp_path / "serial" / "out.json"), "--factors"]) == EXIT_OK
+        monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
+        starts = []
+        submit = matrixio._WorkerPool.submit
+
+        def recording_submit(pool, fn, *args):
+            starts.append(pool._executor is None)
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(matrixio._WorkerPool, "submit", recording_submit)
+        assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
+        assert starts == [True, False, False]  # one block per file to one worker, forked once
+        assert multiprocessing.active_children() == []
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
@@ -402,6 +432,29 @@ class TestComposition:
         second = list(iterate_aluthge(m, 0.5, max_iter=2, conv_tol=1e-300))[1][0]
         # file round-trip is exact (repr doubles), so agreement is tight
         assert frobenius(load_matrix(out) - second) <= 1e-10 * (1 + frobenius(m))
+
+
+@pytest.mark.parametrize("target", ["fifo", "link_to_fifo"])
+@pytest.mark.parametrize("command", ["transform", "iterate", "verify"])
+def test_output_not_a_regular_file_exits_2(tmp_path, capsys, command, target):
+    src = write(tmp_path / "in.json", np.eye(2))
+    os.mkdir(tmp_path / "out")
+    out = tmp_path / "out" / "aggregate.json"  # verify's last file, the other commands' output
+    if target == "fifo":
+        os.mkfifo(out)
+    else:
+        os.mkfifo(tmp_path / "pipe")
+        os.symlink(tmp_path / "pipe", out)
+    argv = {
+        "transform": ["transform", src, "--output", str(out)],
+        "iterate": ["iterate", src, "--output", str(out)],
+        "verify": ["verify", "--checks", "square_identity", "--dims", "2", "--trials", "2",
+                   "--output-dir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {out}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(out).st_mode) and out.is_symlink() == (target == "link_to_fifo")
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
