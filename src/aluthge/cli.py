@@ -26,7 +26,7 @@ import numpy as np
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
-from .matrixio import MatrixFileError, _WorkerPool, atomic_write_text, load_matrix, save_matrix
+from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
 from .transform import aluthge, iterate_aluthge, polar
 
 EXIT_OK = 0
@@ -115,11 +115,9 @@ def cmd_transform(args) -> int:
             f"{stem}.isometry{ext or '.json'}": pd.isometry_part,
             f"{stem}.modulus{ext or '.json'}": pd.modulus,
         }
-    # One pool of formatting workers serves every file of the command.
-    with _WorkerPool() as pool:
-        for path, matrix in outputs.items():
-            if not _written(path, save_matrix, matrix, pool):
-                return EXIT_USAGE
+    for path, matrix in outputs.items():
+        if not _written(path, save_matrix, matrix):
+            return EXIT_USAGE
     return EXIT_OK
 
 

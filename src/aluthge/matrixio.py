@@ -5,14 +5,13 @@
 The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. A matrix of at least ``PARALLEL_ENTRIES``
-entries has its rows formatted on every usable CPU, in forked workers and the
-calling process at once, with the same bytes. Writes are atomic (temp file +
+entries, given two usable CPUs, has its rows formatted by the calling process
+and a forked worker at once, with the same bytes. Writes are atomic (temp file +
 rename) and honour the process umask.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import tempfile
@@ -31,9 +30,12 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# Entries from which a save formats its rows on every usable CPU. Below about
-# n = 180 square, starting the workers costs more than the formatting they share.
+# Entries from which a save formats its rows in two processes at once. Below
+# about n = 180 square, starting the worker costs more than the half it formats.
 PARALLEL_ENTRIES = 180 * 180
+# Processes that format one save: the caller and one forked worker. The gain
+# and the break-even above were measured on 2 CPUs with this one worker only.
+SAVE_PROCESSES = 2
 
 
 class MatrixFileError(ValueError):
@@ -43,36 +45,6 @@ class MatrixFileError(ValueError):
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot tell."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-class _WorkerPool:
-    """Up to ``usable CPUs - 1`` forked worker processes, started by the first
-    ``submit`` and joined on exit, so one pool can serve several saves.
-
-    Workers are forked: they start at once, with every module already loaded.
-    A fork copies only the calling thread, so tasks must not call BLAS or
-    LAPACK, whose thread pools the parent may hold.
-    """
-
-    def __init__(self) -> None:
-        self.workers = _usable_cpus() - 1
-        self._executor = None
-
-    def submit(self, fn, *args):
-        if self._executor is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"))
-        return self._executor.submit(fn, *args)
-
-    def __enter__(self) -> _WorkerPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-            self._executor = None
 
 
 def _float_rows(m) -> np.ndarray:
@@ -98,21 +70,41 @@ def _format_rows(rows: np.ndarray) -> str:
     return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def _encode(rows: np.ndarray, pool: _WorkerPool):
+def _shares(rows: np.ndarray) -> int:
+    """Processes that format ``rows = _float_rows(m)``: 1 below
+    ``PARALLEL_ENTRIES`` or on one usable CPU, else at most ``SAVE_PROCESSES``
+    and never more than there are rows."""
+    n_rows, cols = rows.shape[0], rows.shape[1] // 2
+    if n_rows * cols < PARALLEL_ENTRIES:
+        return 1
+    return min(_usable_cpus(), SAVE_PROCESSES, n_rows)
+
+
+def _worker_rows(future, block: np.ndarray) -> str:
+    """A worker's formatted ``block``, or, if the pool broke (a worker was
+    killed or ran out of memory), the same block formatted here."""
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        return future.result()
+    except BrokenExecutor:
+        return _format_rows(block)
+
+
+def _encode(rows: np.ndarray, shares: int = 1, pool=None):
     """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows = _float_rows(m)``.
 
-    A large matrix is cut into one row block per usable CPU: ``pool``'s workers
-    format all blocks but the first while this process formats that one.
+    The rows are cut into ``shares`` blocks: ``pool``'s workers format all
+    blocks but the first while this process formats that one.
     """
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    shares = pool.workers + 1 if n_rows * cols >= PARALLEL_ENTRIES else 1
-    first, *rest = [block for block in np.array_split(rows, shares) if len(block)]
+    first, *rest = np.array_split(rows, shares)
     futures = [pool.submit(_format_rows, block) for block in rest]
     yield _format_rows(first)
-    for future in futures:
+    for block, future in zip(rest, futures):
         yield ", "
-        yield future.result()
+        yield _worker_rows(future, block)
     yield "]}\n"
 
 
@@ -188,9 +180,20 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def save_matrix(path, m, pool: _WorkerPool | None = None) -> None:
-    """Write ``m`` to ``path``. A large matrix is formatted in ``pool``'s
-    workers, or, with no pool given, in workers started for this save alone."""
+def save_matrix(path, m) -> None:
+    """Write ``m`` to ``path``. A large matrix is formatted by this process and
+    forked workers at once (see ``_shares``); the workers only format floats,
+    never calling BLAS or LAPACK, whose threads a fork does not copy."""
     rows = _float_rows(m)
-    with _WorkerPool() if pool is None else contextlib.nullcontext(pool) as pool:
-        atomic_write_text(path, _encode(rows, pool))
+    shares = _shares(rows)
+    if shares == 1:
+        atomic_write_text(path, _encode(rows))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(shares - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        atomic_write_text(path, _encode(rows, shares, pool))
+    finally:
+        pool.shutdown(cancel_futures=True)

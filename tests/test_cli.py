@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -148,23 +149,23 @@ class TestTransform:
         assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
         assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
 
-    def test_factors_share_one_worker_pool(self, tmp_path, monkeypatch):
+    def test_factors_parallel_saves_match_serial(self, tmp_path, monkeypatch):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
         outputs = ["out.json", "out.isometry.json", "out.modulus.json"]
         os.mkdir(tmp_path / "serial")
         assert main(["transform", src, "--output", str(tmp_path / "serial" / "out.json"), "--factors"]) == EXIT_OK
         monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
         monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
-        starts = []
-        submit = matrixio._WorkerPool.submit
+        blocks = []
+        submit = ProcessPoolExecutor.submit
 
         def recording_submit(pool, fn, *args):
-            starts.append(pool._executor is None)
+            blocks.append(args[0].shape)
             return submit(pool, fn, *args)
 
-        monkeypatch.setattr(matrixio._WorkerPool, "submit", recording_submit)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
-        assert starts == [True, False, False]  # one block per file to one worker, forked once
+        assert blocks == [(3, 12)] * 3  # the second half of each file's rows went to a worker
         assert multiprocessing.active_children() == []
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
@@ -460,6 +461,13 @@ def test_output_not_a_regular_file_exits_2(tmp_path, capsys, command, target):
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     code = "import sys, aluthge.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # The parallel save imports them only when it starts a worker.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, aluthge.cli; sys.exit('multiprocessing' in sys.modules or 'concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import stat
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ CASES = {
     "column": np.arange(1.0, 6.0)[:, None] * (1e-5 + 1e16j),
     "single": np.array([[-0.0 + 5e-324j]]),
 }
-# Row counts around the two-way split of the parallel path: one row (fewer
-# rows than blocks), one column, and an odd count.
+# Row counts around the two-way split of the parallel path: one row (too few
+# to split, so no worker), one column, and an odd count.
 SPLIT_CASES = {
     "one_row": np.arange(40.0)[None, :] * (0.1 - 3j),
     "one_column": np.arange(40.0)[:, None] * (1e-300 + 0.7j),
@@ -45,8 +46,7 @@ def reference_bytes(m) -> bytes:
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """Every save sees two usable CPUs, so no test starts more than one worker,
-    and no test leaves a worker behind."""
+    """Every save sees two usable CPUs, and no test leaves a worker behind."""
     monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
     yield
     assert multiprocessing.active_children() == []
@@ -56,19 +56,25 @@ def two_cpus(monkeypatch):
 def submits(monkeypatch):
     """The blocks handed to worker processes, recorded as they are submitted."""
     blocks = []
-    submit = matrixio._WorkerPool.submit
+    submit = ProcessPoolExecutor.submit
 
     def recording_submit(self, fn, *args):
         blocks.append(args[0])
         return submit(self, fn, *args)
 
-    monkeypatch.setattr(matrixio._WorkerPool, "submit", recording_submit)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     return blocks
 
 
 def _fails_in_workers(rows):
     if os.getpid() != _PARENT_PID:
         raise OSError(28, "No space left on device")
+    return _format_rows(rows)
+
+
+def _dies_in_workers(rows):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
     return _format_rows(rows)
 
 
@@ -115,15 +121,24 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, submits)
     assert (tmp_path / "one_cpu.json").read_bytes() == reference_bytes(edge_matrix())
 
 
-def test_pool_serves_several_saves(tmp_path, monkeypatch, submits):
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_shares_capped_at_one_worker(monkeypatch, cpus):
+    # The computed count only: no worker is started.
+    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+    big = matrixio._float_rows(np.zeros((200, 200), complex))
+    two_rows = matrixio._float_rows(np.zeros((2, 20000), complex))
+    one_row = matrixio._float_rows(np.zeros((1, 40000), complex))
+    assert matrixio._shares(big) == matrixio._shares(two_rows) == min(cpus, 2)
+    assert matrixio._shares(one_row) == 1
+    assert matrixio._shares(matrixio._float_rows(np.zeros((170, 190), complex))) == 1
+
+
+def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch):
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    with matrixio._WorkerPool() as pool:
-        for name in sorted(CASES):
-            save_matrix(tmp_path / f"{name}.json", CASES[name], pool)
-        assert len(multiprocessing.active_children()) == 1
-    for name in sorted(CASES):
-        assert (tmp_path / f"{name}.json").read_bytes() == reference_bytes(CASES[name])
-    assert len(submits) == sum(m.shape[0] > 1 for m in CASES.values())  # 1-row cases do not split
+    monkeypatch.setattr(matrixio, "_format_rows", _dies_in_workers)
+    save_matrix(tmp_path / "m.json", edge_matrix())
+    assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch):
