@@ -27,7 +27,7 @@ from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
 from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
-from .transform import aluthge, iterate_aluthge, polar
+from .transform import _transform_and_factors, aluthge, iterate_aluthge
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -107,13 +107,13 @@ def cmd_transform(args) -> int:
     if not args.factors:
         outputs = {args.output: aluthge(m, args.lam)}
     else:
-        # One SVD, polar's, serves the transform and both factor files.
-        pd = polar(m)
+        # One SVD serves the transform and both factor files.
+        delta, isometry, modulus = _transform_and_factors(m, args.lam)
         stem, ext = os.path.splitext(args.output)
         outputs = {
-            args.output: aluthge(pd, args.lam),
-            f"{stem}.isometry{ext or '.json'}": pd.isometry_part,
-            f"{stem}.modulus{ext or '.json'}": pd.modulus,
+            args.output: delta,
+            f"{stem}.isometry{ext or '.json'}": isometry,
+            f"{stem}.modulus{ext or '.json'}": modulus,
         }
     for path, matrix in outputs.items():
         if not _written(path, save_matrix, matrix):

@@ -56,10 +56,7 @@ from .transform import aluthge_rank_one, aluthge_stack
 
 __all__ = [
     "Check",
-    "CheckRun",
-    "check",
     "run_check",
-    "in_dead_band",
     "rank_one_formula",
     "projection_absorb",
     "scalar_projection",
@@ -85,7 +82,7 @@ class Check:
     """One randomized check.
 
     id     : report ``check_id``; also seeds the trial streams
-    trial  : runs one trial against a ``CheckRun``. A trial that needs
+    trial  : runs one trial against a ``_CheckRun``. A trial that needs
              lambda-Aluthge transforms is a generator: ``d, e = yield (m, k)``
              hands the driver matrices and receives their transforms. One
              that needs none is a plain function returning None.
@@ -95,7 +92,7 @@ class Check:
     """
 
     id: str
-    trial: Callable[["CheckRun"], Generator | None]
+    trial: Callable[["_CheckRun"], Generator | None]
     domain: str | None = OPEN
 
     def __post_init__(self) -> None:
@@ -103,12 +100,12 @@ class Check:
             raise ValueError(f"{self.id}: unknown lambda domain {self.domain!r}")
 
 
-def check(id: str, domain: str | None = OPEN):
+def _check(id: str, domain: str | None = OPEN):
     """Decorator turning a per-trial function into a ``Check``."""
     return lambda trial: Check(id, trial, domain)
 
 
-def in_dead_band(slack: float, *residuals: float) -> bool:
+def _in_dead_band(slack: float, *residuals: float) -> bool:
     """True if any residual is above the pass slack but not clear of it by
     REFUTE_FACTOR: such a draw decides nothing and is redrawn."""
     return any(slack < r <= REFUTE_FACTOR * slack for r in residuals)
@@ -120,7 +117,7 @@ def _payload(value):
     return value
 
 
-class CheckRun:
+class _CheckRun:
     """One trial of a check run, handed to the check's per-trial function.
 
     ``rng`` is the trial's own stream and ``trial`` its index; ``dim``, ``lam``
@@ -196,7 +193,7 @@ def run_check(
     witness_key: tuple[bool, float] | None = None
     for start in range(0, trials, block):
         runs = [
-            CheckRun(dim, lam, tol, t, trial_rng(seed, key, dim, t))
+            _CheckRun(dim, lam, tol, t, trial_rng(seed, key, dim, t))
             for t in range(start, min(start + block, trials))
         ]
         # A plain trial function has run to its end here and returned None.
@@ -227,8 +224,8 @@ def run_check(
     return report
 
 
-@check("rank_one_formula")
-def rank_one_formula(run: CheckRun) -> Generator:
+@_check("rank_one_formula")
+def rank_one_formula(run: _CheckRun) -> Generator:
     """Delta_lambda(x⊗y) equals (<x,y>/||y||^2)(y⊗y) on random vector pairs."""
     x = complex_gaussian(run.rng, run.dim)
     y = complex_gaussian(run.rng, run.dim)
@@ -238,8 +235,8 @@ def rank_one_formula(run: CheckRun) -> Generator:
     run.observe(residual, residual > slack, x=x, y=y)
 
 
-@check("projection_absorb")
-def projection_absorb(run: CheckRun) -> Generator:
+@_check("projection_absorb")
+def projection_absorb(run: _CheckRun) -> Generator:
     """Delta_lambda(A∘P) = P iff PA = P, for rank-one projections P = x⊗x.
 
     Direction (a) corrects a random A so that A*x = x (hence PA = P) and
@@ -265,7 +262,7 @@ def projection_absorb(run: CheckRun) -> Generator:
         (d,) = yield (_jordan(b, p),)
         r_delta = frobenius(d - p)
         r_pa = frobenius(p @ b - p)
-        if in_dead_band(slack_b, r_delta, r_pa):
+        if _in_dead_band(slack_b, r_delta, r_pa):
             return False
         agree = (r_delta <= slack_b) == (r_pa <= slack_b)
         run.observe(min(r_delta, r_pa), not agree, direction="generic", x=x, A=b)
@@ -274,8 +271,8 @@ def projection_absorb(run: CheckRun) -> Generator:
     yield from run.redraw(generic)
 
 
-@check("scalar_projection")
-def scalar_projection(run: CheckRun) -> Generator:
+@_check("scalar_projection")
+def scalar_projection(run: _CheckRun) -> Generator:
     """Delta_lambda(A∘P) = A iff A = alpha P, for rank-one projections P."""
     rng, n, tol = run.rng, run.dim, run.tol
     x = unit_vector(rng, n)
@@ -293,7 +290,7 @@ def scalar_projection(run: CheckRun) -> Generator:
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
         (d,) = yield (_jordan(b, p),)
         r = frobenius(d - b)
-        if in_dead_band(slack_b, r):
+        if _in_dead_band(slack_b, r):
             return False
         run.observe(r, r <= slack_b, direction="generic", x=x, A=b)
         return True
@@ -301,8 +298,8 @@ def scalar_projection(run: CheckRun) -> Generator:
     yield from run.redraw(generic)
 
 
-@check("square_identity")
-def square_identity(run: CheckRun) -> Generator:
+@_check("square_identity")
+def square_identity(run: _CheckRun) -> Generator:
     """Delta_lambda(T^2) = T iff T = I, over well-conditioned invertible T.
 
     The identity passes (trial 0's satisfying part); generic invertible T must
@@ -321,7 +318,7 @@ def square_identity(run: CheckRun) -> Generator:
         slack = tol.eq_abs * (1.0 + frobenius(m))
         (d,) = yield (m @ m,)
         r = frobenius(d - m)
-        if in_dead_band(slack, r):
+        if _in_dead_band(slack, r):
             return False
         bad = False
         if r <= slack:
@@ -333,8 +330,8 @@ def square_identity(run: CheckRun) -> Generator:
     yield from run.redraw(generic)
 
 
-@check("selfadjoint_lemmas")
-def selfadjoint_lemmas(run: CheckRun) -> Generator:
+@_check("selfadjoint_lemmas")
+def selfadjoint_lemmas(run: _CheckRun) -> Generator:
     """Self-adjointness rigidity, both flavors.
 
     selfadjoint_injective:   Delta(S) = S*  forces S = S*  (S, S* injective);
@@ -358,7 +355,7 @@ def selfadjoint_lemmas(run: CheckRun) -> Generator:
             return False
         (d,) = yield (m,)
         r = frobenius(d - m.conj().T)
-        if in_dead_band(slack_m, r):
+        if _in_dead_band(slack_m, r):
             return False
         run.observe(r, r <= slack_m, part="injective", S=m)
         return True
@@ -376,8 +373,8 @@ def selfadjoint_lemmas(run: CheckRun) -> Generator:
     run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
 
-@check("nilpotent_kernel", domain=HALF_OPEN)
-def nilpotent_kernel(run: CheckRun) -> Generator:
+@_check("nilpotent_kernel", domain=HALF_OPEN)
+def nilpotent_kernel(run: _CheckRun) -> Generator:
     """Delta_lambda(T) = 0 iff T^2 = 0, both directions sampled."""
     rng, n, tol = run.rng, run.dim, run.tol
     t = nilpotent_sq_zero(rng, n)
@@ -400,8 +397,8 @@ def nilpotent_kernel(run: CheckRun) -> Generator:
     yield from run.redraw(generic)
 
 
-@check("spectrum_invariance", domain=CLOSED)
-def spectrum_invariance(run: CheckRun) -> Generator:
+@_check("spectrum_invariance", domain=CLOSED)
+def spectrum_invariance(run: _CheckRun) -> Generator:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
     m = ginibre(run.rng, run.dim)
     (d,) = yield (m,)

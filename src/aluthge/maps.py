@@ -22,9 +22,9 @@ from .generators import (
 )
 from .lemmas import (
     Check,
-    CheckRun,
-    check,
-    in_dead_band,
+    _check,
+    _CheckRun,
+    _in_dead_band,
     nilpotent_kernel,
     projection_absorb,
     rank_one_formula,
@@ -81,7 +81,7 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
-    def trial(run: CheckRun) -> Generator:
+    def trial(run: _CheckRun) -> Generator:
         u = haar_unitary(run.rng, run.dim)
 
         def draw():
@@ -98,7 +98,7 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
                 return True
             # Expected falsification. Trials where both sides vanish carry no
             # information; dead-band residuals are redrawn.
-            if max(frobenius(lhs), frobenius(rhs)) <= slack or in_dead_band(slack, residual):
+            if max(frobenius(lhs), frobenius(rhs)) <= slack or _in_dead_band(slack, residual):
                 return False
             run.observe(residual, residual <= slack, A=a, B=b)
             return True
@@ -108,8 +108,8 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
     return Check(id, trial)
 
 
-@check("structural_properties")
-def structural_properties(run: CheckRun) -> Generator:
+@_check("structural_properties")
+def structural_properties(run: _CheckRun) -> Generator:
     """Structural preservation under unitary conjugation.
 
     Per trial: (i) the map commutes with the transform, (ii) squares of normal
@@ -161,8 +161,8 @@ def structural_properties(run: CheckRun) -> Generator:
     run.observe(max(r_commute, r_square), bad, U=u, ranks=[k, j, m])
 
 
-@check("vector_state_identity", domain=None)
-def vector_state_identity(run: CheckRun) -> None:
+@_check("vector_state_identity", domain=None)
+def vector_state_identity(run: _CheckRun) -> None:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree.
     The identity involves no transform, so it has no lambda domain."""
@@ -175,8 +175,8 @@ def vector_state_identity(run: CheckRun) -> None:
     run.observe(deviation, deviation > slack, A=a, x=x)
 
 
-@check("adjoint_counterexample")
-def adjoint_counterexample(run: CheckRun) -> Generator:
+@_check("adjoint_counterexample")
+def adjoint_counterexample(run: _CheckRun) -> Generator:
     """Delta_lambda(A*) != Delta_lambda(A)* for the rank-one A = x⊗x' built
     from random unit, non-orthogonal, independent x, x': the spectral-norm
     gap between the two sides must be positive and match its closed form

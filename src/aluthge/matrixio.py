@@ -12,6 +12,7 @@ rename) and honour the process umask.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
@@ -142,6 +143,11 @@ def _matrix_from_obj(obj) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
+    # The parser allocates a list per row and per entry (262,656 at n = 512),
+    # which would run the cyclic collector over and over; none of them can
+    # form a cycle, so it is paused for the parse and restored as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -150,6 +156,9 @@ def load_matrix(path) -> np.ndarray:
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError and over-long integer literals.
         raise MatrixFileError(f"invalid JSON in {path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return _matrix_from_obj(obj)
 
 

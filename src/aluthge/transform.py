@@ -6,7 +6,9 @@ frames, so V annihilates exactly the numerical null space of T. The
 lambda-Aluthge transform is |T|^lambda V |T|^(1-lambda); lambda endpoints
 bypass fractional powers entirely and return V|T| (= T) resp. |T|V (Duggal).
 The kernel works on stacks T[B, n, n] with one stacked SVD; a single matrix
-is a stack of one.
+is a stack of one. ``polar`` returns V and |T|; the CLI's ``transform
+--factors`` takes the transform and both factors from one SVD through the
+private ``_transform_and_factors``.
 """
 
 from __future__ import annotations
@@ -41,18 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarDecomposition:
-    """Factors of T = V|T| with V a partial isometry and |T| = (T*T)^(1/2) PSD.
-
-    ``singular_values``, ``right`` and ``rank`` are the pieces of the SVD
-    T = W S X* the factors were built from (S descending, X = ``right``, and
-    the numerical rank); ``aluthge`` reuses them instead of a second SVD.
-    """
+    """Factors of T = V|T| with V a partial isometry and |T| = (T*T)^(1/2) PSD."""
 
     isometry_part: np.ndarray
     modulus: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-    rank: int
 
 
 def _decompose(t: np.ndarray, tol: Tolerances):
@@ -78,12 +72,10 @@ def _modulus(s, x) -> np.ndarray:
     return (x * s[:, None, :]) @ x.conj().swapaxes(-1, -2)
 
 
-def _transform(v, s, x, ranks, lam: float, modulus=None) -> np.ndarray:
-    """|T|^lam V |T|^(1-lam) for each element of the stacked polar factors
-    (``modulus`` may hold |T| already, for lam = 0 or 1)."""
+def _transform(v, s, x, ranks, lam: float) -> np.ndarray:
+    """|T|^lam V |T|^(1-lam) for each element of the stacked polar factors."""
     if lam == 0.0 or lam == 1.0:
-        if modulus is None:
-            modulus = _modulus(s, x)
+        modulus = _modulus(s, x)
         return v @ modulus if lam == 0.0 else modulus @ v
     xh = x.conj().swapaxes(-1, -2)
     # |T|^g = X S^g X*. Singular values below the rank cutoff are zeroed
@@ -102,14 +94,15 @@ def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     V = W_r X_r* and |T| = X S X*. The zero matrix yields V = 0, |T| = 0.
     """
     t = validate_matrix(t, square=True)
+    v, s, x, _ = _decompose(t[None], tol)
+    return PolarDecomposition(isometry_part=v[0], modulus=_modulus(s, x)[0])
+
+
+def _transform_and_factors(t: np.ndarray, lam: float, tol: Tolerances = DEFAULT_TOL):
+    """(Delta_lam(T), V, |T|) of a validated square T from one SVD: the
+    transform bit for bit as ``aluthge`` gives it, the factors as ``polar``."""
     v, s, x, ranks = _decompose(t[None], tol)
-    return PolarDecomposition(
-        isometry_part=v[0],
-        modulus=_modulus(s, x)[0],
-        singular_values=s[0],
-        right=x[0],
-        rank=int(ranks[0]),
-    )
+    return _transform(v, s, x, ranks, lam)[0], v[0], _modulus(s, x)[0]
 
 
 def aluthge_stack(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -123,15 +116,8 @@ def aluthge_stack(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1]: the
-    stacked kernel ``aluthge_stack`` applied to a stack of one.
-
-    ``t`` may also be ``polar(T)``, whose SVD is then reused (its rank was
-    decided by the tolerances given to ``polar``, so ``tol`` is not used).
-    """
+    stacked kernel ``aluthge_stack`` applied to a stack of one."""
     check_lambda(lam, CLOSED)
-    if isinstance(t, PolarDecomposition):
-        factors = (t.isometry_part[None], t.singular_values[None], t.right[None], np.array([t.rank]))
-        return _transform(*factors, lam, t.modulus[None])[0]
     t = validate_matrix(t, square=True)
     return _transform(*_decompose(t[None], tol), lam)[0]
 

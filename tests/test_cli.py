@@ -124,7 +124,7 @@ class TestTransform:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("rank", [6, 3])
     def test_factors_one_svd_bit_exact(self, tmp_path, monkeypatch, lam, rank):
         rng = np.random.default_rng(31)

@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -100,6 +101,33 @@ def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, name):
     assert path.read_bytes() == reference_bytes(m)
     assert multiprocessing.active_children() == []
     assert load_matrix(path).tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
+
+
+LOAD_CASES = {
+    "valid": '{"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}',
+    "invalid_json": "{",
+    "missing_fields": '{"rows": 1}',
+    "missing_file": None,
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("name", sorted(LOAD_CASES))
+def test_load_matrix_leaves_gc_as_found(tmp_path, collecting, name):
+    path = tmp_path / "m.json"
+    if LOAD_CASES[name] is not None:
+        path.write_text(LOAD_CASES[name])
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if name == "valid":
+            load_matrix(path)
+        else:
+            with pytest.raises(matrixio.MatrixFileError):
+                load_matrix(path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_large_matrix_takes_the_parallel_path(tmp_path, submits):

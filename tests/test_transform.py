@@ -182,18 +182,6 @@ class TestAluthgeStack:
         with pytest.raises(ValueError, match="lambda"):
             aluthge_stack(np.eye(2)[None], -0.1)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
-    def test_polar_svd_reused(self, monkeypatch, lam):
-        rng = np.random.default_rng(42)
-        t = low_rank(rng, 5, 3)
-        expected = aluthge(t, lam)
-        svd = np.linalg.svd
-        calls = []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        d = aluthge(polar(t), lam)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(d, expected)
-
 
 class TestAluthgeRankOne:
     def test_hand_example(self):
