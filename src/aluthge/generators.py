@@ -10,9 +10,9 @@ import zlib
 
 import numpy as np
 
-# Smallest allowed sigma_min/sigma_max when a well-conditioned (injective) draw
-# is requested; draws below it are resampled.
-MIN_CONDITION = 1e-6
+# numpy divides a complex array by the real sqrt(2) as a multiply of both parts
+# by this factor, so scaling by it gives the same bits as that division.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -26,9 +26,14 @@ def check_key(check_id: str) -> int:
 
 
 def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard complex Gaussian array: real parts, then imaginary, in one draw."""
+    """Standard complex Gaussian array: real parts, then imaginary, in one draw.
+    Bit for bit ``(z[0] + 1j * z[1]) / np.sqrt(2.0)`` of that draw ``z``."""
     z = rng.standard_normal((2, *shape))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    z *= _INV_SQRT2
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = z[0]
+    out.imag = z[1]
+    return out
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -43,26 +48,28 @@ def ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
     return complex_gaussian(rng, dim, dim)
 
 
-def invertible_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Ginibre draw resampled until sigma_min >= MIN_CONDITION * sigma_max."""
-    while True:
-        g = ginibre(rng, dim)
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] >= MIN_CONDITION * s[0]:
-            return g
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of each Ginibre matrix of a stack g[..., n, n], its columns
+    scaled by the phases of R's diagonal: Haar-distributed unitaries. One
+    stacked QR; element b is bit for bit that of g[b] alone."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(rng, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_q(ginibre(rng, dim))
+
+
+def _normal(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The normal matrix U diag(d) U* of a unitary U and eigenvalues d."""
+    return (u * d) @ u.conj().T
 
 
 def normal_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     u = haar_unitary(rng, dim)
-    d = complex_gaussian(rng, dim)
-    return (u * d) @ u.conj().T
+    return _normal(u, complex_gaussian(rng, dim))
 
 
 def nilpotent_sq_zero(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -8,8 +8,9 @@ check shares:
 
 * trial t draws from the stream (seed, crc32(check id), dim, t), so reports
   are reproducible and order-independent;
-* the trials run in lockstep, and each round's lambda-Aluthge transforms for
-  all of them are one stacked ``aluthge_stack`` call;
+* the trials run in lockstep: a trial requests its transforms, Haar QRs,
+  singular values and eigenvalues from the driver, and each round serves all
+  the requests of one kind with one stacked call;
 * "iff" statements are exercised in BOTH directions: a constructive
   satisfying instance must land within the equality slack, and a generic
   refuting instance must land above 10x the slack. Residuals falling in the
@@ -24,16 +25,17 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
 from .generators import (
+    _normal,
+    _phase_fixed_q,
     check_key,
     complex_gaussian,
     ginibre,
-    haar_unitary,
-    invertible_ginibre,
     nilpotent_sq_zero,
     trial_rng,
     unit_vector,
@@ -45,11 +47,11 @@ from .linalg import (
     OPEN,
     Tolerances,
     _jordan,
+    _sorted_spectrum,
     frobenius,
     lambda_admitted,
     rank_one,
     spectra_pairing_distance,
-    spectrum,
 )
 from .matrixio import matrix_to_obj, vector_payload
 from .transform import aluthge_rank_one, aluthge_stack
@@ -70,6 +72,9 @@ __all__ = [
 # the band in between is redrawn.
 REFUTE_FACTOR = 10.0
 MAX_REDRAWS = 64
+# Smallest allowed sigma_min/sigma_max of a well-conditioned (injective) draw;
+# draws below it are drawn again.
+MIN_CONDITION = 1e-6
 # Trials run in blocks of STACK_ENTRIES // dim^2 (at least one), which bounds
 # the live trials and the stacked transforms at every dim. Stacks of 50 to 500
 # small matrices already take most of the stacking gain; a larger cap mostly
@@ -83,9 +88,14 @@ class Check:
 
     id     : report ``check_id``; also seeds the trial streams
     trial  : runs one trial against a ``_CheckRun``. A trial that needs
-             lambda-Aluthge transforms is a generator: ``d, e = yield (m, k)``
-             hands the driver matrices and receives their transforms. One
-             that needs none is a plain function returning None.
+             the driver's stacked linear algebra is a generator: each
+             request ``d, e = yield (op, (m, k))`` hands the driver matrices
+             and receives one result per matrix, in order. ``op`` is
+             "aluthge" (their lambda-Aluthge transforms), "haar" (the
+             phase-fixed Q of Ginibre draws: Haar unitaries), "svdvals"
+             (singular values, descending) or "eigvals" (eigenvalues, in
+             LAPACK's order). One that needs none is a plain function
+             returning None.
     domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
              CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
@@ -109,6 +119,24 @@ def _in_dead_band(slack: float, *residuals: float) -> bool:
     """True if any residual is above the pass slack but not clear of it by
     REFUTE_FACTOR: such a draw decides nothing and is redrawn."""
     return any(slack < r <= REFUTE_FACTOR * slack for r in residuals)
+
+
+def _haar(rng: np.random.Generator, n: int) -> Generator:
+    """A Haar unitary from a Ginibre draw of ``rng``, as ``haar_unitary``
+    gives it: ``u = yield from _haar(rng, n)``."""
+    (u,) = yield ("haar", (ginibre(rng, n),))
+    return u
+
+
+def _invertible_ginibre(rng: np.random.Generator, n: int) -> Generator:
+    """The first Ginibre draw of ``rng`` whose singular values, requested
+    from the driver, meet sigma_min >= MIN_CONDITION * sigma_max:
+    ``m = yield from _invertible_ginibre(rng, n)``."""
+    while True:
+        g = ginibre(rng, n)
+        (s,) = yield ("svdvals", (g,))
+        if s[-1] >= MIN_CONDITION * s[0]:
+            return g
 
 
 def _payload(value):
@@ -152,21 +180,30 @@ class _CheckRun:
 
 
 def _lockstep(trials: list, lam: float, tol: Tolerances) -> None:
-    """Run trial generators to the end together. Each round stacks the
-    matrices every live trial yielded into one ``aluthge_stack`` call and
-    sends each trial the transforms of its own matrices, in order."""
+    """Run trial generators to the end together. Each round collects every
+    live trial's ``(op, matrices)`` request, stacks the matrices of all
+    requests with one op into one call per op, and sends each trial the
+    results for its own matrices, in order. Every op works on each matrix of
+    a stack alone, so a result does not depend on what else was stacked."""
+    ops = {
+        "aluthge": partial(aluthge_stack, lam=lam, tol=tol),
+        "haar": _phase_fixed_q,
+        "svdvals": partial(np.linalg.svd, compute_uv=False),
+        "eigvals": np.linalg.eigvals,
+    }
     pending = [(gen, None) for gen in trials]
     while pending:
         requests = []
         for gen, sent in pending:
             try:
-                requests.append((gen, gen.send(sent)))
+                requests.append((gen, *gen.send(sent)))
             except StopIteration:
                 pass
-        if not requests:
-            return
-        done = iter(aluthge_stack(np.stack([m for _, ms in requests for m in ms]), lam, tol))
-        pending = [(gen, tuple(islice(done, len(ms)))) for gen, ms in requests]
+        stacks: dict[str, list] = {}
+        for _, op, ms in requests:
+            stacks.setdefault(op, []).extend(ms)
+        done = {op: iter(ops[op](np.stack(ms))) for op, ms in stacks.items()}
+        pending = [(gen, tuple(islice(done[op], len(ms)))) for gen, op, ms in requests]
 
 
 def run_check(
@@ -229,7 +266,7 @@ def rank_one_formula(run: _CheckRun) -> Generator:
     """Delta_lambda(x⊗y) equals (<x,y>/||y||^2)(y⊗y) on random vector pairs."""
     x = complex_gaussian(run.rng, run.dim)
     y = complex_gaussian(run.rng, run.dim)
-    (d,) = yield (rank_one(x, y),)
+    (d,) = yield ("aluthge", (rank_one(x, y),))
     residual = frobenius(d - aluthge_rank_one(x, y, run.lam))
     slack = run.tol.eq_abs * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
     run.observe(residual, residual > slack, x=x, y=y)
@@ -250,7 +287,7 @@ def projection_absorb(run: _CheckRun) -> Generator:
     # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
     a0 = ginibre(rng, n)
     a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
-    (d,) = yield (_jordan(a, p),)
+    (d,) = yield ("aluthge", (_jordan(a, p),))
     residual = frobenius(d - p)
     slack = tol.eq_abs * (1.0 + frobenius(a))
     run.observe(residual, residual > slack or frobenius(p @ a - p) > slack, direction="satisfying", x=x, A=a)
@@ -259,7 +296,7 @@ def projection_absorb(run: _CheckRun) -> Generator:
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield (_jordan(b, p),)
+        (d,) = yield ("aluthge", (_jordan(b, p),))
         r_delta = frobenius(d - p)
         r_pa = frobenius(p @ b - p)
         if _in_dead_band(slack_b, r_delta, r_pa):
@@ -280,7 +317,7 @@ def scalar_projection(run: _CheckRun) -> Generator:
 
     alpha = complex(complex_gaussian(rng, 1)[0])
     a = alpha * p
-    (d,) = yield (_jordan(a, p),)
+    (d,) = yield ("aluthge", (_jordan(a, p),))
     residual = frobenius(d - a)
     slack = tol.eq_abs * (1.0 + abs(alpha))
     run.observe(residual, residual > slack, direction="satisfying", alpha=[alpha.real, alpha.imag], x=x)
@@ -288,7 +325,7 @@ def scalar_projection(run: _CheckRun) -> Generator:
     def generic():
         b = ginibre(rng, n)
         slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield (_jordan(b, p),)
+        (d,) = yield ("aluthge", (_jordan(b, p),))
         r = frobenius(d - b)
         if _in_dead_band(slack_b, r):
             return False
@@ -309,14 +346,14 @@ def square_identity(run: _CheckRun) -> Generator:
     rng, n, tol = run.rng, run.dim, run.tol
     eye = np.eye(n)
     if run.trial == 0:
-        (d,) = yield (eye,)
+        (d,) = yield ("aluthge", (eye,))
         r_eye = frobenius(d - eye)
         run.observe(r_eye, r_eye > tol.eq_abs, direction="identity")
 
     def generic():
-        m = invertible_ginibre(rng, n)
+        m = yield from _invertible_ginibre(rng, n)
         slack = tol.eq_abs * (1.0 + frobenius(m))
-        (d,) = yield (m @ m,)
+        (d,) = yield ("aluthge", (m @ m,))
         r = frobenius(d - m)
         if _in_dead_band(slack, r):
             return False
@@ -342,18 +379,18 @@ def selfadjoint_lemmas(run: _CheckRun) -> Generator:
     rng, n, tol = run.rng, run.dim, run.tol
     g = ginibre(rng, n)
     s = (g + g.conj().T) / 2.0
-    (d,) = yield (s,)
+    (d,) = yield ("aluthge", (s,))
     r_fwd = frobenius(d - s.conj().T)
     slack = tol.eq_abs * (1.0 + frobenius(s))
     run.observe(r_fwd, r_fwd > slack, part="hermitian", S=s)
 
     # Injective flavor: non-Hermitian invertible S refutes Delta(S) = S*.
     def injective():
-        m = invertible_ginibre(rng, n)
+        m = yield from _invertible_ginibre(rng, n)
         slack_m = tol.eq_abs * (1.0 + frobenius(m))
         if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
             return False
-        (d,) = yield (m,)
+        (d,) = yield ("aluthge", (m,))
         r = frobenius(d - m.conj().T)
         if _in_dead_band(slack_m, r):
             return False
@@ -363,12 +400,12 @@ def selfadjoint_lemmas(run: _CheckRun) -> Generator:
     yield from run.redraw(injective)
 
     # Quasi-normal flavor: normal non-Hermitian S refutes Delta(S*) = S.
-    u = haar_unitary(rng, n)
+    u = yield from _haar(rng, n)
     d = complex_gaussian(rng, n)
     im = np.where(np.abs(d.imag) < 0.3, np.copysign(np.abs(d.imag) + 0.3, d.imag), d.imag)
-    q = (u * (d.real + 1j * im)) @ u.conj().T
+    q = _normal(u, d.real + 1j * im)
     slack_q = tol.eq_abs * (1.0 + frobenius(q))
-    (dq,) = yield (q.conj().T,)
+    (dq,) = yield ("aluthge", (q.conj().T,))
     r_qn = frobenius(dq - q)
     run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
@@ -380,7 +417,7 @@ def nilpotent_kernel(run: _CheckRun) -> Generator:
     t = nilpotent_sq_zero(rng, n)
     if frobenius(t @ t) > 1e-12 * (1.0 + frobenius(t) ** 2):
         raise AssertionError("square-zero generator self-test failed")
-    (d,) = yield (t,)
+    (d,) = yield ("aluthge", (t,))
     r_zero = frobenius(d)
     slack = tol.eq_abs * (1.0 + frobenius(t))
     run.observe(r_zero, r_zero > slack, direction="square_zero", T=t)
@@ -389,7 +426,7 @@ def nilpotent_kernel(run: _CheckRun) -> Generator:
         g = ginibre(rng, n)
         if frobenius(g @ g) <= 1e-3:
             return False
-        (d,) = yield (g,)
+        (d,) = yield ("aluthge", (g,))
         r = frobenius(d)
         run.observe(r, r <= 1e-5, direction="generic", T=g)
         return True
@@ -401,7 +438,8 @@ def nilpotent_kernel(run: _CheckRun) -> Generator:
 def spectrum_invariance(run: _CheckRun) -> Generator:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
     m = ginibre(run.rng, run.dim)
-    (d,) = yield (m,)
-    dist = spectra_pairing_distance(spectrum(m), spectrum(d))
+    (d,) = yield ("aluthge", (m,))
+    ev_m, ev_d = yield ("eigvals", (m, d))
+    dist = spectra_pairing_distance(_sorted_spectrum(ev_m), _sorted_spectrum(ev_d))
     bound = 1e-7 * (1.0 + frobenius(m))
     run.observe(dist, dist > bound, T=m)

@@ -138,10 +138,12 @@ def rank_one(x, y) -> np.ndarray:
 
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a square matrix with multiplicity, sorted by (re, im)."""
-    m = validate_matrix(m, square=True)
-    ev = np.linalg.eigvals(m)
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+    return _sorted_spectrum(np.linalg.eigvals(validate_matrix(m, square=True)))
+
+
+def _sorted_spectrum(ev: np.ndarray) -> np.ndarray:
+    """Eigenvalues ``ev`` sorted by (re, im), as ``spectrum`` returns them."""
+    return ev[np.lexsort((ev.imag, ev.real))]
 
 
 def spectra_pairing_distance(a, b) -> float:
@@ -221,7 +223,12 @@ def is_quasi_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_projection(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    t = validate_matrix(t, square=True)
+    """True iff T is idempotent and self-adjoint within fix_rel slack."""
+    return _is_projection(validate_matrix(t, square=True), tol)
+
+
+def _is_projection(t: np.ndarray, tol: Tolerances) -> bool:
+    """``is_projection`` of a square complex array, unvalidated."""
     nrm = frobenius(t)
     idem = frobenius(t @ t - t) <= tol.fix_rel * (1.0 + nrm**2)
     selfadj = frobenius(t - t.conj().T) <= tol.fix_rel * (1.0 + nrm)

@@ -15,15 +15,16 @@ from collections.abc import Callable, Generator
 import numpy as np
 
 from .generators import (
+    _normal,
+    complex_gaussian,
     ginibre,
-    haar_unitary,
-    normal_matrix,
     unit_vector,
 )
 from .lemmas import (
     Check,
     _check,
     _CheckRun,
+    _haar,
     _in_dead_band,
     nilpotent_kernel,
     projection_absorb,
@@ -34,10 +35,10 @@ from .lemmas import (
     square_identity,
 )
 from .linalg import (
+    _is_projection,
     _jordan,
     frobenius,
     inner,
-    is_projection,
     rank_one,
 )
 
@@ -82,14 +83,14 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
     def trial(run: _CheckRun) -> Generator:
-        u = haar_unitary(run.rng, run.dim)
+        u = yield from _haar(run.rng, run.dim)
 
         def draw():
             a = ginibre(run.rng, run.dim)
             b = ginibre(run.rng, run.dim)
             pb = phi(u, b)
             pb, bb = (pb.conj().T, b.conj().T) if star else (pb, b)
-            lhs, delta = yield (_jordan(phi(u, a), pb), _jordan(a, bb))
+            lhs, delta = yield ("aluthge", (_jordan(phi(u, a), pb), _jordan(a, bb)))
             rhs = phi(u, delta)
             residual = frobenius(lhs - rhs)
             slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
@@ -119,11 +120,11 @@ def structural_properties(run: _CheckRun) -> Generator:
     rank-one projections, plus preservation of self-adjointness.
     """
     rng, n, tol = run.rng, run.dim, run.tol
-    u = haar_unitary(rng, n)
+    u = yield from _haar(rng, n)
 
     # Random frame; disjoint column blocks give orthogonal projections,
     # nested leading blocks give ordered ones.
-    w = haar_unitary(rng, n)
+    w = yield from _haar(rng, n)
     k = int(rng.integers(1, n))
     j = int(rng.integers(1, k + 1))
     m = int(rng.integers(1, n - k + 1))
@@ -135,23 +136,24 @@ def structural_properties(run: _CheckRun) -> Generator:
     slack = tol.fix_rel
 
     a = ginibre(rng, n)
-    d_phi_a, d_a = yield (unitary_conj(u, a), a)
+    d_phi_a, d_a = yield ("aluthge", (unitary_conj(u, a), a))
     r_commute = frobenius(d_phi_a - unitary_conj(u, d_a))
     bad = r_commute > slack * (1.0 + frobenius(a))
 
-    nm = normal_matrix(rng, n)
+    nu = yield from _haar(rng, n)
+    nm = _normal(nu, complex_gaussian(rng, n))
     fnm = unitary_conj(u, nm)
     r_square = frobenius(unitary_conj(u, nm @ nm) - fnm @ fnm)
     bad |= r_square > slack * (1.0 + frobenius(nm) ** 2)
 
-    bad |= not is_projection(fp, tol)
+    bad |= not _is_projection(fp, tol)
     bad |= frobenius(fp @ fq_orth) > slack or frobenius(fq_orth @ fp) > slack
     bad |= frobenius(_jordan(fp, fq_nested) - fq_nested) > slack
     bad |= frobenius(unitary_conj(u, p + q_orth) - (fp + fq_orth)) > slack
 
     x = unit_vector(rng, n)
     f_rank1 = unitary_conj(u, np.outer(x, x.conj()))
-    bad |= not is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
+    bad |= not _is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
 
     g = ginibre(rng, n)
     h = (g + g.conj().T) / 2.0
@@ -162,11 +164,11 @@ def structural_properties(run: _CheckRun) -> Generator:
 
 
 @_check("vector_state_identity", domain=None)
-def vector_state_identity(run: _CheckRun) -> None:
+def vector_state_identity(run: _CheckRun) -> Generator:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree.
     The identity involves no transform, so it has no lambda domain."""
-    u = haar_unitary(run.rng, run.dim)
+    u = yield from _haar(run.rng, run.dim)
     a = ginibre(run.rng, run.dim)
     x = unit_vector(run.rng, run.dim)
     y = u @ x
@@ -187,8 +189,9 @@ def adjoint_counterexample(run: _CheckRun) -> Generator:
         if 0.05 <= abs(np.vdot(xp, x)) <= 0.95:
             break
     a = rank_one(x, xp)
-    delta_of_adjoint, delta = yield (a.conj().T, a)
-    residual = float(np.linalg.norm(delta_of_adjoint - delta.conj().T, 2))
+    delta_of_adjoint, delta = yield ("aluthge", (a.conj().T, a))
+    (s,) = yield ("svdvals", (delta_of_adjoint - delta.conj().T,))
+    residual = float(s.max())
     c = abs(inner(x, xp))
     closed = c * float(np.sqrt(max(0.0, 1.0 - c**2)))
     mismatch = abs(residual - closed)

@@ -1,20 +1,25 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aluthge import lemmas
 from aluthge.generators import (
-    MIN_CONDITION,
     complex_gaussian,
     ginibre,
     haar_unitary,
-    invertible_ginibre,
     nilpotent_sq_zero,
     normal_matrix,
     trial_rng,
     unit_vector,
 )
+from aluthge.lemmas import MIN_CONDITION, Check, run_check
 from aluthge.linalg import frobenius
 
 STRUCT_TOL = 1e-12
+GAUSSIAN_SHAPES = [(n,) for n in (*range(1, 9), 48)] + [(n, n) for n in (*range(1, 9), 48)]
 
 
 class TestStreams:
@@ -35,6 +40,18 @@ class TestStreams:
         one, two = trial_rng(3, *shape), trial_rng(3, *shape)
         z = complex_gaussian(one, *shape)
         expected = (two.standard_normal(shape) + 1j * two.standard_normal(shape)) / np.sqrt(2.0)
+        assert z.tobytes() == expected.tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), shape=st.sampled_from(GAUSSIAN_SHAPES))
+    def test_complex_gaussian_matches_division_form(self, seed, shape):
+        # Scaling both parts by 1/sqrt(2) is the division numpy performs.
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        z = complex_gaussian(one, *shape)
+        w = two.standard_normal((2, *shape))
+        expected = (w[0] + 1j * w[1]) / np.sqrt(2.0)
+        assert (z.dtype, z.shape) == (expected.dtype, expected.shape)
         assert z.tobytes() == expected.tobytes()
         assert one.bit_generator.state == two.bit_generator.state
 
@@ -59,10 +76,25 @@ class TestStructuralSelfTests:
             t = nilpotent_sq_zero(self.rng, 5)
             assert frobenius(t @ t) <= STRUCT_TOL * (1 + frobenius(t) ** 2)
 
-    def test_invertible_condition_floor(self):
-        g = invertible_ginibre(self.rng, 4)
-        s = np.linalg.svd(g, compute_uv=False)
-        assert s[-1] >= MIN_CONDITION * s[0]
+    def test_driver_conditioned_draws_meet_floor(self, monkeypatch):
+        # The checks' conditioned draws come from the driver's svdvals
+        # requests. At a floor of 0.3 most 4 x 4 Ginibre draws fall below
+        # it, so the redraw path runs too.
+        for floor in (MIN_CONDITION, 0.3):
+            monkeypatch.setattr(lemmas, "MIN_CONDITION", floor)
+            ratios, redrawn = [], []
+
+            def trial(r):
+                first = ginibre(copy.deepcopy(r.rng), r.dim)
+                m = yield from lemmas._invertible_ginibre(r.rng, r.dim)
+                s = np.linalg.svd(m, compute_uv=False)
+                ratios.append(s[-1] / s[0])
+                redrawn.append(not np.array_equal(m, first))
+
+            run_check(Check("toy", trial), 4, 99, 0.5, 50)
+            assert len(ratios) == 50
+            assert min(ratios) >= floor
+            assert any(redrawn) == (floor == 0.3)
 
     def test_unit_vector(self):
         x = unit_vector(self.rng, 7)

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from aluthge import lemmas
 from aluthge.cli import _canonical
-from aluthge.generators import ginibre
+from aluthge.generators import ginibre, haar_unitary
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj, vector_payload
@@ -149,7 +151,7 @@ class TestDriver:
         def trial(r):
             def draw():
                 draws.append(r.trial)
-                yield (np.eye(r.dim),)
+                yield ("aluthge", (np.eye(r.dim),))
                 return False
 
             yield from r.redraw(draw)
@@ -165,7 +167,7 @@ class TestDriver:
 
         def trial(r):
             def draw():
-                yield (np.eye(r.dim),)
+                yield ("aluthge", (np.eye(r.dim),))
                 outcome = next(outcomes)
                 if outcome is None:
                     return False
@@ -183,7 +185,7 @@ class TestDriver:
             r.observe(1.0, True)
 
             def draw():
-                yield (np.eye(r.dim),)
+                yield ("aluthge", (np.eye(r.dim),))
                 r.observe(2.0, True)
                 return True
 
@@ -197,7 +199,7 @@ class TestDriver:
         # must still win the tie, and each trial fails once.
         def trial(r):
             for _ in range(5 - r.trial % 5):
-                yield (np.eye(r.dim),)
+                yield ("aluthge", (np.eye(r.dim),))
             r.observe(1.0, True, k=r.trial)
             r.observe(1.0, True, k=r.trial)
 
@@ -213,11 +215,55 @@ class TestDriver:
         def trial(r):
             for _ in range(1 + r.trial % 2):
                 ms = tuple(ginibre(r.rng, r.dim) for _ in range(1 + r.trial % 3))
-                ds = yield ms
+                ds = yield ("aluthge", ms)
                 same = len(ds) == len(ms) and all(np.array_equal(d, aluthge(m, r.lam)) for m, d in zip(ms, ds))
                 r.observe(0.0, not same)
 
         assert run_check(Check("toy", trial), 4, 99, 0.3, 9)["failures"] == 0
+
+    def test_mixed_ops_in_one_round_match_per_matrix_calls(self):
+        # Trial t requests op t % 4 on 1 + t % 3 matrices, so the first round
+        # mixes all four ops with different matrix counts per trial; every
+        # result must be the per-matrix call's, bit for bit.
+        per_matrix = {
+            "aluthge": lambda m, r, twin: aluthge(m, r.lam),
+            "haar": lambda m, r, twin: haar_unitary(twin, r.dim),
+            "svdvals": lambda m, r, twin: np.linalg.svd(m, compute_uv=False),
+            "eigvals": lambda m, r, twin: np.linalg.eigvals(m),
+        }
+        ops = list(per_matrix)
+        pairs = []
+
+        def trial(r):
+            for _ in range(1 + r.trial % 2):
+                op = ops[r.trial % 4]
+                twin = copy.deepcopy(r.rng)
+                ms = tuple(ginibre(r.rng, r.dim) for _ in range(1 + r.trial % 3))
+                results = yield (op, ms)
+                assert len(results) == len(ms)
+                pairs.extend((op, got, per_matrix[op](m, r, twin)) for m, got in zip(ms, results))
+
+        run_check(Check("toy", trial), 4, 99, 0.3, 12)
+        # 12 trials: each op has three, with 1, 2 and 3 matrices over 1 or 2 rounds.
+        assert len(pairs) == sum((1 + t % 2) * (1 + t % 3) for t in range(12))
+        assert {op for op, _, _ in pairs} == set(ops)
+        for op, got, expected in pairs:
+            assert (op, got.dtype, got.shape) == (op, expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), op
+
+    def test_condition_trials_share_one_stacked_qr(self, monkeypatch):
+        # At dim 3 all 100 trials form one block, and each draws its U in
+        # the first round.
+        shapes = []
+        qr = np.linalg.qr
+
+        def counted_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        run_check(CHECKS["jordan_condition_unitary"], 3, 99, 0.5, 100)
+        assert shapes == [(100, 3, 3)]
 
     @pytest.mark.parametrize("per_block", [1, 7])
     @pytest.mark.parametrize("dim", [2, 5])
