@@ -12,8 +12,10 @@ input file, 3 non-square input where a square matrix is required.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
+import functools
 import io
 import json
 import math
@@ -23,6 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import matrixio
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -38,6 +41,19 @@ DEFAULT_DIMS = [2, 3, 4, 5, 6]
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
+
+# Processes that run verify's reports, all forked workers with one BLAS thread
+# each. Two is the only count measured (on 2 CPUs, where it halves a run).
+VERIFY_PROCESSES = 2
+# OpenBLAS's (set, get) thread-count entry points, under the names its builds
+# export: scipy-openblas (numpy 2 wheels) with and without the ILP64 suffix,
+# then OpenBLAS itself (numpy 1 wheels, system builds).
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,6 +234,89 @@ def _verify_config(args) -> tuple[dict, Tolerances]:
     return cfg, Tolerances(**cfg["tolerances"])  # Tolerances validates ranges
 
 
+def _openblas_threads():
+    """The (set, get) thread-count functions of the OpenBLAS this process
+    loaded (numpy's), as ctypes functions; None if no loaded library exports a
+    known pair (another BLAS) or the loaded libraries cannot be listed (no
+    /proc/self/maps)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            # Fields: address, perms, offset, dev, inode, then the path, which may hold spaces.
+            paths = sorted({os.fsdecode(line.split(maxsplit=5)[5].rstrip(b"\n")) for line in fh if b"openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                return getattr(lib, set_name), getattr(lib, get_name)
+    return None
+
+
+def _verify_processes(n_reports: int, blas_threads) -> int:
+    """Processes that run ``n_reports`` reports: one per usable CPU, at most
+    VERIFY_PROCESSES and at most one per report; 1 (this process alone) where
+    BLAS's thread count cannot be set, ``blas_threads`` being None, since
+    workers that keep this process's BLAS threads oversubscribe the CPUs."""
+    if blas_threads is None:
+        return 1
+    return min(matrixio._usable_cpus(), VERIFY_PROCESSES, n_reports)
+
+
+@contextlib.contextmanager
+def _report_pool(n_reports: int):
+    """A pool of forked workers, each with one BLAS thread, to run ``n_reports``
+    reports; None where they run in this process (see ``_verify_processes``).
+    However the block exits, the pool is shut down and its pending reports cancelled."""
+    blas_threads = _openblas_threads()
+    processes = _verify_processes(n_reports, blas_threads)
+    if processes == 1:
+        yield None
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy again, which took back
+    # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
+    # atfork handler) and the command starts no other thread, so a forked
+    # worker holds no lock another thread took; it then pins its BLAS to one thread.
+    set_threads, _ = blas_threads
+    pool = ProcessPoolExecutor(
+        processes, mp_context=multiprocessing.get_context("fork"), initializer=set_threads, initargs=(1,)
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tolerances) -> dict:
+    check_id, dim = task
+    return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
+
+
+def _reports(run, tasks: list, pool):
+    """``map(run, tasks)``, on ``pool``'s workers if there is a pool. If the
+    pool breaks (a worker was killed or ran out of memory), the report it owed
+    and every later one are run here."""
+    done = 0
+    if pool is not None:
+        from concurrent.futures import BrokenExecutor
+
+        try:
+            for report in pool.map(run, tasks):
+                yield report
+                done += 1
+        except BrokenExecutor:
+            pass
+    yield from map(run, tasks[done:])
+
+
 def cmd_verify(args) -> int:
     try:
         cfg, tol = _verify_config(args)
@@ -227,11 +326,12 @@ def cmd_verify(args) -> int:
 
     if not _written(args.output_dir, lambda path: os.makedirs(path, exist_ok=True)):
         return EXIT_USAGE
+    tasks = [(check_id, dim) for check_id in cfg["checks"] for dim in cfg["dims"]]
+    run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    for check_id in cfg["checks"]:
-        for dim in cfg["dims"]:
-            report = run_check(CHECKS[check_id], dim, cfg["seed"], cfg["lambda"], cfg["trials"], tol)
+    with _report_pool(len(tasks)) as pool:
+        for (check_id, dim), report in zip(tasks, _reports(run, tasks, pool)):
             reports.append(report)
             total_failures += report["failures"]
             verdict = "PASS" if report["failures"] == 0 else "FAIL"

@@ -13,7 +13,7 @@ import pytest
 from aluthge import cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
-from aluthge.lemmas import run_check
+from aluthge.lemmas import Check, run_check
 from aluthge.linalg import Tolerances, frobenius
 from aluthge.maps import CHECKS
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
@@ -28,6 +28,11 @@ MATRIX_1E308 = json.dumps(matrix_to_obj(np.full((4, 4), 1e308, dtype=complex))).
 TRANSFORM = ["transform", "IN", "--output", "OUT"]
 VERIFY = ["verify", "--config", "IN", "--output-dir", "OUT"]
 ITERATE = ["iterate", "IN", "--output", "OUT"]
+
+
+_PARENT_PID = os.getpid()
+# Runs that would start workers do so only where BLAS's thread count can be set.
+needs_blas_threads = pytest.mark.skipif(cli._openblas_threads() is None, reason="no known BLAS thread-count setter")
 
 
 def write(path, m):
@@ -481,3 +486,137 @@ def test_verify_and_iterate_leave_scipy_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 0 False"
+
+
+def _register(monkeypatch, id, trial):
+    """Add a check ``id`` run by the plain trial function ``trial``; workers forked later inherit it."""
+    monkeypatch.setitem(CHECKS, id, Check(id, trial, domain=None))
+
+
+def _dies_in_workers(run):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    run.observe(float(run.trial), False)
+
+
+def _raises(run):
+    raise ValueError(f"trial {run.trial} cannot run")
+
+
+def _observes_blas_threads(run):
+    run.observe(float(cli._openblas_threads()[1]()), False)
+
+
+def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
+    """Exit code, stdout, stderr and output files of ``verify *argv`` with
+    ``cpus`` usable CPUs. It runs in ``tmp_path/cpus<cpus>`` and writes to
+    ``out`` there, so that paths in its output read the same for any ``cpus``."""
+    where = tmp_path / f"cpus{cpus}"
+    where.mkdir(exist_ok=True)
+    monkeypatch.chdir(where)
+    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+    code = main(["verify", *argv, "--no-timestamp", "--output-dir", "out"])
+    out, err = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    files = {p.name: p.read_bytes() for p in sorted((where / "out").iterdir()) if p.is_file()}
+    return code, out, err, files
+
+
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """The task lists handed to worker pools, recorded as they are mapped."""
+    maps = []
+    pool_map = ProcessPoolExecutor.map
+
+    def recording_map(pool, fn, tasks, **kwargs):
+        maps.append(list(tasks))
+        return pool_map(pool, fn, maps[-1], **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+    return maps
+
+
+class TestVerifyWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_verify_processes_capped(self, monkeypatch, cpus):
+        # The computed count only: no process is started.
+        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+        found = ("set", "get")
+        assert cli._verify_processes(75, found) == min(cpus, 2)
+        assert cli._verify_processes(1, found) == 1
+        assert cli._verify_processes(75, None) == 1
+
+    def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, pool_maps):
+        argv = ["--dims", "2", "3", "--trials", "20", "--format", "csv"]
+        serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
+        assert pool_maps == []
+        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        assert pooled == serial
+        assert serial[0] == EXIT_OK and len(serial[3]) == len(CHECKS) * 2 + 2
+        if cli._openblas_threads() is not None:
+            assert pool_maps == [[(check_id, dim) for check_id in sorted(CHECKS) for dim in (2, 3)]]
+
+    @needs_blas_threads
+    def test_killed_worker_reports_run_here(self, tmp_path, monkeypatch, capsys, pool_maps):
+        _register(monkeypatch, "dies_in_workers", _dies_in_workers)
+        argv = ["--checks", "rank_one_formula", "dies_in_workers", "nilpotent_kernel", "--dims", "2", "3",
+                "--trials", "10"]
+        serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
+        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        assert len(pool_maps) == 1
+        assert pooled == serial and serial[0] == EXIT_OK
+
+    def test_unwritable_report_exits_2_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        argv = ["--checks", "square_identity", "rank_one_formula", "--dims", "2", "3", "--trials", "10"]
+        for cpus in (1, 2):
+            os.makedirs(tmp_path / f"cpus{cpus}" / "out" / "square_identity_dim3.json")
+        serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
+        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        assert pooled == serial and serial[0] == EXIT_USAGE
+        assert serial[2] == "error: cannot write out/square_identity_dim3.json: not a regular file\n"
+        assert list(serial[3]) == ["square_identity_dim2.json"]
+
+    @needs_blas_threads
+    def test_raising_trial_fails_as_in_process(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from aluthge import cli, matrixio\n"
+            "from aluthge.lemmas import Check\n"
+            "def trial(run):\n"
+            "    raise ValueError(f'trial {run.trial} cannot run')\n"
+            "cli.CHECKS['raises'] = Check('raises', trial, domain=None)\n"
+            "matrixio._usable_cpus = lambda: int(sys.argv[1])\n"
+            "sys.exit(cli.main(['verify', '--checks', 'rank_one_formula', 'raises', '--dims', '2', '3',\n"
+            "                   '--trials', '5', '--no-timestamp', '--output-dir', 'out']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        runs = []
+        for cpus in (1, 2):
+            where = tmp_path / f"cpus{cpus}"
+            where.mkdir()
+            proc = subprocess.run([sys.executable, "-c", script, str(cpus)], cwd=where, env=env,
+                                  capture_output=True, text=True)
+            runs.append((proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and runs[0][2] == "ValueError: trial 0 cannot run"
+        assert runs[0][1].count("PASS rank_one_formula") == 2
+
+    @needs_blas_threads
+    def test_raising_trial_leaves_no_worker(self, tmp_path, monkeypatch, pool_maps):
+        _register(monkeypatch, "raises", _raises)
+        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="trial 0 cannot run"):
+            main(["verify", "--checks", "rank_one_formula", "raises", "--dims", "2", "3", "--trials", "5",
+                  "--output-dir", str(tmp_path / "out")])
+        assert len(pool_maps) == 1 and multiprocessing.active_children() == []
+
+    @needs_blas_threads
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
+        get_threads = cli._openblas_threads()[1]
+        before = get_threads()
+        _register(monkeypatch, "blas_threads", _observes_blas_threads)
+        code, _, _, files = run_on(2, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2", "3",
+                                   "--trials", "2")
+        assert code == EXIT_OK and len(pool_maps) == 1
+        assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0, 1.0]
+        assert get_threads() == before
