@@ -12,6 +12,7 @@ input file, 3 non-square input where a square matrix is required.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import datetime
@@ -42,9 +43,18 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Processes that run verify's reports, all forked workers with one BLAS thread
-# each. Two is the only count measured (on 2 CPUs, where it halves a run).
-VERIFY_PROCESSES = 2
+# Forked workers, each with one BLAS thread, that run verify's reports or
+# iterate's per-step measures. Two is the only count measured (on 2 CPUs, where
+# it halves a verify run and takes about 0.6 of an iterate run at n = 128).
+POOL_PROCESSES = 2
+# Order of the input from which iterate's per-step measures go to the workers.
+# Measured on 2 CPUs, 300 steps, in-process against pooled: n = 8 took 0.09-0.12
+# s against 0.32-0.38 s, n = 32 0.56-0.57 s against 0.55-0.66 s, n = 48
+# 0.85-1.22 s against 0.92-0.96 s; n = 64 1.89-2.19 s against 1.20-1.25 s.
+ITERATE_POOL_N = 64
+# Steps whose measures may be on the workers at once, so that memory does not
+# grow with --max-iter: two per worker.
+ITERATE_WINDOW = 2 * POOL_PROCESSES
 # OpenBLAS's (set, get) thread-count entry points, under the names its builds
 # export: scipy-openblas (numpy 2 wheels) with and without the ILP64 suffix,
 # then OpenBLAS itself (numpy 1 wheels, system builds).
@@ -144,18 +154,25 @@ def cmd_iterate(args) -> int:
     if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
         print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
-    sigma0 = spectrum(m)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
-    try:
-        for step, (it, delta, converged) in enumerate(steps, start=1):
-            drift = spectra_pairing_distance(sigma0, spectrum(it))
-            writer.writerow([step, repr(delta), repr(_distance_to_normal(it)), repr(drift)])
-    except FloatingPointError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Every process runs one BLAS thread, so the trace does not depend on the
+    # CPU count: at n >= 128 svd and eigvals give other bits on two threads.
+    blas_threads = _openblas_threads()
+    tasks = args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1
+    with _one_blas_thread(blas_threads), _worker_pool(tasks, blas_threads) as pool:
+        # The command runs the chain; the workers take each step's measures.
+        measures = functools.partial(_step_measures, spectrum(m))
+        steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+        try:
+            for step, ((_, delta, converged), (distance, drift)) in enumerate(
+                _in_order(measures, steps, pool, ITERATE_WINDOW), start=1
+            ):
+                writer.writerow([step, repr(delta), repr(distance), repr(drift)])
+        except FloatingPointError as exc:
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     buf.write(f"# converged={'true' if converged else 'false'}\n")
     return EXIT_OK if _written(args.output, atomic_write_text, buf.getvalue()) else EXIT_USAGE
 
@@ -258,23 +275,39 @@ def _openblas_threads():
     return None
 
 
-def _verify_processes(n_reports: int, blas_threads) -> int:
-    """Processes that run ``n_reports`` reports: one per usable CPU, at most
-    VERIFY_PROCESSES and at most one per report; 1 (this process alone) where
+@contextlib.contextmanager
+def _one_blas_thread(blas_threads):
+    """Run the block with this process's BLAS on one thread, through the
+    (set, get) pair ``blas_threads``, and restore the count found however the
+    block exits; where that pair is None (another BLAS), leave BLAS alone."""
+    if blas_threads is None:
+        yield
+        return
+    set_threads, get_threads = blas_threads
+    found = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(found)
+
+
+def _pool_processes(n_tasks: int, blas_threads) -> int:
+    """Processes that run ``n_tasks`` tasks: one per usable CPU, at most
+    POOL_PROCESSES and at most one per task; 1 (this process alone) where
     BLAS's thread count cannot be set, ``blas_threads`` being None, since
     workers that keep this process's BLAS threads oversubscribe the CPUs."""
     if blas_threads is None:
         return 1
-    return min(matrixio._usable_cpus(), VERIFY_PROCESSES, n_reports)
+    return min(matrixio._usable_cpus(), POOL_PROCESSES, n_tasks)
 
 
 @contextlib.contextmanager
-def _report_pool(n_reports: int):
-    """A pool of forked workers, each with one BLAS thread, to run ``n_reports``
-    reports; None where they run in this process (see ``_verify_processes``).
-    However the block exits, the pool is shut down and its pending reports cancelled."""
-    blas_threads = _openblas_threads()
-    processes = _verify_processes(n_reports, blas_threads)
+def _worker_pool(n_tasks: int, blas_threads):
+    """A pool of forked workers, each with one BLAS thread, to run ``n_tasks``
+    tasks; None where they run in this process (see ``_pool_processes``).
+    However the block exits, the pool is shut down and its pending tasks cancelled."""
+    processes = _pool_processes(n_tasks, blas_threads)
     if processes == 1:
         yield None
         return
@@ -300,21 +333,50 @@ def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tole
     return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
 
 
-def _reports(run, tasks: list, pool):
-    """``map(run, tasks)``, on ``pool``'s workers if there is a pool. If the
-    pool breaks (a worker was killed or ran out of memory), the report it owed
-    and every later one are run here."""
-    done = 0
+def _step_measures(sigma0: np.ndarray, step: tuple) -> tuple[float, float]:
+    """(distance to normal, spectral drift) of the iterate of ``step``, an
+    item of ``iterate_aluthge``, whose input has the spectrum ``sigma0``."""
+    it = step[0]
+    return _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
+
+
+def _in_order(fn, items, pool, window: int):
+    """(item, fn(item)) for each of ``items`` in order, pulling ``items``
+    lazily. With a pool, fn runs on its workers with at most ``window`` items
+    not yet yielded; if the pool breaks (a worker was killed or ran out of
+    memory), the item it owed and every later one run here. An error raised by
+    ``items`` surfaces after the items before it, as it does without a pool."""
+    items = iter(items)
+    owed, futures = collections.deque(), collections.deque()
+    error = None
     if pool is not None:
         from concurrent.futures import BrokenExecutor
 
         try:
-            for report in pool.map(run, tasks):
-                yield report
-                done += 1
+            while True:
+                while error is None and len(futures) < window:
+                    try:
+                        item = next(items)
+                    except StopIteration:
+                        break
+                    except Exception as exc:
+                        error = exc
+                        break
+                    owed.append(item)
+                    futures.append(pool.submit(fn, item))
+                if not futures:
+                    break
+                result = futures[0].result()
+                futures.popleft()
+                yield owed.popleft(), result
         except BrokenExecutor:
             pass
-    yield from map(run, tasks[done:])
+    for item in owed:
+        yield item, fn(item)
+    if error is not None:
+        raise error
+    for item in items:
+        yield item, fn(item)
 
 
 def cmd_verify(args) -> int:
@@ -330,8 +392,8 @@ def cmd_verify(args) -> int:
     run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    with _report_pool(len(tasks)) as pool:
-        for (check_id, dim), report in zip(tasks, _reports(run, tasks, pool)):
+    with _worker_pool(len(tasks), _openblas_threads()) as pool:
+        for (check_id, dim), report in _in_order(run, tasks, pool, len(tasks)):
             reports.append(report)
             total_failures += report["failures"]
             verdict = "PASS" if report["failures"] == 0 else "FAIL"

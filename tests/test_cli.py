@@ -4,7 +4,7 @@ import os
 import stat
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -524,15 +524,18 @@ def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
 
 @pytest.fixture
 def pool_maps(monkeypatch):
-    """The task lists handed to worker pools, recorded as they are mapped."""
-    maps = []
-    pool_map = ProcessPoolExecutor.map
+    """The tasks handed to worker pools, one list per pool, recorded as they are submitted."""
+    maps, pools = [], []
+    submit = ProcessPoolExecutor.submit
 
-    def recording_map(pool, fn, tasks, **kwargs):
-        maps.append(list(tasks))
-        return pool_map(pool, fn, maps[-1], **kwargs)
+    def recording_submit(pool, fn, task):
+        if not pools or pools[-1] is not pool:
+            pools.append(pool)
+            maps.append([])
+        maps[-1].append(task)
+        return submit(pool, fn, task)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     return maps
 
 
@@ -542,9 +545,9 @@ class TestVerifyWorkers:
         # The computed count only: no process is started.
         monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
         found = ("set", "get")
-        assert cli._verify_processes(75, found) == min(cpus, 2)
-        assert cli._verify_processes(1, found) == 1
-        assert cli._verify_processes(75, None) == 1
+        assert cli._pool_processes(75, found) == min(cpus, 2)
+        assert cli._pool_processes(1, found) == 1
+        assert cli._pool_processes(75, None) == 1
 
     def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, pool_maps):
         argv = ["--dims", "2", "3", "--trials", "20", "--format", "csv"]
@@ -620,3 +623,195 @@ class TestVerifyWorkers:
         assert code == EXIT_OK and len(pool_maps) == 1
         assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0, 1.0]
         assert get_threads() == before
+
+
+_STEP_MEASURES = cli._step_measures
+
+
+def _measures_die_in_workers(sigma0, step):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _STEP_MEASURES(sigma0, step)
+
+
+def _measures_raise(sigma0, step):
+    raise ValueError("these measures cannot be taken")
+
+
+def _measures_blas_threads(sigma0, step):
+    """This process's BLAS thread count, and 1.0 in a worker, 0.0 here."""
+    return float(cli._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
+
+
+def _chain_stops(exc, after, threads=None):
+    """``iterate_aluthge`` that yields its first ``after`` steps, then raises
+    ``exc`` if there is one; it records in ``threads`` the BLAS thread count
+    it runs on."""
+
+    def chain(*args, **kwargs):
+        for _, step in zip(range(after), iterate_aluthge(*args, **kwargs)):
+            if threads is not None:
+                threads.append(cli._openblas_threads()[1]())
+            yield step
+        if exc is not None:
+            raise exc
+
+    return chain
+
+
+class _ImmediatePool:
+    """Stands in for a worker pool, with no process: it runs each task at
+    submit and records the most tasks handed to it and not yet taken back."""
+
+    def __init__(self):
+        self.submitted = self.taken = self.peak = 0
+
+    def submit(self, fn, item):
+        self.submitted += 1
+        self.peak = max(self.peak, self.submitted - self.taken)
+        future = Future()
+        future.set_result(fn(item))
+        return future
+
+
+@pytest.fixture
+def iterate_input(tmp_path, monkeypatch):
+    """A 6 x 6 input whose iterate runs on workers wherever they can start."""
+    monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
+    return write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 6))
+
+
+def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
+    """Exit code, stderr and trace bytes (None where none was written) of
+    ``iterate src *argv`` with ``cpus`` usable CPUs. It leaves no worker and
+    this process's BLAS thread count as it found it."""
+    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+    out = Path(output or tmp_path / f"cpus{cpus}.csv")
+    threads = cli._openblas_threads()
+    before = threads and threads[1]()
+    code = main(["iterate", src, *argv, "--output", str(out)])
+    assert multiprocessing.active_children() == []
+    assert (threads and threads[1]()) == before
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+class TestIterateWorkers:
+    def test_small_input_starts_no_process(self, tmp_path, monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", lambda pool, *args, **kwargs: started.append(pool))
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 4))
+        code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, src, "--max-iter", "20")
+        assert code == EXIT_OK and trace.count(b"\n") == 22
+        assert started == [] and 4 < cli.ITERATE_POOL_N
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_window_bounds_steps_in_flight(self, window):
+        # No process: the stand-in pool counts the items handed to it.
+        pool, pulled, rows = _ImmediatePool(), [], []
+
+        def items():
+            for k in range(20):
+                pulled.append(k)
+                yield k
+
+        for k, square in cli._in_order(lambda k: k * k, items(), pool, window):
+            assert len(pulled) <= len(rows) + window
+            rows.append((k, square))
+            pool.taken += 1
+        assert rows == [(k, k * k) for k in range(20)]
+        assert pool.peak == window and pool.submitted == 20
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_item_error_surfaces_after_earlier_items(self, pooled):
+        def items(stop):
+            yield from range(stop)
+            raise FloatingPointError("no more items")
+
+        def fn(k):
+            if k == 3:
+                raise ValueError("item 3 cannot run")
+            return k
+
+        pool = _ImmediatePool() if pooled else None
+        rows = []
+        with pytest.raises(FloatingPointError, match="no more items"):
+            for row in cli._in_order(fn, items(3), pool, 4):
+                rows.append(row)
+        assert rows == [(0, 0), (1, 1), (2, 2)]
+        # An earlier item's error comes first, as it does without a pool.
+        with pytest.raises(ValueError, match="item 3 cannot run"):
+            list(cli._in_order(fn, items(5), _ImmediatePool() if pooled else None, 4))
+
+    def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, iterate_input):
+        windows = []
+        in_order = cli._in_order
+
+        def recording(fn, items, pool, window):
+            windows.append((pool is not None, window))
+            return in_order(fn, items, pool, window)
+
+        monkeypatch.setattr(cli, "_in_order", recording)
+        assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
+        assert windows == [(cli._openblas_threads() is not None, cli.ITERATE_WINDOW)]
+        assert cli.ITERATE_WINDOW == 2 * cli.POOL_PROCESSES
+
+    def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, pool_maps):
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(4), 128))
+        argv = ["--lambda", "0.3", "--max-iter", "10", "--conv-tol", "1e-300"]
+        serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
+        assert pool_maps == []
+        pooled = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
+        assert pooled == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
+        if cli._openblas_threads() is not None:
+            assert len(pool_maps) == 1 and len(pool_maps[0]) == 10
+
+    @needs_blas_threads
+    def test_killed_worker_rows_run_here(self, tmp_path, monkeypatch, capsys, pool_maps, iterate_input):
+        argv = ["--max-iter", "12", "--conv-tol", "1e-300"]
+        serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
+        monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers)
+        pooled = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
+        assert len(pool_maps) == 1
+        assert pooled == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
+        monkeypatch.setattr(cli, "_step_measures", _measures_raise)
+        with pytest.raises(ValueError, match="these measures cannot be taken"):
+            iterate_on(cpus, monkeypatch, capsys, tmp_path, iterate_input)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / f"cpus{cpus}.csv").exists()
+
+    def test_chain_error_exits_2_without_a_file(self, tmp_path, monkeypatch, capsys, iterate_input):
+        monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(FloatingPointError("step 6: not finite"), 5))
+        runs = [iterate_on(cpus, monkeypatch, capsys, tmp_path, iterate_input) for cpus in (1, 2)]
+        assert runs[0] == runs[1] == (EXIT_USAGE, f"error: {iterate_input}: step 6: not finite\n", None)
+
+    def test_unwritable_output_exits_2(self, tmp_path, monkeypatch, capsys, iterate_input):
+        out = tmp_path / "nodir" / "trace.csv"
+        runs = [iterate_on(cpus, monkeypatch, capsys, tmp_path, iterate_input, output=out) for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_USAGE and runs[0][1].startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
+        monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(KeyboardInterrupt(), 5))
+        threads = cli._openblas_threads()
+        before = threads and threads[1]()
+        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+        with pytest.raises(KeyboardInterrupt):
+            main(["iterate", iterate_input, "--output", str(tmp_path / "trace.csv")])
+        assert multiprocessing.active_children() == []
+        assert (threads and threads[1]()) == before
+
+    @needs_blas_threads
+    def test_every_process_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps, iterate_input):
+        chain_threads = []
+        monkeypatch.setattr(cli, "_step_measures", _measures_blas_threads)
+        monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(None, 5, chain_threads))
+        code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input)
+        assert code == EXIT_OK and len(pool_maps) == 1
+        # Each row's distance column holds a worker's thread count, its drift column 1.0.
+        rows = trace.decode().splitlines()[1:-1]
+        assert [row.split(",", 2)[2] for row in rows] == ["1.0,1.0"] * 5
+        assert chain_threads == [1] * 5
