@@ -392,7 +392,10 @@ def cmd_verify(args) -> int:
     run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    with _worker_pool(len(tasks), _openblas_threads()) as pool:
+    # As in iterate: a report run here runs on one BLAS thread, as it does on a
+    # worker, so its bytes do not depend on how many reports the run has.
+    blas_threads = _openblas_threads()
+    with _one_blas_thread(blas_threads), _worker_pool(len(tasks), blas_threads) as pool:
         for (check_id, dim), report in _in_order(run, tasks, pool, len(tasks)):
             reports.append(report)
             total_failures += report["failures"]

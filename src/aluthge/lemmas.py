@@ -33,11 +33,11 @@ import numpy as np
 from .generators import (
     _normal,
     _phase_fixed_q,
+    _trial_rngs,
     check_key,
     complex_gaussian,
     ginibre,
     nilpotent_sq_zero,
-    trial_rng,
     unit_vector,
 )
 from .linalg import (
@@ -229,9 +229,10 @@ def run_check(
     witness: tuple[int, dict] | None = None
     witness_key: tuple[bool, float] | None = None
     for start in range(0, trials, block):
+        stop = min(start + block, trials)
         runs = [
-            _CheckRun(dim, lam, tol, t, trial_rng(seed, key, dim, t))
-            for t in range(start, min(start + block, trials))
+            _CheckRun(dim, lam, tol, t, rng)
+            for t, rng in zip(range(start, stop), _trial_rngs(seed, key, dim, start, stop))
         ]
         # A plain trial function has run to its end here and returned None.
         _lockstep([gen for gen in map(check.trial, runs) if gen is not None], lam, tol)

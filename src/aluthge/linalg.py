@@ -8,6 +8,7 @@ matrices are plain ``numpy.ndarray`` values of dtype complex128.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +97,16 @@ def validate_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
 def frobenius(a) -> float:
     """||a||_F, bit for bit as ``np.linalg.norm(a, "fro")`` computes it for a
     2-d float or complex array, without that function's dispatch."""
-    x = np.asarray(a)
-    if x.ndim != 2 or x.dtype.kind not in "fc":
+    x = a if type(a) is np.ndarray else np.asarray(a)
+    # Single precision takes the square root in single precision, so only
+    # float64 and complex128 take math.sqrt, correctly rounded as np.sqrt is.
+    if x.ndim != 2 or x.dtype.char not in "dD":
         return float(np.linalg.norm(x, "fro"))
     x = x.ravel(order="K")
-    if x.dtype.kind == "f":
-        return float(np.sqrt(x.dot(x)))
+    if x.dtype.char == "d":
+        return math.sqrt(x.dot(x))
     re, im = x.real, x.imag
-    return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def jordan_product(a, b) -> np.ndarray:

@@ -476,6 +476,13 @@ def test_cli_import_leaves_process_pools_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # The block streams import it on first use; loading it costs start-up time and memory.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, aluthge.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_verify_and_iterate_leave_scipy_unloaded(tmp_path):
     # Spectra with distinct eigenvalues are paired without scipy's solver.
     src = write(tmp_path / "in.json", ginibre(np.random.default_rng(3), 4))
@@ -623,6 +630,24 @@ class TestVerifyWorkers:
         assert code == EXIT_OK and len(pool_maps) == 1
         assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0, 1.0]
         assert get_threads() == before
+
+    @needs_blas_threads
+    def test_command_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
+        # On one usable CPU the reports run in the command, on one BLAS thread
+        # as on a worker, whatever count the command had (two where BLAS allows).
+        set_threads, get_threads = cli._openblas_threads()
+        before = get_threads()
+        set_threads(2)
+        try:
+            inherited = get_threads()
+            _register(monkeypatch, "blas_threads", _observes_blas_threads)
+            code, _, _, files = run_on(1, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2",
+                                       "--trials", "2")
+            assert code == EXIT_OK and pool_maps == []
+            assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0]
+            assert get_threads() == inherited
+        finally:
+            set_threads(before)
 
 
 _STEP_MEASURES = cli._step_measures

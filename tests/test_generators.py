@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aluthge import lemmas
+from aluthge import generators, lemmas
 from aluthge.generators import (
+    _trial_rngs,
+    check_key,
     complex_gaussian,
     ginibre,
     haar_unitary,
@@ -17,6 +19,7 @@ from aluthge.generators import (
 )
 from aluthge.lemmas import MIN_CONDITION, Check, run_check
 from aluthge.linalg import frobenius
+from aluthge.maps import CHECKS
 
 STRUCT_TOL = 1e-12
 GAUSSIAN_SHAPES = [(n,) for n in (*range(1, 9), 48)] + [(n, n) for n in (*range(1, 9), 48)]
@@ -54,6 +57,67 @@ class TestStreams:
         assert (z.dtype, z.shape) == (expected.dtype, expected.shape)
         assert z.tobytes() == expected.tobytes()
         assert one.bit_generator.state == two.bit_generator.state
+
+
+def assert_block_matches_trial_rng(seed, key, dim, start, stop):
+    streams = _trial_rngs(seed, key, dim, start, stop)
+    assert len(streams) == stop - start
+    for t, rng in zip(range(start, stop), streams):
+        assert rng.bit_generator.state == trial_rng(seed, key, dim, t).bit_generator.state, t
+
+
+class TestBlockStreams:
+    """``_trial_rngs`` gives exactly ``trial_rng``'s streams: a numpy release
+    whose SeedSequence hashes otherwise fails here rather than moving report bytes."""
+
+    KEY = check_key("spectrum_invariance")
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 100), (56, 100), (99, 100), (0, 1), (7, 7)],
+        ids=["first_block", "later_block", "block_of_one", "one_trial", "empty"],
+    )
+    def test_block_boundaries(self, start, stop):
+        assert_block_matches_trial_rng(7, self.KEY, 6, start, stop)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32], ids=["zero", "one_word_max", "two_words"])
+    def test_seeds(self, seed, monkeypatch):
+        calls = []
+        oracle = generators.trial_rng
+        monkeypatch.setattr(generators, "trial_rng", lambda *a: calls.append(a) or oracle(*a))
+        streams = _trial_rngs(seed, self.KEY, 4, 3, 13)
+        # A seed of two uint32 words takes trial_rng for every stream.
+        assert len(calls) == (10 if seed >= 2**32 else 0)
+        for t, rng in zip(range(3, 13), streams):
+            assert rng.bit_generator.state == oracle(seed, self.KEY, 4, t).bit_generator.state
+
+    @pytest.mark.parametrize(
+        "key, dim, start, stop",
+        [(2**32 - 1, 48, 0, 20), (5, 2**32 - 1, 0, 5), (5, 4, 2**32 - 4, 2**32), (5, 4, 2**32 - 2, 2**32 + 2)],
+        ids=["key_max", "dim_max", "trial_max", "trial_past_one_word"],
+    )
+    def test_word_limits(self, key, dim, start, stop):
+        assert_block_matches_trial_rng(2**32 - 1, key, dim, start, stop)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        key=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 2**32 - 1),
+        start=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 8),
+    )
+    def test_matches_trial_rng(self, seed, key, dim, start, length):
+        assert_block_matches_trial_rng(seed, key, dim, start, start + length)
+
+    def test_reports_match_per_trial_streams(self, monkeypatch):
+        # 100 trials at dim 6 span two blocks of STACK_ENTRIES // 36.
+        assert 100 > lemmas.STACK_ENTRIES // 6**2
+        blocked = [run_check(check, dim, 7, 0.5, 100) for check in CHECKS.values() for dim in (2, 6)]
+        monkeypatch.setattr(
+            lemmas, "_trial_rngs", lambda seed, key, dim, start, stop: [trial_rng(seed, key, dim, t) for t in range(start, stop)]
+        )
+        assert blocked == [run_check(check, dim, 7, 0.5, 100) for check in CHECKS.values() for dim in (2, 6)]
 
 
 class TestStructuralSelfTests:

@@ -85,6 +85,29 @@ class TestFrobenius:
         with np.errstate(over="ignore"):
             assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        exponent=st.integers(-160, 160),
+        kind=st.sampled_from(["real", "complex"]),
+        single=st.booleans(),
+        view=st.sampled_from(["plain", "transposed", "fortran", "strided"]),
+    )
+    def test_bitwise_equal_to_numpy_on_views(self, seed, shape, exponent, kind, single, view):
+        rng = crng(seed)
+        # A strided view takes every other row of a larger array, its columns reversed.
+        base_shape = (2 * shape[0], shape[1]) if view == "strided" else shape
+        a = rng.standard_normal(base_shape) * 10.0**exponent
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal(base_shape) * 10.0**exponent
+        if single:
+            with np.errstate(over="ignore"):
+                a = a.astype(np.complex64 if kind == "complex" else np.float32)
+        a = {"plain": a, "transposed": a.T, "fortran": np.asfortranarray(a), "strided": a[::2, ::-1]}[view]
+        with np.errstate(over="ignore"):
+            assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
+
     @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(-np.inf, 2.0)], ids=["nan_imag", "neg_inf_real"])
     def test_non_finite_part(self, entry):
         a = np.array([[1.0, entry], [0.5j, 2.0]])
