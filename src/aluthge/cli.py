@@ -12,8 +12,6 @@ input file, 3 non-square input where a square matrix is required.
 from __future__ import annotations
 
 import argparse
-import collections
-import contextlib
 import csv
 import datetime
 import functools
@@ -27,6 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import matrixio
+from ._workers import POOL_PROCESSES, _in_order, _one_blas_thread, _openblas_threads, _pool_processes, _worker_pool
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -43,10 +42,6 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Forked workers, each with one BLAS thread, that run verify's reports or
-# iterate's per-step measures. Two is the only count measured (on 2 CPUs, where
-# it halves a verify run and takes about 0.6 of an iterate run at n = 128).
-POOL_PROCESSES = 2
 # Order of the input from which iterate's per-step measures go to the workers.
 # Measured on 2 CPUs, 300 steps, in-process against pooled: n = 8 took 0.09-0.12
 # s against 0.32-0.38 s, n = 32 0.56-0.57 s against 0.55-0.66 s, n = 48
@@ -55,15 +50,6 @@ ITERATE_POOL_N = 64
 # Steps whose measures may be on the workers at once, so that memory does not
 # grow with --max-iter: two per worker.
 ITERATE_WINDOW = 2 * POOL_PROCESSES
-# OpenBLAS's (set, get) thread-count entry points, under the names its builds
-# export: scipy-openblas (numpy 2 wheels) with and without the ILP64 suffix,
-# then OpenBLAS itself (numpy 1 wheels, system builds).
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,11 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_square(path: str) -> np.ndarray | int:
-    """The square matrix in ``path``, or, after printing why there is none,
-    the exit code: EXIT_USAGE for a malformed file, EXIT_SHAPE if not square."""
+def _load_square(path: str, pool=None) -> np.ndarray | int:
+    """The square matrix in ``path``, parsed in part on ``pool`` if given, or,
+    after printing why there is none, the exit code: EXIT_USAGE for a
+    malformed file, EXIT_SHAPE if not square."""
     try:
-        m = load_matrix(path)
+        m = load_matrix(path, pool)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -124,26 +111,29 @@ def _written(path: str, write, *args) -> bool:
 
 
 def cmd_transform(args) -> int:
-    m = _load_square(args.input)
-    if isinstance(m, int):
-        return m
-    if not 0.0 <= args.lam <= 1.0:
-        print("error: --lambda must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.factors:
-        outputs = {args.output: aluthge(m, args.lam)}
-    else:
-        # One SVD serves the transform and both factor files.
-        delta, isometry, modulus = _transform_and_factors(m, args.lam)
-        stem, ext = os.path.splitext(args.output)
-        outputs = {
-            args.output: delta,
-            f"{stem}.isometry{ext or '.json'}": isometry,
-            f"{stem}.modulus{ext or '.json'}": modulus,
-        }
-    for path, matrix in outputs.items():
-        if not _written(path, save_matrix, matrix):
+    # For an input large enough to share, one forked worker parses half its
+    # rows and formats half of each output's, while the command does the rest.
+    with _worker_pool(matrixio._file_workers(args.input)) as pool:
+        m = _load_square(args.input, pool)
+        if isinstance(m, int):
+            return m
+        if not 0.0 <= args.lam <= 1.0:
+            print("error: --lambda must lie in [0, 1]", file=sys.stderr)
             return EXIT_USAGE
+        if not args.factors:
+            outputs = {args.output: aluthge(m, args.lam)}
+        else:
+            # One SVD serves the transform and both factor files.
+            delta, isometry, modulus = _transform_and_factors(m, args.lam)
+            stem, ext = os.path.splitext(args.output)
+            outputs = {
+                args.output: delta,
+                f"{stem}.isometry{ext or '.json'}": isometry,
+                f"{stem}.modulus{ext or '.json'}": modulus,
+            }
+        for path, matrix in outputs.items():
+            if not _written(path, save_matrix, matrix, pool):
+                return EXIT_USAGE
     return EXIT_OK
 
 
@@ -160,8 +150,8 @@ def cmd_iterate(args) -> int:
     # Every process runs one BLAS thread, so the trace does not depend on the
     # CPU count: at n >= 128 svd and eigvals give other bits on two threads.
     blas_threads = _openblas_threads()
-    tasks = args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1
-    with _one_blas_thread(blas_threads), _worker_pool(tasks, blas_threads) as pool:
+    processes = _pool_processes(args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1, blas_threads)
+    with _one_blas_thread(blas_threads), _worker_pool(processes, blas_threads) as pool:
         # The command runs the chain; the workers take each step's measures.
         measures = functools.partial(_step_measures, spectrum(m))
         steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
@@ -251,83 +241,6 @@ def _verify_config(args) -> tuple[dict, Tolerances]:
     return cfg, Tolerances(**cfg["tolerances"])  # Tolerances validates ranges
 
 
-def _openblas_threads():
-    """The (set, get) thread-count functions of the OpenBLAS this process
-    loaded (numpy's), as ctypes functions; None if no loaded library exports a
-    known pair (another BLAS) or the loaded libraries cannot be listed (no
-    /proc/self/maps)."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", "rb") as fh:
-            # Fields: address, perms, offset, dev, inode, then the path, which may hold spaces.
-            paths = sorted({os.fsdecode(line.split(maxsplit=5)[5].rstrip(b"\n")) for line in fh if b"openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                return getattr(lib, set_name), getattr(lib, get_name)
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread(blas_threads):
-    """Run the block with this process's BLAS on one thread, through the
-    (set, get) pair ``blas_threads``, and restore the count found however the
-    block exits; where that pair is None (another BLAS), leave BLAS alone."""
-    if blas_threads is None:
-        yield
-        return
-    set_threads, get_threads = blas_threads
-    found = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(found)
-
-
-def _pool_processes(n_tasks: int, blas_threads) -> int:
-    """Processes that run ``n_tasks`` tasks: one per usable CPU, at most
-    POOL_PROCESSES and at most one per task; 1 (this process alone) where
-    BLAS's thread count cannot be set, ``blas_threads`` being None, since
-    workers that keep this process's BLAS threads oversubscribe the CPUs."""
-    if blas_threads is None:
-        return 1
-    return min(matrixio._usable_cpus(), POOL_PROCESSES, n_tasks)
-
-
-@contextlib.contextmanager
-def _worker_pool(n_tasks: int, blas_threads):
-    """A pool of forked workers, each with one BLAS thread, to run ``n_tasks``
-    tasks; None where they run in this process (see ``_pool_processes``).
-    However the block exits, the pool is shut down and its pending tasks cancelled."""
-    processes = _pool_processes(n_tasks, blas_threads)
-    if processes == 1:
-        yield None
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy again, which took back
-    # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
-    # atfork handler) and the command starts no other thread, so a forked
-    # worker holds no lock another thread took; it then pins its BLAS to one thread.
-    set_threads, _ = blas_threads
-    pool = ProcessPoolExecutor(
-        processes, mp_context=multiprocessing.get_context("fork"), initializer=set_threads, initargs=(1,)
-    )
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tolerances) -> dict:
     check_id, dim = task
     return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
@@ -338,45 +251,6 @@ def _step_measures(sigma0: np.ndarray, step: tuple) -> tuple[float, float]:
     item of ``iterate_aluthge``, whose input has the spectrum ``sigma0``."""
     it = step[0]
     return _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
-
-
-def _in_order(fn, items, pool, window: int):
-    """(item, fn(item)) for each of ``items`` in order, pulling ``items``
-    lazily. With a pool, fn runs on its workers with at most ``window`` items
-    not yet yielded; if the pool breaks (a worker was killed or ran out of
-    memory), the item it owed and every later one run here. An error raised by
-    ``items`` surfaces after the items before it, as it does without a pool."""
-    items = iter(items)
-    owed, futures = collections.deque(), collections.deque()
-    error = None
-    if pool is not None:
-        from concurrent.futures import BrokenExecutor
-
-        try:
-            while True:
-                while error is None and len(futures) < window:
-                    try:
-                        item = next(items)
-                    except StopIteration:
-                        break
-                    except Exception as exc:
-                        error = exc
-                        break
-                    owed.append(item)
-                    futures.append(pool.submit(fn, item))
-                if not futures:
-                    break
-                result = futures[0].result()
-                futures.popleft()
-                yield owed.popleft(), result
-        except BrokenExecutor:
-            pass
-    for item in owed:
-        yield item, fn(item)
-    if error is not None:
-        raise error
-    for item in items:
-        yield item, fn(item)
 
 
 def cmd_verify(args) -> int:
@@ -395,7 +269,8 @@ def cmd_verify(args) -> int:
     # As in iterate: a report run here runs on one BLAS thread, as it does on a
     # worker, so its bytes do not depend on how many reports the run has.
     blas_threads = _openblas_threads()
-    with _one_blas_thread(blas_threads), _worker_pool(len(tasks), blas_threads) as pool:
+    processes = _pool_processes(len(tasks), blas_threads)
+    with _one_blas_thread(blas_threads), _worker_pool(processes, blas_threads) as pool:
         for (check_id, dim), report in _in_order(run, tasks, pool, len(tasks)):
             reports.append(report)
             total_failures += report["failures"]

@@ -4,22 +4,30 @@
 
 The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
-repr that round-trips the double. A matrix of at least ``PARALLEL_ENTRIES``
-entries, given two usable CPUs, has its rows formatted by the calling process
-and a forked worker at once, with the same bytes. Writes are atomic (temp file +
-rename) and honour the process umask.
+repr that round-trips the double. The reader parses a file in that exact layout
+from its numbers alone and hands any other file to ``json.load``, with the same
+result. A matrix of at least ``PARALLEL_ENTRIES`` entries, given two usable
+CPUs, is formatted half by the calling process and half by one forked worker at
+once, with the same bytes; given a pool, as ``transform`` gives, it is parsed
+that way too. Writes are atomic (temp file + rename) and honour the process
+umask.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import io
 import json
 import os
+import re
 import tempfile
 from itertools import chain
 
 import numpy as np
 
+from . import _workers
+from ._workers import _in_order, _worker_pool
 from .linalg import validate_matrix
 
 __all__ = [
@@ -31,21 +39,29 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# Entries from which a save formats its rows in two processes at once. Below
-# about n = 180 square, starting the worker costs more than the half it formats.
+# Entries from which a matrix file is parsed or formatted in two processes at
+# once, the caller and one forked worker (the only count measured, on 2 CPUs).
+# Below about n = 180 square, starting the worker costs more than the share it
+# takes: with one worker for a whole transform --factors, n = 128 took 0.55 s
+# against 0.49 s alone and n = 180 0.69 s against 0.67 s (medians of 10 pairs).
 PARALLEL_ENTRIES = 180 * 180
-# Processes that format one save: the caller and one forked worker. The gain
-# and the break-even above were measured on 2 CPUs with this one worker only.
-SAVE_PROCESSES = 2
+# The writer's header, with at most 18 digits a size, and its trailer.
+_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
+_HEADER_BYTES = 80
+_TRAILER = b"]}\n"
+# The bytes JSON numbers are made of, the break between two written rows, and
+# a table that blanks brackets, which JSON then reads as whitespace.
+_NUMBER_BYTES = b"0123456789.eE+-"
+_ROW_BREAK = b"]], [["
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+# The slices a load parses its own rows in (see _read_exact), about a
+# twentieth of an n = 512 file; in one piece, a worker started on the other
+# half only once this process had parsed its own.
+_SLICE_BYTES = 1 << 18
 
 
 class MatrixFileError(ValueError):
     """Raised for malformed matrix files."""
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _float_rows(m) -> np.ndarray:
@@ -71,41 +87,46 @@ def _format_rows(rows: np.ndarray) -> str:
     return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def _shares(rows: np.ndarray) -> int:
-    """Processes that format ``rows = _float_rows(m)``: 1 below
-    ``PARALLEL_ENTRIES`` or on one usable CPU, else at most ``SAVE_PROCESSES``
-    and never more than there are rows."""
-    n_rows, cols = rows.shape[0], rows.shape[1] // 2
-    if n_rows * cols < PARALLEL_ENTRIES:
-        return 1
-    return min(_usable_cpus(), SAVE_PROCESSES, n_rows)
+def _workers_for(n_rows: int, cols: int) -> int:
+    """Forked workers that share the parsing or formatting of an ``n_rows`` x
+    ``cols`` matrix with this process: one from ``PARALLEL_ENTRIES`` entries
+    on, given two usable CPUs and two rows to split between them; else none."""
+    return int(n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES and _workers._usable_cpus() > 1)
 
 
-def _worker_rows(future, block: np.ndarray) -> str:
-    """A worker's formatted ``block``, or, if the pool broke (a worker was
-    killed or ran out of memory), the same block formatted here."""
-    from concurrent.futures import BrokenExecutor
-
+def _file_workers(path) -> int:
+    """``_workers_for`` the shape in the header of the regular file at
+    ``path``, so that one pool serves its load and the saves of matrices of
+    its shape; 0 where ``path`` is no regular file, cannot be read, does not
+    start with the writer's header or is too short to hold the entries that
+    header promises (see ``_read_exact``). A FIFO is not read here, so that
+    its bytes are left to the load."""
     try:
-        return future.result()
-    except BrokenExecutor:
-        return _format_rows(block)
+        if not os.path.isfile(path):
+            return 0
+        with open(path, "rb") as fh:
+            header = _HEADER.match(fh.read(_HEADER_BYTES))
+            size = os.fstat(fh.fileno()).st_size
+    except OSError:
+        return 0
+    if header is None or size < 8 * int(header[1]) * int(header[2]):
+        return 0
+    return _workers_for(int(header[1]), int(header[2]))
 
 
-def _encode(rows: np.ndarray, shares: int = 1, pool=None):
-    """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows = _float_rows(m)``.
-
-    The rows are cut into ``shares`` blocks: ``pool``'s workers format all
-    blocks but the first while this process formats that one.
-    """
+def _encode(rows: np.ndarray, pool=None):
+    """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows =
+    _float_rows(m)``. With a pool, its worker formats the second half of the
+    rows while this process formats the first; if the pool breaks, this
+    process formats both."""
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    first, *rest = np.array_split(rows, shares)
-    futures = [pool.submit(_format_rows, block) for block in rest]
+    first, *rest = np.array_split(rows, 2 if pool is not None and n_rows > 1 else 1)
+    later = _in_order(_format_rows, rest, pool, len(rest))
     yield _format_rows(first)
-    for block, future in zip(rest, futures):
+    for _, text in later:
         yield ", "
-        yield _worker_rows(future, block)
+        yield text
     yield "]}\n"
 
 
@@ -142,17 +163,75 @@ def _matrix_from_obj(obj) -> np.ndarray:
     return m.view(np.complex128).reshape(rows, cols)
 
 
-def load_matrix(path) -> np.ndarray:
+def _parse_rows(text: bytes, cols: int) -> np.ndarray | None:
+    """``text``, written rows of ``cols`` entries joined by ", ", as a (rows,
+    2 * cols) float array of re, im, re, im, ...; None where ``text``
+    deviates from the writer's layout or holds a number that JSON does not
+    allow or that is not a finite double."""
+    # Once the number bytes are deleted, the brackets, commas and spaces left
+    # must be those of the layout, in order, and no slot of a number may be
+    # empty ("[," or " ]"). Then each number sits alone between two commas
+    # exactly when it sits in its slot, which json.loads of the text with its
+    # brackets blanked confirms, reading every number by the JSON grammar.
+    skeleton = text.translate(None, _NUMBER_BYTES)
+    n_rows, extra = divmod(len(skeleton) + 2, 6 * cols + 2)
+    if extra or not n_rows:
+        return None
+    row = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
+    if skeleton != b", ".join([row] * n_rows) or b"[," in text or b" ]" in text:
+        return None
+    try:
+        values = json.loads("[" + text.translate(_BLANK_BRACKETS).decode("ascii") + "]")
+        floats = np.array(values, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return floats.reshape(n_rows, 2 * cols) if np.isfinite(floats).all() else None
+
+
+def _row_runs(text: bytes, size: int):
+    """``text``, written rows joined by ", ", cut at the first row break
+    after every ``size`` bytes."""
+    start = 0
+    while (cut := text.find(_ROW_BREAK, start + size)) >= 0:
+        yield text[start : cut + 2]
+        start = cut + 4
+    yield text[start:]
+
+
+def _read_exact(raw: bytes, pool=None) -> np.ndarray | None:
+    """The matrix in ``raw`` if it is a file in the writer's exact layout of
+    finite doubles, else None. With a pool, its worker parses the rows after
+    the middle byte while this process parses the rest."""
+    header = _HEADER.match(raw)
+    if header is None or not raw.endswith(_TRAILER):
+        return None
+    n_rows, cols = int(header[1]), int(header[2])
+    body = raw[header.end() : -len(_TRAILER)]
+    # Each entry takes at least 8 bytes ("[0, 0], "): a header that promises
+    # more entries than the file can hold is refused before any work per entry.
+    if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
+        return None
+    first, *rest = [body] if pool is None else _row_runs(body, len(body) // 2)
+    later = _in_order(functools.partial(_parse_rows, cols=cols), rest, pool, len(rest))
+    # This process parses its rows in slices: json.loads holds the GIL for a
+    # whole call, and the threads that hand the worker its rows need it.
+    blocks = [_parse_rows(run, cols) for run in _row_runs(first, _SLICE_BYTES)]
+    blocks += [block for _, block in later]
+    if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
+        return None
+    return np.concatenate(blocks).view(np.complex128)
+
+
+def _read_json(raw: bytes, path) -> np.ndarray:
+    """The matrix in ``raw``, the bytes of the file at ``path``, read as
+    ``json.load`` of that file opened as UTF-8 text reads it."""
     # The parser allocates a list per row and per entry (262,656 at n = 512),
     # which would run the cyclic collector over and over; none of them can
     # form a cycle, so it is paused for the parse and restored as found.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+        obj = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError and over-long integer literals.
         raise MatrixFileError(f"invalid JSON in {path}: {exc}") from exc
@@ -160,6 +239,21 @@ def load_matrix(path) -> np.ndarray:
         if collecting:
             gc.enable()
     return _matrix_from_obj(obj)
+
+
+def load_matrix(path, pool=None) -> np.ndarray:
+    """The matrix in the file at ``path``. A file in the writer's exact layout
+    is parsed from its numbers, half of its rows on ``pool``'s worker if a
+    pool is given; any other file by ``json.load``, as is one that holds a
+    number that is not a finite double, so that it fails with the same
+    MatrixFileError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    m = _read_exact(raw, pool)
+    return _read_json(raw, path) if m is None else m
 
 
 def _umask() -> int:
@@ -189,20 +283,14 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def save_matrix(path, m) -> None:
-    """Write ``m`` to ``path``. A large matrix is formatted by this process and
-    forked workers at once (see ``_shares``); the workers only format floats,
+def save_matrix(path, m, pool=None) -> None:
+    """Write ``m`` to ``path``. Its rows are formatted half here and half on
+    ``pool``'s worker if a pool is given, else on a worker forked for this
+    save where ``_workers_for`` its shape is one. Workers only format floats,
     never calling BLAS or LAPACK, whose threads a fork does not copy."""
     rows = _float_rows(m)
-    shares = _shares(rows)
-    if shares == 1:
-        atomic_write_text(path, _encode(rows))
+    if pool is not None:
+        atomic_write_text(path, _encode(rows, pool))
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(shares - 1, mp_context=multiprocessing.get_context("fork"))
-    try:
-        atomic_write_text(path, _encode(rows, shares, pool))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _worker_pool(_workers_for(rows.shape[0], rows.shape[1] // 2)) as pool:
+        atomic_write_text(path, _encode(rows, pool))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthge import cli, matrixio
+from aluthge import _workers, cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
 from aluthge.lemmas import Check, run_check
@@ -160,17 +160,23 @@ class TestTransform:
         os.mkdir(tmp_path / "serial")
         assert main(["transform", src, "--output", str(tmp_path / "serial" / "out.json"), "--factors"]) == EXIT_OK
         monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
-        blocks = []
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        pools, items = set(), []
         submit = ProcessPoolExecutor.submit
 
         def recording_submit(pool, fn, *args):
-            blocks.append(args[0].shape)
+            pools.add(pool)
+            items.append(args[0])
             return submit(pool, fn, *args)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
-        assert blocks == [(3, 12)] * 3  # the second half of each file's rows went to a worker
+        # One worker parsed the rows after the input's middle byte and
+        # formatted the second half of each file's rows.
+        assert len(pools) == 1
+        worker_rows = items[0].count(b"]], [[") + 1
+        assert items[0].startswith(b"[[") and items[0].endswith(b"]]") and 1 <= worker_rows < 6
+        assert [block.shape for block in items[1:]] == [(3, 12)] * 3
         assert multiprocessing.active_children() == []
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
@@ -521,7 +527,7 @@ def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
     where = tmp_path / f"cpus{cpus}"
     where.mkdir(exist_ok=True)
     monkeypatch.chdir(where)
-    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     code = main(["verify", *argv, "--no-timestamp", "--output-dir", "out"])
     out, err = capsys.readouterr()
     assert multiprocessing.active_children() == []
@@ -550,11 +556,12 @@ class TestVerifyWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     def test_verify_processes_capped(self, monkeypatch, cpus):
         # The computed count only: no process is started.
-        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         found = ("set", "get")
-        assert cli._pool_processes(75, found) == min(cpus, 2)
-        assert cli._pool_processes(1, found) == 1
-        assert cli._pool_processes(75, None) == 1
+        # 0: no pool, the tasks run in the command.
+        assert cli._pool_processes(75, found) == (2 if cpus > 1 else 0)
+        assert cli._pool_processes(1, found) == 0
+        assert cli._pool_processes(75, None) == 0
 
     def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, pool_maps):
         argv = ["--dims", "2", "3", "--trials", "20", "--format", "csv"]
@@ -590,12 +597,12 @@ class TestVerifyWorkers:
     def test_raising_trial_fails_as_in_process(self, tmp_path):
         script = (
             "import sys\n"
-            "from aluthge import cli, matrixio\n"
+            "from aluthge import _workers, cli\n"
             "from aluthge.lemmas import Check\n"
             "def trial(run):\n"
             "    raise ValueError(f'trial {run.trial} cannot run')\n"
             "cli.CHECKS['raises'] = Check('raises', trial, domain=None)\n"
-            "matrixio._usable_cpus = lambda: int(sys.argv[1])\n"
+            "_workers._usable_cpus = lambda: int(sys.argv[1])\n"
             "sys.exit(cli.main(['verify', '--checks', 'rank_one_formula', 'raises', '--dims', '2', '3',\n"
             "                   '--trials', '5', '--no-timestamp', '--output-dir', 'out']))\n"
         )
@@ -614,7 +621,7 @@ class TestVerifyWorkers:
     @needs_blas_threads
     def test_raising_trial_leaves_no_worker(self, tmp_path, monkeypatch, pool_maps):
         _register(monkeypatch, "raises", _raises)
-        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         with pytest.raises(ValueError, match="trial 0 cannot run"):
             main(["verify", "--checks", "rank_one_formula", "raises", "--dims", "2", "3", "--trials", "5",
                   "--output-dir", str(tmp_path / "out")])
@@ -710,7 +717,7 @@ def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     """Exit code, stderr and trace bytes (None where none was written) of
     ``iterate src *argv`` with ``cpus`` usable CPUs. It leaves no worker and
     this process's BLAS thread count as it found it."""
-    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     out = Path(output or tmp_path / f"cpus{cpus}.csv")
     threads = cli._openblas_threads()
     before = threads and threads[1]()
@@ -745,6 +752,13 @@ class TestIterateWorkers:
             pool.taken += 1
         assert rows == [(k, k * k) for k in range(20)]
         assert pool.peak == window and pool.submitted == 20
+
+    def test_items_handed_out_at_the_call(self):
+        # The caller may work while the first ``window`` items run on the workers.
+        pool, pulled = _ImmediatePool(), []
+        results = cli._in_order(lambda k: k * k, (pulled.append(k) or k for k in range(5)), pool, 2)
+        assert pulled == [0, 1] and pool.submitted == 2
+        assert list(results) == [(k, k * k) for k in range(5)]
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_item_error_surfaces_after_earlier_items(self, pooled):
@@ -823,7 +837,7 @@ class TestIterateWorkers:
         monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(KeyboardInterrupt(), 5))
         threads = cli._openblas_threads()
         before = threads and threads[1]()
-        monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         with pytest.raises(KeyboardInterrupt):
             main(["iterate", iterate_input, "--output", str(tmp_path / "trace.csv")])
         assert multiprocessing.active_children() == []
@@ -840,3 +854,109 @@ class TestIterateWorkers:
         rows = trace.decode().splitlines()[1:-1]
         assert [row.split(",", 2)[2] for row in rows] == ["1.0,1.0"] * 5
         assert chain_threads == [1] * 5
+
+
+_PARSE_ROWS, _FORMAT_ROWS = matrixio._parse_rows, matrixio._format_rows
+
+
+def _parse_dies_in_workers(text, cols):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _PARSE_ROWS(text, cols)
+
+
+def _format_dies_in_workers(rows):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _FORMAT_ROWS(rows)
+
+
+def _interrupted(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.fixture
+def shared_input(tmp_path, monkeypatch):
+    """A 6 x 6 input that a transform shares with a worker wherever one can
+    start: PARALLEL_ENTRIES is 1."""
+    src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    return src
+
+
+def transform_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
+    """Exit code, stderr and output files of ``transform src --factors *argv``
+    with ``cpus`` usable CPUs, writing under ``tmp_path/cpus<cpus>`` unless
+    ``output`` is given. It leaves no worker."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+    where = tmp_path / f"cpus{cpus}"
+    where.mkdir(exist_ok=True)
+    code = main(["transform", src, *argv, "--factors", "--output", str(output or where / "out.json")])
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+
+
+class TestTransformWorker:
+    def test_small_input_loads_no_pool_module_and_starts_no_process(self, tmp_path):
+        assert 8 * 8 < matrixio.PARALLEL_ENTRIES
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(3), 8))
+        argv = ["transform", src, "--factors", "--output", str(tmp_path / "out.json")]
+        code = (
+            "import os, sys\n"
+            "from aluthge import _workers\n"
+            "from aluthge.cli import main\n"
+            "_workers._usable_cpus = lambda: 2\n"
+            "os.register_at_fork(before=lambda: print('forked'))\n"
+            f"print(main({argv!r}), 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["0 False False"]
+
+    def test_one_pool_serves_the_load_and_every_save(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input):
+        serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
+        assert pool_maps == []
+        pooled = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert pooled == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
+        (tasks,) = pool_maps
+        assert [type(task) for task in tasks] == [bytes, np.ndarray, np.ndarray, np.ndarray]
+
+    @pytest.mark.parametrize("stage", ["load", "save"])
+    def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input, stage):
+        serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
+        if stage == "load":
+            monkeypatch.setattr(matrixio, "_parse_rows", _parse_dies_in_workers)
+        else:
+            monkeypatch.setattr(matrixio, "_format_rows", _format_dies_in_workers)
+        pooled = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert pooled == serial and serial[0] == EXIT_OK
+        # One pool, offered every task: the broken pool refuses those after the
+        # worker died, and the command runs them.
+        assert len(pool_maps) == 1 and len(pool_maps[0]) == 4
+
+    @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])
+    def test_exit_path_leaves_no_worker(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input, case):
+        src, output = shared_input, None
+        if case == "malformed_second_half":
+            text = Path(src).read_bytes()
+            Path(src).write_bytes(text[: text.rindex(b"]]]}")].rstrip(b"0123456789") + b"1.]]]}\n")
+        elif case == "non_square":
+            src = tmp_path / "rect.json"
+            src.write_text(json.dumps(matrix_to_obj(ginibre(np.random.default_rng(4), 6)[:4])) + "\n")
+        else:
+            output = tmp_path / "no_such_dir" / "out.json"
+        runs = [transform_on(cpus, monkeypatch, capsys, tmp_path, str(src), output=output) for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        code, err, files = runs[0]
+        assert files == {} and code == (EXIT_SHAPE if case == "non_square" else EXIT_USAGE)
+        if case == "malformed_second_half":
+            assert err.startswith(f"error: invalid JSON in {src}: Expecting ','")
+        assert len(pool_maps) == 1  # the pooled run opened its worker for the load
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, shared_input, cpus):
+        monkeypatch.setattr(cli, "_transform_and_factors", _interrupted)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        with pytest.raises(KeyboardInterrupt):
+            main(["transform", shared_input, "--factors", "--output", str(tmp_path / "out.json")])
+        assert multiprocessing.active_children() == []

@@ -3,13 +3,18 @@ import json
 import multiprocessing
 import os
 import stat
+import tempfile
+import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aluthge import matrixio
-from aluthge.matrixio import _format_rows, atomic_write_text, load_matrix, save_matrix
+from aluthge import _workers, matrixio
+from aluthge.matrixio import MatrixFileError, _format_rows, _matrix_from_obj, atomic_write_text, load_matrix, save_matrix
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1e300, -1e300, 0.1]
 _PARENT_PID = os.getpid()
@@ -48,7 +53,7 @@ def reference_bytes(m) -> bytes:
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
     """Every save sees two usable CPUs, and no test leaves a worker behind."""
-    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     yield
     assert multiprocessing.active_children() == []
 
@@ -143,7 +148,7 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, submits)
     small = int(np.sqrt(matrixio.PARALLEL_ENTRIES)) - 1
     save_matrix(tmp_path / "small.json", np.eye(small))
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     save_matrix(tmp_path / "one_cpu.json", edge_matrix())
     assert submits == []
     assert (tmp_path / "one_cpu.json").read_bytes() == reference_bytes(edge_matrix())
@@ -152,13 +157,11 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, submits)
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_shares_capped_at_one_worker(monkeypatch, cpus):
     # The computed count only: no worker is started.
-    monkeypatch.setattr(matrixio, "_usable_cpus", lambda: cpus)
-    big = matrixio._float_rows(np.zeros((200, 200), complex))
-    two_rows = matrixio._float_rows(np.zeros((2, 20000), complex))
-    one_row = matrixio._float_rows(np.zeros((1, 40000), complex))
-    assert matrixio._shares(big) == matrixio._shares(two_rows) == min(cpus, 2)
-    assert matrixio._shares(one_row) == 1
-    assert matrixio._shares(matrixio._float_rows(np.zeros((170, 190), complex))) == 1
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+    workers = matrixio._workers_for
+    assert workers(200, 200) == workers(2, 20000) == min(cpus, 2) - 1
+    assert workers(1, 40000) == 0
+    assert workers(170, 190) == 0
 
 
 def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch):
@@ -213,3 +216,212 @@ def test_written_file_honours_umask(tmp_path, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "m.json").stat().st_mode) == 0o666 & ~umask
+
+
+def reference_load(path):
+    """What ``json.load`` of the file read as UTF-8 text, then
+    ``_matrix_from_obj``, give: the matrix, or the MatrixFileError message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        return f"invalid JSON in {path}: {exc}"
+    try:
+        return _matrix_from_obj(obj)
+    except MatrixFileError as exc:
+        return str(exc)
+
+
+def load_outcome(path, pool=None):
+    """``load_matrix``'s matrix, or its MatrixFileError message."""
+    try:
+        return load_matrix(path, pool)
+    except MatrixFileError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Four written rows; a change to the last number falls in the rows a worker parses.
+NEAR_MISS_BASE = np.array(
+    [[1.5 + 0.25j, -2.0 + 3.0j], [4.0 - 0.0j, 0.5 + 7.0j], [0.125 + 8.0j, 9.0 + 0.75j], [6.5 + 1e-300j, complex(-0.0, 2.5)]]
+)
+NEAR_MISS_END = b"[-0.0, 2.5]]]}\n"
+
+
+def _last_number(token: bytes):
+    return lambda text: text.replace(NEAR_MISS_END, b"[-0.0, " + token + b"]]]}\n")
+
+
+def _replace(old: bytes, new: bytes):
+    return lambda text: text.replace(old, new)
+
+
+# Files in the writer's header layout that deviate from it in one place, and
+# whole files from the malformed-input cases; each must read as json.load reads it.
+NEAR_MISSES = {
+    **{f"number_{token.decode()}": _last_number(token)
+       for token in (b"1.", b".5", b"01", b"+1", b"1e", b"--1", b"1e400", b"-1e400", b"NaN", b"Infinity", b"-")},
+    "int_overflows_double": _last_number(b"1" + b"0" * 400),
+    "int_over_4300_digits": _last_number(b"1" * 4301),
+    "integer_entry": _last_number(b"7"),
+    "integer_entries": lambda text: json.dumps(
+        {"rows": 2, "cols": 2, "data": [[[1, 2], [3, -4]], [[0, 5], [6, 7]]]}).encode() + b"\n",
+    "three_number_entry": _replace(NEAR_MISS_END, b"[-0.0, 2.5, 1.0]]]}\n"),
+    "one_number_entry": _replace(NEAR_MISS_END, b"[-0.0]]]}\n"),
+    "missing_entry": _replace(b", " + NEAR_MISS_END, b"]]}\n"),
+    "missing_row": _replace(b", [[6.5, 1e-300], " + NEAR_MISS_END, b"]}\n"),
+    "extra_row": _replace(NEAR_MISS_END, b"[-0.0, 2.5]], [[1.0, 2.0], [3.0, 4.0]]]}\n"),
+    "empty_number": _replace(NEAR_MISS_END, b"[-0.0, ]]]}\n"),
+    "number_moved_past_bracket": _replace(NEAR_MISS_END, b"[-0.0, ]2.5]]}\n"),
+    "number_moved_before_bracket": _replace(b"[[6.5, ", b"6.5[[, "),
+    "number_after_bracket": _replace(b"1e-300]", b"1e-300]5"),
+    "entry_not_a_list": _replace(NEAR_MISS_END, b"5]]}\n"),
+    "extra_space": _replace(b"[-0.0, 2.5]", b"[-0.0,  2.5]"),
+    "space_in_bracket": _replace(b"[-0.0, 2.5]", b"[ -0.0, 2.5]"),
+    "tab": _replace(b"[-0.0, 2.5]", b"[-0.0,\t2.5]"),
+    "no_final_newline": lambda text: text[:-1],
+    "two_final_newlines": lambda text: text + b"\n",
+    "crlf": lambda text: text.replace(b"]], [[", b"]],\r\n[[").replace(b"}\n", b"}\r\n"),
+    "bom": lambda text: b"\xef\xbb\xbf" + text,
+    "header_without_spaces": _replace(b'{"rows": 4, "cols": 2, "data": ', b'{"rows":4,"cols":2,"data":'),
+    "keys_reordered": _replace(b'{"rows": 4, "cols": 2, ', b'{"cols": 2, "rows": 4, '),
+    "rows_zero": _replace(b'"rows": 4', b'"rows": 0'),
+    "rows_too_many": _replace(b'"rows": 4', b'"rows": 5'),
+    "rows_leading_zero": _replace(b'"rows": 4', b'"rows": 04'),
+    "cols_too_few": _replace(b'"cols": 2', b'"cols": 1'),
+    "rows_float": _replace(b'"rows": 4', b'"rows": 4.0'),
+    "rows_string": _replace(b'"rows": 4', b'"rows": "4"'),
+    "rows_true": _replace(b'"rows": 4', b'"rows": true'),
+    "entry_bool": _last_number(b"true"),
+    "entry_null": _last_number(b"null"),
+    "entry_string": _last_number(b'"2.5"'),
+    "not_utf8": _last_number(b"\xff"),
+    "trailing_garbage": lambda text: text + b"x",
+    "truncated": lambda text: text[: len(text) // 2],
+    "empty_file": lambda text: b"",
+    "invalid_json": lambda text: b"{",
+    "missing_fields": lambda text: b'{"rows": 1}',
+    "data_not_a_list": lambda text: b'{"rows": 1, "cols": 1, "data": 5}',
+    "not_an_object": lambda text: b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_near_misses_read_as_json_load_reads_them(tmp_path, pooled):
+    base = tmp_path / "base.json"
+    save_matrix(base, NEAR_MISS_BASE)
+    text = base.read_bytes()
+    assert text.endswith(NEAR_MISS_END) and load_matrix(base).tobytes() == NEAR_MISS_BASE.tobytes()
+    valid = []
+    with _workers._worker_pool(1 if pooled else 0) as pool:
+        for name, change in sorted(NEAR_MISSES.items()):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(change(text))
+            assert path.read_bytes() != text, name
+            want = reference_load(path)
+            assert_same_outcome(load_outcome(path, pool), want)
+            if not isinstance(want, str):
+                valid.append(name)
+    # The deviations json.load accepts; every other case is an error with json.load's message.
+    assert valid == [
+        "crlf", "extra_space", "header_without_spaces", "integer_entries", "integer_entry", "keys_reordered",
+        "no_final_newline", "space_in_bracket", "tab", "two_final_newlines",
+    ]
+
+
+def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.write_bytes(b'{"rows": 1000000000, "cols": 1000000000, "data": [[[1.0, 0.0]]]}\n')
+    monkeypatch.setattr(matrixio, "_parse_rows", lambda *args: pytest.fail("parsed rows the header cannot hold"))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(MatrixFileError) as exc:
+            load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 1 << 20
+    assert str(exc.value) == reference_load(path) == "data shape does not match 1000000000x1000000000"
+    assert matrixio._file_workers(path) == 0  # no worker is started for it either
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, pooled):
+    m = np.arange(1.0, 41.0).reshape(8, 5) * (0.1 - 3j)
+    save_matrix(tmp_path / "m.json", m)
+    monkeypatch.setattr(matrixio, "_read_json", lambda raw, path: pytest.fail("fell back to json.load"))
+    with _workers._worker_pool(1 if pooled else 0) as pool:
+        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
+
+
+def test_worker_parses_the_rows_after_the_middle(tmp_path, submits):
+    m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
+    save_matrix(tmp_path / "m.json", m)
+    with _workers._worker_pool(1) as pool:
+        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
+    text = (tmp_path / "m.json").read_bytes()
+    (theirs,) = submits
+    # The cut is the first row break after the middle byte of the rows.
+    body = text[text.index(b"[[[") + 1 : -len(b"]}\n")]
+    cut = len(body) - len(theirs) - len(b"]], ")
+    assert body[cut:].startswith(b"]], [[") and body.endswith(theirs)
+    assert body.rfind(b"]], [[", 0, cut) < len(body) // 2 <= cut
+
+
+_PARSE_ROWS = matrixio._parse_rows
+
+
+def _rows_die_in_workers(text, cols):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _PARSE_ROWS(text, cols)
+
+
+def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch):
+    m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
+    save_matrix(tmp_path / "m.json", m)
+    monkeypatch.setattr(matrixio, "_parse_rows", _rows_die_in_workers)
+    with _workers._worker_pool(1) as pool:
+        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
+        # The broken pool refuses the next task: the save formats all rows here.
+        save_matrix(tmp_path / "out.json", m, pool)
+    assert (tmp_path / "out.json").read_bytes() == reference_bytes(m)
+
+
+FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def matrices(draw):
+    # 1 x k, k x 1 and row counts around the split of 1 to 9 rows.
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (4, 4), (5, 3), (9, 2)]))
+    parts = draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+def test_save_load_round_trip_property():
+    # One worker serves every pooled example; with no pool, these small
+    # matrices are saved and loaded in this process alone.
+    with _workers._worker_pool(1) as pool, tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(matrices(), st.booleans())
+        def round_trip(m, pooled):
+            save_matrix(path, m, pool if pooled else None)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_bytes(m)
+            back = load_matrix(path, pool if pooled else None)
+            assert back.shape == m.shape and back.tobytes() == m.tobytes()
+            with open(path, encoding="utf-8") as fh:
+                assert back.tobytes() == _matrix_from_obj(json.load(fh)).tobytes()
+
+        round_trip()
