@@ -1,9 +1,12 @@
 """Forked worker processes and the BLAS thread count, shared by the commands.
 
-``verify`` runs its reports and ``iterate`` each step's measures on workers
-with one BLAS thread each; a large matrix file is parsed and formatted half by
-the command and half by one worker, which never calls BLAS. Nothing here
-imports ``multiprocessing`` or ``concurrent.futures`` until a pool is opened.
+Only a command starts processes, and it opens at most one pool. ``verify``
+runs its reports and ``iterate`` each step's measures on ``_blas_workers``:
+the command sets its BLAS to one thread and forks the workers inside that
+pin, so they inherit it. ``transform`` shares a large matrix file's parsing
+and formatting with one worker of ``_worker_pool``, which never calls BLAS.
+Nothing here imports ``multiprocessing`` or ``concurrent.futures`` until a
+pool is opened.
 """
 
 from __future__ import annotations
@@ -87,11 +90,11 @@ def _pool_processes(n_tasks: int, blas_threads) -> int:
 
 
 @contextlib.contextmanager
-def _worker_pool(processes: int, blas_threads=None):
-    """A pool of ``processes`` forked workers; None where that is 0. Given
-    ``blas_threads``, the (set, get) pair of ``_openblas_threads``, each
-    worker runs its BLAS on one thread. However the block exits, the pool is
-    shut down and its pending tasks cancelled."""
+def _worker_pool(processes: int):
+    """A pool of ``processes`` forked workers; None where that is 0. A worker
+    is forked at the pool's first task and inherits this process's state at
+    that moment, its BLAS thread count included. However the block exits, the
+    pool is shut down and its pending tasks cancelled."""
     if processes < 1:
         yield None
         return
@@ -102,12 +105,22 @@ def _worker_pool(processes: int, blas_threads=None):
     # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
     # atfork handler) and the command starts no other thread, so a forked
     # worker holds no lock another thread took.
-    pin = {} if blas_threads is None else {"initializer": blas_threads[0], "initargs": (1,)}
-    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"), **pin)
+    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _blas_workers(n_tasks: int):
+    """The ``_worker_pool`` for ``n_tasks`` tasks that call BLAS, sized by
+    ``_pool_processes``, with this process's BLAS on one thread for the block
+    (``_one_blas_thread``). The workers are forked inside that pin, so every
+    process runs BLAS on one thread and no result depends on the CPU count."""
+    blas_threads = _openblas_threads()
+    with _one_blas_thread(blas_threads), _worker_pool(_pool_processes(n_tasks, blas_threads)) as pool:
+        yield pool
 
 
 def _in_order(fn, items, pool, window: int):

@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import matrixio
-from ._workers import POOL_PROCESSES, _in_order, _one_blas_thread, _openblas_threads, _pool_processes, _worker_pool
+from ._workers import POOL_PROCESSES, _blas_workers, _in_order, _worker_pool
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -149,9 +149,7 @@ def cmd_iterate(args) -> int:
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
     # Every process runs one BLAS thread, so the trace does not depend on the
     # CPU count: at n >= 128 svd and eigvals give other bits on two threads.
-    blas_threads = _openblas_threads()
-    processes = _pool_processes(args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1, blas_threads)
-    with _one_blas_thread(blas_threads), _worker_pool(processes, blas_threads) as pool:
+    with _blas_workers(args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1) as pool:
         # The command runs the chain; the workers take each step's measures.
         measures = functools.partial(_step_measures, spectrum(m))
         steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
@@ -268,9 +266,7 @@ def cmd_verify(args) -> int:
     total_failures = 0
     # As in iterate: a report run here runs on one BLAS thread, as it does on a
     # worker, so its bytes do not depend on how many reports the run has.
-    blas_threads = _openblas_threads()
-    processes = _pool_processes(len(tasks), blas_threads)
-    with _one_blas_thread(blas_threads), _worker_pool(processes, blas_threads) as pool:
+    with _blas_workers(len(tasks)) as pool:
         for (check_id, dim), report in _in_order(run, tasks, pool, len(tasks)):
             reports.append(report)
             total_failures += report["failures"]

@@ -150,19 +150,9 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return _phase_fixed_q(ginibre(rng, dim))
-
-
 def _normal(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The normal matrix U diag(d) U* of a unitary U and eigenvalues d."""
     return (u * d) @ u.conj().T
-
-
-def normal_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    u = haar_unitary(rng, dim)
-    return _normal(u, complex_gaussian(rng, dim))
 
 
 def nilpotent_sq_zero(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -122,8 +122,8 @@ def _in_dead_band(slack: float, *residuals: float) -> bool:
 
 
 def _haar(rng: np.random.Generator, n: int) -> Generator:
-    """A Haar unitary from a Ginibre draw of ``rng``, as ``haar_unitary``
-    gives it: ``u = yield from _haar(rng, n)``."""
+    """A Haar unitary from a Ginibre draw of ``rng``, the driver's
+    ``generators._phase_fixed_q`` of it: ``u = yield from _haar(rng, n)``."""
     (u,) = yield ("haar", (ginibre(rng, n),))
     return u
 

@@ -6,11 +6,12 @@ The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
-result. A matrix of at least ``PARALLEL_ENTRIES`` entries, given two usable
-CPUs, is formatted half by the calling process and half by one forked worker at
-once, with the same bytes; given a pool, as ``transform`` gives, it is parsed
-that way too. Writes are atomic (temp file + rename) and honour the process
-umask.
+result. Given a pool, as ``transform`` gives for an input of at least
+``PARALLEL_ENTRIES`` entries on two usable CPUs (``_file_workers``), a matrix
+is parsed and formatted half by the calling process and half by the pool's
+worker at once, with the same bytes; without one, by the caller alone. Nothing
+here starts a process. Writes are atomic (temp file + rename) and honour the
+process umask.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import _workers
-from ._workers import _in_order, _worker_pool
+from ._workers import _in_order
 from .linalg import validate_matrix
 
 __all__ = [
@@ -87,20 +88,13 @@ def _format_rows(rows: np.ndarray) -> str:
     return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def _workers_for(n_rows: int, cols: int) -> int:
-    """Forked workers that share the parsing or formatting of an ``n_rows`` x
-    ``cols`` matrix with this process: one from ``PARALLEL_ENTRIES`` entries
-    on, given two usable CPUs and two rows to split between them; else none."""
-    return int(n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES and _workers._usable_cpus() > 1)
-
-
 def _file_workers(path) -> int:
-    """``_workers_for`` the shape in the header of the regular file at
-    ``path``, so that one pool serves its load and the saves of matrices of
-    its shape; 0 where ``path`` is no regular file, cannot be read, does not
-    start with the writer's header or is too short to hold the entries that
-    header promises (see ``_read_exact``). A FIFO is not read here, so that
-    its bytes are left to the load."""
+    """Forked workers that share the load of the regular file at ``path``
+    and the saves of matrices of its shape with this process: one, given two
+    usable CPUs, where its header gives two or more rows and at least
+    ``PARALLEL_ENTRIES`` entries, no more than the file can hold (see
+    ``_read_exact``); else 0. A FIFO is not read here, so that its bytes are
+    left to the load."""
     try:
         if not os.path.isfile(path):
             return 0
@@ -109,9 +103,10 @@ def _file_workers(path) -> int:
             size = os.fstat(fh.fileno()).st_size
     except OSError:
         return 0
-    if header is None or size < 8 * int(header[1]) * int(header[2]):
+    if header is None:
         return 0
-    return _workers_for(int(header[1]), int(header[2]))
+    n_rows, cols = int(header[1]), int(header[2])
+    return int(n_rows > 1 and PARALLEL_ENTRIES <= n_rows * cols <= size // 8 and _workers._usable_cpus() > 1)
 
 
 def _encode(rows: np.ndarray, pool=None):
@@ -285,12 +280,6 @@ def atomic_write_text(path, text) -> None:
 
 def save_matrix(path, m, pool=None) -> None:
     """Write ``m`` to ``path``. Its rows are formatted half here and half on
-    ``pool``'s worker if a pool is given, else on a worker forked for this
-    save where ``_workers_for`` its shape is one. Workers only format floats,
-    never calling BLAS or LAPACK, whose threads a fork does not copy."""
-    rows = _float_rows(m)
-    if pool is not None:
-        atomic_write_text(path, _encode(rows, pool))
-        return
-    with _worker_pool(_workers_for(rows.shape[0], rows.shape[1] // 2)) as pool:
-        atomic_write_text(path, _encode(rows, pool))
+    ``pool``'s worker if a pool is given, else all here. Workers only format
+    floats, never calling BLAS or LAPACK."""
+    atomic_write_text(path, _encode(_float_rows(m), pool))

@@ -11,10 +11,11 @@ import pytest
 
 from aluthge.cli import main as cli_main
 from aluthge.generators import (
+    _normal,
+    _phase_fixed_q,
+    complex_gaussian,
     ginibre,
-    haar_unitary,
     nilpotent_sq_zero,
-    normal_matrix,
     unit_vector,
 )
 from aluthge.lemmas import run_check
@@ -94,7 +95,7 @@ def test_criterion_4_fixed_points(capsys):
     rng = np.random.default_rng(4)
     worst_normal = 0.0
     for _ in range(500):
-        t = normal_matrix(rng, 4)
+        t = _normal(_phase_fixed_q(ginibre(rng, 4)), complex_gaussian(rng, 4))
         worst_normal = max(worst_normal, frobenius(aluthge(t, 0.5) - t) / (1e-8 * (1.0 + frobenius(t))))
     min_nonnormal = np.inf
     for _ in range(500):
@@ -137,7 +138,7 @@ def test_criterion_6_competitor_falsification(capsys):
     rng = np.random.default_rng(6)
     min_break = np.inf
     for _ in range(50):
-        u = haar_unitary(rng, 2)
+        u = _phase_fixed_q(ginibre(rng, 2))
         lhs = aluthge(jordan_product(adjoint_conj(u, a), adjoint_conj(u, np.eye(2, dtype=complex))), 0.5)
         rhs = adjoint_conj(u, aluthge(jordan_product(a, np.eye(2)), 0.5))
         min_break = min(min_break, frobenius(lhs - rhs))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -32,7 +33,7 @@ ITERATE = ["iterate", "IN", "--output", "OUT"]
 
 _PARENT_PID = os.getpid()
 # Runs that would start workers do so only where BLAS's thread count can be set.
-needs_blas_threads = pytest.mark.skipif(cli._openblas_threads() is None, reason="no known BLAS thread-count setter")
+needs_blas_threads = pytest.mark.skipif(_workers._openblas_threads() is None, reason="no known BLAS thread-count setter")
 
 
 def write(path, m):
@@ -517,7 +518,7 @@ def _raises(run):
 
 
 def _observes_blas_threads(run):
-    run.observe(float(cli._openblas_threads()[1]()), False)
+    run.observe(float(_workers._openblas_threads()[1]()), False)
 
 
 def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
@@ -559,9 +560,9 @@ class TestVerifyWorkers:
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         found = ("set", "get")
         # 0: no pool, the tasks run in the command.
-        assert cli._pool_processes(75, found) == (2 if cpus > 1 else 0)
-        assert cli._pool_processes(1, found) == 0
-        assert cli._pool_processes(75, None) == 0
+        assert _workers._pool_processes(75, found) == (2 if cpus > 1 else 0)
+        assert _workers._pool_processes(1, found) == 0
+        assert _workers._pool_processes(75, None) == 0
 
     def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, pool_maps):
         argv = ["--dims", "2", "3", "--trials", "20", "--format", "csv"]
@@ -570,7 +571,7 @@ class TestVerifyWorkers:
         pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
         assert pooled == serial
         assert serial[0] == EXIT_OK and len(serial[3]) == len(CHECKS) * 2 + 2
-        if cli._openblas_threads() is not None:
+        if _workers._openblas_threads() is not None:
             assert pool_maps == [[(check_id, dim) for check_id in sorted(CHECKS) for dim in (2, 3)]]
 
     @needs_blas_threads
@@ -629,7 +630,7 @@ class TestVerifyWorkers:
 
     @needs_blas_threads
     def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
-        get_threads = cli._openblas_threads()[1]
+        get_threads = _workers._openblas_threads()[1]
         before = get_threads()
         _register(monkeypatch, "blas_threads", _observes_blas_threads)
         code, _, _, files = run_on(2, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2", "3",
@@ -642,7 +643,7 @@ class TestVerifyWorkers:
     def test_command_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
         # On one usable CPU the reports run in the command, on one BLAS thread
         # as on a worker, whatever count the command had (two where BLAS allows).
-        set_threads, get_threads = cli._openblas_threads()
+        set_threads, get_threads = _workers._openblas_threads()
         before = get_threads()
         set_threads(2)
         try:
@@ -655,6 +656,44 @@ class TestVerifyWorkers:
             assert get_threads() == inherited
         finally:
             set_threads(before)
+
+
+def _blas_thread_count(task):
+    return _workers._openblas_threads()[1]()
+
+
+class TestBlasWorkers:
+    @needs_blas_threads
+    @pytest.mark.parametrize("exit", ["normal", "exception"])
+    def test_workers_inherit_the_command_pin(self, monkeypatch, pool_maps, exit):
+        # The workers set no thread count of their own: they are forked inside
+        # the command's pin. The command's count comes back however the block exits.
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        set_threads, get_threads = _workers._openblas_threads()
+        before = get_threads()
+        set_threads(2)
+        try:
+            inherited = get_threads()
+            raises = pytest.raises(ValueError, match="block failed") if exit == "exception" else contextlib.nullcontext()
+            with raises, _workers._blas_workers(4) as pool:
+                assert get_threads() == 1
+                futures = [pool.submit(_blas_thread_count, k) for k in range(4)]
+                assert [future.result() for future in futures] == [1] * 4
+                if exit == "exception":
+                    raise ValueError("block failed")
+            assert get_threads() == inherited and len(pool_maps) == 1
+        finally:
+            set_threads(before)
+        assert multiprocessing.active_children() == []
+
+    def test_without_a_thread_setter_no_pool_and_blas_left_alone(self, monkeypatch, pool_maps):
+        threads = _workers._openblas_threads()
+        before = threads and threads[1]()
+        monkeypatch.setattr(_workers, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with _workers._blas_workers(75) as pool:
+            assert pool is None and (threads and threads[1]()) == before
+        assert (threads and threads[1]()) == before and pool_maps == []
 
 
 _STEP_MEASURES = cli._step_measures
@@ -672,7 +711,7 @@ def _measures_raise(sigma0, step):
 
 def _measures_blas_threads(sigma0, step):
     """This process's BLAS thread count, and 1.0 in a worker, 0.0 here."""
-    return float(cli._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
+    return float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
 
 
 def _chain_stops(exc, after, threads=None):
@@ -683,7 +722,7 @@ def _chain_stops(exc, after, threads=None):
     def chain(*args, **kwargs):
         for _, step in zip(range(after), iterate_aluthge(*args, **kwargs)):
             if threads is not None:
-                threads.append(cli._openblas_threads()[1]())
+                threads.append(_workers._openblas_threads()[1]())
             yield step
         if exc is not None:
             raise exc
@@ -719,7 +758,7 @@ def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     this process's BLAS thread count as it found it."""
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     out = Path(output or tmp_path / f"cpus{cpus}.csv")
-    threads = cli._openblas_threads()
+    threads = _workers._openblas_threads()
     before = threads and threads[1]()
     code = main(["iterate", src, *argv, "--output", str(out)])
     assert multiprocessing.active_children() == []
@@ -791,7 +830,7 @@ class TestIterateWorkers:
 
         monkeypatch.setattr(cli, "_in_order", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
-        assert windows == [(cli._openblas_threads() is not None, cli.ITERATE_WINDOW)]
+        assert windows == [(_workers._openblas_threads() is not None, cli.ITERATE_WINDOW)]
         assert cli.ITERATE_WINDOW == 2 * cli.POOL_PROCESSES
 
     def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, pool_maps):
@@ -801,7 +840,7 @@ class TestIterateWorkers:
         assert pool_maps == []
         pooled = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
         assert pooled == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
-        if cli._openblas_threads() is not None:
+        if _workers._openblas_threads() is not None:
             assert len(pool_maps) == 1 and len(pool_maps[0]) == 10
 
     @needs_blas_threads
@@ -835,7 +874,7 @@ class TestIterateWorkers:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
         monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(KeyboardInterrupt(), 5))
-        threads = cli._openblas_threads()
+        threads = _workers._openblas_threads()
         before = threads and threads[1]()
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         with pytest.raises(KeyboardInterrupt):

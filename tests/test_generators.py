@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from aluthge import generators, lemmas
 from aluthge.generators import (
+    _normal,
+    _phase_fixed_q,
     _trial_rngs,
     check_key,
     complex_gaussian,
     ginibre,
-    haar_unitary,
     nilpotent_sq_zero,
-    normal_matrix,
     trial_rng,
     unit_vector,
 )
@@ -128,11 +128,11 @@ class TestStructuralSelfTests:
 
     def test_unitary(self):
         for dim in (2, 4, 6):
-            u = haar_unitary(self.rng, dim)
+            u = _phase_fixed_q(ginibre(self.rng, dim))
             assert frobenius(u.conj().T @ u - np.eye(dim)) <= STRUCT_TOL
 
     def test_normal(self):
-        n = normal_matrix(self.rng, 5)
+        n = _normal(_phase_fixed_q(ginibre(self.rng, 5)), complex_gaussian(self.rng, 5))
         assert frobenius(n @ n.conj().T - n.conj().T @ n) <= STRUCT_TOL * (1 + frobenius(n) ** 2)
 
     def test_nilpotent_square_zero(self):

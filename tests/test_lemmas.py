@@ -5,7 +5,7 @@ import pytest
 
 from aluthge import lemmas
 from aluthge.cli import _canonical
-from aluthge.generators import ginibre, haar_unitary
+from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj, vector_payload
@@ -227,7 +227,7 @@ class TestDriver:
         # result must be the per-matrix call's, bit for bit.
         per_matrix = {
             "aluthge": lambda m, r, twin: aluthge(m, r.lam),
-            "haar": lambda m, r, twin: haar_unitary(twin, r.dim),
+            "haar": lambda m, r, twin: _phase_fixed_q(ginibre(twin, r.dim)),
             "svdvals": lambda m, r, twin: np.linalg.svd(m, compute_uv=False),
             "eigvals": lambda m, r, twin: np.linalg.eigvals(m),
         }

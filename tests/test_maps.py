@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aluthge.generators import haar_unitary
+from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import run_check
 from aluthge.linalg import frobenius, jordan_product, rank_one
 from aluthge.maps import (
@@ -34,7 +34,7 @@ class TestCandidateMap:
 
     def test_zero_and_identity_preserved(self):
         rng = np.random.default_rng(1)
-        u = haar_unitary(rng, 4)
+        u = _phase_fixed_q(ginibre(rng, 4))
         np.testing.assert_allclose(unitary_conj(u, np.zeros((4, 4), dtype=complex)), np.zeros((4, 4)), atol=1e-15)
         np.testing.assert_allclose(unitary_conj(u, np.eye(4, dtype=complex)), np.eye(4), atol=1e-14)
 
@@ -84,7 +84,7 @@ class TestStarJordanCondition:
     def test_selfadjoint_b_matches_plain_condition(self):
         # with B = B* the star condition coincides with the plain one trialwise
         rng = np.random.default_rng(3)
-        u = haar_unitary(rng, 4)
+        u = _phase_fixed_q(ginibre(rng, 4))
         a = cgauss(rng, 4, 4)
         g = cgauss(rng, 4, 4)
         b = (g + g.conj().T) / 2
@@ -102,7 +102,7 @@ class TestStructural:
 class TestVectorState:
     def test_identity_matrix_both_sides_one(self):
         rng = np.random.default_rng(4)
-        u = haar_unitary(rng, 5)
+        u = _phase_fixed_q(ginibre(rng, 5))
         x = cgauss(rng, 5)
         x /= np.linalg.norm(x)
         y = u @ x

@@ -52,7 +52,7 @@ def reference_bytes(m) -> bytes:
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """Every save sees two usable CPUs, and no test leaves a worker behind."""
+    """Every test sees two usable CPUs, and none leaves a worker behind."""
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     yield
     assert multiprocessing.active_children() == []
@@ -98,11 +98,11 @@ def test_save_matrix_bytes_and_exact_round_trip(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SPLIT_CASES))
-def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, name):
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+def test_parallel_save_bytes_and_exact_round_trip(tmp_path, name):
     m = {**CASES, **SPLIT_CASES}[name]
     path = tmp_path / "m.json"
-    save_matrix(path, m)
+    with _workers._worker_pool(1) as pool:
+        save_matrix(path, m, pool)
     assert path.read_bytes() == reference_bytes(m)
     assert multiprocessing.active_children() == []
     assert load_matrix(path).tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
@@ -135,39 +135,56 @@ def test_load_matrix_leaves_gc_as_found(tmp_path, collecting, name):
         (gc.enable if was else gc.disable)()
 
 
-def test_large_matrix_takes_the_parallel_path(tmp_path, submits):
-    # The real threshold: 300 x 300 lies above it, so a worker formats half the rows.
+def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, submits):
+    # Only a command starts processes: without a pool, the caller formats every row.
     assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
     save_matrix(tmp_path / "m.json", m)
+    assert submits == [] and multiprocessing.active_children() == []
+    assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
+
+
+def test_large_matrix_takes_the_parallel_path(tmp_path, submits):
+    # The real threshold: a 300 x 300 file lies above it, so the pool opened
+    # for it has a worker, which formats half the rows of a save.
+    m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
+    save_matrix(tmp_path / "in.json", m)
+    with _workers._worker_pool(matrixio._file_workers(tmp_path / "in.json")) as pool:
+        save_matrix(tmp_path / "m.json", m, pool)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
     assert [block.shape for block in submits] == [(150, 600)]
 
 
-def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, submits):
+def _header_file(path, n_rows, cols):
+    """A file in the writer's layout holding an ``n_rows`` x ``cols`` zero matrix."""
+    save_matrix(path, np.zeros((n_rows, cols), dtype=complex))
+    return path
+
+
+def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch):
     small = int(np.sqrt(matrixio.PARALLEL_ENTRIES)) - 1
-    save_matrix(tmp_path / "small.json", np.eye(small))
+    assert matrixio._file_workers(_header_file(tmp_path / "small.json", small, small)) == 0
+    assert matrixio._file_workers(_header_file(tmp_path / "large.json", small + 1, small + 1)) == 1
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    save_matrix(tmp_path / "edge.json", edge_matrix())
+    assert matrixio._file_workers(tmp_path / "edge.json") == 1
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-    save_matrix(tmp_path / "one_cpu.json", edge_matrix())
-    assert submits == []
-    assert (tmp_path / "one_cpu.json").read_bytes() == reference_bytes(edge_matrix())
+    assert matrixio._file_workers(tmp_path / "edge.json") == 0
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_shares_capped_at_one_worker(monkeypatch, cpus):
+def test_shares_capped_at_one_worker(tmp_path, monkeypatch, cpus):
     # The computed count only: no worker is started.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-    workers = matrixio._workers_for
-    assert workers(200, 200) == workers(2, 20000) == min(cpus, 2) - 1
-    assert workers(1, 40000) == 0
-    assert workers(170, 190) == 0
+    workers = {(r, c): matrixio._file_workers(_header_file(tmp_path / f"{r}x{c}.json", r, c))
+               for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
+    assert workers == {(200, 200): min(cpus, 2) - 1, (2, 20000): min(cpus, 2) - 1, (1, 40000): 0, (170, 190): 0}
 
 
 def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch):
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _dies_in_workers)
-    save_matrix(tmp_path / "m.json", edge_matrix())
+    with _workers._worker_pool(1) as pool:
+        save_matrix(tmp_path / "m.json", edge_matrix(), pool)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
@@ -175,12 +192,12 @@ def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch):
 def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch):
     old = tmp_path / "old.json"
     save_matrix(old, np.eye(2))
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _fails_in_workers)
-    with pytest.raises(OSError, match="No space left"):
-        save_matrix(tmp_path / "new.json", edge_matrix())
-    with pytest.raises(OSError, match="No space left"):
-        save_matrix(old, edge_matrix())
+    with _workers._worker_pool(1) as pool:
+        with pytest.raises(OSError, match="No space left"):
+            save_matrix(tmp_path / "new.json", edge_matrix(), pool)
+        with pytest.raises(OSError, match="No space left"):
+            save_matrix(old, edge_matrix(), pool)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
     assert old.read_bytes() == reference_bytes(np.eye(2))
 
