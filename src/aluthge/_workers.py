@@ -1,12 +1,12 @@
 """Forked worker processes and the BLAS thread count, shared by the commands.
 
-Only a command starts processes, and it opens at most one pool. ``verify``
-runs its reports and ``iterate`` each step's measures on ``_blas_workers``:
+Processes start only where a command asks for them. ``verify`` runs its
+reports and ``iterate`` each step's measures on ``_blas_workers``, one pool:
 the command sets its BLAS to one thread and forks the workers inside that
 pin, so they inherit it. ``transform`` shares a large matrix file's parsing
-and formatting with one worker of ``_worker_pool``, which never calls BLAS.
-Nothing here imports ``multiprocessing`` or ``concurrent.futures`` until a
-pool is opened.
+and formatting through ``_fork_join``, which forks one child at each call,
+once the data exist, and never calls BLAS. Nothing here imports
+``multiprocessing`` or ``concurrent.futures`` until a pool is opened.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import os
+import pickle
 
 # Forked workers, each with one BLAS thread, that run verify's reports or
 # iterate's per-step measures. Two is the only count measured (on 2 CPUs, where
@@ -90,37 +91,68 @@ def _pool_processes(n_tasks: int, blas_threads) -> int:
 
 
 @contextlib.contextmanager
-def _worker_pool(processes: int):
-    """A pool of ``processes`` forked workers; None where that is 0. A worker
-    is forked at the pool's first task and inherits this process's state at
-    that moment, its BLAS thread count included. However the block exits, the
-    pool is shut down and its pending tasks cancelled."""
-    if processes < 1:
-        yield None
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy again, which took back
-    # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
-    # atfork handler) and the command starts no other thread, so a forked
-    # worker holds no lock another thread took.
-    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-@contextlib.contextmanager
 def _blas_workers(n_tasks: int):
-    """The ``_worker_pool`` for ``n_tasks`` tasks that call BLAS, sized by
-    ``_pool_processes``, with this process's BLAS on one thread for the block
-    (``_one_blas_thread``). The workers are forked inside that pin, so every
-    process runs BLAS on one thread and no result depends on the CPU count."""
+    """A pool of ``_pool_processes`` forked workers for ``n_tasks`` tasks that
+    call BLAS, or None where that is 0, with this process's BLAS on one thread
+    for the block. The workers are forked at the first task, inside that pin,
+    so every process runs BLAS on one thread and no result depends on the CPU
+    count. However the block exits, the pool is shut down, its tasks cancelled."""
     blas_threads = _openblas_threads()
-    with _one_blas_thread(blas_threads), _worker_pool(_pool_processes(n_tasks, blas_threads)) as pool:
-        yield pool
+    processes = _pool_processes(n_tasks, blas_threads)
+    with _one_blas_thread(blas_threads):
+        if processes < 1:
+            yield None
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy again, which took back
+        # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
+        # atfork handler) and the command starts no other thread, so a forked
+        # worker holds no lock another thread took.
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _fork_join(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, the last of two or more computed by
+    a child forked at the call while this process computes the rest. The
+    child pickles its result into a pipe and leaves through ``os._exit`` on
+    every path, so it never unwinds into the caller or flushes inherited
+    buffers. The last item is computed here if the fork fails or the child
+    exits non-zero (killed, out of memory, or raised: the rerun here then
+    raises the same error)."""
+    *here, last = items
+    if not here:
+        return [fn(last)]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return [fn(item) for item in items]
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(fn(last), pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        # The read end is closed before the child is reaped, however this
+        # process leaves: a child still writing then gets EPIPE and exits.
+        with open(read_fd, "rb") as pipe:
+            results = [fn(item) for item in here]
+            sent = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return results + [pickle.loads(sent) if status == 0 else fn(last)]
 
 
 def _in_order(fn, items, pool, window: int):

@@ -24,8 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import matrixio
-from ._workers import POOL_PROCESSES, _blas_workers, _in_order, _worker_pool
+from ._workers import POOL_PROCESSES, _blas_workers, _in_order
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -85,12 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_square(path: str, pool=None) -> np.ndarray | int:
-    """The square matrix in ``path``, parsed in part on ``pool`` if given, or,
-    after printing why there is none, the exit code: EXIT_USAGE for a
-    malformed file, EXIT_SHAPE if not square."""
+def _load_square(path: str, share: bool = False) -> np.ndarray | int:
+    """The square matrix in ``path``, parsed in part by a forked child if
+    ``share`` (see ``load_matrix``), or, after printing why there is none, the
+    exit code: EXIT_USAGE for a malformed file, EXIT_SHAPE if not square."""
     try:
-        m = load_matrix(path, pool)
+        m = load_matrix(path, share)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -111,29 +110,28 @@ def _written(path: str, write, *args) -> bool:
 
 
 def cmd_transform(args) -> int:
-    # For an input large enough to share, one forked worker parses half its
-    # rows and formats half of each output's, while the command does the rest.
-    with _worker_pool(matrixio._file_workers(args.input)) as pool:
-        m = _load_square(args.input, pool)
-        if isinstance(m, int):
-            return m
-        if not 0.0 <= args.lam <= 1.0:
-            print("error: --lambda must lie in [0, 1]", file=sys.stderr)
+    # A large input's load and each of its saves fork one child, which parses
+    # or formats half the rows while the command does the rest.
+    m = _load_square(args.input, share=True)
+    if isinstance(m, int):
+        return m
+    if not 0.0 <= args.lam <= 1.0:
+        print("error: --lambda must lie in [0, 1]", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.factors:
+        outputs = {args.output: aluthge(m, args.lam)}
+    else:
+        # One SVD serves the transform and both factor files.
+        delta, isometry, modulus = _transform_and_factors(m, args.lam)
+        stem, ext = os.path.splitext(args.output)
+        outputs = {
+            args.output: delta,
+            f"{stem}.isometry{ext or '.json'}": isometry,
+            f"{stem}.modulus{ext or '.json'}": modulus,
+        }
+    for path, matrix in outputs.items():
+        if not _written(path, functools.partial(save_matrix, share=True), matrix):
             return EXIT_USAGE
-        if not args.factors:
-            outputs = {args.output: aluthge(m, args.lam)}
-        else:
-            # One SVD serves the transform and both factor files.
-            delta, isometry, modulus = _transform_and_factors(m, args.lam)
-            stem, ext = os.path.splitext(args.output)
-            outputs = {
-                args.output: delta,
-                f"{stem}.isometry{ext or '.json'}": isometry,
-                f"{stem}.modulus{ext or '.json'}": modulus,
-            }
-        for path, matrix in outputs.items():
-            if not _written(path, save_matrix, matrix, pool):
-                return EXIT_USAGE
     return EXIT_OK
 
 

@@ -6,17 +6,15 @@ The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
-result. Given a pool, as ``transform`` gives for an input of at least
-``PARALLEL_ENTRIES`` entries on two usable CPUs (``_file_workers``), a matrix
-is parsed and formatted half by the calling process and half by the pool's
-worker at once, with the same bytes; without one, by the caller alone. Nothing
-here starts a process. Writes are atomic (temp file + rename) and honour the
-process umask.
+result. A large matrix that the caller shares (``share=True``, as
+``transform`` passes) is parsed and formatted half by the caller and half by
+a child forked once the bytes or the matrix exist (see ``_parts``), with the
+same bytes. Writes are atomic (temp file + rename) and honour the process
+umask.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import io
 import json
@@ -28,7 +26,6 @@ from itertools import chain
 import numpy as np
 
 from . import _workers
-from ._workers import _in_order
 from .linalg import validate_matrix
 
 __all__ = [
@@ -40,25 +37,20 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# Entries from which a matrix file is parsed or formatted in two processes at
-# once, the caller and one forked worker (the only count measured, on 2 CPUs).
-# Below about n = 180 square, starting the worker costs more than the share it
-# takes: with one worker for a whole transform --factors, n = 128 took 0.55 s
+# Entries from which a shared matrix file is parsed or formatted in two
+# processes, the caller and one forked child (the only count measured, on 2
+# CPUs). Below about n = 180 square, a second process costs more than its share:
+# with one pool worker for a whole transform --factors, n = 128 took 0.55 s
 # against 0.49 s alone and n = 180 0.69 s against 0.67 s (medians of 10 pairs).
 PARALLEL_ENTRIES = 180 * 180
 # The writer's header, with at most 18 digits a size, and its trailer.
 _HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
-_HEADER_BYTES = 80
 _TRAILER = b"]}\n"
 # The bytes JSON numbers are made of, the break between two written rows, and
 # a table that blanks brackets, which JSON then reads as whitespace.
 _NUMBER_BYTES = b"0123456789.eE+-"
 _ROW_BREAK = b"]], [["
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
-# The slices a load parses its own rows in (see _read_exact), about a
-# twentieth of an n = 512 file; in one piece, a worker started on the other
-# half only once this process had parsed its own.
-_SLICE_BYTES = 1 << 18
 
 
 class MatrixFileError(ValueError):
@@ -88,38 +80,22 @@ def _format_rows(rows: np.ndarray) -> str:
     return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def _file_workers(path) -> int:
-    """Forked workers that share the load of the regular file at ``path``
-    and the saves of matrices of its shape with this process: one, given two
-    usable CPUs, where its header gives two or more rows and at least
-    ``PARALLEL_ENTRIES`` entries, no more than the file can hold (see
-    ``_read_exact``); else 0. A FIFO is not read here, so that its bytes are
-    left to the load."""
-    try:
-        if not os.path.isfile(path):
-            return 0
-        with open(path, "rb") as fh:
-            header = _HEADER.match(fh.read(_HEADER_BYTES))
-            size = os.fstat(fh.fileno()).st_size
-    except OSError:
-        return 0
-    if header is None:
-        return 0
-    n_rows, cols = int(header[1]), int(header[2])
-    return int(n_rows > 1 and PARALLEL_ENTRIES <= n_rows * cols <= size // 8 and _workers._usable_cpus() > 1)
+def _parts(share: bool, n_rows: int, cols: int) -> int:
+    """The blocks of rows an ``n_rows`` x ``cols`` matrix is parsed or formatted
+    in: 2, the second by a forked child, where the caller shares it, it has two
+    or more rows and ``PARALLEL_ENTRIES`` entries and two CPUs are usable; else 1."""
+    return 2 if share and n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES and _workers._usable_cpus() > 1 else 1
 
 
-def _encode(rows: np.ndarray, pool=None):
+def _encode(rows: np.ndarray, share: bool):
     """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows =
-    _float_rows(m)``. With a pool, its worker formats the second half of the
-    rows while this process formats the first; if the pool breaks, this
-    process formats both."""
+    _float_rows(m)``, the second half of the rows formatted by a forked child
+    where ``_parts`` splits them."""
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    first, *rest = np.array_split(rows, 2 if pool is not None and n_rows > 1 else 1)
-    later = _in_order(_format_rows, rest, pool, len(rest))
-    yield _format_rows(first)
-    for _, text in later:
+    first, *rest = _workers._fork_join(_format_rows, np.array_split(rows, _parts(share, n_rows, cols)))
+    yield first
+    for text in rest:
         yield ", "
         yield text
     yield "]}\n"
@@ -183,20 +159,17 @@ def _parse_rows(text: bytes, cols: int) -> np.ndarray | None:
     return floats.reshape(n_rows, 2 * cols) if np.isfinite(floats).all() else None
 
 
-def _row_runs(text: bytes, size: int):
-    """``text``, written rows joined by ", ", cut at the first row break
-    after every ``size`` bytes."""
-    start = 0
-    while (cut := text.find(_ROW_BREAK, start + size)) >= 0:
-        yield text[start : cut + 2]
-        start = cut + 4
-    yield text[start:]
+def _row_runs(text: bytes, parts: int) -> list:
+    """``text``, written rows joined by ", ", whole or, for ``parts`` 2, cut
+    at the first row break after its middle byte."""
+    cut = text.find(_ROW_BREAK, len(text) // 2) if parts > 1 else -1
+    return [text] if cut < 0 else [text[: cut + 2], text[cut + 4 :]]
 
 
-def _read_exact(raw: bytes, pool=None) -> np.ndarray | None:
+def _read_exact(raw: bytes, share: bool) -> np.ndarray | None:
     """The matrix in ``raw`` if it is a file in the writer's exact layout of
-    finite doubles, else None. With a pool, its worker parses the rows after
-    the middle byte while this process parses the rest."""
+    finite doubles, else None. Where ``_parts`` splits it, a forked child
+    parses the rows after the middle byte while this process parses the rest."""
     header = _HEADER.match(raw)
     if header is None or not raw.endswith(_TRAILER):
         return None
@@ -206,12 +179,8 @@ def _read_exact(raw: bytes, pool=None) -> np.ndarray | None:
     # more entries than the file can hold is refused before any work per entry.
     if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
         return None
-    first, *rest = [body] if pool is None else _row_runs(body, len(body) // 2)
-    later = _in_order(functools.partial(_parse_rows, cols=cols), rest, pool, len(rest))
-    # This process parses its rows in slices: json.loads holds the GIL for a
-    # whole call, and the threads that hand the worker its rows need it.
-    blocks = [_parse_rows(run, cols) for run in _row_runs(first, _SLICE_BYTES)]
-    blocks += [block for _, block in later]
+    runs = _row_runs(body, _parts(share, n_rows, cols))
+    blocks = _workers._fork_join(lambda run: _parse_rows(run, cols), runs)
     if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
         return None
     return np.concatenate(blocks).view(np.complex128)
@@ -236,18 +205,18 @@ def _read_json(raw: bytes, path) -> np.ndarray:
     return _matrix_from_obj(obj)
 
 
-def load_matrix(path, pool=None) -> np.ndarray:
+def load_matrix(path, share: bool = False) -> np.ndarray:
     """The matrix in the file at ``path``. A file in the writer's exact layout
-    is parsed from its numbers, half of its rows on ``pool``'s worker if a
-    pool is given; any other file by ``json.load``, as is one that holds a
-    number that is not a finite double, so that it fails with the same
-    MatrixFileError."""
+    is parsed from its numbers, half of its rows by a forked child if the
+    caller shares it (see ``_parts``); any other file by ``json.load``, as is
+    one that holds a number that is not a finite double, so that it fails
+    with the same MatrixFileError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    m = _read_exact(raw, pool)
+    m = _read_exact(raw, share)
     return _read_json(raw, path) if m is None else m
 
 
@@ -278,8 +247,8 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def save_matrix(path, m, pool=None) -> None:
-    """Write ``m`` to ``path``. Its rows are formatted half here and half on
-    ``pool``'s worker if a pool is given, else all here. Workers only format
-    floats, never calling BLAS or LAPACK."""
-    atomic_write_text(path, _encode(_float_rows(m), pool))
+def save_matrix(path, m, share: bool = False) -> None:
+    """Write ``m`` to ``path``. Its rows are formatted half here and half by
+    a forked child if the caller shares it (see ``_parts``), else all here.
+    The child only formats floats, never calling BLAS or LAPACK."""
+    atomic_write_text(path, _encode(_float_rows(m), share))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import multiprocessing
 import os
@@ -155,30 +156,21 @@ class TestTransform:
         assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
         assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
 
-    def test_factors_parallel_saves_match_serial(self, tmp_path, monkeypatch):
+    def test_factors_parallel_saves_match_serial(self, tmp_path, monkeypatch, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
         outputs = ["out.json", "out.isometry.json", "out.modulus.json"]
         os.mkdir(tmp_path / "serial")
         assert main(["transform", src, "--output", str(tmp_path / "serial" / "out.json"), "--factors"]) == EXIT_OK
         monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        pools, items = set(), []
-        submit = ProcessPoolExecutor.submit
-
-        def recording_submit(pool, fn, *args):
-            pools.add(pool)
-            items.append(args[0])
-            return submit(pool, fn, *args)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
-        # One worker parsed the rows after the input's middle byte and
-        # formatted the second half of each file's rows.
-        assert len(pools) == 1
-        worker_rows = items[0].count(b"]], [[") + 1
-        assert items[0].startswith(b"[[") and items[0].endswith(b"]]") and 1 <= worker_rows < 6
-        assert [block.shape for block in items[1:]] == [(3, 12)] * 3
-        assert multiprocessing.active_children() == []
+        # A child parsed the rows after the input's middle byte, and one for
+        # each file formatted the second half of its rows.
+        (_, theirs), *saves = forks
+        child_rows = theirs.count(b"]], [[") + 1
+        assert theirs.startswith(b"[[") and theirs.endswith(b"]]") and 1 <= child_rows < 6
+        assert [[block.shape for block in items] for items in saves] == [[(3, 12), (3, 12)]] * 3
+        assert_no_child()
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
@@ -477,7 +469,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # The parallel save imports them only when it starts a worker.
+    # verify and iterate import them only when they open a pool.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     code = "import sys, aluthge.cli; sys.exit('multiprocessing' in sys.modules or 'concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -519,6 +511,12 @@ def _raises(run):
 
 def _observes_blas_threads(run):
     run.observe(float(_workers._openblas_threads()[1]()), False)
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
@@ -900,13 +898,13 @@ _PARSE_ROWS, _FORMAT_ROWS = matrixio._parse_rows, matrixio._format_rows
 
 def _parse_dies_in_workers(text, cols):
     if os.getpid() != _PARENT_PID:
-        os._exit(1)
+        os._exit(9)
     return _PARSE_ROWS(text, cols)
 
 
 def _format_dies_in_workers(rows):
     if os.getpid() != _PARENT_PID:
-        os._exit(1)
+        os._exit(9)
     return _FORMAT_ROWS(rows)
 
 
@@ -914,10 +912,14 @@ def _interrupted(*args):
     raise KeyboardInterrupt
 
 
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
 @pytest.fixture
 def shared_input(tmp_path, monkeypatch):
-    """A 6 x 6 input that a transform shares with a worker wherever one can
-    start: PARALLEL_ENTRIES is 1."""
+    """A 6 x 6 input that a transform shares with forked children wherever
+    they can start: PARALLEL_ENTRIES is 1."""
     src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     return src
@@ -926,55 +928,89 @@ def shared_input(tmp_path, monkeypatch):
 def transform_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     """Exit code, stderr and output files of ``transform src --factors *argv``
     with ``cpus`` usable CPUs, writing under ``tmp_path/cpus<cpus>`` unless
-    ``output`` is given. It leaves no worker."""
+    ``output`` is given. It leaves no child."""
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     where = tmp_path / f"cpus{cpus}"
     where.mkdir(exist_ok=True)
     code = main(["transform", src, *argv, "--factors", "--output", str(output or where / "out.json")])
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+
+
+def transform_in_a_fresh_process(tmp_path, m):
+    """The exit code of ``main(["transform", ..., "--factors", ...])`` on
+    ``m``, run in a fresh interpreter with two usable CPUs, then the forks it
+    made, whether ``multiprocessing`` and ``concurrent.futures`` were loaded
+    and whether it left a child."""
+    src = write(tmp_path / "in.json", m)
+    argv = ["transform", src, "--factors", "--output", str(tmp_path / "out.json")]
+    code = (
+        "import os, sys\n"
+        "from aluthge import _workers\n"
+        "from aluthge.cli import main\n"
+        "_workers._usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        f"code = main({argv!r})\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    child = True\n"
+        "except ChildProcessError:\n"
+        "    child = False\n"
+        "print(code, len(forks), 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules, child)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return out.splitlines()
 
 
 class TestTransformWorker:
     def test_small_input_loads_no_pool_module_and_starts_no_process(self, tmp_path):
         assert 8 * 8 < matrixio.PARALLEL_ENTRIES
-        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(3), 8))
-        argv = ["transform", src, "--factors", "--output", str(tmp_path / "out.json")]
-        code = (
-            "import os, sys\n"
-            "from aluthge import _workers\n"
-            "from aluthge.cli import main\n"
-            "_workers._usable_cpus = lambda: 2\n"
-            "os.register_at_fork(before=lambda: print('forked'))\n"
-            f"print(main({argv!r}), 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["0 False False"]
+        assert transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(3), 8)) == ["0 0 False False False"]
 
-    def test_one_pool_serves_the_load_and_every_save(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input):
+    def test_large_input_forks_once_per_load_and_save_and_loads_no_pool_module(self, tmp_path):
+        assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
+        out = transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(5), 300))
+        assert out == ["0 4 False False False"]
+
+    def test_the_load_and_every_save_fork_one_child_each(self, tmp_path, monkeypatch, capsys, forks, shared_input):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
-        assert pool_maps == []
-        pooled = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
-        assert pooled == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
-        (tasks,) = pool_maps
-        assert [type(task) for task in tasks] == [bytes, np.ndarray, np.ndarray, np.ndarray]
+        assert forks == []
+        shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert shared == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
+        assert [type(items[-1]) for items in forks] == [bytes, np.ndarray, np.ndarray, np.ndarray]
 
     @pytest.mark.parametrize("stage", ["load", "save"])
-    def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input, stage):
+    def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input, stage):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
         if stage == "load":
             monkeypatch.setattr(matrixio, "_parse_rows", _parse_dies_in_workers)
         else:
             monkeypatch.setattr(matrixio, "_format_rows", _format_dies_in_workers)
-        pooled = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
-        assert pooled == serial and serial[0] == EXIT_OK
-        # One pool, offered every task: the broken pool refuses those after the
-        # worker died, and the command runs them.
-        assert len(pool_maps) == 1 and len(pool_maps[0]) == 4
+        shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert shared == serial and serial[0] == EXIT_OK
+        # Every call forks a child of its own: one that dies costs only its share.
+        assert len(forks) == 4
+
+    def test_failed_fork_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input):
+        serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
+        monkeypatch.setattr(os, "fork", _fork_fails)
+        shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert shared == serial and serial[0] == EXIT_OK and len(forks) == 4
+
+    def test_input_not_in_the_exact_layout_gets_shared_saves(self, tmp_path, monkeypatch, capsys, forks):
+        # json.load reads the input in the command; each save is still shared.
+        m = ginibre(np.random.default_rng(6), 300)
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(matrix_to_obj(m), indent=1) + "\n")
+        serial = transform_on(1, monkeypatch, capsys, tmp_path, str(src))
+        shared = transform_on(2, monkeypatch, capsys, tmp_path, str(src))
+        assert shared == serial and serial[0] == EXIT_OK
+        assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]] * 3
 
     @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])
-    def test_exit_path_leaves_no_worker(self, tmp_path, monkeypatch, capsys, pool_maps, shared_input, case):
+    def test_exit_path_leaves_no_worker(self, tmp_path, monkeypatch, capsys, forks, shared_input, case):
         src, output = shared_input, None
         if case == "malformed_second_half":
             text = Path(src).read_bytes()
@@ -990,7 +1026,7 @@ class TestTransformWorker:
         assert files == {} and code == (EXIT_SHAPE if case == "non_square" else EXIT_USAGE)
         if case == "malformed_second_half":
             assert err.startswith(f"error: invalid JSON in {src}: Expecting ','")
-        assert len(pool_maps) == 1  # the pooled run opened its worker for the load
+        assert len(forks) == 1  # the shared run forked a child for the load
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, shared_input, cpus):
@@ -998,4 +1034,4 @@ class TestTransformWorker:
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         with pytest.raises(KeyboardInterrupt):
             main(["transform", shared_input, "--factors", "--output", str(tmp_path / "out.json")])
-        assert multiprocessing.active_children() == []
+        assert_no_child()

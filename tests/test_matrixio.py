@@ -1,12 +1,10 @@
 import gc
 import json
-import multiprocessing
 import os
 import stat
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ CASES = {
     "single": np.array([[-0.0 + 5e-324j]]),
 }
 # Row counts around the two-way split of the parallel path: one row (too few
-# to split, so no worker), one column, and an odd count.
+# to split, so no child), one column, and an odd count.
 SPLIT_CASES = {
     "one_row": np.arange(40.0)[None, :] * (0.1 - 3j),
     "one_column": np.arange(40.0)[:, None] * (1e-300 + 0.7j),
@@ -50,37 +48,31 @@ def reference_bytes(m) -> bytes:
     return (json.dumps(obj) + "\n").encode("utf-8")
 
 
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """Every test sees two usable CPUs, and none leaves a worker behind."""
+    """Every test sees two usable CPUs, and none leaves a child behind."""
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     yield
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
-@pytest.fixture
-def submits(monkeypatch):
-    """The blocks handed to worker processes, recorded as they are submitted."""
-    blocks = []
-    submit = ProcessPoolExecutor.submit
-
-    def recording_submit(self, fn, *args):
-        blocks.append(args[0])
-        return submit(self, fn, *args)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
-    return blocks
-
-
-def _fails_in_workers(rows):
-    if os.getpid() != _PARENT_PID:
+def _fails_on_later_rows(rows):
+    # The second half of edge_matrix's rows starts at this number: those rows
+    # fail in the child and again in the rerun here.
+    if rows[0, 0] == EDGE_VALUES[len(EDGE_VALUES) // 2]:
         raise OSError(28, "No space left on device")
     return _format_rows(rows)
 
 
 def _dies_in_workers(rows):
     if os.getpid() != _PARENT_PID:
-        os._exit(1)
+        os._exit(9)
     return _format_rows(rows)
 
 
@@ -98,13 +90,14 @@ def test_save_matrix_bytes_and_exact_round_trip(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SPLIT_CASES))
-def test_parallel_save_bytes_and_exact_round_trip(tmp_path, name):
+def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, forks, name):
     m = {**CASES, **SPLIT_CASES}[name]
     path = tmp_path / "m.json"
-    with _workers._worker_pool(1) as pool:
-        save_matrix(path, m, pool)
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    save_matrix(path, m, share=True)
     assert path.read_bytes() == reference_bytes(m)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (m.shape[0] > 1)
+    assert_no_child()
     assert load_matrix(path).tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
 
 
@@ -135,71 +128,96 @@ def test_load_matrix_leaves_gc_as_found(tmp_path, collecting, name):
         (gc.enable if was else gc.disable)()
 
 
-def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, submits):
-    # Only a command starts processes: without a pool, the caller formats every row.
+def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, forks):
+    # Only a caller that shares a matrix forks: without share, it formats every row.
     assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
     save_matrix(tmp_path / "m.json", m)
-    assert submits == [] and multiprocessing.active_children() == []
+    assert forks == []
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
 
 
-def test_large_matrix_takes_the_parallel_path(tmp_path, submits):
-    # The real threshold: a 300 x 300 file lies above it, so the pool opened
-    # for it has a worker, which formats half the rows of a save.
+def test_large_matrix_takes_the_parallel_path(tmp_path, forks):
+    # The real threshold: a 300 x 300 matrix lies above it, so a shared save
+    # forks a child, which formats the second half of the rows.
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
-    save_matrix(tmp_path / "in.json", m)
-    with _workers._worker_pool(matrixio._file_workers(tmp_path / "in.json")) as pool:
-        save_matrix(tmp_path / "m.json", m, pool)
+    save_matrix(tmp_path / "m.json", m, share=True)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
-    assert [block.shape for block in submits] == [(150, 600)]
+    assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]]
 
 
-def _header_file(path, n_rows, cols):
-    """A file in the writer's layout holding an ``n_rows`` x ``cols`` zero matrix."""
-    save_matrix(path, np.zeros((n_rows, cols), dtype=complex))
-    return path
-
-
-def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch):
+def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
     small = int(np.sqrt(matrixio.PARALLEL_ENTRIES)) - 1
-    assert matrixio._file_workers(_header_file(tmp_path / "small.json", small, small)) == 0
-    assert matrixio._file_workers(_header_file(tmp_path / "large.json", small + 1, small + 1)) == 1
+    for n in (small, small + 1):
+        save_matrix(tmp_path / f"{n}.json", np.zeros((n, n), dtype=complex))
+        assert load_matrix(tmp_path / f"{n}.json", share=True).shape == (n, n)
+    # The decision comes from the shape the header gives, once the bytes are read.
+    assert [len(items) for items in forks] == [2]
+    assert [matrixio._parts(True, n, n) for n in (small, small + 1)] == [1, 2]
+    assert matrixio._parts(False, small + 1, small + 1) == 1
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    save_matrix(tmp_path / "edge.json", edge_matrix())
-    assert matrixio._file_workers(tmp_path / "edge.json") == 1
+    assert matrixio._parts(True, 10, 10) == 2
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-    assert matrixio._file_workers(tmp_path / "edge.json") == 0
+    assert matrixio._parts(True, 10, 10) == 1
+    save_matrix(tmp_path / "edge.json", edge_matrix(), share=True)
+    load_matrix(tmp_path / "edge.json", share=True)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_shares_capped_at_one_worker(tmp_path, monkeypatch, cpus):
-    # The computed count only: no worker is started.
+def test_shares_capped_at_one_worker(monkeypatch, cpus):
+    # The computed split only: no child is forked.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-    workers = {(r, c): matrixio._file_workers(_header_file(tmp_path / f"{r}x{c}.json", r, c))
-               for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
-    assert workers == {(200, 200): min(cpus, 2) - 1, (2, 20000): min(cpus, 2) - 1, (1, 40000): 0, (170, 190): 0}
+    parts = {(r, c): matrixio._parts(True, r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
+    assert parts == {(200, 200): min(cpus, 2), (2, 20000): min(cpus, 2), (1, 40000): 1, (170, 190): 1}
 
 
-def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch):
+def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _dies_in_workers)
-    with _workers._worker_pool(1) as pool:
-        save_matrix(tmp_path / "m.json", edge_matrix(), pool)
+    save_matrix(tmp_path / "m.json", edge_matrix(), share=True)
+    assert len(forks) == 1
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
-def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch):
+def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, forks):
     old = tmp_path / "old.json"
     save_matrix(old, np.eye(2))
-    monkeypatch.setattr(matrixio, "_format_rows", _fails_in_workers)
-    with _workers._worker_pool(1) as pool:
-        with pytest.raises(OSError, match="No space left"):
-            save_matrix(tmp_path / "new.json", edge_matrix(), pool)
-        with pytest.raises(OSError, match="No space left"):
-            save_matrix(old, edge_matrix(), pool)
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    monkeypatch.setattr(matrixio, "_format_rows", _fails_on_later_rows)
+    with pytest.raises(OSError, match="No space left"):
+        save_matrix(tmp_path / "new.json", edge_matrix(), share=True)
+    with pytest.raises(OSError, match="No space left"):
+        save_matrix(old, edge_matrix(), share=True)
+    assert len(forks) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
     assert old.read_bytes() == reference_bytes(np.eye(2))
+
+
+def test_child_computes_the_last_item_and_sends_it_back():
+    computed_here = []
+
+    def fn(k):
+        computed_here.append(k)
+        return k, os.getpid()
+
+    results = _workers._fork_join(fn, [0, 1, 2])
+    assert computed_here == [0, 1]
+    assert [k for k, _ in results] == [0, 1, 2]
+    assert [pid == _PARENT_PID for _, pid in results] == [True, True, False]
+
+
+def test_interrupt_while_the_child_writes_leaves_no_child():
+    # The child's result outgrows the pipe, so it blocks writing until the
+    # read end is closed; the autouse fixture checks that it was reaped.
+    def fn(k):
+        if k == 0:
+            raise KeyboardInterrupt
+        return b"x" * (1 << 20)
+
+    with pytest.raises(KeyboardInterrupt):
+        _workers._fork_join(fn, [0, 1])
 
 
 def test_atomic_write_follows_symlink_to_regular_file(tmp_path):
@@ -249,10 +267,10 @@ def reference_load(path):
         return str(exc)
 
 
-def load_outcome(path, pool=None):
+def load_outcome(path, share=False):
     """``load_matrix``'s matrix, or its MatrixFileError message."""
     try:
-        return load_matrix(path, pool)
+        return load_matrix(path, share)
     except MatrixFileError as exc:
         return str(exc)
 
@@ -265,7 +283,7 @@ def assert_same_outcome(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# Four written rows; a change to the last number falls in the rows a worker parses.
+# Four written rows; a change to the last number falls in the rows a child parses.
 NEAR_MISS_BASE = np.array(
     [[1.5 + 0.25j, -2.0 + 3.0j], [4.0 - 0.0j, 0.5 + 7.0j], [0.125 + 8.0j, 9.0 + 0.75j], [6.5 + 1e-300j, complex(-0.0, 2.5)]]
 )
@@ -330,22 +348,22 @@ NEAR_MISSES = {
 }
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-def test_near_misses_read_as_json_load_reads_them(tmp_path, pooled):
+@pytest.mark.parametrize("shared", [False, True])
+def test_near_misses_read_as_json_load_reads_them(tmp_path, monkeypatch, shared):
     base = tmp_path / "base.json"
     save_matrix(base, NEAR_MISS_BASE)
     text = base.read_bytes()
     assert text.endswith(NEAR_MISS_END) and load_matrix(base).tobytes() == NEAR_MISS_BASE.tobytes()
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     valid = []
-    with _workers._worker_pool(1 if pooled else 0) as pool:
-        for name, change in sorted(NEAR_MISSES.items()):
-            path = tmp_path / f"{name}.json"
-            path.write_bytes(change(text))
-            assert path.read_bytes() != text, name
-            want = reference_load(path)
-            assert_same_outcome(load_outcome(path, pool), want)
-            if not isinstance(want, str):
-                valid.append(name)
+    for name, change in sorted(NEAR_MISSES.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(change(text))
+        assert path.read_bytes() != text, name
+        want = reference_load(path)
+        assert_same_outcome(load_outcome(path, shared), want)
+        if not isinstance(want, str):
+            valid.append(name)
     # The deviations json.load accepts; every other case is an error with json.load's message.
     assert valid == [
         "crlf", "extra_space", "header_without_spaces", "integer_entries", "integer_entry", "keys_reordered",
@@ -353,7 +371,7 @@ def test_near_misses_read_as_json_load_reads_them(tmp_path, pooled):
     ]
 
 
-def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monkeypatch):
+def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monkeypatch, forks):
     path = tmp_path / "huge.json"
     path.write_bytes(b'{"rows": 1000000000, "cols": 1000000000, "data": [[[1.0, 0.0]]]}\n')
     monkeypatch.setattr(matrixio, "_parse_rows", lambda *args: pytest.fail("parsed rows the header cannot hold"))
@@ -361,31 +379,32 @@ def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monk
     start = time.perf_counter()
     try:
         with pytest.raises(MatrixFileError) as exc:
-            load_matrix(path)
+            load_matrix(path, share=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0 and peak < 1 << 20
     assert str(exc.value) == reference_load(path) == "data shape does not match 1000000000x1000000000"
-    assert matrixio._file_workers(path) == 0  # no worker is started for it either
+    assert forks == []  # no child is forked for it either
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, pooled):
+@pytest.mark.parametrize("shared", [False, True])
+def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, forks, shared):
     m = np.arange(1.0, 41.0).reshape(8, 5) * (0.1 - 3j)
     save_matrix(tmp_path / "m.json", m)
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_read_json", lambda raw, path: pytest.fail("fell back to json.load"))
-    with _workers._worker_pool(1 if pooled else 0) as pool:
-        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
+    assert load_matrix(tmp_path / "m.json", shared).tobytes() == m.tobytes()
+    assert len(forks) == shared
 
 
-def test_worker_parses_the_rows_after_the_middle(tmp_path, submits):
+def test_worker_parses_the_rows_after_the_middle(tmp_path, monkeypatch, forks):
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
-    with _workers._worker_pool(1) as pool:
-        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    assert load_matrix(tmp_path / "m.json", share=True).tobytes() == m.tobytes()
     text = (tmp_path / "m.json").read_bytes()
-    (theirs,) = submits
+    ((_, theirs),) = forks
     # The cut is the first row break after the middle byte of the rows.
     body = text[text.index(b"[[[") + 1 : -len(b"]}\n")]
     cut = len(body) - len(theirs) - len(b"]], ")
@@ -398,19 +417,20 @@ _PARSE_ROWS = matrixio._parse_rows
 
 def _rows_die_in_workers(text, cols):
     if os.getpid() != _PARENT_PID:
-        os._exit(1)
+        os._exit(9)
     return _PARSE_ROWS(text, cols)
 
 
-def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch):
+def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch, forks):
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_parse_rows", _rows_die_in_workers)
-    with _workers._worker_pool(1) as pool:
-        assert load_matrix(tmp_path / "m.json", pool).tobytes() == m.tobytes()
-        # The broken pool refuses the next task: the save formats all rows here.
-        save_matrix(tmp_path / "out.json", m, pool)
+    assert load_matrix(tmp_path / "m.json", share=True).tobytes() == m.tobytes()
+    # A dead child costs only its own call: the next save forks a child of its own.
+    save_matrix(tmp_path / "out.json", m, share=True)
     assert (tmp_path / "out.json").read_bytes() == reference_bytes(m)
+    assert len(forks) == 2
 
 
 FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
@@ -424,19 +444,20 @@ def matrices(draw):
     return np.array(parts).view(np.complex128).reshape(rows, cols)
 
 
-def test_save_load_round_trip_property():
-    # One worker serves every pooled example; with no pool, these small
-    # matrices are saved and loaded in this process alone.
-    with _workers._worker_pool(1) as pool, tempfile.TemporaryDirectory() as tmp:
+def test_save_load_round_trip_property(monkeypatch):
+    # Every shared example of two or more rows is split, whatever its size;
+    # unshared, it is saved and loaded in this process alone.
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @given(matrices(), st.booleans())
-        def round_trip(m, pooled):
-            save_matrix(path, m, pool if pooled else None)
+        def round_trip(m, shared):
+            save_matrix(path, m, shared)
             with open(path, "rb") as fh:
                 assert fh.read() == reference_bytes(m)
-            back = load_matrix(path, pool if pooled else None)
+            back = load_matrix(path, shared)
             assert back.shape == m.shape and back.tobytes() == m.tobytes()
             with open(path, encoding="utf-8") as fh:
                 assert back.tobytes() == _matrix_from_obj(json.load(fh)).tobytes()
