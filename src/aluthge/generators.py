@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .linalg import _inners, _norms, _outer, _star
+
 # numpy divides a complex array by the real sqrt(2) as a multiply of both parts
 # by this factor, so scaling by it gives the same bits as that division.
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -121,20 +123,38 @@ def check_key(check_id: str) -> int:
 def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard complex Gaussian array: real parts, then imaginary, in one draw.
     Bit for bit ``(z[0] + 1j * z[1]) / np.sqrt(2.0)`` of that draw ``z``."""
-    z = rng.standard_normal((2, *shape))
+    return _complex_gaussians((rng,), *shape)[0]
+
+
+def _complex_gaussians(rngs, *shape: int) -> np.ndarray:
+    """``complex_gaussian(rng, *shape)`` of each stream of ``rngs``, stacked:
+    each stream fills its own slot of one buffer, which is scaled and split
+    into real and imaginary parts for the whole stack."""
+    z = np.empty((len(rngs), 2, *shape))
+    for rng, slot in zip(rngs, z):
+        rng.standard_normal(out=slot)
     z *= _INV_SQRT2
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = z[0]
-    out.imag = z[1]
+    out = np.empty((len(rngs), *shape), dtype=np.complex128)
+    out.real = z[:, 0]
+    out.imag = z[:, 1]
     return out
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        x = complex_gaussian(rng, dim)
-        nrm = np.linalg.norm(x)
-        if nrm > 1e-6:
-            return x / nrm
+    return _unit_vectors((rng,), dim)[0]
+
+
+def _unit_vectors(rngs, dim: int) -> np.ndarray:
+    """``unit_vector(rng, dim)`` of each stream of ``rngs``, stacked: a stream
+    whose draw has norm at most 1e-6 draws again."""
+    x = _complex_gaussians(rngs, dim)
+    nrm = _norms(x)
+    redo = np.flatnonzero(nrm <= 1e-6)
+    while redo.size:
+        x[redo] = _complex_gaussians([rngs[i] for i in redo], dim)
+        nrm[redo] = _norms(x[redo])
+        redo = redo[nrm[redo] <= 1e-6]
+    return x / nrm[:, None]
 
 
 def ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -151,18 +171,31 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
 
 
 def _normal(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The normal matrix U diag(d) U* of a unitary U and eigenvalues d."""
-    return (u * d) @ u.conj().T
+    """The normal matrix U diag(d) U* of a unitary U and eigenvalues d, or of
+    each pair of a stack of them."""
+    return (u * d[..., None, :]) @ _star(u)
 
 
 def nilpotent_sq_zero(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Square-zero matrix x⊗y with <x,y>=0, conjugated by a well-conditioned
     similarity (T^2 = 0 is preserved in exact arithmetic)."""
-    x = unit_vector(rng, dim)
-    y = complex_gaussian(rng, dim)
-    y = y - np.vdot(x, y) * x
-    nrm = np.linalg.norm(y)
-    if nrm < 1e-6:
-        return nilpotent_sq_zero(rng, dim)
-    s = np.eye(dim) + 0.3 * ginibre(rng, dim)
-    return s @ np.outer(x, (y / nrm).conj()) @ np.linalg.inv(s)
+    return _nilpotents_sq_zero((rng,), dim)[0]
+
+
+def _nilpotents_sq_zero(rngs, dim: int) -> np.ndarray:
+    """``nilpotent_sq_zero(rng, dim)`` of each stream of ``rngs``, stacked: a
+    stream whose y has norm below 1e-6 once x is projected out draws x and y
+    again before its similarity."""
+    x = np.empty((len(rngs), dim), dtype=np.complex128)
+    y = np.empty_like(x)
+    nrm = np.empty(len(rngs))
+    redo = np.arange(len(rngs))
+    while redo.size:
+        picked = [rngs[i] for i in redo]
+        x[redo] = _unit_vectors(picked, dim)
+        y[redo] = _complex_gaussians(picked, dim)
+        y[redo] -= _inners(y[redo], x[redo])[:, None] * x[redo]
+        nrm[redo] = _norms(y[redo])
+        redo = redo[nrm[redo] < 1e-6]
+    s = np.eye(dim) + 0.3 * _complex_gaussians(rngs, dim, dim)
+    return s @ _outer(x, y / nrm[:, None]) @ np.linalg.inv(s)

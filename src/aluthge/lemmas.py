@@ -3,18 +3,22 @@ projection / self-adjointness / kernel / spectrum facts about the
 lambda-Aluthge transform.
 
 A check is a ``Check`` record: an id, the lambda domain it is stated on and a
-per-trial function holding only the mathematics. ``run_check`` owns what every
-check shares:
+function that runs a block of trials, holding only the mathematics.
+``run_check`` owns what every check shares:
 
 * trial t draws from the stream (seed, crc32(check id), dim, t), so reports
   are reproducible and order-independent;
-* the trials run in lockstep: a trial requests its transforms, Haar QRs,
-  singular values and eigenvalues from the driver, and each round serves all
-  the requests of one kind with one stacked call;
+* the trials run in blocks: a check's function draws each trial's matrices
+  from that trial's stream, in the trial's order, and takes each step of the
+  mathematics (products, maps, transforms, norms, slacks) for the whole block
+  as one stacked call. Every stacked call treats each matrix alone, bit for
+  bit as a call on that matrix would, so a report does not depend on the
+  blocking;
 * "iff" statements are exercised in BOTH directions: a constructive
   satisfying instance must land within the equality slack, and a generic
   refuting instance must land above 10x the slack. Residuals falling in the
-  dead band between the two are discarded and redrawn (tallied as vacuous);
+  dead band between the two are discarded and redrawn (tallied as vacuous),
+  by ``_redraw`` for the trials of a block that drew them;
 * failures are counted per trial; the worst trial's inputs are kept as a
   witness, with failing trials taking precedence, and only the kept witness
   is encoded for the report;
@@ -23,22 +27,20 @@ check shares:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import islice
+from itertools import repeat
 
 import numpy as np
 
 from .generators import (
+    _complex_gaussians,
+    _nilpotents_sq_zero,
     _normal,
     _phase_fixed_q,
     _trial_rngs,
+    _unit_vectors,
     check_key,
-    complex_gaussian,
-    ginibre,
-    nilpotent_sq_zero,
-    unit_vector,
 )
 from .linalg import (
     CLOSED,
@@ -47,10 +49,14 @@ from .linalg import (
     OPEN,
     Tolerances,
     _jordan,
+    _matvec,
+    _norms,
+    _outer,
     _sorted_spectrum,
+    _squares,
+    _star,
     frobenius,
     lambda_admitted,
-    rank_one,
     spectra_pairing_distance,
 )
 from .matrixio import matrix_to_obj, vector_payload
@@ -76,9 +82,12 @@ MAX_REDRAWS = 64
 # draws below it are drawn again.
 MIN_CONDITION = 1e-6
 # Trials run in blocks of STACK_ENTRIES // dim^2 (at least one), which bounds
-# the live trials and the stacked transforms at every dim. Stacks of 50 to 500
-# small matrices already take most of the stacking gain; a larger cap mostly
-# adds memory.
+# the stacks a check's function builds at every dim. Measured on the block
+# form (2 vCPUs; the 15 checks at dims 2-6, seeds 1-3, in one process on one
+# CPU): at 100 trials, medians of 7 rounds were 0.96 s at 1024, 0.84 s at
+# 2048, 0.81 s at 4096 and 0.88 s at 8192; 4096 against 2048 over 15
+# alternating rounds, 0.98 s against 1.03 s, faster in only 10 of 15; at
+# 1000 trials, 9.3 s against 9.7 s over 3. No clear gain, so 2048 stays.
 STACK_ENTRIES = 1 << 11
 
 
@@ -87,22 +96,23 @@ class Check:
     """One randomized check.
 
     id     : report ``check_id``; also seeds the trial streams
-    trial  : runs one trial against a ``_CheckRun``. A trial that needs
-             the driver's stacked linear algebra is a generator: each
-             request ``d, e = yield (op, (m, k))`` hands the driver matrices
-             and receives one result per matrix, in order. ``op`` is
-             "aluthge" (their lambda-Aluthge transforms), "haar" (the
-             phase-fixed Q of Ginibre draws: Haar unitaries), "svdvals"
-             (singular values, descending) or "eigvals" (eigenvalues, in
-             LAPACK's order). One that needs none is a plain function
-             returning None.
+    block  : runs a block of trials, given as a list of ``_CheckRun`` in
+             trial order, and records each trial's outcomes through its
+             ``observe`` (or ``_observe`` for the whole block). Each trial
+             draws only from its own ``rng``, in a fixed order, and each step
+             of the mathematics runs once for the block on stacks, through
+             calls that treat every matrix alone: ``aluthge_stack`` (by
+             ``_aluthge``), ``generators._phase_fixed_q``, ``np.linalg.svd``,
+             ``np.linalg.eigvals``, batched ``@`` and ``linalg._norms``. So
+             what a trial records does not depend on the rest of its block.
+             Draws that may be vacuous go through ``_redraw``.
     domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
              CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
     """
 
     id: str
-    trial: Callable[["_CheckRun"], Generator | None]
+    block: Callable[[list["_CheckRun"]], None]
     domain: str | None = OPEN
 
     def __post_init__(self) -> None:
@@ -111,32 +121,17 @@ class Check:
 
 
 def _check(id: str, domain: str | None = OPEN):
-    """Decorator turning a per-trial function into a ``Check``."""
-    return lambda trial: Check(id, trial, domain)
+    """Decorator turning a block function into a ``Check``."""
+    return lambda block: Check(id, block, domain)
 
 
-def _in_dead_band(slack: float, *residuals: float) -> bool:
-    """True if any residual is above the pass slack but not clear of it by
+def _in_dead_band(slack: np.ndarray, *residuals: np.ndarray) -> np.ndarray:
+    """Where any residual is above the pass slack but not clear of it by
     REFUTE_FACTOR: such a draw decides nothing and is redrawn."""
-    return any(slack < r <= REFUTE_FACTOR * slack for r in residuals)
-
-
-def _haar(rng: np.random.Generator, n: int) -> Generator:
-    """A Haar unitary from a Ginibre draw of ``rng``, the driver's
-    ``generators._phase_fixed_q`` of it: ``u = yield from _haar(rng, n)``."""
-    (u,) = yield ("haar", (ginibre(rng, n),))
-    return u
-
-
-def _invertible_ginibre(rng: np.random.Generator, n: int) -> Generator:
-    """The first Ginibre draw of ``rng`` whose singular values, requested
-    from the driver, meet sigma_min >= MIN_CONDITION * sigma_max:
-    ``m = yield from _invertible_ginibre(rng, n)``."""
-    while True:
-        g = ginibre(rng, n)
-        (s,) = yield ("svdvals", (g,))
-        if s[-1] >= MIN_CONDITION * s[0]:
-            return g
+    band = np.zeros(np.shape(slack), dtype=bool)
+    for r in residuals:
+        band |= (slack < r) & (r <= REFUTE_FACTOR * slack)
+    return band
 
 
 def _payload(value):
@@ -146,12 +141,13 @@ def _payload(value):
 
 
 class _CheckRun:
-    """One trial of a check run, handed to the check's per-trial function.
+    """One trial of a check run, handed to the check's block function with
+    the rest of its block.
 
     ``rng`` is the trial's own stream and ``trial`` its index; ``dim``, ``lam``
-    and ``tol`` are the run's parameters. The trial records outcomes through
-    ``observe``, or ``redraw`` for draws that may be vacuous; ``run_check``
-    replays them into the report in trial order.
+    and ``tol`` are the run's parameters. The trial's outcomes are recorded
+    through ``observe`` and its vacuous draws counted in ``vacuous``;
+    ``run_check`` replays them into the report in trial order.
     """
 
     def __init__(self, dim: int, lam: float, tol: Tolerances, trial: int, rng: np.random.Generator) -> None:
@@ -168,42 +164,75 @@ class _CheckRun:
         (arrays are encoded only if they end up as the report's)."""
         self.outcomes.append((residual, bool(failed), witness))
 
-    def redraw(self, draw: Callable[[], Generator]) -> Generator:
-        """Draw until one draw is informative: ``yield from run.redraw(draw)``.
-        ``draw()`` is a generator like a trial; it observes its outcome and
-        returns True, or returns False for a vacuous draw. After MAX_REDRAWS
-        vacuous draws the trial records nothing."""
-        for _ in range(MAX_REDRAWS):
-            if (yield from draw()):
-                return
-            self.vacuous += 1
+
+def _observe(runs: list[_CheckRun], residual, failed, where=None, **witness) -> None:
+    """``runs[i].observe(residual[i], failed[i], **witness_i)`` for each trial
+    i of a block, or each i where the boolean array ``where`` holds. A str
+    witness field is shared by all trials; any other holds one value per
+    trial."""
+    names = list(witness)
+    columns = [repeat(value) if isinstance(value, str) else list(value) for value in witness.values()]
+    rows = zip(*columns) if columns else repeat(())
+    picked = repeat(True) if where is None else np.asarray(where).tolist()
+    outcomes = zip(runs, np.asarray(residual).tolist(), np.asarray(failed).tolist(), rows, picked)
+    for run, r, f, row, keep in outcomes:
+        if keep:
+            run.observe(r, f, **dict(zip(names, row)))
 
 
-def _lockstep(trials: list, lam: float, tol: Tolerances) -> None:
-    """Run trial generators to the end together. Each round collects every
-    live trial's ``(op, matrices)`` request, stacks the matrices of all
-    requests with one op into one call per op, and sends each trial the
-    results for its own matrices, in order. Every op works on each matrix of
-    a stack alone, so a result does not depend on what else was stacked."""
-    ops = {
-        "aluthge": partial(aluthge_stack, lam=lam, tol=tol),
-        "haar": _phase_fixed_q,
-        "svdvals": partial(np.linalg.svd, compute_uv=False),
-        "eigvals": np.linalg.eigvals,
-    }
-    pending = [(gen, None) for gen in trials]
-    while pending:
-        requests = []
-        for gen, sent in pending:
-            try:
-                requests.append((gen, *gen.send(sent)))
-            except StopIteration:
-                pass
-        stacks: dict[str, list] = {}
-        for _, op, ms in requests:
-            stacks.setdefault(op, []).extend(ms)
-        done = {op: iter(ops[op](np.stack(ms))) for op, ms in stacks.items()}
-        pending = [(gen, tuple(islice(done[op], len(ms)))) for gen, op, ms in requests]
+def _redraw(runs: list[_CheckRun], draw: Callable[[list[_CheckRun], np.ndarray], np.ndarray]) -> None:
+    """Draw until every trial of a block has one informative draw.
+
+    ``draw(live, idx)`` makes one draw for each trial of ``live``, the trials
+    ``runs[i]`` for i in the index array ``idx``, records the outcomes of the
+    informative draws and returns a boolean array marking them. The other
+    trials drew vacuously and draw again; after MAX_REDRAWS vacuous draws a
+    trial records nothing."""
+    idx = np.arange(len(runs))
+    for _ in range(MAX_REDRAWS):
+        if not idx.size:
+            return
+        idx = idx[~draw([runs[i] for i in idx], idx)]
+        for i in idx.tolist():
+            runs[i].vacuous += 1
+
+
+def _rngs(runs: list[_CheckRun]) -> list[np.random.Generator]:
+    return [run.rng for run in runs]
+
+
+def _ginibres(runs: list[_CheckRun]) -> np.ndarray:
+    """One Ginibre matrix per trial, from its own stream, stacked."""
+    n = runs[0].dim
+    return _complex_gaussians(_rngs(runs), n, n)
+
+
+def _unitaries(runs: list[_CheckRun]) -> np.ndarray:
+    """One Haar unitary per trial, the phase-fixed Q of its Ginibre draw,
+    from one stacked QR."""
+    return _phase_fixed_q(_ginibres(runs))
+
+
+def _conditioned(runs: list[_CheckRun]) -> np.ndarray:
+    """One Ginibre matrix per trial, the first from its stream with sigma_min
+    >= MIN_CONDITION * sigma_max; each round's singular values come from one
+    stacked SVD."""
+    m = _ginibres(runs)
+    todo = np.arange(len(runs))
+    while todo.size:
+        s = np.linalg.svd(m[todo], compute_uv=False)
+        todo = todo[s[:, -1] < MIN_CONDITION * s[:, 0]]
+        if todo.size:
+            m[todo] = _ginibres([runs[i] for i in todo])
+    return m
+
+
+def _aluthge(runs: list[_CheckRun], t: np.ndarray) -> np.ndarray:
+    """The lambda-Aluthge transforms of a stack at the run's lambda and
+    tolerances. The stack is made C-contiguous first: the kernel lays out the
+    isometry of a stack of mixed ranks like its input, so a stack of
+    transposed views could round otherwise than its contiguous copy."""
+    return aluthge_stack(np.ascontiguousarray(t), runs[0].lam, runs[0].tol)
 
 
 def run_check(
@@ -211,9 +240,10 @@ def run_check(
 ) -> dict:
     """Run ``trials`` trials of ``check`` at dimension ``dim`` >= 2 from ``seed``.
 
-    Trials run in blocks of at most STACK_ENTRIES // dim^2, each block in
-    lockstep; every trial draws only from its own stream and its outcomes are
-    replayed in trial order, so the report does not depend on the blocking.
+    Trials run in blocks of at most STACK_ENTRIES // dim^2, each block by one
+    call of the check's block function; every trial draws only from its own
+    stream and its outcomes are replayed in trial order, so the report does
+    not depend on the blocking.
 
     Returns the report, a dict of JSON values that ``json.load`` of its file
     gives back unchanged.
@@ -234,8 +264,7 @@ def run_check(
             _CheckRun(dim, lam, tol, t, rng)
             for t, rng in zip(range(start, stop), _trial_rngs(seed, key, dim, start, stop))
         ]
-        # A plain trial function has run to its end here and returned None.
-        _lockstep([gen for gen in map(check.trial, runs) if gen is not None], lam, tol)
+        check.block(runs)
         for run in runs:
             # The witness is the failing outcome with the largest residual,
             # else the largest residual; ties keep the first.
@@ -263,113 +292,109 @@ def run_check(
 
 
 @_check("rank_one_formula")
-def rank_one_formula(run: _CheckRun) -> Generator:
+def rank_one_formula(runs: list[_CheckRun]) -> None:
     """Delta_lambda(x⊗y) equals (<x,y>/||y||^2)(y⊗y) on random vector pairs."""
-    x = complex_gaussian(run.rng, run.dim)
-    y = complex_gaussian(run.rng, run.dim)
-    (d,) = yield ("aluthge", (rank_one(x, y),))
-    residual = frobenius(d - aluthge_rank_one(x, y, run.lam))
-    slack = run.tol.eq_abs * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
-    run.observe(residual, residual > slack, x=x, y=y)
+    n, tol = runs[0].dim, runs[0].tol
+    x = _complex_gaussians(_rngs(runs), n)
+    y = _complex_gaussians(_rngs(runs), n)
+    closed = np.stack([aluthge_rank_one(xt, yt, runs[0].lam) for xt, yt in zip(x, y)])
+    residual = _norms(_aluthge(runs, _outer(x, y)) - closed)
+    slack = tol.eq_abs * (1.0 + _norms(x) * _norms(y))
+    _observe(runs, residual, residual > slack, x=x, y=y)
 
 
 @_check("projection_absorb")
-def projection_absorb(run: _CheckRun) -> Generator:
+def projection_absorb(runs: list[_CheckRun]) -> None:
     """Delta_lambda(A∘P) = P iff PA = P, for rank-one projections P = x⊗x.
 
     Direction (a) corrects a random A so that A*x = x (hence PA = P) and
     demands agreement; direction (b) draws a generic A and demands both sides
     of the biconditional carry the same truth value under slack.
     """
-    rng, n, tol = run.rng, run.dim, run.tol
-    x = unit_vector(rng, n)
-    p = np.outer(x, x.conj())
+    n, tol = runs[0].dim, runs[0].tol
+    x = _unit_vectors(_rngs(runs), n)
+    p = _outer(x, x)
 
     # (a) constructive: A = (A0* + (x - A0* x)⊗x)* satisfies A* x = x.
-    a0 = ginibre(rng, n)
-    a = (a0.conj().T + np.outer(x - a0.conj().T @ x, x.conj())).conj().T
-    (d,) = yield ("aluthge", (_jordan(a, p),))
-    residual = frobenius(d - p)
-    slack = tol.eq_abs * (1.0 + frobenius(a))
-    run.observe(residual, residual > slack or frobenius(p @ a - p) > slack, direction="satisfying", x=x, A=a)
+    a0h = _star(_ginibres(runs))
+    a = _star(a0h + _outer(x - _matvec(a0h, x), x))
+    d = _aluthge(runs, _jordan(a, p))
+    residual = _norms(d - p)
+    slack = tol.eq_abs * (1.0 + _norms(a))
+    failed = (residual > slack) | (_norms(p @ a - p) > slack)
+    _observe(runs, residual, failed, direction="satisfying", x=x, A=a)
 
     # (b) generic: both sides of the iff must agree.
-    def generic():
-        b = ginibre(rng, n)
-        slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield ("aluthge", (_jordan(b, p),))
-        r_delta = frobenius(d - p)
-        r_pa = frobenius(p @ b - p)
-        if _in_dead_band(slack_b, r_delta, r_pa):
-            return False
+    def generic(live, idx):
+        b = _ginibres(live)
+        pb = p[idx]
+        slack_b = tol.eq_abs * (1.0 + _norms(b))
+        r_delta = _norms(_aluthge(runs, _jordan(b, pb)) - pb)
+        r_pa = _norms(pb @ b - pb)
+        informative = ~_in_dead_band(slack_b, r_delta, r_pa)
         agree = (r_delta <= slack_b) == (r_pa <= slack_b)
-        run.observe(min(r_delta, r_pa), not agree, direction="generic", x=x, A=b)
-        return True
+        _observe(live, np.minimum(r_delta, r_pa), ~agree, informative, direction="generic", x=x[idx], A=b)
+        return informative
 
-    yield from run.redraw(generic)
+    _redraw(runs, generic)
 
 
 @_check("scalar_projection")
-def scalar_projection(run: _CheckRun) -> Generator:
+def scalar_projection(runs: list[_CheckRun]) -> None:
     """Delta_lambda(A∘P) = A iff A = alpha P, for rank-one projections P."""
-    rng, n, tol = run.rng, run.dim, run.tol
-    x = unit_vector(rng, n)
-    p = np.outer(x, x.conj())
+    n, tol = runs[0].dim, runs[0].tol
+    x = _unit_vectors(_rngs(runs), n)
+    p = _outer(x, x)
 
-    alpha = complex(complex_gaussian(rng, 1)[0])
-    a = alpha * p
-    (d,) = yield ("aluthge", (_jordan(a, p),))
-    residual = frobenius(d - a)
-    slack = tol.eq_abs * (1.0 + abs(alpha))
-    run.observe(residual, residual > slack, direction="satisfying", alpha=[alpha.real, alpha.imag], x=x)
+    alpha = _complex_gaussians(_rngs(runs), 1)[:, 0].tolist()
+    a = np.array(alpha)[:, None, None] * p
+    residual = _norms(_aluthge(runs, _jordan(a, p)) - a)
+    # Python's abs of each complex: np.abs of a complex array rounds otherwise.
+    slack = tol.eq_abs * (1.0 + np.array([abs(c) for c in alpha]))
+    parts = [[c.real, c.imag] for c in alpha]
+    _observe(runs, residual, residual > slack, direction="satisfying", alpha=parts, x=x)
 
-    def generic():
-        b = ginibre(rng, n)
-        slack_b = tol.eq_abs * (1.0 + frobenius(b))
-        (d,) = yield ("aluthge", (_jordan(b, p),))
-        r = frobenius(d - b)
-        if _in_dead_band(slack_b, r):
-            return False
-        run.observe(r, r <= slack_b, direction="generic", x=x, A=b)
-        return True
+    def generic(live, idx):
+        b = _ginibres(live)
+        slack_b = tol.eq_abs * (1.0 + _norms(b))
+        r = _norms(_aluthge(runs, _jordan(b, p[idx])) - b)
+        informative = ~_in_dead_band(slack_b, r)
+        _observe(live, r, r <= slack_b, informative, direction="generic", x=x[idx], A=b)
+        return informative
 
-    yield from run.redraw(generic)
+    _redraw(runs, generic)
 
 
 @_check("square_identity")
-def square_identity(run: _CheckRun) -> Generator:
+def square_identity(runs: list[_CheckRun]) -> None:
     """Delta_lambda(T^2) = T iff T = I, over well-conditioned invertible T.
 
     The identity passes (trial 0's satisfying part); generic invertible T must
     refute. If a sampled T ever satisfies the equation within slack, the
     injective-case implication T^2 = T* is asserted as well.
     """
-    rng, n, tol = run.rng, run.dim, run.tol
+    n, tol = runs[0].dim, runs[0].tol
     eye = np.eye(n)
-    if run.trial == 0:
-        (d,) = yield ("aluthge", (eye,))
-        r_eye = frobenius(d - eye)
-        run.observe(r_eye, r_eye > tol.eq_abs, direction="identity")
+    if runs[0].trial == 0:
+        r_eye = frobenius(_aluthge(runs, eye[None])[0] - eye)
+        runs[0].observe(r_eye, r_eye > tol.eq_abs, direction="identity")
 
-    def generic():
-        m = yield from _invertible_ginibre(rng, n)
-        slack = tol.eq_abs * (1.0 + frobenius(m))
-        (d,) = yield ("aluthge", (m @ m,))
-        r = frobenius(d - m)
-        if _in_dead_band(slack, r):
-            return False
-        bad = False
-        if r <= slack:
-            # Only T = I may land here; then T^2 = T* must hold too.
-            bad = frobenius(m @ m - m.conj().T) > slack or frobenius(m - eye) > slack
-        run.observe(r, bad, T=m)
-        return True
+    def generic(live, idx):
+        m = _conditioned(live)
+        slack = tol.eq_abs * (1.0 + _norms(m))
+        mm = m @ m
+        r = _norms(_aluthge(runs, mm) - m)
+        # Only T = I may land within slack; then T^2 = T* must hold too.
+        bad = (r <= slack) & ((_norms(mm - _star(m)) > slack) | (_norms(m - eye) > slack))
+        informative = ~_in_dead_band(slack, r)
+        _observe(live, r, bad, informative, T=m)
+        return informative
 
-    yield from run.redraw(generic)
+    _redraw(runs, generic)
 
 
 @_check("selfadjoint_lemmas")
-def selfadjoint_lemmas(run: _CheckRun) -> Generator:
+def selfadjoint_lemmas(runs: list[_CheckRun]) -> None:
     """Self-adjointness rigidity, both flavors.
 
     selfadjoint_injective:   Delta(S) = S*  forces S = S*  (S, S* injective);
@@ -377,70 +402,62 @@ def selfadjoint_lemmas(run: _CheckRun) -> Generator:
     Hermitian draws must satisfy both equalities; non-Hermitian invertible
     draws must refute the first, normal non-Hermitian draws the second.
     """
-    rng, n, tol = run.rng, run.dim, run.tol
-    g = ginibre(rng, n)
-    s = (g + g.conj().T) / 2.0
-    (d,) = yield ("aluthge", (s,))
-    r_fwd = frobenius(d - s.conj().T)
-    slack = tol.eq_abs * (1.0 + frobenius(s))
-    run.observe(r_fwd, r_fwd > slack, part="hermitian", S=s)
+    n, tol = runs[0].dim, runs[0].tol
+    g = _ginibres(runs)
+    s = (g + _star(g)) / 2.0
+    r_fwd = _norms(_aluthge(runs, s) - _star(s))
+    slack = tol.eq_abs * (1.0 + _norms(s))
+    _observe(runs, r_fwd, r_fwd > slack, part="hermitian", S=s)
 
     # Injective flavor: non-Hermitian invertible S refutes Delta(S) = S*.
-    def injective():
-        m = yield from _invertible_ginibre(rng, n)
-        slack_m = tol.eq_abs * (1.0 + frobenius(m))
-        if frobenius(m - m.conj().T) <= REFUTE_FACTOR * slack_m:
-            return False
-        (d,) = yield ("aluthge", (m,))
-        r = frobenius(d - m.conj().T)
-        if _in_dead_band(slack_m, r):
-            return False
-        run.observe(r, r <= slack_m, part="injective", S=m)
-        return True
+    def injective(live, idx):
+        m = _conditioned(live)
+        slack_m = tol.eq_abs * (1.0 + _norms(m))
+        hermitian = _norms(m - _star(m)) <= REFUTE_FACTOR * slack_m
+        r = _norms(_aluthge(runs, m) - _star(m))
+        informative = ~hermitian & ~_in_dead_band(slack_m, r)
+        _observe(live, r, r <= slack_m, informative, part="injective", S=m)
+        return informative
 
-    yield from run.redraw(injective)
+    _redraw(runs, injective)
 
     # Quasi-normal flavor: normal non-Hermitian S refutes Delta(S*) = S.
-    u = yield from _haar(rng, n)
-    d = complex_gaussian(rng, n)
+    u = _unitaries(runs)
+    d = _complex_gaussians(_rngs(runs), n)
     im = np.where(np.abs(d.imag) < 0.3, np.copysign(np.abs(d.imag) + 0.3, d.imag), d.imag)
     q = _normal(u, d.real + 1j * im)
-    slack_q = tol.eq_abs * (1.0 + frobenius(q))
-    (dq,) = yield ("aluthge", (q.conj().T,))
-    r_qn = frobenius(dq - q)
-    run.observe(r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
+    slack_q = tol.eq_abs * (1.0 + _norms(q))
+    r_qn = _norms(_aluthge(runs, _star(q)) - q)
+    _observe(runs, r_qn, r_qn <= REFUTE_FACTOR * slack_q, part="quasinormal", S=q)
 
 
 @_check("nilpotent_kernel", domain=HALF_OPEN)
-def nilpotent_kernel(run: _CheckRun) -> Generator:
+def nilpotent_kernel(runs: list[_CheckRun]) -> None:
     """Delta_lambda(T) = 0 iff T^2 = 0, both directions sampled."""
-    rng, n, tol = run.rng, run.dim, run.tol
-    t = nilpotent_sq_zero(rng, n)
-    if frobenius(t @ t) > 1e-12 * (1.0 + frobenius(t) ** 2):
+    n, tol = runs[0].dim, runs[0].tol
+    t = _nilpotents_sq_zero(_rngs(runs), n)
+    if (_norms(t @ t) > 1e-12 * (1.0 + _squares(_norms(t)))).any():
         raise AssertionError("square-zero generator self-test failed")
-    (d,) = yield ("aluthge", (t,))
-    r_zero = frobenius(d)
-    slack = tol.eq_abs * (1.0 + frobenius(t))
-    run.observe(r_zero, r_zero > slack, direction="square_zero", T=t)
+    r_zero = _norms(_aluthge(runs, t))
+    slack = tol.eq_abs * (1.0 + _norms(t))
+    _observe(runs, r_zero, r_zero > slack, direction="square_zero", T=t)
 
-    def generic():
-        g = ginibre(rng, n)
-        if frobenius(g @ g) <= 1e-3:
-            return False
-        (d,) = yield ("aluthge", (g,))
-        r = frobenius(d)
-        run.observe(r, r <= 1e-5, direction="generic", T=g)
-        return True
+    def generic(live, idx):
+        g = _ginibres(live)
+        informative = _norms(g @ g) > 1e-3
+        r = _norms(_aluthge(runs, g))
+        _observe(live, r, r <= 1e-5, informative, direction="generic", T=g)
+        return informative
 
-    yield from run.redraw(generic)
+    _redraw(runs, generic)
 
 
 @_check("spectrum_invariance", domain=CLOSED)
-def spectrum_invariance(run: _CheckRun) -> Generator:
+def spectrum_invariance(runs: list[_CheckRun]) -> None:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
-    m = ginibre(run.rng, run.dim)
-    (d,) = yield ("aluthge", (m,))
-    ev_m, ev_d = yield ("eigvals", (m, d))
-    dist = spectra_pairing_distance(_sorted_spectrum(ev_m), _sorted_spectrum(ev_d))
-    bound = 1e-7 * (1.0 + frobenius(m))
-    run.observe(dist, dist > bound, T=m)
+    m = _ginibres(runs)
+    ev = np.linalg.eigvals(np.concatenate([m, _aluthge(runs, m)]))
+    ev_m, ev_d = ev[: len(m)], ev[len(m) :]
+    dist = np.array([spectra_pairing_distance(_sorted_spectrum(a), _sorted_spectrum(b)) for a, b in zip(ev_m, ev_d)])
+    bound = 1e-7 * (1.0 + _norms(m))
+    _observe(runs, dist, dist > bound, T=m)

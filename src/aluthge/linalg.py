@@ -109,6 +109,32 @@ def frobenius(a) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each element of a float64 or complex128 stack
+    x[B, ...] of vectors or matrices, bit for bit as ``frobenius`` (a matrix)
+    or ``np.linalg.norm`` (a vector) gives it: the same dot products over the
+    same strided views, taken for the whole stack in one batched matmul."""
+    if x.ndim == 3 and abs(x.strides[-2]) < abs(x.strides[-1]):
+        # Transposed views: frobenius sums each matrix in memory order.
+        x = x.swapaxes(-1, -2)
+    # Each element flat and contiguous, as ravel(order="K") leaves it there.
+    x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
+    if x.dtype.char == "d":
+        sq = x[:, None, :] @ x[:, :, None]
+    else:
+        # Strided views of the complex array, as frobenius takes them: on
+        # contiguous copies the dot products may round differently.
+        re, im = x.real, x.imag
+        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each float v of x as Python computes it, with the C
+    library's pow, which now and then rounds otherwise than ``v * v``."""
+    return np.array([v**2 for v in x.tolist()])
+
+
 def jordan_product(a, b) -> np.ndarray:
     """Symmetrized product (AB + BA) / 2 of two square matrices."""
     a = validate_matrix(a, square=True)
@@ -119,13 +145,25 @@ def jordan_product(a, b) -> np.ndarray:
 
 
 def _jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(AB + BA) / 2 of two square arrays of one shape, unvalidated."""
+    """(AB + BA) / 2 of two square arrays, or stacks of them, of one shape,
+    unvalidated."""
     return (a @ b + b @ a) / 2.0
+
+
+def _star(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def inner(u, v) -> complex:
     """Inner product <u, v>, linear in the first argument."""
     return complex(np.vdot(v, u))
+
+
+def _inners(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``inner(u[b], v[b])`` of each pair of rows of two complex128 stacks
+    u[B, n] and v[B, n], bit for bit, as one batched matmul."""
+    return (v.conj()[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
 def rank_one(x, y) -> np.ndarray:
@@ -136,7 +174,19 @@ def rank_one(x, y) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if not np.any(x) or not np.any(y):
         raise ValueError("rank_one requires nonzero vectors")
-    return np.outer(x, y.conj())
+    return _outer(x[None], y[None])[0]
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``rank_one(x[b], y[b])`` of each pair of rows of two complex128 stacks
+    x[B, n] and y[B, n], bit for bit, unvalidated."""
+    return x[:, :, None] * y.conj()[:, None, :]
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m[b] @ x[b]`` for a stack of matrices m[B, n, n] and one of vectors
+    x[B, n], bit for bit."""
+    return (m @ x[:, :, None])[:, :, 0]
 
 
 def spectrum(m) -> np.ndarray:
@@ -227,15 +277,16 @@ def is_quasi_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_projection(t, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff T is idempotent and self-adjoint within fix_rel slack."""
-    return _is_projection(validate_matrix(t, square=True), tol)
+    return bool(_is_projection(validate_matrix(t, square=True)[None], tol)[0])
 
 
-def _is_projection(t: np.ndarray, tol: Tolerances) -> bool:
-    """``is_projection`` of a square complex array, unvalidated."""
-    nrm = frobenius(t)
-    idem = frobenius(t @ t - t) <= tol.fix_rel * (1.0 + nrm**2)
-    selfadj = frobenius(t - t.conj().T) <= tol.fix_rel * (1.0 + nrm)
-    return idem and selfadj
+def _is_projection(t: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``is_projection`` of each matrix of a complex128 stack t[B, n, n],
+    unvalidated."""
+    nrm = _norms(t)
+    idem = _norms(t @ t - t) <= tol.fix_rel * (1.0 + _squares(nrm))
+    selfadj = _norms(t - _star(t)) <= tol.fix_rel * (1.0 + nrm)
+    return idem & selfadj
 
 
 def is_partial_isometry(t, tol: Tolerances = DEFAULT_TOL) -> bool:

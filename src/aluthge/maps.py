@@ -10,22 +10,23 @@ each record's id, which is also its CLI id and report file name.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+import math
+from collections.abc import Callable
 
 import numpy as np
 
-from .generators import (
-    _normal,
-    complex_gaussian,
-    ginibre,
-    unit_vector,
-)
+from .generators import _complex_gaussians, _normal, _unit_vectors
 from .lemmas import (
     Check,
+    _aluthge,
     _check,
     _CheckRun,
-    _haar,
+    _ginibres,
     _in_dead_band,
+    _observe,
+    _redraw,
+    _rngs,
+    _unitaries,
     nilpotent_kernel,
     projection_absorb,
     rank_one_formula,
@@ -35,11 +36,14 @@ from .lemmas import (
     square_identity,
 )
 from .linalg import (
+    _inners,
     _is_projection,
     _jordan,
-    frobenius,
-    inner,
-    rank_one,
+    _matvec,
+    _norms,
+    _outer,
+    _squares,
+    _star,
 )
 
 __all__ = [
@@ -56,18 +60,19 @@ __all__ = [
 
 def unitary_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The candidate map A -> UAU*. The caller passes a unitary ``u`` and
-    ``a`` as square complex arrays of one shape; neither is validated."""
-    return u @ a @ u.conj().T
+    ``a`` as square complex arrays of one shape, or as stacks of them, each
+    u[b] then mapping a[b]; neither is validated."""
+    return u @ a @ _star(u)
 
 
 def adjoint_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The candidate map A -> UA*U*, with arguments as for ``unitary_conj``."""
-    return u @ a.conj().T @ u.conj().T
+    return u @ _star(a) @ _star(u)
 
 
 def scaled_conj(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The candidate map A -> 2UAU*, with arguments as for ``unitary_conj``."""
-    return 2.0 * (u @ a @ u.conj().T)
+    return 2.0 * (u @ a @ _star(u))
 
 
 def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
@@ -82,35 +87,50 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
-    def trial(run: _CheckRun) -> Generator:
-        u = yield from _haar(run.rng, run.dim)
+    def block(runs: list[_CheckRun]) -> None:
+        u = _unitaries(runs)
+        fix_rel = runs[0].tol.fix_rel
 
-        def draw():
-            a = ginibre(run.rng, run.dim)
-            b = ginibre(run.rng, run.dim)
-            pb = phi(u, b)
-            pb, bb = (pb.conj().T, b.conj().T) if star else (pb, b)
-            lhs, delta = yield ("aluthge", (_jordan(phi(u, a), pb), _jordan(a, bb)))
-            rhs = phi(u, delta)
-            residual = frobenius(lhs - rhs)
-            slack = run.tol.fix_rel * (1.0 + frobenius(a) * frobenius(b))
+        def draw(live, idx):
+            a = _ginibres(live)
+            b = _ginibres(live)
+            ul = u[idx]
+            pb = phi(ul, b)
+            pb, bb = (_star(pb), _star(b)) if star else (pb, b)
+            # Both sides' products in one stack: Delta(Phi(A)∘Phi(B)), then Delta(A∘B).
+            d = _aluthge(runs, np.concatenate([_jordan(phi(ul, a), pb), _jordan(a, bb)]))
+            lhs, rhs = d[: len(idx)], phi(ul, d[len(idx) :])
+            residual = _norms(lhs - rhs)
+            slack = fix_rel * (1.0 + _norms(a) * _norms(b))
             if expect == "pass":
-                run.observe(residual, residual > slack, A=a, B=b)
-                return True
+                _observe(live, residual, residual > slack, A=a, B=b)
+                return np.ones(len(idx), dtype=bool)
             # Expected falsification. Trials where both sides vanish carry no
             # information; dead-band residuals are redrawn.
-            if max(frobenius(lhs), frobenius(rhs)) <= slack or _in_dead_band(slack, residual):
-                return False
-            run.observe(residual, residual <= slack, A=a, B=b)
-            return True
+            vanish = np.maximum(_norms(lhs), _norms(rhs)) <= slack
+            informative = ~vanish & ~_in_dead_band(slack, residual)
+            _observe(live, residual, residual <= slack, informative, A=a, B=b)
+            return informative
 
-        yield from run.redraw(draw)
+        _redraw(runs, draw)
 
-    return Check(id, trial)
+    return Check(id, block)
+
+
+def _projections(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """F F* for the columns lo[b]:hi[b] of each w[b], F = w[b][:, lo[b]:hi[b]]:
+    one stacked product per distinct column range, each matrix's product bit
+    for bit that of its columns alone."""
+    out = np.empty_like(w)
+    for first, stop in set(zip(lo.tolist(), hi.tolist())):
+        group = (lo == first) & (hi == stop)
+        f = w[group][..., first:stop]
+        out[group] = f @ _star(f)
+    return out
 
 
 @_check("structural_properties")
-def structural_properties(run: _CheckRun) -> Generator:
+def structural_properties(runs: list[_CheckRun]) -> None:
     """Structural preservation under unitary conjugation.
 
     Per trial: (i) the map commutes with the transform, (ii) squares of normal
@@ -119,83 +139,95 @@ def structural_properties(run: _CheckRun) -> Generator:
     (vi) additivity on orthogonal projections, (vii) rank-one projections to
     rank-one projections, plus preservation of self-adjointness.
     """
-    rng, n, tol = run.rng, run.dim, run.tol
-    u = yield from _haar(rng, n)
+    n, tol = runs[0].dim, runs[0].tol
+    u = _unitaries(runs)
 
     # Random frame; disjoint column blocks give orthogonal projections,
     # nested leading blocks give ordered ones.
-    w = yield from _haar(rng, n)
-    k = int(rng.integers(1, n))
-    j = int(rng.integers(1, k + 1))
-    m = int(rng.integers(1, n - k + 1))
-    p = w[:, :k] @ w[:, :k].conj().T
-    q_nested = w[:, :j] @ w[:, :j].conj().T
-    q_orth = w[:, k : k + m] @ w[:, k : k + m].conj().T
+    w = _unitaries(runs)
+    ranks = []
+    for run in runs:
+        k = int(run.rng.integers(1, n))
+        j = int(run.rng.integers(1, k + 1))
+        m = int(run.rng.integers(1, n - k + 1))
+        ranks.append([k, j, m])
+    k, j, m = np.array(ranks).T
+    zero = np.zeros_like(k)
+    p = _projections(w, zero, k)
+    q_nested = _projections(w, zero, j)
+    q_orth = _projections(w, k, k + m)
 
     fp, fq_nested, fq_orth = (unitary_conj(u, z) for z in (p, q_nested, q_orth))
     slack = tol.fix_rel
 
-    a = ginibre(rng, n)
-    d_phi_a, d_a = yield ("aluthge", (unitary_conj(u, a), a))
-    r_commute = frobenius(d_phi_a - unitary_conj(u, d_a))
-    bad = r_commute > slack * (1.0 + frobenius(a))
+    a = _ginibres(runs)
+    d = _aluthge(runs, np.concatenate([unitary_conj(u, a), a]))
+    r_commute = _norms(d[: len(runs)] - unitary_conj(u, d[len(runs) :]))
+    bad = r_commute > slack * (1.0 + _norms(a))
 
-    nu = yield from _haar(rng, n)
-    nm = _normal(nu, complex_gaussian(rng, n))
+    nm = _normal(_unitaries(runs), _complex_gaussians(_rngs(runs), n))
     fnm = unitary_conj(u, nm)
-    r_square = frobenius(unitary_conj(u, nm @ nm) - fnm @ fnm)
-    bad |= r_square > slack * (1.0 + frobenius(nm) ** 2)
+    r_square = _norms(unitary_conj(u, nm @ nm) - fnm @ fnm)
+    bad |= r_square > slack * (1.0 + _squares(_norms(nm)))
 
-    bad |= not _is_projection(fp, tol)
-    bad |= frobenius(fp @ fq_orth) > slack or frobenius(fq_orth @ fp) > slack
-    bad |= frobenius(_jordan(fp, fq_nested) - fq_nested) > slack
-    bad |= frobenius(unitary_conj(u, p + q_orth) - (fp + fq_orth)) > slack
+    bad |= ~_is_projection(fp, tol)
+    bad |= (_norms(fp @ fq_orth) > slack) | (_norms(fq_orth @ fp) > slack)
+    bad |= _norms(_jordan(fp, fq_nested) - fq_nested) > slack
+    bad |= _norms(unitary_conj(u, p + q_orth) - (fp + fq_orth)) > slack
 
-    x = unit_vector(rng, n)
-    f_rank1 = unitary_conj(u, np.outer(x, x.conj()))
-    bad |= not _is_projection(f_rank1, tol) or abs(np.trace(f_rank1) - 1.0) > slack
+    x = _unit_vectors(_rngs(runs), n)
+    f_rank1 = unitary_conj(u, _outer(x, x))
+    # Python's abs of each complex: np.abs of a complex array rounds otherwise.
+    trace_gap = np.array([abs(t - 1.0) for t in np.trace(f_rank1, axis1=-2, axis2=-1).tolist()])
+    bad |= ~_is_projection(f_rank1, tol) | (trace_gap > slack)
 
-    g = ginibre(rng, n)
-    h = (g + g.conj().T) / 2.0
+    g = _ginibres(runs)
+    h = (g + _star(g)) / 2.0
     fh = unitary_conj(u, h)
-    bad |= frobenius(fh - fh.conj().T) > slack * (1.0 + frobenius(h))
+    bad |= _norms(fh - _star(fh)) > slack * (1.0 + _norms(h))
 
-    run.observe(max(r_commute, r_square), bad, U=u, ranks=[k, j, m])
+    _observe(runs, np.maximum(r_commute, r_square), bad, U=u, ranks=ranks)
 
 
 @_check("vector_state_identity", domain=None)
-def vector_state_identity(run: _CheckRun) -> Generator:
+def vector_state_identity(runs: list[_CheckRun]) -> None:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree.
     The identity involves no transform, so it has no lambda domain."""
-    u = yield from _haar(run.rng, run.dim)
-    a = ginibre(run.rng, run.dim)
-    x = unit_vector(run.rng, run.dim)
-    y = u @ x
-    deviation = abs(inner(unitary_conj(u, a) @ y, y) - inner(a @ x, x))
-    slack = run.tol.eq_abs * (1.0 + frobenius(a))
-    run.observe(deviation, deviation > slack, A=a, x=x)
+    u = _unitaries(runs)
+    a = _ginibres(runs)
+    x = _unit_vectors(_rngs(runs), runs[0].dim)
+    y = _matvec(u, x)
+    gap = _inners(_matvec(unitary_conj(u, a), y), y) - _inners(_matvec(a, x), x)
+    deviation = np.array([abs(z) for z in gap.tolist()])
+    slack = runs[0].tol.eq_abs * (1.0 + _norms(a))
+    _observe(runs, deviation, deviation > slack, A=a, x=x)
 
 
 @_check("adjoint_counterexample")
-def adjoint_counterexample(run: _CheckRun) -> Generator:
+def adjoint_counterexample(runs: list[_CheckRun]) -> None:
     """Delta_lambda(A*) != Delta_lambda(A)* for the rank-one A = x⊗x' built
     from random unit, non-orthogonal, independent x, x': the spectral-norm
     gap between the two sides must be positive and match its closed form
     |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with c = <x,x'>."""
-    while True:
-        x = unit_vector(run.rng, run.dim)
-        xp = unit_vector(run.rng, run.dim)
-        if 0.05 <= abs(np.vdot(xp, x)) <= 0.95:
-            break
-    a = rank_one(x, xp)
-    delta_of_adjoint, delta = yield ("aluthge", (a.conj().T, a))
-    (s,) = yield ("svdvals", (delta_of_adjoint - delta.conj().T,))
-    residual = float(s.max())
-    c = abs(inner(x, xp))
-    closed = c * float(np.sqrt(max(0.0, 1.0 - c**2)))
-    mismatch = abs(residual - closed)
-    run.observe(mismatch, mismatch > 1e-10 or residual <= 0.0, x=x, xprime=xp)
+    n = runs[0].dim
+    x = np.empty((len(runs), n), dtype=np.complex128)
+    xp = np.empty_like(x)
+    c = np.empty(len(runs))
+    redo = np.arange(len(runs))
+    while redo.size:
+        rngs = [runs[i].rng for i in redo]
+        x[redo] = _unit_vectors(rngs, n)
+        xp[redo] = _unit_vectors(rngs, n)
+        c[redo] = [abs(z) for z in _inners(x[redo], xp[redo]).tolist()]
+        redo = redo[(c[redo] < 0.05) | (c[redo] > 0.95)]
+    a = _outer(x, xp)
+    d = _aluthge(runs, np.concatenate([_star(a), a]))
+    s = np.linalg.svd(d[: len(runs)] - _star(d[len(runs) :]), compute_uv=False)
+    residual = s.max(axis=-1)
+    closed = np.array([v * math.sqrt(max(0.0, 1.0 - v**2)) for v in c.tolist()])
+    mismatch = np.abs(residual - closed)
+    _observe(runs, mismatch, (mismatch > 1e-10) | (residual <= 0.0), x=x, xprime=xp)
 
 
 CHECKS: dict[str, Check] = {

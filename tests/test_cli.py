@@ -494,23 +494,25 @@ def test_verify_and_iterate_leave_scipy_unloaded(tmp_path):
     assert out.splitlines()[-1] == "0 0 False"
 
 
-def _register(monkeypatch, id, trial):
-    """Add a check ``id`` run by the plain trial function ``trial``; workers forked later inherit it."""
-    monkeypatch.setitem(CHECKS, id, Check(id, trial, domain=None))
+def _register(monkeypatch, id, block):
+    """Add a check ``id`` run by the block function ``block``; workers forked later inherit it."""
+    monkeypatch.setitem(CHECKS, id, Check(id, block, domain=None))
 
 
-def _dies_in_workers(run):
+def _dies_in_workers(runs):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
-    run.observe(float(run.trial), False)
+    for run in runs:
+        run.observe(float(run.trial), False)
 
 
-def _raises(run):
-    raise ValueError(f"trial {run.trial} cannot run")
+def _raises(runs):
+    raise ValueError(f"trial {runs[0].trial} cannot run")
 
 
-def _observes_blas_threads(run):
-    run.observe(float(_workers._openblas_threads()[1]()), False)
+def _observes_blas_threads(runs):
+    for run in runs:
+        run.observe(float(_workers._openblas_threads()[1]()), False)
 
 
 def assert_no_child():
@@ -598,9 +600,9 @@ class TestVerifyWorkers:
             "import sys\n"
             "from aluthge import _workers, cli\n"
             "from aluthge.lemmas import Check\n"
-            "def trial(run):\n"
-            "    raise ValueError(f'trial {run.trial} cannot run')\n"
-            "cli.CHECKS['raises'] = Check('raises', trial, domain=None)\n"
+            "def block(runs):\n"
+            "    raise ValueError(f'trial {runs[0].trial} cannot run')\n"
+            "cli.CHECKS['raises'] = Check('raises', block, domain=None)\n"
             "_workers._usable_cpus = lambda: int(sys.argv[1])\n"
             "sys.exit(cli.main(['verify', '--checks', 'rank_one_formula', 'raises', '--dims', '2', '3',\n"
             "                   '--trials', '5', '--no-timestamp', '--output-dir', 'out']))\n"

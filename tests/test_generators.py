@@ -141,24 +141,94 @@ class TestStructuralSelfTests:
             assert frobenius(t @ t) <= STRUCT_TOL * (1 + frobenius(t) ** 2)
 
     def test_driver_conditioned_draws_meet_floor(self, monkeypatch):
-        # The checks' conditioned draws come from the driver's svdvals
-        # requests. At a floor of 0.3 most 4 x 4 Ginibre draws fall below
-        # it, so the redraw path runs too.
+        # The checks' conditioned draws take their singular values from one
+        # stacked SVD per round. At a floor of 0.3 most 4 x 4 Ginibre draws
+        # fall below it, so the redraw path runs too; each trial's draw is
+        # still the first of its own stream to meet the floor.
         for floor in (MIN_CONDITION, 0.3):
             monkeypatch.setattr(lemmas, "MIN_CONDITION", floor)
-            ratios, redrawn = [], []
+            ratios, redrawn, sequential = [], [], []
 
-            def trial(r):
-                first = ginibre(copy.deepcopy(r.rng), r.dim)
-                m = yield from lemmas._invertible_ginibre(r.rng, r.dim)
-                s = np.linalg.svd(m, compute_uv=False)
-                ratios.append(s[-1] / s[0])
-                redrawn.append(not np.array_equal(m, first))
+            def block(runs):
+                twins = [copy.deepcopy(r.rng) for r in runs]
+                for twin in twins:
+                    while True:
+                        g = ginibre(twin, 4)
+                        s = np.linalg.svd(g, compute_uv=False)
+                        if s[-1] >= floor * s[0]:
+                            break
+                    sequential.append(g)
+                first = [ginibre(copy.deepcopy(r.rng), r.dim) for r in runs]
+                for m, f in zip(lemmas._conditioned(runs), first):
+                    s = np.linalg.svd(m, compute_uv=False)
+                    ratios.append(s[-1] / s[0])
+                    redrawn.append(not np.array_equal(m, f))
+                    assert m.tobytes() == sequential[len(ratios) - 1].tobytes()
 
-            run_check(Check("toy", trial), 4, 99, 0.5, 50)
+            run_check(Check("toy", block), 4, 99, 0.5, 50)
             assert len(ratios) == 50
             assert min(ratios) >= floor
             assert any(redrawn) == (floor == 0.3)
+
+    @staticmethod
+    def unit_vector_alone(rng, dim):
+        """``unit_vector`` written for one stream with per-vector calls."""
+        while True:
+            x = complex_gaussian(rng, dim)
+            nrm = np.linalg.norm(x)
+            if nrm > 1e-6:
+                return x / nrm
+
+    @staticmethod
+    def nilpotent_alone(rng, dim):
+        """``nilpotent_sq_zero`` written for one stream with per-matrix calls."""
+        x = TestStructuralSelfTests.unit_vector_alone(rng, dim)
+        y = complex_gaussian(rng, dim)
+        y = y - np.vdot(x, y) * x
+        nrm = np.linalg.norm(y)
+        if nrm < 1e-6:
+            return TestStructuralSelfTests.nilpotent_alone(rng, dim)
+        s = np.eye(dim) + 0.3 * ginibre(rng, dim)
+        return s @ np.outer(x, (y / nrm).conj()) @ np.linalg.inv(s)
+
+    @pytest.mark.parametrize("dim", [2, 5, 48])
+    def test_stacked_draws_match_one_stream_at_a_time(self, dim):
+        # Each stream's element of a stacked draw is bit for bit the draw
+        # from that stream alone, written with per-matrix calls, and leaves
+        # the stream at the same state.
+        kinds = [
+            (generators._complex_gaussians, complex_gaussian, (dim, dim)),
+            (generators._unit_vectors, self.unit_vector_alone, (dim,)),
+            (generators._nilpotents_sq_zero, self.nilpotent_alone, (dim,)),
+        ]
+        for stacked, alone, args in kinds:
+            rngs = [np.random.default_rng(s) for s in range(6)]
+            twins = copy.deepcopy(rngs)
+            got = stacked(rngs, *args)
+            for g, twin, rng in zip(got, twins, rngs):
+                assert g.tobytes() == alone(twin, *args).tobytes()
+                assert twin.bit_generator.state == rng.bit_generator.state
+
+    def test_unit_vector_redraws_a_tiny_draw(self, monkeypatch):
+        # A stream whose first draw has norm <= 1e-6 draws again; the others keep theirs.
+        real = generators._complex_gaussians
+        calls = []
+
+        def shrink_first(rngs, *shape):
+            z = real(rngs, *shape)
+            if not calls:
+                z[0] *= 1e-9
+            calls.append(len(rngs))
+            return z
+
+        monkeypatch.setattr(generators, "_complex_gaussians", shrink_first)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        twin = np.random.default_rng(0)
+        x = generators._unit_vectors(rngs, 4)
+        assert calls == [3, 1]
+        real([twin], 4)
+        assert x[0].tobytes() == self.unit_vector_alone(twin, 4).tobytes()
+        np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=1e-14)
 
     def test_unit_vector(self):
         x = unit_vector(self.rng, 7)

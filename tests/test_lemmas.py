@@ -7,9 +7,10 @@ from aluthge import lemmas
 from aluthge.cli import _canonical
 from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import CLOSED, HALF_OPEN, MAX_REDRAWS, OPEN, Check, run_check
+from aluthge.linalg import Tolerances
 from aluthge.maps import CHECKS
 from aluthge.matrixio import matrix_to_obj, vector_payload
-from aluthge.transform import aluthge
+from aluthge.transform import aluthge, aluthge_stack
 
 TRIALS = 150
 
@@ -128,6 +129,16 @@ def test_square_identity_scalar_oracle():
     assert frobenius(aluthge(t @ t, 0.5) - t) == pytest.approx(2.0 * np.sqrt(3))
 
 
+def each(trial):
+    """A block function that runs ``trial`` on each trial of its block."""
+
+    def block(runs):
+        for run in runs:
+            trial(run)
+
+    return block
+
+
 class TestDriver:
     """The driver's shared rules, each on a small hand-written record."""
 
@@ -139,7 +150,7 @@ class TestDriver:
             ([(5.0, False), (1.0, True), (3.0, True)], 2, 2),
         ]
         for outcomes, witness_trial, failures in cases:
-            record = Check("toy", lambda r: r.observe(*outcomes[r.trial], k=r.trial))
+            record = Check("toy", each(lambda r: r.observe(*outcomes[r.trial], k=r.trial)))
             report = run_check(record, 4, 99, 0.5, len(outcomes))
             assert report["witness"] == {"trial": witness_trial, "k": witness_trial}
             assert report["worst_residual"] == 5.0
@@ -148,112 +159,134 @@ class TestDriver:
     def test_exhausted_redraw_is_vacuous_only(self):
         draws = []
 
-        def trial(r):
-            def draw():
-                draws.append(r.trial)
-                yield ("aluthge", (np.eye(r.dim),))
-                return False
+        def block(runs):
+            def draw(live, idx):
+                draws.extend(r.trial for r in live)
+                return np.zeros(len(live), dtype=bool)
 
-            yield from r.redraw(draw)
+            lemmas._redraw(runs, draw)
 
-        report = run_check(Check("toy", trial), 4, 99, 0.5, 3)
+        report = run_check(Check("toy", block), 4, 99, 0.5, 3)
         assert len(draws) == report["vacuous"] == 3 * MAX_REDRAWS
+        assert sorted(draws) == [t for t in range(3) for _ in range(MAX_REDRAWS)]
         assert report["failures"] == 0
         assert "witness" not in report
         assert report["worst_residual"] == 0.0
 
     def test_redraw_stops_at_first_informative_draw(self):
-        outcomes = iter([None, None, (2.0, True, 0), (9.0, False, 1)])
+        # Per trial, its draws' outcomes in order; None is a vacuous draw.
+        # No trial reaches its last outcome, and each round draws again only
+        # for the trials whose draw was vacuous.
+        draws = {0: [None, None, (2.0, True), (9.0, False)], 1: [(1.0, False), (9.0, True)], 2: [None, (3.0, False), (9.0, True)]}
+        rounds = []
 
-        def trial(r):
-            def draw():
-                yield ("aluthge", (np.eye(r.dim),))
-                outcome = next(outcomes)
-                if outcome is None:
-                    return False
-                residual, failed, k = outcome
-                r.observe(residual, failed, k=k)
-                return True
+        def block(runs):
+            pending = [iter(draws[r.trial]) for r in runs]
 
-            yield from r.redraw(draw)
+            def draw(live, idx):
+                rounds.append(idx.tolist())
+                assert [runs[i] for i in idx] == live
+                outcomes = [next(pending[i]) for i in idx]
+                informative = np.array([o is not None for o in outcomes])
+                residual = [o[0] if o else 0.0 for o in outcomes]
+                failed = [o[1] if o else False for o in outcomes]
+                lemmas._observe(live, residual, failed, informative, k=[r.trial for r in live])
+                return informative
 
-        report = run_check(Check("toy", trial), 4, 99, 0.5, 1)
-        assert (report["vacuous"], report["failures"], report["witness"]) == (2, 1, {"trial": 0, "k": 0})
+            lemmas._redraw(runs, draw)
+
+        report = run_check(Check("toy", block), 4, 99, 0.5, 3)
+        assert rounds == [[0, 1, 2], [0, 2], [0]]
+        assert (report["vacuous"], report["failures"], report["witness"]) == (3, 1, {"trial": 0, "k": 0})
+        assert report["worst_residual"] == 3.0
 
     def test_two_failing_parts_count_once(self):
-        def trial(r):
-            r.observe(1.0, True)
+        def block(runs):
+            lemmas._observe(runs, np.ones(len(runs)), np.ones(len(runs), dtype=bool), part="first")
 
-            def draw():
-                yield ("aluthge", (np.eye(r.dim),))
-                r.observe(2.0, True)
-                return True
+            def draw(live, idx):
+                lemmas._observe(live, np.full(len(live), 2.0), np.ones(len(live), dtype=bool), part="second")
+                return np.ones(len(live), dtype=bool)
 
-            yield from r.redraw(draw)
+            lemmas._redraw(runs, draw)
 
-        report = run_check(Check("toy", trial), 4, 99, 0.5, 7)
+        report = run_check(Check("toy", block), 4, 99, 0.5, 7)
         assert report["failures"] == 7
+        assert report["witness"] == {"trial": 0, "part": "second"}
 
     def test_tied_residuals_across_rounds_keep_first_trial(self):
-        # Trial 0 needs the most rounds, so it finishes last; its witness
-        # must still win the tie, and each trial fails once.
-        def trial(r):
-            for _ in range(5 - r.trial % 5):
-                yield ("aluthge", (np.eye(r.dim),))
-            r.observe(1.0, True, k=r.trial)
-            r.observe(1.0, True, k=r.trial)
+        # Trial t draws vacuously 4 - t % 5 times, so trial 0 needs the most
+        # rounds and observes last; its witness must still win the tie, and
+        # each trial fails once.
+        def block(runs):
+            def draw(live, idx):
+                informative = np.array([r.vacuous == 4 - r.trial % 5 for r in live])
+                for _ in range(2):
+                    lemmas._observe(live, np.ones(len(live)), np.ones(len(live), dtype=bool), informative,
+                                    k=[r.trial for r in live])
+                return informative
 
-        report = run_check(Check("toy", trial), 4, 99, 0.5, 12)
+            lemmas._redraw(runs, draw)
+
+        report = run_check(Check("toy", block), 4, 99, 0.5, 12)
         assert report["witness"] == {"trial": 0, "k": 0}
         assert report["failures"] == 12
+        assert report["vacuous"] == sum(4 - t % 5 for t in range(12))
         assert report["worst_residual"] == 1.0
 
-    def test_each_trial_receives_its_own_transforms(self):
-        # Trials yield different numbers of matrices per round and run for
-        # different numbers of rounds; every transform must be the one
-        # aluthge gives for that matrix, bit for bit.
-        def trial(r):
-            for _ in range(1 + r.trial % 2):
-                ms = tuple(ginibre(r.rng, r.dim) for _ in range(1 + r.trial % 3))
-                ds = yield ("aluthge", ms)
-                same = len(ds) == len(ms) and all(np.array_equal(d, aluthge(m, r.lam)) for m, d in zip(ms, ds))
-                r.observe(0.0, not same)
-
-        assert run_check(Check("toy", trial), 4, 99, 0.3, 9)["failures"] == 0
-
-    def test_mixed_ops_in_one_round_match_per_matrix_calls(self):
-        # Trial t requests op t % 4 on 1 + t % 3 matrices, so the first round
-        # mixes all four ops with different matrix counts per trial; every
-        # result must be the per-matrix call's, bit for bit.
-        per_matrix = {
-            "aluthge": lambda m, r, twin: aluthge(m, r.lam),
-            "haar": lambda m, r, twin: _phase_fixed_q(ginibre(twin, r.dim)),
-            "svdvals": lambda m, r, twin: np.linalg.svd(m, compute_uv=False),
-            "eigvals": lambda m, r, twin: np.linalg.eigvals(m),
+    def test_stacked_kernels_match_per_matrix_calls(self):
+        # The stacked calls the checks make treat each matrix alone: element
+        # b of a stack of any size is bit for bit the call on matrix b by
+        # itself. The Ginibre stacks hold a rank-one matrix, so that the
+        # transform's stack mixes numerical ranks.
+        rng = np.random.default_rng(99)
+        twin = copy.deepcopy(rng)
+        stacked = {
+            "aluthge": lambda s: aluthge_stack(s, 0.3),
+            "haar": _phase_fixed_q,
+            "svdvals": lambda s: np.linalg.svd(s, compute_uv=False),
+            "eigvals": np.linalg.eigvals,
         }
-        ops = list(per_matrix)
-        pairs = []
+        per_matrix = {
+            "aluthge": lambda m, g: aluthge(m, 0.3),
+            "haar": lambda m, g: _phase_fixed_q(g),
+            "svdvals": lambda m, g: np.linalg.svd(m, compute_uv=False),
+            "eigvals": lambda m, g: np.linalg.eigvals(m),
+        }
+        for size in (1, 2, 3, 12):
+            ms = [ginibre(rng, 4) for _ in range(size)]
+            alone = [ginibre(twin, 4) for _ in range(size)]
+            ms[-1] = alone[-1] = np.outer(ms[-1][0], ms[-1][1])
+            for op, kernel in stacked.items():
+                got = kernel(np.stack(ms))
+                assert len(got) == size
+                for m, g, result in zip(ms, alone, got):
+                    expected = per_matrix[op](m, g)
+                    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+                    assert result.tobytes() == expected.tobytes(), (op, size)
 
-        def trial(r):
-            for _ in range(1 + r.trial % 2):
-                op = ops[r.trial % 4]
-                twin = copy.deepcopy(r.rng)
-                ms = tuple(ginibre(r.rng, r.dim) for _ in range(1 + r.trial % 3))
-                results = yield (op, ms)
-                assert len(results) == len(ms)
-                pairs.extend((op, got, per_matrix[op](m, r, twin)) for m, got in zip(ms, results))
+    def test_observe_records_each_trial_its_own_values(self):
+        a = np.arange(5 * 4, dtype=float).reshape(5, 2, 2)
+        seen = {}
 
-        run_check(Check("toy", trial), 4, 99, 0.3, 12)
-        # 12 trials: each op has three, with 1, 2 and 3 matrices over 1 or 2 rounds.
-        assert len(pairs) == sum((1 + t % 2) * (1 + t % 3) for t in range(12))
-        assert {op for op, _, _ in pairs} == set(ops)
-        for op, got, expected in pairs:
-            assert (op, got.dtype, got.shape) == (op, expected.dtype, expected.shape)
-            assert got.tobytes() == expected.tobytes(), op
+        def block(runs):
+            keep = np.array([r.trial % 2 == 0 for r in runs])
+            lemmas._observe(runs, np.arange(len(runs), dtype=float), keep, keep, A=a, ranks=[[r.trial] for r in runs],
+                            tag="t")
+            seen.update({r.trial: r.outcomes for r in runs})
+
+        run_check(Check("toy", block), 2, 99, 0.5, 5)
+        for t, outcomes in seen.items():
+            if t % 2:
+                assert outcomes == []
+            else:
+                ((residual, failed, fields),) = outcomes
+                assert (residual, failed, fields["ranks"], fields["tag"]) == (float(t), True, [t], "t")
+                assert type(residual) is float and fields["A"].tobytes() == a[t].tobytes()
 
     def test_condition_trials_share_one_stacked_qr(self, monkeypatch):
-        # At dim 3 all 100 trials form one block, and each draws its U in
-        # the first round.
+        # At dim 3 all 100 trials form one block, and their Us come from one
+        # stacked QR.
         shapes = []
         qr = np.linalg.qr
 
@@ -275,6 +308,19 @@ class TestDriver:
         monkeypatch.setattr(lemmas, "STACK_ENTRIES", per_block * dim**2)
         assert [_canonical(run_check(c, dim, 99, 0.5, 40)) for c in CHECKS.values()] == default
 
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_blocking_leaves_failing_reports_unchanged(self, monkeypatch, per_block):
+        # At eq_abs = 0.5 some checks fail and some draw vacuously, so the
+        # block-level redraws run on subsets of a block; at dim 7 the default
+        # splits 60 trials into two blocks.
+        tol = Tolerances(eq_abs=0.5)
+        assert 30 < lemmas.STACK_ENTRIES // 7**2 < 60
+        default = [run_check(c, 7, 99, 0.5, 60, tol) for c in CHECKS.values()]
+        assert sum(r["vacuous"] > 0 for r in default) >= 4
+        assert sum(r["failures"] > 0 for r in default) >= 1
+        monkeypatch.setattr(lemmas, "STACK_ENTRIES", per_block * 7**2)
+        assert [_canonical(run_check(c, 7, 99, 0.5, 60, tol)) for c in CHECKS.values()] == list(map(_canonical, default))
+
     @pytest.mark.parametrize(
         "domain, admitted, excluded",
         [
@@ -286,7 +332,7 @@ class TestDriver:
     )
     def test_lambda_domain(self, domain, admitted, excluded):
         calls = []
-        record = Check("toy", lambda r: calls.append(r.lam), domain)
+        record = Check("toy", each(lambda r: calls.append(r.lam)), domain)
         for lam in admitted:
             report = run_check(record, 4, 99, lam, 1)
             assert report["lambda"] == (lam if domain else 0.0)
@@ -308,9 +354,14 @@ class TestDriver:
         encoded = []
         monkeypatch.setattr(lemmas, "matrix_to_obj", lambda m: encoded.append(m) or matrix_to_obj(m))
         monkeypatch.setattr(lemmas, "vector_payload", lambda v: encoded.append(v) or vector_payload(v))
-        a = [np.full((2, 2), float(t)) for t in range(10)]
-        x = [np.full(2, 1j * t) for t in range(10)]
-        record = Check("toy", lambda r: r.observe(float(r.trial), False, A=a[r.trial], x=x[r.trial], tag="t"))
-        report = run_check(record, 4, 99, 0.5, 10)
+        a = np.stack([np.full((2, 2), float(t)) for t in range(10)])
+        x = np.stack([np.full(2, 1j * t) for t in range(10)])
+
+        def block(runs):
+            trials = [r.trial for r in runs]
+            lemmas._observe(runs, np.array(trials, dtype=float), np.zeros(len(runs), dtype=bool), A=a[trials],
+                            x=x[trials], tag="t")
+
+        report = run_check(Check("toy", block), 4, 99, 0.5, 10)
         assert len(encoded) == 2
         assert report["witness"] == {"trial": 9, "A": matrix_to_obj(a[9]), "x": vector_payload(x[9]), "tag": "t"}

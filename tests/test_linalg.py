@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from aluthge.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _inners,
+    _norms,
     frobenius,
+    inner,
     is_normal,
     is_partial_isometry,
     is_projection,
@@ -120,6 +123,61 @@ class TestFrobenius:
             np.linalg.norm(a, "fro")
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             frobenius(a)
+
+
+class TestStackedReductions:
+    """``_norms`` and ``_inners`` take a whole stack in one batched call, bit
+    for bit as ``frobenius`` (``np.linalg.norm`` for vectors) and ``inner``
+    take each element alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([*range(1, 9), 32]),
+        size=st.integers(1, 6),
+        exponent=st.integers(-150, 150),
+        kind=st.sampled_from(["real", "complex"]),
+        view=st.sampled_from(["plain", "conj_transposed", "transposed", "strided"]),
+    )
+    def test_norms_equal_frobenius(self, seed, n, size, exponent, kind, view):
+        rng = crng(seed)
+        # A strided stack takes every other matrix of a larger one, its rows reversed.
+        base = rng.standard_normal((2 * size, n, n)) * 10.0**exponent
+        if kind == "complex":
+            base = base + 1j * rng.standard_normal((2 * size, n, n)) * 10.0**exponent
+        stack = {
+            "plain": base[:size],
+            "conj_transposed": base[:size].conj().swapaxes(-1, -2),
+            "transposed": base[:size].swapaxes(-1, -2),
+            "strided": base[::2, ::-1],
+        }[view]
+        with np.errstate(over="ignore"):
+            got = _norms(stack)
+            assert [bits(v) for v in got] == [bits(frobenius(m)) for m in stack]
+            # A stack of rows is a stack of vectors, each normed as np.linalg.norm does.
+            rows = stack[:, 0]
+            assert [bits(v) for v in _norms(rows)] == [bits(np.linalg.norm(v)) for v in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([*range(1, 9), 32]),
+        size=st.integers(1, 6),
+        view=st.sampled_from(["plain", "conj_transposed"]),
+    )
+    def test_inners_equal_inner(self, seed, n, size, view):
+        rng = crng(seed)
+        m = cgauss(rng, size, n, n)
+        # Rows of conjugate-transposed matrices are strided vectors.
+        if view == "conj_transposed":
+            m = m.conj().swapaxes(-1, -2)
+        u, v = m[:, 0], m[:, -1]
+        got = _inners(u, v)
+        assert [complex(z) for z in got] == [inner(a, b) for a, b in zip(u, v)]
+        assert got.tobytes() == np.array([np.vdot(b, a) for a, b in zip(u, v)]).tobytes()
+
+    def test_empty_stack(self):
+        assert _norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
 
 
 class TestTolerances:
