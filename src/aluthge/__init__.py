@@ -9,11 +9,6 @@ and spectrum facts plus the rigidity of Jordan-product-commuting maps.
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    is_normal,
-    is_partial_isometry,
-    is_projection,
-    is_quasi_normal,
-    jordan_product,
     rank_one,
     spectra_pairing_distance,
     spectrum,
@@ -36,12 +31,7 @@ __all__ = [
     "aluthge",
     "aluthge_rank_one",
     "aluthge_stack",
-    "is_normal",
-    "is_partial_isometry",
-    "is_projection",
-    "is_quasi_normal",
     "iterate_aluthge",
-    "jordan_product",
     "polar",
     "rank_one",
     "spectra_pairing_distance",

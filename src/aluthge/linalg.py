@@ -1,9 +1,9 @@
 """Dense complex-matrix primitives.
 
-Products, spectra, and the structural predicates (normal, quasi-normal,
-projection, partial isometry) used by the transform and verification
-layers. All functions are pure and operate on immutable inputs;
-matrices are plain ``numpy.ndarray`` values of dtype complex128.
+Validation, products, norms, spectra and the stacked projection test used
+by the transform and verification layers. All functions are pure and
+operate on immutable inputs; matrices are plain ``numpy.ndarray`` values of
+dtype complex128.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ __all__ = [
     "lambda_admitted",
     "check_lambda",
     "validate_matrix",
-    "jordan_product",
     "rank_one",
     "inner",
     "spectrum",
     "spectra_pairing_distance",
     "frobenius",
-    "is_normal",
-    "is_quasi_normal",
-    "is_projection",
-    "is_partial_isometry",
 ]
 
 
@@ -135,15 +130,6 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def jordan_product(a, b) -> np.ndarray:
-    """Symmetrized product (AB + BA) / 2 of two square matrices."""
-    a = validate_matrix(a, square=True)
-    b = validate_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _jordan(a, b)
-
-
 def _jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(AB + BA) / 2 of two square arrays, or stacks of them, of one shape,
     unvalidated."""
@@ -232,7 +218,7 @@ def _unit_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
     """(T / 2^e, e) for a complex128 T, with 2^e the power of two just above
     its largest real or imaginary part, which then lies in [1/2, 1): exact but
     for parts that fall below the normal range, and free of overflow in the
-    cubic products the predicates take. The zero matrix gives (0, 0)."""
+    products taken of it. The zero matrix gives (0, 0)."""
     x = np.ascontiguousarray(t).view(np.float64)
     e = int(np.frexp(np.abs(x).max())[1])
     return np.ldexp(x, -e).view(np.complex128), e
@@ -255,41 +241,10 @@ def _distance_to_normal(t: np.ndarray) -> float:
         return float(np.ldexp(frobenius(u @ u.conj().T - u.conj().T @ u), 2 * e))
 
 
-def is_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff T commutes with T*: ||T*T - TT*||_F <= fix_rel * ||T||_F^2,
-    judged on T scaled by a power of two, so that the verdict does not
-    depend on the scale of T."""
-    t, _ = _unit_scaled(validate_matrix(t, square=True))
-    th = t.conj().T
-    resid = frobenius(th @ t - t @ th)
-    return resid <= tol.fix_rel * frobenius(t) ** 2
-
-
-def is_quasi_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff T commutes with T*T: ||TT*T - T*T^2||_F <= fix_rel * ||T||_F^3,
-    judged on T scaled by a power of two, so that the verdict does not
-    depend on the scale of T."""
-    t, _ = _unit_scaled(validate_matrix(t, square=True))
-    th = t.conj().T
-    resid = frobenius(t @ th @ t - th @ t @ t)
-    return resid <= tol.fix_rel * frobenius(t) ** 3
-
-
-def is_projection(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff T is idempotent and self-adjoint within fix_rel slack."""
-    return bool(_is_projection(validate_matrix(t, square=True)[None], tol)[0])
-
-
 def _is_projection(t: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``is_projection`` of each matrix of a complex128 stack t[B, n, n],
-    unvalidated."""
+    """Whether each matrix of a complex128 stack t[B, n, n] is a projection,
+    idempotent and self-adjoint within fix_rel slack; unvalidated."""
     nrm = _norms(t)
     idem = _norms(t @ t - t) <= tol.fix_rel * (1.0 + _squares(nrm))
     selfadj = _norms(t - _star(t)) <= tol.fix_rel * (1.0 + nrm)
     return idem & selfadj
-
-
-def is_partial_isometry(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    t = validate_matrix(t)
-    th = t.conj().T
-    return frobenius(t @ th @ t - t) <= tol.fix_rel * (1.0 + frobenius(t) ** 3)

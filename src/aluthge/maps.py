@@ -19,13 +19,12 @@ from .generators import _complex_gaussians, _normal, _unit_vectors
 from .lemmas import (
     Check,
     _aluthge,
+    _Block,
     _check,
-    _CheckRun,
     _ginibres,
     _in_dead_band,
     _observe,
     _redraw,
-    _rngs,
     _unitaries,
     nilpotent_kernel,
     projection_absorb,
@@ -87,9 +86,9 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
     if expect not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', got {expect!r}")
 
-    def block(runs: list[_CheckRun]) -> None:
-        u = _unitaries(runs)
-        fix_rel = runs[0].tol.fix_rel
+    def block(blk: _Block) -> None:
+        u = _unitaries(blk)
+        fix_rel = blk.tol.fix_rel
 
         def draw(live, idx):
             a = _ginibres(live)
@@ -98,7 +97,7 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
             pb = phi(ul, b)
             pb, bb = (_star(pb), _star(b)) if star else (pb, b)
             # Both sides' products in one stack: Delta(Phi(A)∘Phi(B)), then Delta(A∘B).
-            d = _aluthge(runs, np.concatenate([_jordan(phi(ul, a), pb), _jordan(a, bb)]))
+            d = _aluthge(blk, np.concatenate([_jordan(phi(ul, a), pb), _jordan(a, bb)]))
             lhs, rhs = d[: len(idx)], phi(ul, d[len(idx) :])
             residual = _norms(lhs - rhs)
             slack = fix_rel * (1.0 + _norms(a) * _norms(b))
@@ -112,7 +111,7 @@ def condition_check(id: str, phi: Callable, star: bool, expect: str) -> Check:
             _observe(live, residual, residual <= slack, informative, A=a, B=b)
             return informative
 
-        _redraw(runs, draw)
+        _redraw(blk, draw)
 
     return Check(id, block)
 
@@ -130,7 +129,7 @@ def _projections(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @_check("structural_properties")
-def structural_properties(runs: list[_CheckRun]) -> None:
+def structural_properties(blk: _Block) -> None:
     """Structural preservation under unitary conjugation.
 
     Per trial: (i) the map commutes with the transform, (ii) squares of normal
@@ -139,17 +138,17 @@ def structural_properties(runs: list[_CheckRun]) -> None:
     (vi) additivity on orthogonal projections, (vii) rank-one projections to
     rank-one projections, plus preservation of self-adjointness.
     """
-    n, tol = runs[0].dim, runs[0].tol
-    u = _unitaries(runs)
+    n, tol = blk.dim, blk.tol
+    u = _unitaries(blk)
 
     # Random frame; disjoint column blocks give orthogonal projections,
     # nested leading blocks give ordered ones.
-    w = _unitaries(runs)
+    w = _unitaries(blk)
     ranks = []
-    for run in runs:
-        k = int(run.rng.integers(1, n))
-        j = int(run.rng.integers(1, k + 1))
-        m = int(run.rng.integers(1, n - k + 1))
+    for rng in blk.rngs:
+        k = int(rng.integers(1, n))
+        j = int(rng.integers(1, k + 1))
+        m = int(rng.integers(1, n - k + 1))
         ranks.append([k, j, m])
     k, j, m = np.array(ranks).T
     zero = np.zeros_like(k)
@@ -160,12 +159,12 @@ def structural_properties(runs: list[_CheckRun]) -> None:
     fp, fq_nested, fq_orth = (unitary_conj(u, z) for z in (p, q_nested, q_orth))
     slack = tol.fix_rel
 
-    a = _ginibres(runs)
-    d = _aluthge(runs, np.concatenate([unitary_conj(u, a), a]))
-    r_commute = _norms(d[: len(runs)] - unitary_conj(u, d[len(runs) :]))
+    a = _ginibres(blk)
+    d = _aluthge(blk, np.concatenate([unitary_conj(u, a), a]))
+    r_commute = _norms(d[: len(blk)] - unitary_conj(u, d[len(blk) :]))
     bad = r_commute > slack * (1.0 + _norms(a))
 
-    nm = _normal(_unitaries(runs), _complex_gaussians(_rngs(runs), n))
+    nm = _normal(_unitaries(blk), _complex_gaussians(blk.rngs, n))
     fnm = unitary_conj(u, nm)
     r_square = _norms(unitary_conj(u, nm @ nm) - fnm @ fnm)
     bad |= r_square > slack * (1.0 + _squares(_norms(nm)))
@@ -175,59 +174,59 @@ def structural_properties(runs: list[_CheckRun]) -> None:
     bad |= _norms(_jordan(fp, fq_nested) - fq_nested) > slack
     bad |= _norms(unitary_conj(u, p + q_orth) - (fp + fq_orth)) > slack
 
-    x = _unit_vectors(_rngs(runs), n)
+    x = _unit_vectors(blk.rngs, n)
     f_rank1 = unitary_conj(u, _outer(x, x))
     # Python's abs of each complex: np.abs of a complex array rounds otherwise.
     trace_gap = np.array([abs(t - 1.0) for t in np.trace(f_rank1, axis1=-2, axis2=-1).tolist()])
     bad |= ~_is_projection(f_rank1, tol) | (trace_gap > slack)
 
-    g = _ginibres(runs)
+    g = _ginibres(blk)
     h = (g + _star(g)) / 2.0
     fh = unitary_conj(u, h)
     bad |= _norms(fh - _star(fh)) > slack * (1.0 + _norms(h))
 
-    _observe(runs, np.maximum(r_commute, r_square), bad, U=u, ranks=ranks)
+    _observe(blk, np.maximum(r_commute, r_square), bad, U=u, ranks=ranks)
 
 
 @_check("vector_state_identity", domain=None)
-def vector_state_identity(runs: list[_CheckRun]) -> None:
+def vector_state_identity(blk: _Block) -> None:
     """<Phi(A) Ux, Ux> = <Ax, x> for unitary conjugation: matrix elements at
     corresponding unit vectors (hence sampled numerical-range points) agree.
     The identity involves no transform, so it has no lambda domain."""
-    u = _unitaries(runs)
-    a = _ginibres(runs)
-    x = _unit_vectors(_rngs(runs), runs[0].dim)
+    u = _unitaries(blk)
+    a = _ginibres(blk)
+    x = _unit_vectors(blk.rngs, blk.dim)
     y = _matvec(u, x)
     gap = _inners(_matvec(unitary_conj(u, a), y), y) - _inners(_matvec(a, x), x)
     deviation = np.array([abs(z) for z in gap.tolist()])
-    slack = runs[0].tol.eq_abs * (1.0 + _norms(a))
-    _observe(runs, deviation, deviation > slack, A=a, x=x)
+    slack = blk.tol.eq_abs * (1.0 + _norms(a))
+    _observe(blk, deviation, deviation > slack, A=a, x=x)
 
 
 @_check("adjoint_counterexample")
-def adjoint_counterexample(runs: list[_CheckRun]) -> None:
+def adjoint_counterexample(blk: _Block) -> None:
     """Delta_lambda(A*) != Delta_lambda(A)* for the rank-one A = x⊗x' built
     from random unit, non-orthogonal, independent x, x': the spectral-norm
     gap between the two sides must be positive and match its closed form
     |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with c = <x,x'>."""
-    n = runs[0].dim
-    x = np.empty((len(runs), n), dtype=np.complex128)
+    n = blk.dim
+    x = np.empty((len(blk), n), dtype=np.complex128)
     xp = np.empty_like(x)
-    c = np.empty(len(runs))
-    redo = np.arange(len(runs))
+    c = np.empty(len(blk))
+    redo = np.arange(len(blk))
     while redo.size:
-        rngs = [runs[i].rng for i in redo]
+        rngs = [blk.rngs[i] for i in redo]
         x[redo] = _unit_vectors(rngs, n)
         xp[redo] = _unit_vectors(rngs, n)
         c[redo] = [abs(z) for z in _inners(x[redo], xp[redo]).tolist()]
         redo = redo[(c[redo] < 0.05) | (c[redo] > 0.95)]
     a = _outer(x, xp)
-    d = _aluthge(runs, np.concatenate([_star(a), a]))
-    s = np.linalg.svd(d[: len(runs)] - _star(d[len(runs) :]), compute_uv=False)
+    d = _aluthge(blk, np.concatenate([_star(a), a]))
+    s = np.linalg.svd(d[: len(blk)] - _star(d[len(blk) :]), compute_uv=False)
     residual = s.max(axis=-1)
     closed = np.array([v * math.sqrt(max(0.0, 1.0 - v**2)) for v in c.tolist()])
     mismatch = np.abs(residual - closed)
-    _observe(runs, mismatch, (mismatch > 1e-10) | (residual <= 0.0), x=x, xprime=xp)
+    _observe(blk, mismatch, (mismatch > 1e-10) | (residual <= 0.0), x=x, xprime=xp)
 
 
 CHECKS: dict[str, Check] = {

@@ -15,7 +15,7 @@ import pytest
 from aluthge import _workers, cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
-from aluthge.lemmas import Check, run_check
+from aluthge.lemmas import Check, _observe, run_check
 from aluthge.linalg import Tolerances, frobenius
 from aluthge.maps import CHECKS
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
@@ -499,20 +499,19 @@ def _register(monkeypatch, id, block):
     monkeypatch.setitem(CHECKS, id, Check(id, block, domain=None))
 
 
-def _dies_in_workers(runs):
+def _dies_in_workers(blk):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
-    for run in runs:
-        run.observe(float(run.trial), False)
+    _observe(blk, blk.trials.astype(float), np.zeros(len(blk), dtype=bool))
 
 
-def _raises(runs):
-    raise ValueError(f"trial {runs[0].trial} cannot run")
+def _raises(blk):
+    raise ValueError(f"trial {blk.trials[0]} cannot run")
 
 
-def _observes_blas_threads(runs):
-    for run in runs:
-        run.observe(float(_workers._openblas_threads()[1]()), False)
+def _observes_blas_threads(blk):
+    threads = [float(_workers._openblas_threads()[1]()) for _ in blk.trials]
+    _observe(blk, threads, np.zeros(len(blk), dtype=bool))
 
 
 def assert_no_child():
@@ -600,8 +599,8 @@ class TestVerifyWorkers:
             "import sys\n"
             "from aluthge import _workers, cli\n"
             "from aluthge.lemmas import Check\n"
-            "def block(runs):\n"
-            "    raise ValueError(f'trial {runs[0].trial} cannot run')\n"
+            "def block(blk):\n"
+            "    raise ValueError(f'trial {blk.trials[0]} cannot run')\n"
             "cli.CHECKS['raises'] = Check('raises', block, domain=None)\n"
             "_workers._usable_cpus = lambda: int(sys.argv[1])\n"
             "sys.exit(cli.main(['verify', '--checks', 'rank_one_formula', 'raises', '--dims', '2', '3',\n"

@@ -149,8 +149,8 @@ class TestStructuralSelfTests:
             monkeypatch.setattr(lemmas, "MIN_CONDITION", floor)
             ratios, redrawn, sequential = [], [], []
 
-            def block(runs):
-                twins = [copy.deepcopy(r.rng) for r in runs]
+            def block(blk):
+                twins = [copy.deepcopy(rng) for rng in blk.rngs]
                 for twin in twins:
                     while True:
                         g = ginibre(twin, 4)
@@ -158,8 +158,8 @@ class TestStructuralSelfTests:
                         if s[-1] >= floor * s[0]:
                             break
                     sequential.append(g)
-                first = [ginibre(copy.deepcopy(r.rng), r.dim) for r in runs]
-                for m, f in zip(lemmas._conditioned(runs), first):
+                first = [ginibre(copy.deepcopy(rng), blk.dim) for rng in blk.rngs]
+                for m, f in zip(lemmas._conditioned(blk), first):
                     s = np.linalg.svd(m, compute_uv=False)
                     ratios.append(s[-1] / s[0])
                     redrawn.append(not np.array_equal(m, f))

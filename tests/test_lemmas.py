@@ -1,7 +1,10 @@
+import collections
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aluthge import lemmas
 from aluthge.cli import _canonical
@@ -98,16 +101,16 @@ def test_endpoint_lambda_rules():
 
 def test_scalar_projection_includes_edge_scalars():
     # alpha = 0 and alpha = 1 degenerate cases hold by hand
-    from aluthge.linalg import frobenius, jordan_product, rank_one
+    from aluthge.linalg import _jordan, frobenius, rank_one
     from aluthge.transform import aluthge
 
     x = np.array([1.0, 0, 0, 0], dtype=complex)
     p = rank_one(x, x)
-    assert frobenius(aluthge(jordan_product(0.0 * p, p), 0.5)) <= 1e-12
-    assert frobenius(aluthge(jordan_product(p, p), 0.5) - p) <= 1e-12
+    assert frobenius(aluthge(_jordan(0.0 * p, p), 0.5)) <= 1e-12
+    assert frobenius(aluthge(_jordan(p, p), 0.5) - p) <= 1e-12
     alpha = 2 + 1j
     a = alpha * p
-    assert frobenius(aluthge(jordan_product(a, p), 0.5) - a) <= 1e-12 * (1 + abs(alpha))
+    assert frobenius(aluthge(_jordan(a, p), 0.5) - a) <= 1e-12 * (1 + abs(alpha))
 
 
 def test_selfadjoint_diag_phase_oracle():
@@ -129,16 +132,6 @@ def test_square_identity_scalar_oracle():
     assert frobenius(aluthge(t @ t, 0.5) - t) == pytest.approx(2.0 * np.sqrt(3))
 
 
-def each(trial):
-    """A block function that runs ``trial`` on each trial of its block."""
-
-    def block(runs):
-        for run in runs:
-            trial(run)
-
-    return block
-
-
 class TestDriver:
     """The driver's shared rules, each on a small hand-written record."""
 
@@ -150,7 +143,11 @@ class TestDriver:
             ([(5.0, False), (1.0, True), (3.0, True)], 2, 2),
         ]
         for outcomes, witness_trial, failures in cases:
-            record = Check("toy", each(lambda r: r.observe(*outcomes[r.trial], k=r.trial)))
+            def block(blk, outcomes=outcomes):
+                residual, failed = zip(*(outcomes[t] for t in blk.trials))
+                lemmas._observe(blk, residual, failed, k=blk.trials.tolist())
+
+            record = Check("toy", block)
             report = run_check(record, 4, 99, 0.5, len(outcomes))
             assert report["witness"] == {"trial": witness_trial, "k": witness_trial}
             assert report["worst_residual"] == 5.0
@@ -159,12 +156,12 @@ class TestDriver:
     def test_exhausted_redraw_is_vacuous_only(self):
         draws = []
 
-        def block(runs):
+        def block(blk):
             def draw(live, idx):
-                draws.extend(r.trial for r in live)
+                draws.extend(live.trials.tolist())
                 return np.zeros(len(live), dtype=bool)
 
-            lemmas._redraw(runs, draw)
+            lemmas._redraw(blk, draw)
 
         report = run_check(Check("toy", block), 4, 99, 0.5, 3)
         assert len(draws) == report["vacuous"] == 3 * MAX_REDRAWS
@@ -180,20 +177,21 @@ class TestDriver:
         draws = {0: [None, None, (2.0, True), (9.0, False)], 1: [(1.0, False), (9.0, True)], 2: [None, (3.0, False), (9.0, True)]}
         rounds = []
 
-        def block(runs):
-            pending = [iter(draws[r.trial]) for r in runs]
+        def block(blk):
+            pending = [iter(draws[t]) for t in blk.trials.tolist()]
 
             def draw(live, idx):
                 rounds.append(idx.tolist())
-                assert [runs[i] for i in idx] == live
+                assert live.trials.tolist() == blk.trials[idx].tolist()
+                assert live.rngs == [blk.rngs[i] for i in idx]
                 outcomes = [next(pending[i]) for i in idx]
                 informative = np.array([o is not None for o in outcomes])
                 residual = [o[0] if o else 0.0 for o in outcomes]
                 failed = [o[1] if o else False for o in outcomes]
-                lemmas._observe(live, residual, failed, informative, k=[r.trial for r in live])
+                lemmas._observe(live, residual, failed, informative, k=live.trials.tolist())
                 return informative
 
-            lemmas._redraw(runs, draw)
+            lemmas._redraw(blk, draw)
 
         report = run_check(Check("toy", block), 4, 99, 0.5, 3)
         assert rounds == [[0, 1, 2], [0, 2], [0]]
@@ -218,15 +216,18 @@ class TestDriver:
         # Trial t draws vacuously 4 - t % 5 times, so trial 0 needs the most
         # rounds and observes last; its witness must still win the tie, and
         # each trial fails once.
-        def block(runs):
+        vacuous = collections.Counter()
+
+        def block(blk):
             def draw(live, idx):
-                informative = np.array([r.vacuous == 4 - r.trial % 5 for r in live])
+                informative = np.array([vacuous[t] == 4 - t % 5 for t in live.trials.tolist()])
                 for _ in range(2):
                     lemmas._observe(live, np.ones(len(live)), np.ones(len(live), dtype=bool), informative,
-                                    k=[r.trial for r in live])
+                                    k=live.trials.tolist())
+                vacuous.update(live.trials[~informative].tolist())
                 return informative
 
-            lemmas._redraw(runs, draw)
+            lemmas._redraw(blk, draw)
 
         report = run_check(Check("toy", block), 4, 99, 0.5, 12)
         assert report["witness"] == {"trial": 0, "k": 0}
@@ -269,20 +270,25 @@ class TestDriver:
         a = np.arange(5 * 4, dtype=float).reshape(5, 2, 2)
         seen = {}
 
-        def block(runs):
-            keep = np.array([r.trial % 2 == 0 for r in runs])
-            lemmas._observe(runs, np.arange(len(runs), dtype=float), keep, keep, A=a, ranks=[[r.trial] for r in runs],
+        def block(blk):
+            keep = blk.trials % 2 == 0
+            lemmas._observe(blk, np.arange(len(blk), dtype=float), keep, keep, A=a, ranks=[[t] for t in blk.trials],
                             tag="t")
-            seen.update({r.trial: r.outcomes for r in runs})
+            # Each trial's outcomes, as (residual, failed, witness fields).
+            seen.update({t: [] for t in blk.trials.tolist()})
+            for trials, residual, failed, rows, fields in blk.records:
+                for t, r, f, row in zip(trials.tolist(), residual, failed.tolist(), rows):
+                    seen[t].append((r, f, {k: v if isinstance(v, str) else v[row] for k, v in fields.items()}))
 
         run_check(Check("toy", block), 2, 99, 0.5, 5)
+        assert sorted(seen) == list(range(5))
         for t, outcomes in seen.items():
             if t % 2:
                 assert outcomes == []
             else:
                 ((residual, failed, fields),) = outcomes
                 assert (residual, failed, fields["ranks"], fields["tag"]) == (float(t), True, [t], "t")
-                assert type(residual) is float and fields["A"].tobytes() == a[t].tobytes()
+                assert residual.dtype == np.float64 and fields["A"].tobytes() == a[t].tobytes()
 
     def test_condition_trials_share_one_stacked_qr(self, monkeypatch):
         # At dim 3 all 100 trials form one block, and their Us come from one
@@ -332,7 +338,7 @@ class TestDriver:
     )
     def test_lambda_domain(self, domain, admitted, excluded):
         calls = []
-        record = Check("toy", each(lambda r: calls.append(r.lam)), domain)
+        record = Check("toy", lambda blk: calls.append(blk.lam), domain)
         for lam in admitted:
             report = run_check(record, 4, 99, lam, 1)
             assert report["lambda"] == (lam if domain else 0.0)
@@ -357,11 +363,96 @@ class TestDriver:
         a = np.stack([np.full((2, 2), float(t)) for t in range(10)])
         x = np.stack([np.full(2, 1j * t) for t in range(10)])
 
-        def block(runs):
-            trials = [r.trial for r in runs]
-            lemmas._observe(runs, np.array(trials, dtype=float), np.zeros(len(runs), dtype=bool), A=a[trials],
-                            x=x[trials], tag="t")
+        def block(blk):
+            lemmas._observe(blk, blk.trials.astype(float), np.zeros(len(blk), dtype=bool), A=a[blk.trials],
+                            x=x[blk.trials], tag="t")
 
         report = run_check(Check("toy", block), 4, 99, 0.5, 10)
         assert len(encoded) == 2
         assert report["witness"] == {"trial": 9, "A": matrix_to_obj(a[9]), "x": vector_payload(x[9]), "tag": "t"}
+
+
+# Residuals from a small set, so that equal keys are common.
+FOLD_RESIDUALS = [0.0, 0.5, 1.0, 2.0]
+
+
+def _per_outcome_fold(outcomes, vacuous):
+    """The witness rule as a per-outcome replay: ``outcomes[t]`` lists trial
+    t's outcomes, (residual, failed, witness fields), in record order; a
+    later outcome replaces the witness only on a strictly larger (failed,
+    residual)."""
+    failures, worst, witness, key = 0, 0.0, None, None
+    for t, trial_outcomes in enumerate(outcomes):
+        for residual, failed, fields in trial_outcomes:
+            if witness is None or (failed, residual) > key:
+                witness, key = {"trial": t, **fields}, (failed, residual)
+            worst = max(worst, residual)
+        failures += any(failed for _, failed, _ in trial_outcomes)
+    return failures, vacuous, worst, witness
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fold_matches_per_outcome_rule(data):
+    # A toy check replays a random table: per step, each trial either records
+    # one outcome (kept or masked out by ``where``) or redraws until an
+    # informative draw. Blocks of 1-4 trials make some blocks record nothing.
+    trials = data.draw(st.integers(0, 12), "trials")
+    per_block = data.draw(st.integers(1, 4), "per_block")
+    max_redraws = data.draw(st.integers(1, 3), "max_redraws")
+    outcome = st.tuples(st.sampled_from(FOLD_RESIDUALS), st.booleans(), st.booleans())
+    plan = data.draw(st.lists(st.sampled_from(["observe", "redraw"]), max_size=3), "plan")
+    tables = [
+        data.draw(st.lists(outcome if kind == "observe" else st.lists(outcome, min_size=max_redraws, max_size=max_redraws),
+                           min_size=trials, max_size=trials), f"step {s}")
+        for s, kind in enumerate(plan)
+    ]
+
+    def fields(t, s, d):
+        return {"id": [t, s, d], "x": np.array([t + 1j * s, d]), "part": f"step {s}"}
+
+    def record(blk, rows, where, s, draws):
+        residual, failed, _ = zip(*rows)
+        ids = [fields(t, s, draws[t]) for t in blk.trials.tolist()]
+        lemmas._observe(blk, residual, failed, where, id=[f["id"] for f in ids], x=np.stack([f["x"] for f in ids]),
+                        part=f"step {s}")
+
+    def block(blk):
+        for s, (kind, table) in enumerate(zip(plan, tables)):
+            rows = [table[t] for t in blk.trials.tolist()]
+            if kind == "observe":
+                kept = [keep for _, _, keep in rows]
+                # On odd steps a block that keeps no row makes no record at all.
+                if any(kept) or s % 2 == 0:
+                    record(blk, rows, kept, s, collections.defaultdict(int))
+                continue
+            draws = collections.Counter()
+
+            def draw(live, idx):
+                got = [table[t][draws[t]] for t in live.trials.tolist()]
+                informative = np.array([keep for _, _, keep in got])
+                record(live, got, informative, s, draws)
+                draws.update(live.trials.tolist())
+                return informative
+
+            lemmas._redraw(blk, draw)
+
+    outcomes = [[] for _ in range(trials)]
+    vacuous = 0
+    for s, (kind, table) in enumerate(zip(plan, tables)):
+        for t in range(trials):
+            for d, (residual, failed, keep) in enumerate([table[t]] if kind == "observe" else table[t]):
+                if keep:
+                    outcomes[t].append((residual, failed, fields(t, s, d if kind == "redraw" else 0)))
+                    break
+                vacuous += kind == "redraw"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemmas, "STACK_ENTRIES", per_block * 2**2)
+        mp.setattr(lemmas, "MAX_REDRAWS", max_redraws)
+        report = run_check(Check("toy", block), 2, 99, 0.5, trials)
+    failures, vacuous, worst, witness = _per_outcome_fold(outcomes, vacuous)
+    if witness is not None:
+        witness["x"] = vector_payload(witness["x"])
+    assert (report["failures"], report["vacuous"], report["worst_residual"]) == (failures, vacuous, worst)
+    assert report.get("witness") == witness

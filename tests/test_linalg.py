@@ -10,20 +10,18 @@ from aluthge.linalg import (
     DEFAULT_TOL,
     Tolerances,
     _inners,
+    _is_projection,
+    _jordan,
     _norms,
     frobenius,
     inner,
-    is_normal,
-    is_partial_isometry,
-    is_projection,
-    is_quasi_normal,
-    jordan_product,
     rank_one,
     spectra_pairing_distance,
     spectrum,
     validate_matrix,
 )
 from aluthge.transform import aluthge, aluthge_rank_one, aluthge_stack, iterate_aluthge
+from predicates import is_normal, is_partial_isometry, is_quasi_normal
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -210,28 +208,24 @@ class TestJordanProduct:
     def test_identity_absorbs(self):
         rng = crng(2)
         a = cgauss(rng, 3, 3)
-        np.testing.assert_allclose(jordan_product(a, np.eye(3)), a, atol=1e-15)
+        np.testing.assert_allclose(_jordan(a, np.eye(3)), a, atol=1e-15)
 
     def test_nilpotent_pair_gives_half_identity(self):
         # oracle: AB = diag(1,0), BA = diag(0,1), so (AB+BA)/2 = I/2
         b = np.array([[0, 0], [1, 0]], dtype=complex)
-        np.testing.assert_allclose(jordan_product(NIL, b), np.eye(2) / 2)
+        np.testing.assert_allclose(_jordan(NIL, b), np.eye(2) / 2)
 
     def test_nested_projection_absorbed(self):
         # Q <= P implies P∘Q = Q
         p = np.diag([1.0, 1.0, 0.0]).astype(complex)
         q = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(jordan_product(p, q), q)
+        np.testing.assert_allclose(_jordan(p, q), q)
 
     def test_symmetric_bit_identical(self):
         rng = crng(3)
         for _ in range(100):
             a, b = cgauss(rng, 4, 4), cgauss(rng, 4, 4)
-            np.testing.assert_array_equal(jordan_product(a, b), jordan_product(b, a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            jordan_product(np.eye(2), np.eye(3))
+            np.testing.assert_array_equal(_jordan(a, b), _jordan(b, a))
 
 
 class TestRankOne:
@@ -364,7 +358,7 @@ class TestPredicates:
         np.testing.assert_array_equal(NIL.conj().T @ NIL @ NIL, np.zeros((2, 2)))
         assert not is_quasi_normal(NIL)
         assert not is_normal(NIL)
-        assert not is_projection(NIL)
+        assert not _is_projection(NIL[None], DEFAULT_TOL)[0]
         # e1⊗e2 satisfies TT*T = T exactly: it IS a partial isometry
         assert is_partial_isometry(NIL)
         # a scaled shift is not: TT*T = 4T != T
@@ -383,7 +377,7 @@ class TestPredicates:
         rng = crng(15)
         x = cgauss(rng, 5)
         x /= np.linalg.norm(x)
-        assert is_projection(rank_one(x, x))
+        assert _is_projection(rank_one(x, x)[None], DEFAULT_TOL)[0]
 
     def test_quasi_normal_equals_normal_in_finite_dim(self):
         rng = crng(16)

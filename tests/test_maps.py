@@ -3,7 +3,7 @@ import pytest
 
 from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import run_check
-from aluthge.linalg import frobenius, jordan_product, rank_one
+from aluthge.linalg import _jordan, frobenius, rank_one
 from aluthge.maps import (
     CHECKS,
     adjoint_conj,
@@ -58,8 +58,8 @@ class TestJordanCondition:
     def test_scaled_fails_even_on_identity_pair(self):
         # c UAU* with c=2: at A = B = I the condition demands 4I = 2I
         eye = np.eye(3, dtype=complex)
-        lhs = aluthge(jordan_product(scaled_conj(eye, eye), scaled_conj(eye, eye)), 0.5)
-        rhs = scaled_conj(eye, aluthge(jordan_product(eye, eye), 0.5))
+        lhs = aluthge(_jordan(scaled_conj(eye, eye), scaled_conj(eye, eye)), 0.5)
+        rhs = scaled_conj(eye, aluthge(_jordan(eye, eye), 0.5))
         assert frobenius(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
         assert run("jordan_condition_scaled", 0.5, TRIALS)["failures"] == 0
 
@@ -69,8 +69,8 @@ class TestJordanCondition:
         xp = np.array([1.0, 1.0]) / np.sqrt(2)
         a = rank_one(x, xp)
         eye = np.eye(2, dtype=complex)
-        lhs = aluthge(jordan_product(adjoint_conj(eye, a), eye), 0.5)
-        rhs = adjoint_conj(eye, aluthge(jordan_product(a, eye), 0.5))
+        lhs = aluthge(_jordan(adjoint_conj(eye, a), eye), 0.5)
+        rhs = adjoint_conj(eye, aluthge(_jordan(a, eye), 0.5))
         assert np.linalg.norm(lhs - rhs, 2) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -88,8 +88,8 @@ class TestStarJordanCondition:
         a = cgauss(rng, 4, 4)
         g = cgauss(rng, 4, 4)
         b = (g + g.conj().T) / 2
-        lhs_star = aluthge(jordan_product(unitary_conj(u, a), unitary_conj(u, b).conj().T), 0.5)
-        lhs_plain = aluthge(jordan_product(unitary_conj(u, a), unitary_conj(u, b)), 0.5)
+        lhs_star = aluthge(_jordan(unitary_conj(u, a), unitary_conj(u, b).conj().T), 0.5)
+        lhs_plain = aluthge(_jordan(unitary_conj(u, a), unitary_conj(u, b)), 0.5)
         np.testing.assert_allclose(lhs_star, lhs_plain, atol=1e-12)
 
 
