@@ -197,24 +197,12 @@ def _verify_config(args) -> tuple[dict, Tolerances]:
         tol = {**cfg["tolerances"], **tol}
         cfg.update(loaded)
         cfg["tolerances"] = tol
-    if args.lam is not None:
-        cfg["lambda"] = args.lam
-    if args.dims is not None:
-        cfg["dims"] = args.dims
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    flags = {"lambda": args.lam, "dims": args.dims, "trials": args.trials, "seed": args.seed, "checks": args.checks}
     if os.environ.get("ALUTHGE_SEED"):
-        cfg["seed"] = int(os.environ["ALUTHGE_SEED"])
-    if args.tol_eq is not None:
-        cfg["tolerances"]["eq_abs"] = args.tol_eq
-    if args.tol_rank is not None:
-        cfg["tolerances"]["rank_rel"] = args.tol_rank
-    if args.tol_fix is not None:
-        cfg["tolerances"]["fix_rel"] = args.tol_fix
-    if args.checks:
-        cfg["checks"] = list(args.checks)
+        flags["seed"] = int(os.environ["ALUTHGE_SEED"])
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    tol_flags = {"eq_abs": args.tol_eq, "rank_rel": args.tol_rank, "fix_rel": args.tol_fix}
+    cfg["tolerances"].update((key, value) for key, value in tol_flags.items() if value is not None)
 
     lam = cfg["lambda"]
     if type(lam) not in (int, float) or not 0.0 <= lam <= 1.0:
@@ -228,6 +216,9 @@ def _verify_config(args) -> tuple[dict, Tolerances]:
     checks = cfg["checks"]
     if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
         raise ValueError(f"checks must be a non-empty list of check ids, got {checks!r}")
+    for name in ("dims", "checks"):
+        if len(set(cfg[name])) < len(cfg[name]):
+            raise ValueError(f"{name} must not repeat, got {cfg[name]!r}")
     bad = set(checks) - set(CHECKS)
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}")

@@ -120,16 +120,10 @@ def check_key(check_id: str) -> int:
     return zlib.crc32(check_id.encode("utf-8"))
 
 
-def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard complex Gaussian array: real parts, then imaginary, in one draw.
-    Bit for bit ``(z[0] + 1j * z[1]) / np.sqrt(2.0)`` of that draw ``z``."""
-    return _complex_gaussians((rng,), *shape)[0]
-
-
 def _complex_gaussians(rngs, *shape: int) -> np.ndarray:
-    """``complex_gaussian(rng, *shape)`` of each stream of ``rngs``, stacked:
-    each stream fills its own slot of one buffer, which is scaled and split
-    into real and imaginary parts for the whole stack."""
+    """One standard complex Gaussian array of ``shape`` per stream, stacked:
+    each stream draws real, then imaginary parts into its slot of one buffer,
+    bit for bit ``(z[0] + 1j * z[1]) / np.sqrt(2.0)`` of its draw ``z``."""
     z = np.empty((len(rngs), 2, *shape))
     for rng, slot in zip(rngs, z):
         rng.standard_normal(out=slot)
@@ -140,25 +134,33 @@ def _complex_gaussians(rngs, *shape: int) -> np.ndarray:
     return out
 
 
-def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _unit_vectors((rng,), dim)[0]
+def _draw_until(rngs, draw):
+    """The first accepted draw of each stream: ``draw(streams)`` draws once
+    from each stream given and returns a tuple of arrays, one row per stream,
+    and a boolean array of the rows it accepts; the other streams draw again."""
+    out, accepted = draw(rngs)
+    redo = np.flatnonzero(~accepted)
+    while redo.size:
+        rows, accepted = draw([rngs[i] for i in redo])
+        for whole, part in zip(out, rows):
+            whole[redo] = part
+        redo = redo[~accepted]
+    return out
 
 
 def _unit_vectors(rngs, dim: int) -> np.ndarray:
-    """``unit_vector(rng, dim)`` of each stream of ``rngs``, stacked: a stream
-    whose draw has norm at most 1e-6 draws again."""
-    x = _complex_gaussians(rngs, dim)
-    nrm = _norms(x)
-    redo = np.flatnonzero(nrm <= 1e-6)
-    while redo.size:
-        x[redo] = _complex_gaussians([rngs[i] for i in redo], dim)
-        nrm[redo] = _norms(x[redo])
-        redo = redo[nrm[redo] <= 1e-6]
-    return x / nrm[:, None]
+    """One unit vector per stream, stacked: a draw of norm <= 1e-6 is redrawn."""
+
+    def draw(streams):
+        x = _complex_gaussians(streams, dim)
+        nrm = _norms(x)
+        return (x / nrm[:, None],), nrm > 1e-6
+
+    return _draw_until(rngs, draw)[0]
 
 
 def ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return complex_gaussian(rng, dim, dim)
+    return _complex_gaussians((rng,), dim, dim)[0]
 
 
 def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -176,26 +178,18 @@ def _normal(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (u * d[..., None, :]) @ _star(u)
 
 
-def nilpotent_sq_zero(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Square-zero matrix x⊗y with <x,y>=0, conjugated by a well-conditioned
-    similarity (T^2 = 0 is preserved in exact arithmetic)."""
-    return _nilpotents_sq_zero((rng,), dim)[0]
-
-
 def _nilpotents_sq_zero(rngs, dim: int) -> np.ndarray:
-    """``nilpotent_sq_zero(rng, dim)`` of each stream of ``rngs``, stacked: a
-    stream whose y has norm below 1e-6 once x is projected out draws x and y
-    again before its similarity."""
-    x = np.empty((len(rngs), dim), dtype=np.complex128)
-    y = np.empty_like(x)
-    nrm = np.empty(len(rngs))
-    redo = np.arange(len(rngs))
-    while redo.size:
-        picked = [rngs[i] for i in redo]
-        x[redo] = _unit_vectors(picked, dim)
-        y[redo] = _complex_gaussians(picked, dim)
-        y[redo] -= _inners(y[redo], x[redo])[:, None] * x[redo]
-        nrm[redo] = _norms(y[redo])
-        redo = redo[nrm[redo] < 1e-6]
+    """One square-zero x⊗y with <x,y> = 0 per stream, stacked, conjugated by a
+    well-conditioned similarity (T^2 = 0 holds in exact arithmetic). A stream
+    whose y has norm below 1e-6 once x is projected out draws x and y again."""
+
+    def draw(streams):
+        x = _unit_vectors(streams, dim)
+        y = _complex_gaussians(streams, dim)
+        y -= _inners(y, x)[:, None] * x
+        nrm = _norms(y)
+        return (x, y, nrm), nrm >= 1e-6
+
+    x, y, nrm = _draw_until(rngs, draw)
     s = np.eye(dim) + 0.3 * _complex_gaussians(rngs, dim, dim)
     return s @ _outer(x, y / nrm[:, None]) @ np.linalg.inv(s)

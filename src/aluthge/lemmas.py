@@ -37,6 +37,7 @@ import numpy as np
 
 from .generators import (
     _complex_gaussians,
+    _draw_until,
     _nilpotents_sq_zero,
     _normal,
     _phase_fixed_q,
@@ -54,15 +55,14 @@ from .linalg import (
     _matvec,
     _norms,
     _outer,
+    _pairing_distances,
     _sorted_spectrum,
     _squares,
     _star,
-    frobenius,
     lambda_admitted,
-    spectra_pairing_distance,
 )
 from .matrixio import matrix_to_obj, vector_payload
-from .transform import aluthge_rank_one, aluthge_stack
+from .transform import _aluthge_rank_ones, aluthge_stack
 
 __all__ = [
     "Check",
@@ -104,11 +104,13 @@ class Check:
              ...)``. Each trial draws only from its own stream, in a fixed
              order, and each step of the mathematics runs once for the block
              on stacks, through calls that treat every matrix alone:
-             ``aluthge_stack`` (by ``_aluthge``),
-             ``generators._phase_fixed_q``, ``np.linalg.svd``,
-             ``np.linalg.eigvals``, batched ``@`` and ``linalg._norms``. So
-             what a trial records does not depend on the rest of its block.
-             Draws that may be vacuous go through ``_redraw``.
+             ``aluthge_stack`` (by ``_aluthge``), ``_aluthge_rank_ones``,
+             ``_phase_fixed_q``, ``np.linalg.svd``, ``np.linalg.eigvals``,
+             ``_pairing_distances``, batched ``@``, ``_norms`` and
+             ``_inners``. So what a trial records does not depend on the
+             rest of its block. Draws that may be vacuous go through
+             ``_redraw``, draws kept only if they meet a condition through
+             ``_draw_until``.
     domain : lambda interval the check is stated on, OPEN, HALF_OPEN or
              CLOSED; None for a check that does not use lambda, whose
              report records lambda as 0.0
@@ -213,14 +215,13 @@ def _conditioned(blk: _Block) -> np.ndarray:
     """One Ginibre matrix per trial, the first from its stream with sigma_min
     >= MIN_CONDITION * sigma_max; each round's singular values come from one
     stacked SVD."""
-    m = _ginibres(blk)
-    todo = np.arange(len(blk))
-    while todo.size:
-        s = np.linalg.svd(m[todo], compute_uv=False)
-        todo = todo[s[:, -1] < MIN_CONDITION * s[:, 0]]
-        if todo.size:
-            m[todo] = _ginibres(blk.take(todo))
-    return m
+
+    def draw(rngs):
+        m = _complex_gaussians(rngs, blk.dim, blk.dim)
+        s = np.linalg.svd(m, compute_uv=False)
+        return (m,), s[:, -1] >= MIN_CONDITION * s[:, 0]
+
+    return _draw_until(blk.rngs, draw)[0]
 
 
 def _aluthge(blk: _Block, t: np.ndarray) -> np.ndarray:
@@ -297,8 +298,7 @@ def rank_one_formula(blk: _Block) -> None:
     n, tol = blk.dim, blk.tol
     x = _complex_gaussians(blk.rngs, n)
     y = _complex_gaussians(blk.rngs, n)
-    closed = np.stack([aluthge_rank_one(xt, yt, blk.lam) for xt, yt in zip(x, y)])
-    residual = _norms(_aluthge(blk, _outer(x, y)) - closed)
+    residual = _norms(_aluthge(blk, _outer(x, y)) - _aluthge_rank_ones(x, y))
     slack = tol.eq_abs * (1.0 + _norms(x) * _norms(y))
     _observe(blk, residual, residual > slack, x=x, y=y)
 
@@ -376,8 +376,8 @@ def square_identity(blk: _Block) -> None:
     n, tol = blk.dim, blk.tol
     eye = np.eye(n)
     if blk.trials[0] == 0:
-        r_eye = frobenius(_aluthge(blk, eye[None])[0] - eye)
-        _observe(blk.take([0]), [r_eye], [r_eye > tol.eq_abs], direction="identity")
+        r_eye = _norms(_aluthge(blk, eye[None]) - eye)
+        _observe(blk.take([0]), r_eye, r_eye > tol.eq_abs, direction="identity")
 
     def generic(live, idx):
         m = _conditioned(live)
@@ -456,8 +456,7 @@ def nilpotent_kernel(blk: _Block) -> None:
 def spectrum_invariance(blk: _Block) -> None:
     """sigma(Delta_lambda(T)) matches sigma(T) as a multiset, lambda in [0,1]."""
     m = _ginibres(blk)
-    ev = np.linalg.eigvals(np.concatenate([m, _aluthge(blk, m)]))
-    ev_m, ev_d = ev[: len(m)], ev[len(m) :]
-    dist = np.array([spectra_pairing_distance(_sorted_spectrum(a), _sorted_spectrum(b)) for a, b in zip(ev_m, ev_d)])
+    ev = _sorted_spectrum(np.linalg.eigvals(np.concatenate([m, _aluthge(blk, m)])))
+    dist = _pairing_distances(ev[: len(m)], ev[len(m) :])
     bound = 1e-7 * (1.0 + _norms(m))
     _observe(blk, dist, dist > bound, T=m)

@@ -23,10 +23,8 @@ __all__ = [
     "check_lambda",
     "validate_matrix",
     "rank_one",
-    "inner",
     "spectrum",
     "spectra_pairing_distance",
-    "frobenius",
 ]
 
 
@@ -89,36 +87,21 @@ def validate_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    """||a||_F, bit for bit as ``np.linalg.norm(a, "fro")`` computes it for a
-    2-d float or complex array, without that function's dispatch."""
-    x = a if type(a) is np.ndarray else np.asarray(a)
-    # Single precision takes the square root in single precision, so only
-    # float64 and complex128 take math.sqrt, correctly rounded as np.sqrt is.
-    if x.ndim != 2 or x.dtype.char not in "dD":
-        return float(np.linalg.norm(x, "fro"))
-    x = x.ravel(order="K")
-    if x.dtype.char == "d":
-        return math.sqrt(x.dot(x))
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each element of a float64 or complex128 stack
-    x[B, ...] of vectors or matrices, bit for bit as ``frobenius`` (a matrix)
-    or ``np.linalg.norm`` (a vector) gives it: the same dot products over the
-    same strided views, taken for the whole stack in one batched matmul."""
+    x[B, ...] of vectors or matrices, bit for bit as ``np.linalg.norm`` gives
+    it: the same dot products over the same strided views, taken for the
+    whole stack in one batched matmul."""
     if x.ndim == 3 and abs(x.strides[-2]) < abs(x.strides[-1]):
-        # Transposed views: frobenius sums each matrix in memory order.
+        # Transposed views: np.linalg.norm sums each matrix in memory order.
         x = x.swapaxes(-1, -2)
     # Each element flat and contiguous, as ravel(order="K") leaves it there.
     x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
     if x.dtype.char == "d":
         sq = x[:, None, :] @ x[:, :, None]
     else:
-        # Strided views of the complex array, as frobenius takes them: on
-        # contiguous copies the dot products may round differently.
+        # Strided views of the complex array, as np.linalg.norm takes them:
+        # on contiguous copies the dot products may round differently.
         re, im = x.real, x.imag
         sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     return np.sqrt(sq[:, 0, 0])
@@ -141,14 +124,9 @@ def _star(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def inner(u, v) -> complex:
-    """Inner product <u, v>, linear in the first argument."""
-    return complex(np.vdot(v, u))
-
-
 def _inners(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``inner(u[b], v[b])`` of each pair of rows of two complex128 stacks
-    u[B, n] and v[B, n], bit for bit, as one batched matmul."""
+    """<u[b], v[b]> = ``np.vdot(v[b], u[b])`` of each pair of rows of two
+    complex128 stacks u[B, n] and v[B, n], bit for bit, as one batched matmul."""
     return (v.conj()[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
@@ -181,8 +159,8 @@ def spectrum(m) -> np.ndarray:
 
 
 def _sorted_spectrum(ev: np.ndarray) -> np.ndarray:
-    """Eigenvalues ``ev`` sorted by (re, im), as ``spectrum`` returns them."""
-    return ev[np.lexsort((ev.imag, ev.real))]
+    """Eigenvalues ``ev``, or each row of a stack of them, sorted by (re, im)."""
+    return np.take_along_axis(ev, np.lexsort((ev.imag, ev.real)), axis=-1)
 
 
 def spectra_pairing_distance(a, b) -> float:
@@ -197,21 +175,28 @@ def spectra_pairing_distance(a, b) -> float:
         raise ValueError("spectra must be finite (no NaN/Inf)")
     if a.size == 0:
         return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    nearest = cost.argmin(axis=1)
-    worst = cost[np.arange(a.size), nearest].max()
+    return float(_pairing_distances(a[None], b[None])[0])
+
+
+def _pairing_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``spectra_pairing_distance(a[i], b[i])`` of each pair of rows of two
+    complex128 stacks a[B, n] and b[B, n], n >= 1, bit for bit. A row with a
+    NaN or Inf entry raises ValueError."""
+    cost = np.abs(a[:, :, None] - b[:, None, :])
+    nearest = cost.argmin(axis=-1)
+    worst = np.take_along_axis(cost, nearest[..., None], axis=-1)[..., 0].max(axis=-1)
     # Every pairing's sum is at least the sum of the row minima. When the row
     # argmins form a permutation, that bound is met, so a pairing is optimal
     # only if every row sits at its row minimum: every optimal pairing, the
     # solver's included, has this largest matched distance, ties or not. A
-    # row whose every distance overflows goes to the solver, which rejects it.
-    if worst < np.inf and np.bincount(nearest, minlength=a.size).max() == 1:
-        return float(worst)
-    # Imported here: only spectra with an ambiguous nearest match pay for scipy.
-    from scipy.optimize import linear_sum_assignment
+    # row with no finite worst distance goes to the solver, which rejects it.
+    matched = (np.sort(nearest, axis=-1) == np.arange(a.shape[-1])).all(axis=-1)
+    for i in np.flatnonzero(~(matched & (worst < np.inf))).tolist():
+        # Imported here: only spectra with an ambiguous nearest match pay for scipy.
+        from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+        worst[i] = cost[i][linear_sum_assignment(cost[i])].max()
+    return worst
 
 
 def _unit_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
@@ -226,11 +211,11 @@ def _unit_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _scaled_frobenius(t: np.ndarray) -> float:
     """||T||_F of a complex128 T, taken on T / 2^e so that no square over- or
-    underflows: bit for bit ``frobenius(t)`` wherever none does, and inf
-    only where the norm itself exceeds the double range."""
+    underflows: bit for bit ``np.linalg.norm(t)`` wherever none does, and
+    inf only where the norm itself exceeds the double range."""
     u, e = _unit_scaled(t)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(frobenius(u), e))
+        return float(np.ldexp(_norms(u[None])[0], e))
 
 
 def _distance_to_normal(t: np.ndarray) -> float:
@@ -238,7 +223,7 @@ def _distance_to_normal(t: np.ndarray) -> float:
     back by 4^e, with the guarantees of ``_scaled_frobenius``."""
     u, e = _unit_scaled(t)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(frobenius(u @ u.conj().T - u.conj().T @ u), 2 * e))
+        return float(np.ldexp(_norms((u @ u.conj().T - u.conj().T @ u)[None])[0], 2 * e))
 
 
 def _is_projection(t: np.ndarray, tol: Tolerances) -> np.ndarray:

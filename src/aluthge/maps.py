@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .generators import _complex_gaussians, _normal, _unit_vectors
+from .generators import _complex_gaussians, _draw_until, _normal, _unit_vectors
 from .lemmas import (
     Check,
     _aluthge,
@@ -209,17 +209,14 @@ def adjoint_counterexample(blk: _Block) -> None:
     from random unit, non-orthogonal, independent x, x': the spectral-norm
     gap between the two sides must be positive and match its closed form
     |<x,x'>| * ||x'⊗x' - x⊗x||_2 = |c| sqrt(1 - |c|^2) with c = <x,x'>."""
-    n = blk.dim
-    x = np.empty((len(blk), n), dtype=np.complex128)
-    xp = np.empty_like(x)
-    c = np.empty(len(blk))
-    redo = np.arange(len(blk))
-    while redo.size:
-        rngs = [blk.rngs[i] for i in redo]
-        x[redo] = _unit_vectors(rngs, n)
-        xp[redo] = _unit_vectors(rngs, n)
-        c[redo] = [abs(z) for z in _inners(x[redo], xp[redo]).tolist()]
-        redo = redo[(c[redo] < 0.05) | (c[redo] > 0.95)]
+
+    def draw(rngs):
+        x = _unit_vectors(rngs, blk.dim)
+        xp = _unit_vectors(rngs, blk.dim)
+        c = np.array([abs(z) for z in _inners(x, xp).tolist()])
+        return (x, xp, c), (c >= 0.05) & (c <= 0.95)
+
+    x, xp, c = _draw_until(blk.rngs, draw)
     a = _outer(x, xp)
     d = _aluthge(blk, np.concatenate([_star(a), a]))
     s = np.linalg.svd(d[: len(blk)] - _star(d[len(blk) :]), compute_uv=False)

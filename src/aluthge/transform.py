@@ -24,10 +24,10 @@ from .linalg import (
     DEFAULT_TOL,
     OPEN,
     Tolerances,
+    _inners,
+    _outer,
     _scaled_frobenius,
     check_lambda,
-    inner,
-    rank_one,
     validate_matrix,
 )
 
@@ -115,25 +115,32 @@ def aluthge_stack(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1]: the
-    stacked kernel ``aluthge_stack`` applied to a stack of one."""
-    check_lambda(lam, CLOSED)
-    t = validate_matrix(t, square=True)
-    return _transform(*_decompose(t[None], tol), lam)[0]
+    """lambda-Aluthge transform |T|^lam V |T|^(1-lam) for lam in [0, 1]:
+    ``aluthge_stack`` of the stack of one T."""
+    return aluthge_stack(validate_matrix(t, square=True)[None], lam, tol)[0]
 
 
 def aluthge_rank_one(x, y, lam: float) -> np.ndarray:
-    """Closed form Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), lambda in (0,1).
-
-    No decomposition is performed; agrees with the SVD path within slack.
-    """
+    """Closed form Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), lambda in (0,1),
+    taken without a decomposition: ``_aluthge_rank_ones`` of one pair."""
     check_lambda(lam, OPEN)
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if not np.any(x) or not np.any(y):
         raise ValueError("aluthge_rank_one requires nonzero vectors")
-    ynorm2 = float(np.vdot(y, y).real)
-    return (inner(x, y) / ynorm2) * rank_one(y, y)
+    return _aluthge_rank_ones(x[None], y[None])[0]
+
+
+def _aluthge_rank_ones(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``aluthge_rank_one`` of each pair of rows of two complex128 stacks
+    x[B, n] and y[B, n], no row of y zero, bit for bit; unvalidated."""
+    c, d = _inners(x, y), _inners(y, y).real
+    coef = np.empty_like(c)
+    # Python's complex / float, part by part; numpy's multiplies by a reciprocal.
+    coef.real, coef.imag = (c.real + c.imag * 0.0) / d, (c.imag - c.real * 0.0) / d
+    return coef[:, None, None] * _outer(y, y)
 
 
 def iterate_aluthge(

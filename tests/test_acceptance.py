@@ -11,18 +11,16 @@ import pytest
 
 from aluthge.cli import main as cli_main
 from aluthge.generators import (
+    _complex_gaussians,
+    _nilpotents_sq_zero,
     _normal,
     _phase_fixed_q,
-    complex_gaussian,
     ginibre,
-    nilpotent_sq_zero,
-    unit_vector,
 )
 from aluthge.lemmas import run_check
 from aluthge.linalg import (
-    frobenius,
+    _inners,
     _jordan,
-    inner,
     rank_one,
     spectra_pairing_distance,
     spectrum,
@@ -50,10 +48,10 @@ def test_criterion_1_rank_one_closed_form(capsys):
         for _ in range(1000):
             x = cgauss(rng, dim)
             y = cgauss(rng, dim)
-            expected = (inner(x, y) / np.linalg.norm(y) ** 2) * rank_one(y, y)
+            expected = (_inners(x[None], y[None])[0] / np.linalg.norm(y) ** 2) * rank_one(y, y)
             bound = 1e-9 * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
             for lam in (0.25, 0.5, 0.75):
-                resid = frobenius(aluthge(rank_one(x, y), lam) - expected)
+                resid = np.linalg.norm(aluthge(rank_one(x, y), lam) - expected)
                 worst = max(worst, resid / bound)
     elapsed = time.perf_counter() - start
     ok = worst <= 1.0 and elapsed < 10.0
@@ -67,13 +65,13 @@ def test_criterion_2_kernel_equivalence(capsys):
     worst_nonzero_ok = True
     for t in range(1000):
         dim = 2 + t % 5
-        nil = nilpotent_sq_zero(rng, dim)
-        worst_zero = max(worst_zero, frobenius(aluthge(nil, 0.5)) / (1.0 + frobenius(nil)))
+        nil = _nilpotents_sq_zero((rng,), dim)[0]
+        worst_zero = max(worst_zero, np.linalg.norm(aluthge(nil, 0.5)) / (1.0 + np.linalg.norm(nil)))
         while True:
             g = ginibre(rng, dim)
-            if frobenius(g @ g) > 1e-3:
+            if np.linalg.norm(g @ g) > 1e-3:
                 break
-        worst_nonzero_ok &= frobenius(aluthge(g, 0.5)) > 1e-5
+        worst_nonzero_ok &= np.linalg.norm(aluthge(g, 0.5)) > 1e-5
     ok = worst_zero <= 1e-9 and worst_nonzero_ok
     announce(capsys, "criterion 2 kernel equivalence", ok,
              f"worst square-zero image {worst_zero:.3e}, nonzero direction {'ok' if worst_nonzero_ok else 'violated'}")
@@ -86,7 +84,7 @@ def test_criterion_3_spectrum_invariance(capsys):
         for _ in range(1000):
             t = cgauss(rng, 6, 6)
             d = spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, lam)))
-            worst = max(worst, d / (1e-7 * (1.0 + frobenius(t))))
+            worst = max(worst, d / (1e-7 * (1.0 + np.linalg.norm(t))))
     announce(capsys, "criterion 3 spectrum invariance", worst <= 1.0,
              f"worst pairing-distance ratio {worst:.3e}")
 
@@ -95,15 +93,15 @@ def test_criterion_4_fixed_points(capsys):
     rng = np.random.default_rng(4)
     worst_normal = 0.0
     for _ in range(500):
-        t = _normal(_phase_fixed_q(ginibre(rng, 4)), complex_gaussian(rng, 4))
-        worst_normal = max(worst_normal, frobenius(aluthge(t, 0.5) - t) / (1e-8 * (1.0 + frobenius(t))))
+        t = _normal(_phase_fixed_q(ginibre(rng, 4)), _complex_gaussians((rng,), 4)[0])
+        worst_normal = max(worst_normal, np.linalg.norm(aluthge(t, 0.5) - t) / (1e-8 * (1.0 + np.linalg.norm(t))))
     min_nonnormal = np.inf
     for _ in range(500):
         for _ in range(64):
             t = ginibre(rng, 4)
             if is_normal(t):
                 continue
-            resid = frobenius(aluthge(t, 0.5) - t)
+            resid = np.linalg.norm(aluthge(t, 0.5) - t)
             if resid <= 1e-4:  # dead band: redraw rather than judge
                 continue
             min_nonnormal = min(min_nonnormal, resid)
@@ -141,7 +139,7 @@ def test_criterion_6_competitor_falsification(capsys):
         u = _phase_fixed_q(ginibre(rng, 2))
         lhs = aluthge(_jordan(adjoint_conj(u, a), adjoint_conj(u, np.eye(2, dtype=complex))), 0.5)
         rhs = adjoint_conj(u, aluthge(_jordan(a, np.eye(2)), 0.5))
-        min_break = min(min_break, frobenius(lhs - rhs))
+        min_break = min(min_break, np.linalg.norm(lhs - rhs))
     ok = abs(oracle - 0.5) <= 1e-14 and worst_gap <= 1e-10 and min_break > 1e-4
     announce(capsys, "criterion 6 competitor falsification", ok,
              f"residual gap {worst_gap:.3e} vs oracle {oracle:.12f}, min break {min_break:.3e}")
@@ -168,7 +166,7 @@ def test_criterion_8_iteration_sanity(capsys):
             worst_drift = max(worst_drift, spectra_pairing_distance(sigma0, spectrum(limit)))
         if done:
             converged += 1
-            worst_limit = max(worst_limit, frobenius(limit @ limit.conj().T - limit.conj().T @ limit))
+            worst_limit = max(worst_limit, np.linalg.norm(limit @ limit.conj().T - limit.conj().T @ limit))
     rate = converged / 500.0
     ok = rate >= 0.95 and worst_limit <= 1e-6 and worst_drift <= 1e-6
     announce(capsys, "criterion 8 iteration sanity", ok,

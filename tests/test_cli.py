@@ -16,7 +16,7 @@ from aluthge import _workers, cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
 from aluthge.generators import ginibre
 from aluthge.lemmas import Check, _observe, run_check
-from aluthge.linalg import Tolerances, frobenius
+from aluthge.linalg import Tolerances
 from aluthge.maps import CHECKS
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
 from aluthge.transform import aluthge, iterate_aluthge, polar
@@ -53,7 +53,7 @@ class TestTransform:
         src = write(tmp_path / "in.json", NIL)
         out = tmp_path / "out.json"
         assert main(["transform", src, "--lambda", "0.3", "--output", str(out)]) == EXIT_OK
-        assert frobenius(load_matrix(out)) <= 1e-12
+        assert np.linalg.norm(load_matrix(out)) <= 1e-12
 
     def test_matches_library(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -111,6 +111,9 @@ class TestTransform:
             pytest.param(VERIFY, b'{"checks": 5}', id="verify_checks_not_list"),
             pytest.param(VERIFY, b'{"checks": []}', id="verify_checks_empty"),
             pytest.param(VERIFY + ["--seed", "-1"], b"{}", id="verify_seed_flag_negative"),
+            pytest.param(VERIFY + ["--dims", "2", "2", "--checks", "rank_one_formula", "rank_one_formula",
+                                   "--trials", "5"], b"{}", id="verify_dims_and_checks_repeated"),
+            pytest.param(VERIFY, b'{"checks": ["rank_one_formula", "rank_one_formula"]}', id="verify_checks_repeated"),
             pytest.param(VERIFY + ["--lambda", "0"], b"{}", id="verify_lambda_0_open_checks"),
             pytest.param(VERIFY + ["--lambda", "1"], b"{}", id="verify_lambda_1_open_checks"),
             pytest.param(ITERATE + ["--conv-tol", "nan"], MATRIX_2X2, id="iterate_conv_tol_nan"),
@@ -436,7 +439,7 @@ class TestComposition:
         assert main(["transform", str(mid), "--lambda", "0.5", "--output", str(out)]) == EXIT_OK
         second = list(iterate_aluthge(m, 0.5, max_iter=2, conv_tol=1e-300))[1][0]
         # file round-trip is exact (repr doubles), so agreement is tight
-        assert frobenius(load_matrix(out) - second) <= 1e-10 * (1 + frobenius(m))
+        assert np.linalg.norm(load_matrix(out) - second) <= 1e-10 * (1 + np.linalg.norm(m))
 
 
 @pytest.mark.parametrize("target", ["fifo", "link_to_fifo"])

@@ -13,8 +13,7 @@ from aluthge.linalg import (
     _is_projection,
     _jordan,
     _norms,
-    frobenius,
-    inner,
+    _pairing_distances,
     rank_one,
     spectra_pairing_distance,
     spectrum,
@@ -64,7 +63,15 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def one_norm(a) -> float:
+    """The Frobenius norm of one matrix as the package takes it, ``_norms`` of
+    a stack of one; integers converted to float64 first, as numpy does."""
+    return _norms(np.asarray(a, dtype=np.result_type(a, 1.0))[None])[0]
+
+
 class TestFrobenius:
+    """``one_norm``, bit for bit ``np.linalg.norm(a, "fro")``."""
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -84,7 +91,7 @@ class TestFrobenius:
     )
     def test_bitwise_equal_to_numpy(self, a):
         with np.errstate(over="ignore"):
-            assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
+            assert bits(one_norm(a)) == bits(np.linalg.norm(a, "fro"))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -92,41 +99,29 @@ class TestFrobenius:
         shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
         exponent=st.integers(-160, 160),
         kind=st.sampled_from(["real", "complex"]),
-        single=st.booleans(),
         view=st.sampled_from(["plain", "transposed", "fortran", "strided"]),
     )
-    def test_bitwise_equal_to_numpy_on_views(self, seed, shape, exponent, kind, single, view):
+    def test_bitwise_equal_to_numpy_on_views(self, seed, shape, exponent, kind, view):
         rng = crng(seed)
         # A strided view takes every other row of a larger array, its columns reversed.
         base_shape = (2 * shape[0], shape[1]) if view == "strided" else shape
         a = rng.standard_normal(base_shape) * 10.0**exponent
         if kind == "complex":
             a = a + 1j * rng.standard_normal(base_shape) * 10.0**exponent
-        if single:
-            with np.errstate(over="ignore"):
-                a = a.astype(np.complex64 if kind == "complex" else np.float32)
         a = {"plain": a, "transposed": a.T, "fortran": np.asfortranarray(a), "strided": a[::2, ::-1]}[view]
         with np.errstate(over="ignore"):
-            assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
+            assert bits(one_norm(a)) == bits(np.linalg.norm(a, "fro"))
 
     @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(-np.inf, 2.0)], ids=["nan_imag", "neg_inf_real"])
     def test_non_finite_part(self, entry):
         a = np.array([[1.0, entry], [0.5j, 2.0]])
-        assert bits(frobenius(a)) == bits(np.linalg.norm(a, "fro"))
-        assert np.isnan(frobenius(a)) if np.isnan(entry.imag) else frobenius(a) == np.inf
-
-    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2)), np.float64(2.0)])
-    def test_non_2d_errors_match_numpy(self, a):
-        with pytest.raises(ValueError) as expected:
-            np.linalg.norm(a, "fro")
-        with pytest.raises(ValueError, match=f"^{expected.value}$"):
-            frobenius(a)
+        assert bits(one_norm(a)) == bits(np.linalg.norm(a, "fro"))
+        assert np.isnan(one_norm(a)) if np.isnan(entry.imag) else one_norm(a) == np.inf
 
 
 class TestStackedReductions:
     """``_norms`` and ``_inners`` take a whole stack in one batched call, bit
-    for bit as ``frobenius`` (``np.linalg.norm`` for vectors) and ``inner``
-    take each element alone."""
+    for bit as ``np.linalg.norm`` and ``np.vdot`` take each element alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -151,7 +146,7 @@ class TestStackedReductions:
         }[view]
         with np.errstate(over="ignore"):
             got = _norms(stack)
-            assert [bits(v) for v in got] == [bits(frobenius(m)) for m in stack]
+            assert [bits(v) for v in got] == [bits(np.linalg.norm(m)) for m in stack]
             # A stack of rows is a stack of vectors, each normed as np.linalg.norm does.
             rows = stack[:, 0]
             assert [bits(v) for v in _norms(rows)] == [bits(np.linalg.norm(v)) for v in rows]
@@ -171,8 +166,29 @@ class TestStackedReductions:
             m = m.conj().swapaxes(-1, -2)
         u, v = m[:, 0], m[:, -1]
         got = _inners(u, v)
-        assert [complex(z) for z in got] == [inner(a, b) for a, b in zip(u, v)]
         assert got.tobytes() == np.array([np.vdot(b, a) for a, b in zip(u, v)]).tobytes()
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            np.full((3, 3, 3), 5e-324 + 3e-320j),
+            np.full((2, 2, 2), 1e-310),
+            np.full((3, 2, 2), 1e200 + 1e200j),
+            np.full((2, 2, 2), 1e200),
+            cgauss(crng(33), 6, 5, 3)[::2, ::-1],
+            cgauss(crng(34), 6, 4, 4)[::2, ::-1].swapaxes(-1, -2),
+        ],
+        ids=["subnormal_complex", "subnormal_real", "overflow_complex", "overflow_real", "strided", "strided_transposed"],
+    )
+    def test_norms_at_extremes_and_on_strided_views(self, stack):
+        # Each extreme stack is stacked again with an ordinary matrix between
+        # its elements, whose norm must not move theirs.
+        ordinary = cgauss(crng(35), *stack.shape[1:])
+        ordinary = ordinary if stack.dtype.kind == "c" else ordinary.real
+        mixed = np.stack([m for pair in zip(stack, [ordinary] * len(stack)) for m in pair])
+        with np.errstate(over="ignore"):
+            for s in (stack, mixed):
+                assert [bits(v) for v in _norms(s)] == [bits(np.linalg.norm(m)) for m in s]
 
     def test_empty_stack(self):
         assert _norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
@@ -270,7 +286,7 @@ class TestSpectrum:
             a = cgauss(rng, 5, 5)
             q, _ = np.linalg.qr(cgauss(rng, 5, 5))
             d = spectra_pairing_distance(spectrum(a), spectrum(q @ a @ q.conj().T))
-            assert d <= 1e-8 * (1 + frobenius(a))
+            assert d <= 1e-8 * (1 + np.linalg.norm(a))
 
 
 def assignment_distance(a, b):
@@ -295,7 +311,19 @@ def spectra_pair(kind, n, rng):
     return a, a[rng.permutation(n)] + eps * cgauss(rng, n)
 
 
+def assert_stack_matches_rows(a, b) -> np.ndarray:
+    """``_pairing_distances`` of the spectra a[i], b[i] as one stack, checked
+    bit for bit against ``spectra_pairing_distance`` of each pair alone."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    got = _pairing_distances(a, b)
+    assert got.tobytes() == np.array([spectra_pairing_distance(x, y) for x, y in zip(a, b)]).tobytes()
+    return got
+
+
 class TestPairingDistance:
+    """``spectra_pairing_distance`` of one pair, and the same spectra as one
+    stack through ``_pairing_distances``."""
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         st.sampled_from(["unrelated", "near", "far", "repeated"]),
@@ -303,8 +331,12 @@ class TestPairingDistance:
         st.integers(0, 2**32 - 1),
     )
     def test_equals_optimal_assignment(self, kind, n, seed):
-        a, b = spectra_pair(kind, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        # This kind's pair, stacked with a pair of each kind.
+        pairs = [spectra_pair(k, n, rng) for k in (kind, "unrelated", "near", "far", "repeated")]
+        a, b = pairs[0]
         assert spectra_pairing_distance(a, b) == assignment_distance(a, b)
+        assert_stack_matches_rows(*zip(*pairs))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6), st.randoms())
@@ -313,16 +345,22 @@ class TestPairingDistance:
         a = [complex(*p) for p in points]
         b = [complex(random.randint(-2, 2), random.randint(-2, 2)) for _ in a]
         assert spectra_pairing_distance(a, b) == assignment_distance(a, b)
+        assert_stack_matches_rows([a, b, a], [b, a, a])
 
     @pytest.mark.parametrize("kind, solver_calls", [("near", 0), ("repeated", 1)])
     def test_solver_runs_only_on_an_ambiguous_nearest_match(self, monkeypatch, kind, solver_calls):
         a, b = spectra_pair(kind, 4, np.random.default_rng(0))
+        near_a, near_b = spectra_pair("near", 4, np.random.default_rng(1))
         expected = assignment_distance(a, b)
         calls = []
         solver = scipy.optimize.linear_sum_assignment
         monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda cost: calls.append(1) or solver(cost))
         assert spectra_pairing_distance(a, b) == expected
         assert len(calls) == solver_calls
+        # In a stack, only the ambiguous row goes to the solver.
+        calls.clear()
+        assert_stack_matches_rows([near_a, a, near_a], [near_b, b, near_b])
+        assert len(calls) == 2 * solver_calls
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
     def test_non_finite_entry_raises(self, bad):
@@ -330,13 +368,19 @@ class TestPairingDistance:
             spectra_pairing_distance([bad, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             spectra_pairing_distance([0.0, 1.0], [1.0, bad])
+        # The stacked form does not validate: a non-finite row reaches the solver, which rejects it.
+        with pytest.raises(ValueError):
+            _pairing_distances(np.array([[0.0, 1.0], [bad, 1.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
     def test_overflowing_distance_raises(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             spectra_pairing_distance([1e308], [-1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            _pairing_distances(np.array([[0.0], [1e308]]), np.array([[1.0], [-1e308]]))
 
     def test_permutation_invariant(self):
         assert spectra_pairing_distance([1, 2j, 3], [3, 1, 2j]) == 0.0
+        assert_stack_matches_rows([[1, 2j, 3], [3, 1, 2j]], [[3, 1, 2j], [1, 2j, 3]]).tolist() == [0.0, 0.0]
 
     def test_simple_shift(self):
         assert spectra_pairing_distance([0.0, 1.0], [0.0, 1.5]) == pytest.approx(0.5)

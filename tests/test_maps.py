@@ -3,7 +3,7 @@ import pytest
 
 from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import run_check
-from aluthge.linalg import _jordan, frobenius, rank_one
+from aluthge.linalg import _jordan, rank_one
 from aluthge.maps import (
     CHECKS,
     adjoint_conj,
@@ -60,7 +60,7 @@ class TestJordanCondition:
         eye = np.eye(3, dtype=complex)
         lhs = aluthge(_jordan(scaled_conj(eye, eye), scaled_conj(eye, eye)), 0.5)
         rhs = scaled_conj(eye, aluthge(_jordan(eye, eye), 0.5))
-        assert frobenius(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
+        assert np.linalg.norm(lhs - rhs) == pytest.approx(2.0 * np.sqrt(3))
         assert run("jordan_condition_scaled", 0.5, TRIALS)["failures"] == 0
 
     def test_adjoint_witness_residual_half(self):

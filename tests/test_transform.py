@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge import transform
-from aluthge.linalg import frobenius, rank_one, spectra_pairing_distance, spectrum
+from aluthge.linalg import rank_one, spectra_pairing_distance, spectrum
 from aluthge.transform import (
     aluthge,
     aluthge_rank_one,
@@ -73,7 +73,7 @@ class TestPolar:
         for _ in range(100):
             t = cgauss(rng, 5, 5)
             pd = polar(t)
-            assert frobenius(pd.isometry_part @ pd.modulus - t) <= 1e-10 * (1 + frobenius(t))
+            assert np.linalg.norm(pd.isometry_part @ pd.modulus - t) <= 1e-10 * (1 + np.linalg.norm(t))
             assert is_partial_isometry(pd.isometry_part)
             w = np.linalg.eigvalsh((pd.modulus + pd.modulus.conj().T) / 2)
             assert w[0] >= -1e-12 * max(w[-1], 1.0)
@@ -86,7 +86,7 @@ class TestPolar:
         pd = polar(t)
         _, _, vh = np.linalg.svd(t)
         null_basis = vh[1:].conj().T  # numerical null space of T
-        assert frobenius(pd.isometry_part @ null_basis) <= 1e-12
+        assert np.linalg.norm(pd.isometry_part @ null_basis) <= 1e-12
         range_vec = y / np.linalg.norm(y)
         assert np.linalg.norm(pd.isometry_part @ range_vec) == pytest.approx(1.0, abs=1e-12)
 
@@ -104,12 +104,12 @@ class TestAluthge:
         for _ in range(100):
             t = cgauss(rng, 5, 5)
             d = spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, 0.3)))
-            assert d <= 1e-7 * (1 + frobenius(t))
+            assert d <= 1e-7 * (1 + np.linalg.norm(t))
 
     def test_endpoints(self):
         rng = np.random.default_rng(5)
         t = cgauss(rng, 4, 4)
-        np.testing.assert_allclose(aluthge(t, 0.0), t, atol=1e-10 * (1 + frobenius(t)))
+        np.testing.assert_allclose(aluthge(t, 0.0), t, atol=1e-10 * (1 + np.linalg.norm(t)))
         pd = polar(t)
         np.testing.assert_allclose(aluthge(t, 1.0), pd.modulus @ pd.isometry_part, atol=1e-12)
 
@@ -123,7 +123,7 @@ class TestAluthge:
         for _ in range(100):
             u = haar(rng, 4)
             t = (u * cgauss(rng, 4)) @ u.conj().T
-            assert frobenius(aluthge(t, 0.5) - t) <= 1e-8 * (1 + frobenius(t))
+            assert np.linalg.norm(aluthge(t, 0.5) - t) <= 1e-8 * (1 + np.linalg.norm(t))
 
     def test_non_normal_moves(self):
         rng = np.random.default_rng(7)
@@ -131,7 +131,7 @@ class TestAluthge:
             t = cgauss(rng, 4, 4)
             if is_normal(t):
                 continue
-            assert frobenius(aluthge(t, 0.5) - t) > 1e-8 * (1 + frobenius(t))
+            assert np.linalg.norm(aluthge(t, 0.5) - t) > 1e-8 * (1 + np.linalg.norm(t))
 
     def test_unitary_covariance(self):
         rng = np.random.default_rng(8)
@@ -140,7 +140,7 @@ class TestAluthge:
             u = haar(rng, 4)
             lhs = aluthge(u @ t @ u.conj().T, 0.4)
             rhs = u @ aluthge(t, 0.4) @ u.conj().T
-            assert frobenius(lhs - rhs) <= 1e-8 * (1 + frobenius(t))
+            assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(t))
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError, match="lambda"):
@@ -206,12 +206,36 @@ class TestAluthgeRankOne:
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             x, y = cgauss(rng, dim), cgauss(rng, dim)
-            resid = frobenius(aluthge(rank_one(x, y), 0.5) - aluthge_rank_one(x, y, 0.5))
+            resid = np.linalg.norm(aluthge(rank_one(x, y), 0.5) - aluthge_rank_one(x, y, 0.5))
             assert resid <= 1e-9 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
 
     def test_endpoint_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             aluthge_rank_one([1, 0], [0, 1], 0.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
+            aluthge_rank_one([1, 0], [0, 1, 1], 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 32])
+    def test_stacked_form_matches_each_pair_bitwise(self, n):
+        # The oracle divides as Python divides a complex by a float. Real pairs
+        # give inner products with a zero imaginary part, imaginary x against
+        # real y ones with a zero real part; the other part takes either sign.
+        rng = np.random.default_rng(n)
+        x, y = cgauss(rng, 64, n), cgauss(rng, 64, n)
+        x[:16], y[:32] = x[:16].real, y[:32].real
+        x[16:32] = 1j * x[16:32].imag
+        x[32:40] *= 1e-300
+        y[40:48] *= 1e150
+        inner = np.array([complex(np.vdot(yb, xb)) for xb, yb in zip(x, y)])
+        assert (inner[:16].imag == 0).all() and (inner[16:32].real == 0).all()
+        assert (inner[:16].real < 0).any() and (inner[16:32].imag < 0).any()
+        got = transform._aluthge_rank_ones(x, y)
+        for xb, yb, c, g in zip(x, y, inner.tolist(), got):
+            expected = (c / float(np.vdot(yb, yb).real)) * np.outer(yb, yb.conj())
+            assert g.tobytes() == expected.tobytes()
+            assert g.tobytes() == aluthge_rank_one(xb, yb, 0.5).tobytes()
 
 
 class TestDuggal:
@@ -221,7 +245,7 @@ class TestDuggal:
         rng = np.random.default_rng(11)
         u = haar(rng, 3)
         t = (u * cgauss(rng, 3)) @ u.conj().T
-        np.testing.assert_allclose(aluthge(t, 1.0), t, atol=1e-10 * (1 + frobenius(t)))
+        np.testing.assert_allclose(aluthge(t, 1.0), t, atol=1e-10 * (1 + np.linalg.norm(t)))
 
     def test_explicit_2x2(self):
         # |T| V = diag(0,2) @ [[0,1],[0,0]] = 0 by direct multiplication
@@ -232,7 +256,7 @@ class TestDuggal:
         for _ in range(100):
             t = cgauss(rng, 4, 4)
             d = spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, 1.0)))
-            assert d <= 1e-7 * (1 + frobenius(t))
+            assert d <= 1e-7 * (1 + np.linalg.norm(t))
 
 
 class TestProperties:
@@ -243,7 +267,7 @@ class TestProperties:
     def test_homogeneous(self, seed, n, lam, c):
         t = cgauss(np.random.default_rng(seed), n, n)
         d = aluthge(t, lam)
-        assert frobenius(aluthge(c * t, lam) / c - d) <= 1e-12 * frobenius(d)
+        assert np.linalg.norm(aluthge(c * t, lam) / c - d) <= 1e-12 * np.linalg.norm(d)
 
     @PROPERTY
     @given(SEEDS, DIMS, LAMBDAS)
@@ -251,7 +275,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         t, u = cgauss(rng, n, n), haar(rng, n)
         d = aluthge(t, lam)
-        assert frobenius(aluthge(u @ t @ u.conj().T, lam) - u @ d @ u.conj().T) <= 1e-12 * frobenius(d)
+        assert np.linalg.norm(aluthge(u @ t @ u.conj().T, lam) - u @ d @ u.conj().T) <= 1e-12 * np.linalg.norm(d)
 
     @PROPERTY
     @given(SEEDS, DIMS, LAMBDAS, SCALES)
@@ -266,7 +290,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         x, y = cgauss(rng, n), cgauss(rng, n)
         gap = aluthge(rank_one(c * x, y), lam) - aluthge_rank_one(c * x, y, lam)
-        assert frobenius(gap / c) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert np.linalg.norm(gap / c) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
     @PROPERTY
     @given(SEEDS, DIMS, OPEN_LAMBDAS)
@@ -286,7 +310,7 @@ class TestProperties:
         # sigma(Delta_lambda(T)) = sigma(T) (Jung-Ko-Pearcy 2000), to roundoff
         # amplified by the eigenvalues' condition numbers.
         t = cgauss(np.random.default_rng(seed), n, n)
-        assert spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, lam))) <= 1e-10 * frobenius(t)
+        assert spectra_pairing_distance(spectrum(t), spectrum(aluthge(t, lam))) <= 1e-10 * np.linalg.norm(t)
 
 
 class TestIterate:
@@ -296,7 +320,7 @@ class TestIterate:
         t = (u * cgauss(rng, 3)) @ u.conj().T
         steps = list(iterate_aluthge(t, 0.5, conv_tol=1e-8))
         assert len(steps) == 1 and steps[0][2]
-        assert frobenius(steps[0][0] - t) <= 1e-8 * (1 + frobenius(t))
+        assert np.linalg.norm(steps[0][0] - t) <= 1e-8 * (1 + np.linalg.norm(t))
         assert is_normal(steps[0][0])
 
     def test_nilpotent_hits_zero(self):
@@ -309,7 +333,7 @@ class TestIterate:
         t = cgauss(rng, 2, 2)
         limit, _, converged = list(iterate_aluthge(t, 0.5, max_iter=500, conv_tol=1e-10))[-1]
         assert converged
-        assert frobenius(limit @ limit.conj().T - limit.conj().T @ limit) <= 1e-6
+        assert np.linalg.norm(limit @ limit.conj().T - limit.conj().T @ limit) <= 1e-6
 
     def test_trace_invariants(self):
         rng = np.random.default_rng(14)
@@ -317,10 +341,10 @@ class TestIterate:
         steps = list(iterate_aluthge(t, 0.5, max_iter=50, conv_tol=1e-9))
         assert 1 <= len(steps) <= 50
         if steps[-1][2]:
-            assert steps[-1][1] <= 1e-9 * frobenius(t)
+            assert steps[-1][1] <= 1e-9 * np.linalg.norm(t)
         sigma0 = spectrum(t)
         for it, _, _ in steps:
-            assert spectra_pairing_distance(sigma0, spectrum(it)) <= 1e-7 * (1 + frobenius(t))
+            assert spectra_pairing_distance(sigma0, spectrum(it)) <= 1e-7 * (1 + np.linalg.norm(t))
 
     def test_stops_at_first_converged_step(self):
         # Steps converge exactly when delta <= conv_tol ||T||_F, and the
@@ -332,7 +356,7 @@ class TestIterate:
             steps = list(iterate_aluthge(t, 0.5, conv_tol=1e-8))
             flags = [c for _, _, c in steps]
             assert not any(flags[:-1]) and (flags[-1] or len(steps) == 500)
-            assert [d <= 1e-8 * frobenius(t) for _, d, _ in steps] == flags
+            assert [d <= 1e-8 * np.linalg.norm(t) for _, d, _ in steps] == flags
             ended.append(flags[-1])
         assert sum(ended) >= 15
         steps = list(iterate_aluthge(cgauss(rng, 3, 3), 0.5, max_iter=3, conv_tol=1e-300))
