@@ -9,7 +9,6 @@ and spectrum facts plus the rigidity of Jordan-product-commuting maps.
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    rank_one,
     spectra_pairing_distance,
     spectrum,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "aluthge_stack",
     "iterate_aluthge",
     "polar",
-    "rank_one",
     "spectra_pairing_distance",
     "spectrum",
 ]

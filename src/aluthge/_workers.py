@@ -1,12 +1,15 @@
-"""Forked worker processes and the BLAS thread count, shared by the commands.
+"""Forked children and the BLAS thread count, shared by the commands.
 
-Processes start only where a command asks for them. ``verify`` runs its
-reports and ``iterate`` each step's measures on ``_blas_workers``, one pool:
-the command sets its BLAS to one thread and forks the workers inside that
-pin, so they inherit it. ``transform`` shares a large matrix file's parsing
-and formatting through ``_fork_join``, which forks one child at each call,
-once the data exist, and never calls BLAS. Nothing here imports
-``multiprocessing`` or ``concurrent.futures`` until a pool is opened.
+Processes start only where a command asks for them, in one way: a ``_Child``
+is forked once its items exist, so it inherits them and nothing is sent to
+it. It writes each result to a pipe as soon as it has it; the command reads
+the results in item order, computes itself any the child did not send, and
+reaps the child however it leaves. ``verify`` computes its even reports and
+one child the odd ones (``_fork_join``); ``iterate`` runs the chain while a
+child takes each batch of steps' measures (``_in_batches``); ``transform``
+shares a large matrix file's parsing and formatting with one child per load
+or save (``_fork_join`` of two items), which never calls BLAS. ``verify`` and
+``iterate`` fork inside ``_blas_children``'s one-BLAS-thread pin.
 """
 
 from __future__ import annotations
@@ -16,10 +19,6 @@ import contextlib
 import os
 import pickle
 
-# Forked workers, each with one BLAS thread, that run verify's reports or
-# iterate's per-step measures. Two is the only count measured (on 2 CPUs, where
-# it halves a verify run and takes about 0.6 of an iterate run at n = 128).
-POOL_PROCESSES = 2
 # OpenBLAS's (set, get) thread-count entry points, under the names its builds
 # export: scipy-openblas (numpy 2 wheels) with and without the ILP64 suffix,
 # then OpenBLAS itself (numpy 1 wheels, system builds).
@@ -77,133 +76,137 @@ def _one_blas_thread(blas_threads):
         set_threads(found)
 
 
-def _pool_processes(n_tasks: int, blas_threads) -> int:
-    """Workers that run ``n_tasks`` tasks while this process waits: one per
-    usable CPU, at most POOL_PROCESSES and at most one per task, and none (0)
-    where that makes fewer than two, since one would only stand in for this
-    process, or where BLAS's thread count cannot be set, ``blas_threads``
-    being None, since workers that keep this process's BLAS threads
-    oversubscribe the CPUs."""
-    if blas_threads is None:
-        return 0
-    processes = min(_usable_cpus(), POOL_PROCESSES, n_tasks)
-    return processes if processes > 1 else 0
-
-
 @contextlib.contextmanager
-def _blas_workers(n_tasks: int):
-    """A pool of ``_pool_processes`` forked workers for ``n_tasks`` tasks that
-    call BLAS, or None where that is 0, with this process's BLAS on one thread
-    for the block. The workers are forked at the first task, inside that pin,
-    so every process runs BLAS on one thread and no result depends on the CPU
-    count. However the block exits, the pool is shut down, its tasks cancelled."""
+def _blas_children():
+    """Whether children that call BLAS may start, with this process's BLAS
+    on one thread for the block. A child forked inside the block inherits the
+    pin, so every process runs BLAS on one thread and no result depends on
+    the CPU count. They may where two CPUs are usable and BLAS's thread count
+    can be set: children that kept this process's BLAS threads would
+    oversubscribe the CPUs."""
     blas_threads = _openblas_threads()
-    processes = _pool_processes(n_tasks, blas_threads)
     with _one_blas_thread(blas_threads):
-        if processes < 1:
-            yield None
-            return
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        yield blas_threads is not None and _usable_cpus() > 1
 
-        # fork, not spawn: a spawned worker imports numpy again, which took back
-        # most of the gain on 2 CPUs. OpenBLAS stops its threads before a fork (its
-        # atfork handler) and the command starts no other thread, so a forked
-        # worker holds no lock another thread took.
-        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+
+class _Child:
+    """``fn`` of each of ``items``, computed by a child forked at
+    construction, once the items exist, so that nothing is sent to it. The
+    child writes each result to a pipe as soon as it has it, as a length and
+    a pickle, and leaves through ``os._exit`` on every path, so it never
+    unwinds into the caller or flushes inherited buffers. Iterating gives the
+    results in item order; from the first one the child did not send (the
+    fork failed, or the child was killed, ran out of memory or raised), the
+    items are computed here, so an error is raised here as it would be
+    without a child. ``close`` reaps the child."""
+
+    def __init__(self, fn, items: list):
+        self.fn, self.items, self.pipe = fn, items, None
+        read_fd, write_fd = os.pipe()
+        # OpenBLAS stops its threads before a fork (its atfork handler) and the
+        # commands start no other thread, so a child holds no lock another took.
         try:
-            yield pool
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _fork_join(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, the last of two or more computed by
-    a child forked at the call while this process computes the rest. The
-    child pickles its result into a pipe and leaves through ``os._exit`` on
-    every path, so it never unwinds into the caller or flushes inherited
-    buffers. The last item is computed here if the fork fails or the child
-    exits non-zero (killed, out of memory, or raised: the rerun here then
-    raises the same error)."""
-    *here, last = items
-    if not here:
-        return [fn(last)]
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return [fn(item) for item in items]
-    if pid == 0:
-        try:
+            self.pid = os.fork()
+        except OSError:
             os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(fn(last), pipe, pickle.HIGHEST_PROTOCOL)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    try:
-        # The read end is closed before the child is reaped, however this
-        # process leaves: a child still writing then gets EPIPE and exits.
-        with open(read_fd, "rb") as pipe:
-            results = [fn(item) for item in here]
-            sent = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return results + [pickle.loads(sent) if status == 0 else fn(last)]
-
-
-def _in_order(fn, items, pool, window: int):
-    """(item, fn(item)) for each of ``items`` in order, pulling ``items``
-    lazily. With a pool, fn runs on its workers with at most ``window`` items
-    not yet yielded; the first are handed out at the call, so the caller can
-    work while they run. If the pool breaks (a worker was killed or ran out of
-    memory), the item it owed and every later one run here. An error raised by
-    ``items`` surfaces after the items before it, as it does without a pool."""
-    items = iter(items)
-    owed, futures, errors = collections.deque(), collections.deque(), []
-    if pool is None:
-        return _run_here(fn, owed, items, errors)
-    from concurrent.futures import BrokenExecutor
-
-    def hand_out():
-        while not errors and len(futures) < window:
+            os.close(write_fd)
+            return
+        if self.pid == 0:
             try:
-                item = next(items)
-            except StopIteration:
-                return
-            except Exception as exc:
-                errors.append(exc)
-                return
-            owed.append(item)
-            futures.append(pool.submit(fn, item))
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    for item in items:
+                        sent = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+                        pipe.write(len(sent).to_bytes(8, "little"))
+                        pipe.write(sent)
+                        pipe.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
 
-    def results():
-        try:
-            while futures:
-                result = futures[0].result()
-                futures.popleft()
-                yield owed.popleft(), result
-                hand_out()
-        except BrokenExecutor:
-            pass
-        yield from _run_here(fn, owed, items, errors)
+    def __iter__(self):
+        for item in self.items:
+            sent = self._receive()
+            yield self.fn(item) if sent is None else pickle.loads(sent)
+
+    def _receive(self) -> bytes | None:
+        """The next result the child sends, pickled; None, once the child is
+        reaped, if it sends no more."""
+        if self.pipe is not None:
+            head = self.pipe.read(8)
+            size = int.from_bytes(head, "little")
+            sent = self.pipe.read(size) if len(head) == 8 else b""
+            if len(head) == 8 and len(sent) == size:
+                return sent
+            self.close()
+        return None
+
+    def close(self) -> None:
+        """Reap the child, if that is not done yet. The read end is closed
+        first, so a child still writing gets EPIPE and exits."""
+        if self.pipe is not None:
+            self.pipe.close()
+            self.pipe = None
+            os.waitpid(self.pid, 0)
+
+
+def _fork_join(fn, items: list):
+    """``fn(item)`` for each of ``items`` in order: those at odd positions
+    computed by one ``_Child``, forked when the first result is asked for,
+    the others here as their turn comes. The child is reaped when the
+    generator finishes, raises or is closed."""
+    if len(items) < 2:
+        yield from map(fn, items)
+        return
+    child = _Child(fn, items[1::2])
+    try:
+        theirs = iter(child)
+        for k, item in enumerate(items):
+            yield next(theirs) if k % 2 else fn(item)
+    finally:
+        child.close()
+
+
+def _in_batches(fn, items, size: int, most: int):
+    """(item, fn(item)) for each of ``items`` in order, pulling ``items``
+    lazily. Each run of ``size`` items, and a shorter last one, is computed by
+    a ``_Child`` forked once the run exists; while ``most`` children run, this
+    process takes the oldest one's results before it pulls another run, so it
+    holds at most ``most`` runs. With ``most`` 0 each item is computed here as
+    it is pulled. An error raised by ``items`` surfaces after the results of
+    the items before it, as it does without children, and every child is
+    reaped when the generator finishes, raises or is closed."""
+    if most == 0:
+        yield from ((item, fn(item)) for item in items)
+        return
+    children, items, error, more = collections.deque(), iter(items), None, True
+
+    def oldest():
+        yield from zip(children[0].items, children[0])
+        children.popleft().close()
 
     try:
-        hand_out()
-    except BrokenExecutor:
-        return _run_here(fn, owed, items, errors)
-    return results()
-
-
-def _run_here(fn, owed, items, errors):
-    """``_in_order``'s items run in this process: those owed by a pool, then
-    the first error ``items`` raised, if any, then the items not yet pulled."""
-    for item in owed:
-        yield item, fn(item)
-    if errors:
-        raise errors[0]
-    for item in items:
-        yield item, fn(item)
+        while more:
+            if len(children) == most:
+                yield from oldest()
+            batch = []
+            try:
+                for item in items:
+                    batch.append(item)
+                    if len(batch) == size:
+                        break
+                else:
+                    more = False
+            except Exception as exc:
+                error, more = exc, False
+            if batch:
+                children.append(_Child(fn, batch))
+        while children:
+            yield from oldest()
+        if error is not None:
+            raise error
+    finally:
+        for child in children:
+            child.close()

@@ -12,6 +12,7 @@ input file, 3 non-square input where a square matrix is required.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import functools
@@ -24,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._workers import POOL_PROCESSES, _blas_workers, _in_order
+from ._workers import _blas_children, _fork_join, _in_batches
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -41,14 +42,16 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Order of the input from which iterate's per-step measures go to the workers.
-# Measured on 2 CPUs, 300 steps, in-process against pooled: n = 8 took 0.09-0.12
-# s against 0.32-0.38 s, n = 32 0.56-0.57 s against 0.55-0.66 s, n = 48
-# 0.85-1.22 s against 0.92-0.96 s; n = 64 1.89-2.19 s against 1.20-1.25 s.
+# Order of the input from which iterate's per-step measures are taken by
+# forked children. Measured on 2 CPUs, 300 steps, medians of 4, in the command
+# against in children: n = 32 took 0.83 s against 0.91 s, n = 48 1.46 s
+# against 1.46 s, n = 64 2.55 s against 1.81 s.
 ITERATE_POOL_N = 64
-# Steps whose measures may be on the workers at once, so that memory does not
-# grow with --max-iter: two per worker.
-ITERATE_WINDOW = 2 * POOL_PROCESSES
+# Steps whose measures one child takes. Each child costs a fork round trip
+# (about 4 ms), and the command keeps the iterates of two batches until their
+# rows are written. At n = 128, 100 steps (2 CPUs), batches of 3, 4 and 6 took
+# 2.64, 2.68 and 2.64 s (medians of 8) and peaked at 39.2, 39.7 and 40.7 MiB.
+ITERATE_BATCH = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,15 +150,16 @@ def cmd_iterate(args) -> int:
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
     # Every process runs one BLAS thread, so the trace does not depend on the
     # CPU count: at n >= 128 svd and eigvals give other bits on two threads.
-    with _blas_workers(args.max_iter if m.shape[0] >= ITERATE_POOL_N else 1) as pool:
-        # The command runs the chain; the workers take each step's measures.
+    with _blas_children() as fork:
+        # The command runs the chain; at most two children at a time take the
+        # measures of a batch of steps each.
         measures = functools.partial(_step_measures, spectrum(m))
         steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+        most = 2 if fork and m.shape[0] >= ITERATE_POOL_N else 0
         try:
-            for step, ((_, delta, converged), (distance, drift)) in enumerate(
-                _in_order(measures, steps, pool, ITERATE_WINDOW), start=1
-            ):
-                writer.writerow([step, repr(delta), repr(distance), repr(drift)])
+            with contextlib.closing(_in_batches(measures, steps, ITERATE_BATCH, most)) as rows:
+                for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
+                    writer.writerow([step, repr(delta), repr(distance), repr(drift)])
         except FloatingPointError as exc:
             print(f"error: {args.input}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -253,10 +257,13 @@ def cmd_verify(args) -> int:
     run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    # As in iterate: a report run here runs on one BLAS thread, as it does on a
-    # worker, so its bytes do not depend on how many reports the run has.
-    with _blas_workers(len(tasks)) as pool:
-        for (check_id, dim), report in _in_order(run, tasks, pool, len(tasks)):
+    # As in iterate: every report runs on one BLAS thread, in the command or in
+    # its child, so its bytes do not depend on the CPU count. The command
+    # computes the reports at even positions and one child the odd ones.
+    with _blas_children() as fork, contextlib.closing(
+        _fork_join(run, tasks) if fork else (run(task) for task in tasks)
+    ) as done:
+        for (check_id, dim), report in zip(tasks, done):
             reports.append(report)
             total_failures += report["failures"]
             verdict = "PASS" if report["failures"] == 0 else "FAIL"

@@ -22,7 +22,6 @@ __all__ = [
     "lambda_admitted",
     "check_lambda",
     "validate_matrix",
-    "rank_one",
     "spectrum",
     "spectra_pairing_distance",
 ]
@@ -130,20 +129,10 @@ def _inners(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
-def rank_one(x, y) -> np.ndarray:
-    """Rank-one matrix x⊗y acting as u -> <u, y> x (entries x_i * conj(y_j))."""
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not np.any(x) or not np.any(y):
-        raise ValueError("rank_one requires nonzero vectors")
-    return _outer(x[None], y[None])[0]
-
-
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``rank_one(x[b], y[b])`` of each pair of rows of two complex128 stacks
-    x[B, n] and y[B, n], bit for bit, unvalidated."""
+    """The rank-one matrix x[b]⊗y[b], acting as u -> <u, y[b]> x[b] (entries
+    x[b]_i * conj(y[b]_j)), of each pair of rows of two complex128 stacks
+    x[B, n] and y[B, n], unvalidated."""
     return x[:, :, None] * y.conj()[:, None, :]
 
 

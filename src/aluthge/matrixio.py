@@ -8,9 +8,10 @@ repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
 result. A large matrix that the caller shares (``share=True``, as
 ``transform`` passes) is parsed and formatted half by the caller and half by
-a child forked once the bytes or the matrix exist (see ``_parts``), with the
-same bytes. Writes are atomic (temp file + rename) and honour the process
-umask.
+a child forked once the bytes or the matrix exist, through
+``_workers._fork_join``, the commands' one way to start a process (see
+``_parts``), with the same bytes. Writes are atomic (temp file + rename) and
+honour the process umask.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _read_exact(raw: bytes, share: bool) -> np.ndarray | None:
     if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
         return None
     runs = _row_runs(body, _parts(share, n_rows, cols))
-    blocks = _workers._fork_join(lambda run: _parse_rows(run, cols), runs)
+    blocks = list(_workers._fork_join(lambda run: _parse_rows(run, cols), runs))
     if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
         return None
     return np.concatenate(blocks).view(np.complex128)

@@ -5,15 +5,14 @@ from aluthge import _workers
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The items of each ``_fork_join`` call that forks a child, which
-    computes the last of them, recorded as the calls are made."""
+    """The items of each child forked, or tried, by ``_workers._Child``,
+    recorded as the children are made."""
     calls = []
-    fork_join = _workers._fork_join
 
-    def recording(fn, items):
-        if len(items) > 1:
+    class Recording(_workers._Child):
+        def __init__(self, fn, items):
             calls.append(items)
-        return fork_join(fn, items)
+            super().__init__(fn, items)
 
-    monkeypatch.setattr(_workers, "_fork_join", recording)
+    monkeypatch.setattr(_workers, "_Child", Recording)
     return calls

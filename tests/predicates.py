@@ -1,9 +1,21 @@
-"""Structural predicates the tests use as oracles: normality, quasi-
-normality and partial isometry of one matrix, within ``fix_rel`` slack."""
+"""Oracles the tests share: the rank-one matrix x⊗y, and the structural
+predicates normality, quasi-normality and partial isometry of one matrix,
+within ``fix_rel`` slack."""
 
 import numpy as np
 
-from aluthge.linalg import DEFAULT_TOL, Tolerances, _unit_scaled, validate_matrix
+from aluthge.linalg import DEFAULT_TOL, Tolerances, _outer, _unit_scaled, validate_matrix
+
+
+def rank_one(x, y) -> np.ndarray:
+    """Rank-one matrix x⊗y acting as u -> <u, y> x (entries x_i * conj(y_j))."""
+    x = np.asarray(x, dtype=np.complex128).ravel()
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if not np.any(x) or not np.any(y):
+        raise ValueError("rank_one requires nonzero vectors")
+    return _outer(x[None], y[None])[0]
 
 
 def is_normal(t, tol: Tolerances = DEFAULT_TOL) -> bool:

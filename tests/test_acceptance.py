@@ -21,13 +21,12 @@ from aluthge.lemmas import run_check
 from aluthge.linalg import (
     _inners,
     _jordan,
-    rank_one,
     spectra_pairing_distance,
     spectrum,
 )
 from aluthge.maps import CHECKS, adjoint_conj
 from aluthge.transform import aluthge, iterate_aluthge
-from predicates import is_normal
+from predicates import is_normal, rank_one
 
 
 def announce(capsys, name, ok, detail):

@@ -1,12 +1,10 @@
 import contextlib
 import errno
 import json
-import multiprocessing
 import os
 import stat
 import subprocess
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,7 @@ ITERATE = ["iterate", "IN", "--output", "OUT"]
 
 
 _PARENT_PID = os.getpid()
-# Runs that would start workers do so only where BLAS's thread count can be set.
+# verify and iterate fork children only where BLAS's thread count can be set.
 needs_blas_threads = pytest.mark.skipif(_workers._openblas_threads() is None, reason="no known BLAS thread-count setter")
 
 
@@ -169,10 +167,10 @@ class TestTransform:
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
         # A child parsed the rows after the input's middle byte, and one for
         # each file formatted the second half of its rows.
-        (_, theirs), *saves = forks
+        (theirs,), *saves = forks
         child_rows = theirs.count(b"]], [[") + 1
         assert theirs.startswith(b"[[") and theirs.endswith(b"]]") and 1 <= child_rows < 6
-        assert [[block.shape for block in items] for items in saves] == [[(3, 12), (3, 12)]] * 3
+        assert [[block.shape for block in items] for items in saves] == [[(3, 12)]] * 3
         assert_no_child()
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
@@ -472,7 +470,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # verify and iterate import them only when they open a pool.
+    # No module imports them: the commands fork their children with os.fork.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     code = "import sys, aluthge.cli; sys.exit('multiprocessing' in sys.modules or 'concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -498,7 +496,7 @@ def test_verify_and_iterate_leave_scipy_unloaded(tmp_path):
 
 
 def _register(monkeypatch, id, block):
-    """Add a check ``id`` run by the block function ``block``; workers forked later inherit it."""
+    """Add a check ``id`` run by the block function ``block``; children forked later inherit it."""
     monkeypatch.setitem(CHECKS, id, Check(id, block, domain=None))
 
 
@@ -533,66 +531,55 @@ def run_on(cpus, monkeypatch, capsys, tmp_path, *argv):
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     code = main(["verify", *argv, "--no-timestamp", "--output-dir", "out"])
     out, err = capsys.readouterr()
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     files = {p.name: p.read_bytes() for p in sorted((where / "out").iterdir()) if p.is_file()}
     return code, out, err, files
 
 
-@pytest.fixture
-def pool_maps(monkeypatch):
-    """The tasks handed to worker pools, one list per pool, recorded as they are submitted."""
-    maps, pools = [], []
-    submit = ProcessPoolExecutor.submit
-
-    def recording_submit(pool, fn, task):
-        if not pools or pools[-1] is not pool:
-            pools.append(pool)
-            maps.append([])
-        maps[-1].append(task)
-        return submit(pool, fn, task)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
-    return maps
-
-
 class TestVerifyWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-    def test_verify_processes_capped(self, monkeypatch, cpus):
-        # The computed count only: no process is started.
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-        found = ("set", "get")
-        # 0: no pool, the tasks run in the command.
-        assert _workers._pool_processes(75, found) == (2 if cpus > 1 else 0)
-        assert _workers._pool_processes(1, found) == 0
-        assert _workers._pool_processes(75, None) == 0
+    def test_verify_processes_capped(self, tmp_path, monkeypatch, capsys, forks, cpus):
+        # One child whatever the CPU count from two on; none on one CPU or
+        # where BLAS's thread count cannot be set.
+        argv = ["--checks", "rank_one_formula", "--dims", "2", "3", "4", "--trials", "2"]
+        assert run_on(cpus, monkeypatch, capsys, tmp_path, *argv)[0] == EXIT_OK
+        setter = _workers._openblas_threads() is not None
+        assert forks == ([[("rank_one_formula", 3)]] if cpus > 1 and setter else [])
+        monkeypatch.setattr(_workers, "_openblas_threads", lambda: None)
+        assert run_on(cpus, monkeypatch, capsys, tmp_path, *argv)[0] == EXIT_OK
+        assert len(forks) == (cpus > 1 and setter)
 
-    def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, pool_maps):
+    def test_pooled_run_matches_in_process(self, tmp_path, monkeypatch, capsys, forks):
         argv = ["--dims", "2", "3", "--trials", "20", "--format", "csv"]
         serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
-        assert pool_maps == []
-        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
-        assert pooled == serial
+        assert forks == []
+        forked = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        assert forked == serial
         assert serial[0] == EXIT_OK and len(serial[3]) == len(CHECKS) * 2 + 2
         if _workers._openblas_threads() is not None:
-            assert pool_maps == [[(check_id, dim) for check_id in sorted(CHECKS) for dim in (2, 3)]]
+            # The command ran the reports at even positions, one child the odd ones.
+            tasks = [(check_id, dim) for check_id in sorted(CHECKS) for dim in (2, 3)]
+            assert forks == [tasks[1::2]]
 
     @needs_blas_threads
-    def test_killed_worker_reports_run_here(self, tmp_path, monkeypatch, capsys, pool_maps):
+    def test_killed_worker_reports_run_here(self, tmp_path, monkeypatch, capsys, forks):
         _register(monkeypatch, "dies_in_workers", _dies_in_workers)
-        argv = ["--checks", "rank_one_formula", "dies_in_workers", "nilpotent_kernel", "--dims", "2", "3",
+        argv = ["--checks", "rank_one_formula", "dies_in_workers", "nilpotent_kernel", "--dims", "2", "3", "4",
                 "--trials", "10"]
         serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
-        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
-        assert len(pool_maps) == 1
-        assert pooled == serial and serial[0] == EXIT_OK
+        forked = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        # The child died at its second report; the command ran that one and the later odd ones.
+        odd = [("rank_one_formula", 3), ("dies_in_workers", 2), ("dies_in_workers", 4), ("nilpotent_kernel", 3)]
+        assert forks == [odd]
+        assert forked == serial and serial[0] == EXIT_OK
 
     def test_unwritable_report_exits_2_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
         argv = ["--checks", "square_identity", "rank_one_formula", "--dims", "2", "3", "--trials", "10"]
         for cpus in (1, 2):
             os.makedirs(tmp_path / f"cpus{cpus}" / "out" / "square_identity_dim3.json")
         serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
-        pooled = run_on(2, monkeypatch, capsys, tmp_path, *argv)
-        assert pooled == serial and serial[0] == EXIT_USAGE
+        forked = run_on(2, monkeypatch, capsys, tmp_path, *argv)
+        assert forked == serial and serial[0] == EXIT_USAGE
         assert serial[2] == "error: cannot write out/square_identity_dim3.json: not a regular file\n"
         assert list(serial[3]) == ["square_identity_dim2.json"]
 
@@ -622,29 +609,34 @@ class TestVerifyWorkers:
         assert runs[0][1].count("PASS rank_one_formula") == 2
 
     @needs_blas_threads
-    def test_raising_trial_leaves_no_worker(self, tmp_path, monkeypatch, pool_maps):
+    def test_raising_trial_leaves_no_worker(self, tmp_path, monkeypatch, forks):
+        # The first report that raises is the third, run in the command, then
+        # the fourth, run by the child and again in the command.
         _register(monkeypatch, "raises", _raises)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        with pytest.raises(ValueError, match="trial 0 cannot run"):
-            main(["verify", "--checks", "rank_one_formula", "raises", "--dims", "2", "3", "--trials", "5",
-                  "--output-dir", str(tmp_path / "out")])
-        assert len(pool_maps) == 1 and multiprocessing.active_children() == []
+        for dims in (["2", "3"], ["2", "3", "4"]):
+            with pytest.raises(ValueError, match="trial 0 cannot run"):
+                main(["verify", "--checks", "rank_one_formula", "raises", "--dims", *dims, "--trials", "5",
+                      "--output-dir", str(tmp_path / "out")])
+            assert_no_child()
+        assert len(forks) == 2
 
     @needs_blas_threads
-    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch, capsys, forks):
         get_threads = _workers._openblas_threads()[1]
         before = get_threads()
         _register(monkeypatch, "blas_threads", _observes_blas_threads)
         code, _, _, files = run_on(2, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2", "3",
                                    "--trials", "2")
-        assert code == EXIT_OK and len(pool_maps) == 1
+        # The dim-2 report ran in the command, the dim-3 report in the child.
+        assert code == EXIT_OK and forks == [[("blas_threads", 3)]]
         assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0, 1.0]
         assert get_threads() == before
 
     @needs_blas_threads
-    def test_command_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps):
+    def test_command_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, forks):
         # On one usable CPU the reports run in the command, on one BLAS thread
-        # as on a worker, whatever count the command had (two where BLAS allows).
+        # as in a child, whatever count the command had (two where BLAS allows).
         set_threads, get_threads = _workers._openblas_threads()
         before = get_threads()
         set_threads(2)
@@ -653,22 +645,22 @@ class TestVerifyWorkers:
             _register(monkeypatch, "blas_threads", _observes_blas_threads)
             code, _, _, files = run_on(1, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2",
                                        "--trials", "2")
-            assert code == EXIT_OK and pool_maps == []
+            assert code == EXIT_OK and forks == []
             assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0]
             assert get_threads() == inherited
         finally:
             set_threads(before)
 
 
-def _blas_thread_count(task):
-    return _workers._openblas_threads()[1]()
+def _blas_thread_count(item):
+    return _workers._openblas_threads()[1](), os.getpid() != _PARENT_PID
 
 
 class TestBlasWorkers:
     @needs_blas_threads
     @pytest.mark.parametrize("exit", ["normal", "exception"])
-    def test_workers_inherit_the_command_pin(self, monkeypatch, pool_maps, exit):
-        # The workers set no thread count of their own: they are forked inside
+    def test_workers_inherit_the_command_pin(self, monkeypatch, forks, exit):
+        # The children set no thread count of their own: they are forked inside
         # the command's pin. The command's count comes back however the block exits.
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         set_threads, get_threads = _workers._openblas_threads()
@@ -677,25 +669,33 @@ class TestBlasWorkers:
         try:
             inherited = get_threads()
             raises = pytest.raises(ValueError, match="block failed") if exit == "exception" else contextlib.nullcontext()
-            with raises, _workers._blas_workers(4) as pool:
-                assert get_threads() == 1
-                futures = [pool.submit(_blas_thread_count, k) for k in range(4)]
-                assert [future.result() for future in futures] == [1] * 4
+            with raises, _workers._blas_children() as fork:
+                assert fork is True and get_threads() == 1
+                results = list(_workers._fork_join(_blas_thread_count, range(4)))
+                results += [row for _, row in _workers._in_batches(_blas_thread_count, range(5), 2, 2)]
                 if exit == "exception":
                     raise ValueError("block failed")
-            assert get_threads() == inherited and len(pool_maps) == 1
+            # One child for verify's odd items, and one for each batch of iterate's.
+            assert results == [(1, False), (1, True)] * 2 + [(1, True)] * 5
+            assert get_threads() == inherited and len(forks) == 4
         finally:
             set_threads(before)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
-    def test_without_a_thread_setter_no_pool_and_blas_left_alone(self, monkeypatch, pool_maps):
+    def test_without_a_thread_setter_no_pool_and_blas_left_alone(self, monkeypatch, forks):
         threads = _workers._openblas_threads()
         before = threads and threads[1]()
         monkeypatch.setattr(_workers, "_openblas_threads", lambda: None)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        with _workers._blas_workers(75) as pool:
-            assert pool is None and (threads and threads[1]()) == before
-        assert (threads and threads[1]()) == before and pool_maps == []
+        with _workers._blas_children() as fork:
+            assert fork is False and (threads and threads[1]()) == before
+        assert (threads and threads[1]()) == before and forks == []
+
+    def test_child_computes_the_odd_items_in_order(self, forks):
+        results = list(_workers._fork_join(lambda k: (k, os.getpid() != _PARENT_PID), list(range(7))))
+        assert results == [(k, k % 2 == 1) for k in range(7)]
+        assert forks == [[1, 3, 5]]
+        assert_no_child()
 
 
 _STEP_MEASURES = cli._step_measures
@@ -712,7 +712,7 @@ def _measures_raise(sigma0, step):
 
 
 def _measures_blas_threads(sigma0, step):
-    """This process's BLAS thread count, and 1.0 in a worker, 0.0 here."""
+    """This process's BLAS thread count, and 1.0 in a child, 0.0 here."""
     return float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
 
 
@@ -732,74 +732,80 @@ def _chain_stops(exc, after, threads=None):
     return chain
 
 
-class _ImmediatePool:
-    """Stands in for a worker pool, with no process: it runs each task at
-    submit and records the most tasks handed to it and not yet taken back."""
-
-    def __init__(self):
-        self.submitted = self.taken = self.peak = 0
-
-    def submit(self, fn, item):
-        self.submitted += 1
-        self.peak = max(self.peak, self.submitted - self.taken)
-        future = Future()
-        future.set_result(fn(item))
-        return future
-
-
 @pytest.fixture
 def iterate_input(tmp_path, monkeypatch):
-    """A 6 x 6 input whose iterate runs on workers wherever they can start."""
+    """A 6 x 6 input whose iterate forks children wherever they can start."""
     monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
     return write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 6))
 
 
 def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     """Exit code, stderr and trace bytes (None where none was written) of
-    ``iterate src *argv`` with ``cpus`` usable CPUs. It leaves no worker and
+    ``iterate src *argv`` with ``cpus`` usable CPUs. It leaves no child and
     this process's BLAS thread count as it found it."""
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
     out = Path(output or tmp_path / f"cpus{cpus}.csv")
     threads = _workers._openblas_threads()
     before = threads and threads[1]()
     code = main(["iterate", src, *argv, "--output", str(out)])
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert (threads and threads[1]()) == before
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
+@pytest.fixture
+def live_children(monkeypatch):
+    """The children alive (forked and not yet reaped) after each fork."""
+    alive, counts = set(), []
+
+    class Counting(_workers._Child):
+        def __init__(self, fn, items):
+            super().__init__(fn, items)
+            alive.add(self)
+            counts.append(len(alive))
+
+        def close(self):
+            alive.discard(self)
+            super().close()
+
+    monkeypatch.setattr(_workers, "_Child", Counting)
+    return counts
+
+
 class TestIterateWorkers:
-    def test_small_input_starts_no_process(self, tmp_path, monkeypatch, capsys):
-        started = []
-        monkeypatch.setattr(ProcessPoolExecutor, "__init__", lambda pool, *args, **kwargs: started.append(pool))
+    def test_small_input_starts_no_process(self, tmp_path, monkeypatch, capsys, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 4))
         code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, src, "--max-iter", "20")
         assert code == EXIT_OK and trace.count(b"\n") == 22
-        assert started == [] and 4 < cli.ITERATE_POOL_N
+        assert forks == [] and 4 < cli.ITERATE_POOL_N
 
     @pytest.mark.parametrize("window", [1, 4])
-    def test_window_bounds_steps_in_flight(self, window):
-        # No process: the stand-in pool counts the items handed to it.
-        pool, pulled, rows = _ImmediatePool(), [], []
+    def test_window_bounds_steps_in_flight(self, live_children, window):
+        # ``window`` items per child, at most two children alive: the command
+        # holds the items of those two batches at most.
+        pulled, rows = [], []
 
         def items():
-            for k in range(20):
+            for k in range(21):
                 pulled.append(k)
                 yield k
 
-        for k, square in cli._in_order(lambda k: k * k, items(), pool, window):
-            assert len(pulled) <= len(rows) + window
+        for k, square in _workers._in_batches(lambda k: k * k, items(), window, 2):
+            assert len(pulled) <= len(rows) + 2 * window
             rows.append((k, square))
-            pool.taken += 1
-        assert rows == [(k, k * k) for k in range(20)]
-        assert pool.peak == window and pool.submitted == 20
+        assert rows == [(k, k * k) for k in range(21)]
+        assert max(live_children) == 2 and len(live_children) == -(-21 // window)
 
-    def test_items_handed_out_at_the_call(self):
-        # The caller may work while the first ``window`` items run on the workers.
-        pool, pulled = _ImmediatePool(), []
-        results = cli._in_order(lambda k: k * k, (pulled.append(k) or k for k in range(5)), pool, 2)
-        assert pulled == [0, 1] and pool.submitted == 2
-        assert list(results) == [(k, k * k) for k in range(5)]
+    def test_items_handed_out_at_the_call(self, forks):
+        # A batch is forked as soon as its items exist: the first row is
+        # taken only before a third batch is pulled.
+        pulled = []
+        results = _workers._in_batches(lambda k: k * k, (pulled.append(k) or k for k in range(5)), 2, 2)
+        assert next(results) == (0, 0)
+        assert pulled == [0, 1, 2, 3] and forks == [[0, 1], [2, 3]]
+        assert list(results) == [(k, k * k) for k in range(1, 5)]
+        assert forks == [[0, 1], [2, 3], [4]]
+        assert_no_child()
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_item_error_surfaces_after_earlier_items(self, pooled):
@@ -812,54 +818,58 @@ class TestIterateWorkers:
                 raise ValueError("item 3 cannot run")
             return k
 
-        pool = _ImmediatePool() if pooled else None
+        most = 2 if pooled else 0
         rows = []
         with pytest.raises(FloatingPointError, match="no more items"):
-            for row in cli._in_order(fn, items(3), pool, 4):
+            for row in _workers._in_batches(fn, items(3), 2, most):
                 rows.append(row)
         assert rows == [(0, 0), (1, 1), (2, 2)]
-        # An earlier item's error comes first, as it does without a pool.
+        # An earlier item's error comes first, as it does without children.
         with pytest.raises(ValueError, match="item 3 cannot run"):
-            list(cli._in_order(fn, items(5), _ImmediatePool() if pooled else None, 4))
+            list(_workers._in_batches(fn, items(5), 2, most))
+        assert_no_child()
 
     def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, iterate_input):
-        windows = []
-        in_order = cli._in_order
+        calls = []
+        in_batches = _workers._in_batches
 
-        def recording(fn, items, pool, window):
-            windows.append((pool is not None, window))
-            return in_order(fn, items, pool, window)
+        def recording(fn, items, size, most):
+            calls.append((size, most))
+            return in_batches(fn, items, size, most)
 
-        monkeypatch.setattr(cli, "_in_order", recording)
+        monkeypatch.setattr(cli, "_in_batches", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
-        assert windows == [(_workers._openblas_threads() is not None, cli.ITERATE_WINDOW)]
-        assert cli.ITERATE_WINDOW == 2 * cli.POOL_PROCESSES
+        assert iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
+        setter = _workers._openblas_threads() is not None
+        assert calls == [(cli.ITERATE_BATCH, 2 if setter else 0), (cli.ITERATE_BATCH, 0)]
 
-    def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, pool_maps):
+    def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(4), 128))
         argv = ["--lambda", "0.3", "--max-iter", "10", "--conv-tol", "1e-300"]
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
-        assert pool_maps == []
-        pooled = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
-        assert pooled == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
+        assert forks == []
+        forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
+        assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
         if _workers._openblas_threads() is not None:
-            assert len(pool_maps) == 1 and len(pool_maps[0]) == 10
+            # One child per batch of steps; the last batch is shorter.
+            sizes = [len(items) for items in forks]
+            assert sum(sizes) == 10 and set(sizes[:-1]) == {cli.ITERATE_BATCH} and sizes[-1] <= cli.ITERATE_BATCH
 
     @needs_blas_threads
-    def test_killed_worker_rows_run_here(self, tmp_path, monkeypatch, capsys, pool_maps, iterate_input):
+    def test_killed_worker_rows_run_here(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
         argv = ["--max-iter", "12", "--conv-tol", "1e-300"]
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers)
-        pooled = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
-        assert len(pool_maps) == 1
-        assert pooled == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
+        forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
+        assert len(forks) == -(-12 // cli.ITERATE_BATCH)
+        assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
         monkeypatch.setattr(cli, "_step_measures", _measures_raise)
         with pytest.raises(ValueError, match="these measures cannot be taken"):
             iterate_on(cpus, monkeypatch, capsys, tmp_path, iterate_input)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert not (tmp_path / f"cpus{cpus}.csv").exists()
 
     def test_chain_error_exits_2_without_a_file(self, tmp_path, monkeypatch, capsys, iterate_input):
@@ -881,17 +891,17 @@ class TestIterateWorkers:
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         with pytest.raises(KeyboardInterrupt):
             main(["iterate", iterate_input, "--output", str(tmp_path / "trace.csv")])
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert (threads and threads[1]()) == before
 
     @needs_blas_threads
-    def test_every_process_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, pool_maps, iterate_input):
+    def test_every_process_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
         chain_threads = []
         monkeypatch.setattr(cli, "_step_measures", _measures_blas_threads)
         monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(None, 5, chain_threads))
         code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input)
-        assert code == EXIT_OK and len(pool_maps) == 1
-        # Each row's distance column holds a worker's thread count, its drift column 1.0.
+        assert code == EXIT_OK and len(forks) == -(-5 // cli.ITERATE_BATCH)
+        # Each row's distance column holds a child's thread count, its drift column 1.0.
         rows = trace.decode().splitlines()[1:-1]
         assert [row.split(",", 2)[2] for row in rows] == ["1.0,1.0"] * 5
         assert chain_threads == [1] * 5
@@ -1011,7 +1021,7 @@ class TestTransformWorker:
         serial = transform_on(1, monkeypatch, capsys, tmp_path, str(src))
         shared = transform_on(2, monkeypatch, capsys, tmp_path, str(src))
         assert shared == serial and serial[0] == EXIT_OK
-        assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]] * 3
+        assert [[block.shape for block in items] for items in forks] == [[(150, 600)]] * 3
 
     @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])
     def test_exit_path_leaves_no_worker(self, tmp_path, monkeypatch, capsys, forks, shared_input, case):

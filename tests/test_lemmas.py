@@ -101,8 +101,9 @@ def test_endpoint_lambda_rules():
 
 def test_scalar_projection_includes_edge_scalars():
     # alpha = 0 and alpha = 1 degenerate cases hold by hand
-    from aluthge.linalg import _jordan, rank_one
+    from aluthge.linalg import _jordan
     from aluthge.transform import aluthge
+    from predicates import rank_one
 
     x = np.array([1.0, 0, 0, 0], dtype=complex)
     p = rank_one(x, x)

@@ -14,13 +14,12 @@ from aluthge.linalg import (
     _jordan,
     _norms,
     _pairing_distances,
-    rank_one,
     spectra_pairing_distance,
     spectrum,
     validate_matrix,
 )
 from aluthge.transform import aluthge, aluthge_rank_one, aluthge_stack, iterate_aluthge
-from predicates import is_normal, is_partial_isometry, is_quasi_normal
+from predicates import is_normal, is_partial_isometry, is_quasi_normal, rank_one
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 

@@ -3,7 +3,7 @@ import pytest
 
 from aluthge.generators import _phase_fixed_q, ginibre
 from aluthge.lemmas import run_check
-from aluthge.linalg import _jordan, rank_one
+from aluthge.linalg import _jordan
 from aluthge.maps import (
     CHECKS,
     adjoint_conj,
@@ -12,6 +12,7 @@ from aluthge.maps import (
     unitary_conj,
 )
 from aluthge.transform import aluthge
+from predicates import rank_one
 
 TRIALS = 150
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge import transform
-from aluthge.linalg import rank_one, spectra_pairing_distance, spectrum
+from aluthge.linalg import spectra_pairing_distance, spectrum
 from aluthge.transform import (
     aluthge,
     aluthge_rank_one,
@@ -14,7 +14,7 @@ from aluthge.transform import (
     iterate_aluthge,
     polar,
 )
-from predicates import is_normal, is_partial_isometry
+from predicates import is_normal, is_partial_isometry, rank_one
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 
