@@ -1,15 +1,14 @@
 """Forked children and the BLAS thread count, shared by the commands.
 
-Processes start only where a command asks for them, in one way: a ``_Child``
-is forked once its items exist, so it inherits them and nothing is sent to
-it. It writes each result to a pipe as soon as it has it; the command reads
-the results in item order, computes itself any the child did not send, and
-reaps the child however it leaves. ``verify`` computes its even reports and
-one child the odd ones (``_fork_join``); ``iterate`` runs the chain while a
-child takes each batch of steps' measures (``_in_batches``); ``transform``
-shares a large matrix file's parsing and formatting with one child per load
-or save (``_fork_join`` of two items), which never calls BLAS. ``verify`` and
-``iterate`` fork inside ``_blas_children``'s one-BLAS-thread pin.
+``cli.main`` runs every command inside ``_blas_children``, the one process
+context: BLAS on one thread, and the only place a ``_Child`` forks. A child
+is forked once its items exist, so it inherits them and the pin, and writes
+each result to a pipe; the caller reads them in item order, computes any the
+child did not send, and reaps it however it leaves. Outside the context a
+``_Child`` computes its items in the caller, so a library call starts no
+process. ``_fork_join`` gives one child the odd items (``verify``'s reports,
+the second half of a large matrix file); ``_in_batches`` forks one child per
+batch (``iterate``'s measures).
 """
 
 from __future__ import annotations
@@ -59,57 +58,59 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread(blas_threads):
-    """Run the block with this process's BLAS on one thread, through the
-    (set, get) pair ``blas_threads``, and restore the count found however the
-    block exits; where that pair is None (another BLAS), leave BLAS alone."""
-    if blas_threads is None:
-        yield
-        return
-    set_threads, get_threads = blas_threads
-    found = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(found)
+# Whether a ``_Child`` may fork: set by ``_blas_children`` for its block and
+# restored on its way out. It is process-wide, as the BLAS thread count is.
+_may_fork = False
 
 
 @contextlib.contextmanager
 def _blas_children():
-    """Whether children that call BLAS may start, with this process's BLAS
-    on one thread for the block. A child forked inside the block inherits the
-    pin, so every process runs BLAS on one thread and no result depends on
-    the CPU count. They may where two CPUs are usable and BLAS's thread count
-    can be set: children that kept this process's BLAS threads would
-    oversubscribe the CPUs."""
-    blas_threads = _openblas_threads()
-    with _one_blas_thread(blas_threads):
-        yield blas_threads is not None and _usable_cpus() > 1
+    """Run the block with this process's BLAS on one thread, and let a
+    ``_Child`` fork in it where two CPUs are usable and the thread count can
+    be set, so that every process runs BLAS on one thread and no result
+    depends on the CPU count. With another BLAS, BLAS is left alone and no
+    child starts: children that kept its threads would oversubscribe the
+    CPUs. The count and the rule found are restored however the block exits."""
+    global _may_fork
+    blas_threads, allowed = _openblas_threads(), _may_fork
+    if blas_threads is not None:
+        set_threads, get_threads = blas_threads
+        found = get_threads()
+        set_threads(1)
+    _may_fork = blas_threads is not None and _usable_cpus() > 1
+    try:
+        yield
+    finally:
+        _may_fork = allowed
+        if blas_threads is not None:
+            set_threads(found)
 
 
 class _Child:
     """``fn`` of each of ``items``, computed by a child forked at
-    construction, once the items exist, so that nothing is sent to it. The
-    child writes each result to a pipe as soon as it has it, as a length and
-    a pickle, and leaves through ``os._exit`` on every path, so it never
-    unwinds into the caller or flushes inherited buffers. Iterating gives the
-    results in item order; from the first one the child did not send (the
-    fork failed, or the child was killed, ran out of memory or raised), the
-    items are computed here, so an error is raised here as it would be
-    without a child. ``close`` reaps the child."""
+    construction inside ``_blas_children``, once the items exist, so that
+    nothing is sent to it. The child writes each result to a pipe as soon as
+    it has it, as a length and a pickle, and leaves through ``os._exit`` on
+    every path, so it never unwinds into the caller or flushes inherited
+    buffers. Iterating gives the results in item order; from the first one
+    the child did not send (no child may start, the pipe or the fork failed,
+    or the child was killed, ran out of memory or raised), the items are
+    computed here, so an error is raised here as it would be without a child.
+    ``close`` reaps the child."""
 
     def __init__(self, fn, items: list):
         self.fn, self.items, self.pipe = fn, items, None
-        read_fd, write_fd = os.pipe()
+        if not _may_fork:
+            return
+        fds = ()
         # OpenBLAS stops its threads before a fork (its atfork handler) and the
         # commands start no other thread, so a child holds no lock another took.
         try:
+            fds = read_fd, write_fd = os.pipe()
             self.pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
             return
         if self.pid == 0:
             try:
@@ -174,11 +175,12 @@ def _in_batches(fn, items, size: int, most: int):
     lazily. Each run of ``size`` items, and a shorter last one, is computed by
     a ``_Child`` forked once the run exists; while ``most`` children run, this
     process takes the oldest one's results before it pulls another run, so it
-    holds at most ``most`` runs. With ``most`` 0 each item is computed here as
-    it is pulled. An error raised by ``items`` surfaces after the results of
-    the items before it, as it does without children, and every child is
-    reaped when the generator finishes, raises or is closed."""
-    if most == 0:
+    holds at most ``most`` runs. With ``most`` 0, or where no child may
+    start, each item is computed here as it is pulled, so no run is held. An
+    error raised by ``items`` surfaces after the results of the items before
+    it, as it does without children, and every child is reaped when the
+    generator finishes, raises or is closed."""
+    if most == 0 or not _may_fork:
         yield from ((item, fn(item)) for item in items)
         return
     children, items, error, more = collections.deque(), iter(items), None, True

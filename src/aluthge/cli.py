@@ -7,6 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failures, 2 usage/config or malformed
 input file, 3 non-square input where a square matrix is required.
+
+``main`` runs every command inside ``_workers._blas_children``, on one BLAS
+thread in every process, so no output depends on the CPU or thread count.
 """
 
 from __future__ import annotations
@@ -87,12 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_square(path: str, share: bool = False) -> np.ndarray | int:
-    """The square matrix in ``path``, parsed in part by a forked child if
-    ``share`` (see ``load_matrix``), or, after printing why there is none, the
+def _load_square(path: str) -> np.ndarray | int:
+    """The square matrix in ``path`` or, after printing why there is none, the
     exit code: EXIT_USAGE for a malformed file, EXIT_SHAPE if not square."""
     try:
-        m = load_matrix(path, share)
+        m = load_matrix(path)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -113,9 +115,7 @@ def _written(path: str, write, *args) -> bool:
 
 
 def cmd_transform(args) -> int:
-    # A large input's load and each of its saves fork one child, which parses
-    # or formats half the rows while the command does the rest.
-    m = _load_square(args.input, share=True)
+    m = _load_square(args.input)
     if isinstance(m, int):
         return m
     if not 0.0 <= args.lam <= 1.0:
@@ -133,7 +133,7 @@ def cmd_transform(args) -> int:
             f"{stem}.modulus{ext or '.json'}": modulus,
         }
     for path, matrix in outputs.items():
-        if not _written(path, functools.partial(save_matrix, share=True), matrix):
+        if not _written(path, save_matrix, matrix):
             return EXIT_USAGE
     return EXIT_OK
 
@@ -148,21 +148,18 @@ def cmd_iterate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    # Every process runs one BLAS thread, so the trace does not depend on the
-    # CPU count: at n >= 128 svd and eigvals give other bits on two threads.
-    with _blas_children() as fork:
-        # The command runs the chain; at most two children at a time take the
-        # measures of a batch of steps each.
-        measures = functools.partial(_step_measures, spectrum(m))
-        steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
-        most = 2 if fork and m.shape[0] >= ITERATE_POOL_N else 0
-        try:
-            with contextlib.closing(_in_batches(measures, steps, ITERATE_BATCH, most)) as rows:
-                for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
-                    writer.writerow([step, repr(delta), repr(distance), repr(drift)])
-        except FloatingPointError as exc:
-            print(f"error: {args.input}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    # The command runs the chain; at most two children at a time take the
+    # measures of a batch of steps each.
+    measures = functools.partial(_step_measures, spectrum(m))
+    steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+    most = 2 if m.shape[0] >= ITERATE_POOL_N else 0
+    try:
+        with contextlib.closing(_in_batches(measures, steps, ITERATE_BATCH, most)) as rows:
+            for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
+                writer.writerow([step, repr(delta), repr(distance), repr(drift)])
+    except FloatingPointError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     buf.write(f"# converged={'true' if converged else 'false'}\n")
     return EXIT_OK if _written(args.output, atomic_write_text, buf.getvalue()) else EXIT_USAGE
 
@@ -257,12 +254,8 @@ def cmd_verify(args) -> int:
     run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    # As in iterate: every report runs on one BLAS thread, in the command or in
-    # its child, so its bytes do not depend on the CPU count. The command
-    # computes the reports at even positions and one child the odd ones.
-    with _blas_children() as fork, contextlib.closing(
-        _fork_join(run, tasks) if fork else (run(task) for task in tasks)
-    ) as done:
+    # The command computes the reports at even positions and one child the odd ones.
+    with contextlib.closing(_fork_join(run, tasks)) as done:
         for (check_id, dim), report in zip(tasks, done):
             reports.append(report)
             total_failures += report["failures"]
@@ -303,11 +296,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching the exit contract.
         return int(exc.code or 0)
-    if args.command == "transform":
-        return cmd_transform(args)
-    if args.command == "iterate":
-        return cmd_iterate(args)
-    return cmd_verify(args)
+    command = {"transform": cmd_transform, "iterate": cmd_iterate, "verify": cmd_verify}[args.command]
+    with _blas_children():
+        return command(args)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ The writer emits exactly ``json.dumps(matrix_to_obj(m)) + "\\n"``: keys in the
 order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
-result. A large matrix that the caller shares (``share=True``, as
-``transform`` passes) is parsed and formatted half by the caller and half by
-a child forked once the bytes or the matrix exist, through
-``_workers._fork_join``, the commands' one way to start a process (see
-``_parts``), with the same bytes. Writes are atomic (temp file + rename) and
-honour the process umask.
+result. A large matrix is parsed and formatted in two halves of its rows
+(see ``_parts``) through ``_workers._fork_join``: inside the commands'
+process context the second half by a child forked once the bytes or the
+matrix exist, elsewhere both here, with the same bytes. Writes are atomic
+(temp file + rename) and honour the process umask.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# Entries from which a shared matrix file is parsed or formatted in two
-# processes, the caller and one forked child (the only count measured, on 2
+# Entries from which a matrix file is parsed or formatted in two halves, in
+# the commands by the caller and one forked child (the only count measured, on 2
 # CPUs). Below about n = 180 square, a second process costs more than its share:
 # with one pool worker for a whole transform --factors, n = 128 took 0.55 s
 # against 0.49 s alone and n = 180 0.69 s against 0.67 s (medians of 10 pairs).
@@ -81,20 +80,20 @@ def _format_rows(rows: np.ndarray) -> str:
     return ", ".join([row_fmt % tuple(row.tolist()) for row in rows])
 
 
-def _parts(share: bool, n_rows: int, cols: int) -> int:
+def _parts(n_rows: int, cols: int) -> int:
     """The blocks of rows an ``n_rows`` x ``cols`` matrix is parsed or formatted
-    in: 2, the second by a forked child, where the caller shares it, it has two
-    or more rows and ``PARALLEL_ENTRIES`` entries and two CPUs are usable; else 1."""
-    return 2 if share and n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES and _workers._usable_cpus() > 1 else 1
+    in: 2, the second by a forked child where one may start, if it has two or
+    more rows and ``PARALLEL_ENTRIES`` entries; else 1."""
+    return 2 if n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES else 1
 
 
-def _encode(rows: np.ndarray, share: bool):
+def _encode(rows: np.ndarray):
     """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows =
     _float_rows(m)``, the second half of the rows formatted by a forked child
-    where ``_parts`` splits them."""
+    where ``_parts`` splits them and one may start."""
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    first, *rest = _workers._fork_join(_format_rows, np.array_split(rows, _parts(share, n_rows, cols)))
+    first, *rest = _workers._fork_join(_format_rows, np.array_split(rows, _parts(n_rows, cols)))
     yield first
     for text in rest:
         yield ", "
@@ -167,10 +166,11 @@ def _row_runs(text: bytes, parts: int) -> list:
     return [text] if cut < 0 else [text[: cut + 2], text[cut + 4 :]]
 
 
-def _read_exact(raw: bytes, share: bool) -> np.ndarray | None:
+def _read_exact(raw: bytes) -> np.ndarray | None:
     """The matrix in ``raw`` if it is a file in the writer's exact layout of
-    finite doubles, else None. Where ``_parts`` splits it, a forked child
-    parses the rows after the middle byte while this process parses the rest."""
+    finite doubles, else None. Where ``_parts`` splits it and a child may
+    start, a forked child parses the rows after the middle byte while this
+    process parses the rest."""
     header = _HEADER.match(raw)
     if header is None or not raw.endswith(_TRAILER):
         return None
@@ -180,7 +180,7 @@ def _read_exact(raw: bytes, share: bool) -> np.ndarray | None:
     # more entries than the file can hold is refused before any work per entry.
     if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
         return None
-    runs = _row_runs(body, _parts(share, n_rows, cols))
+    runs = _row_runs(body, _parts(n_rows, cols))
     blocks = list(_workers._fork_join(lambda run: _parse_rows(run, cols), runs))
     if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
         return None
@@ -206,10 +206,10 @@ def _read_json(raw: bytes, path) -> np.ndarray:
     return _matrix_from_obj(obj)
 
 
-def load_matrix(path, share: bool = False) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     """The matrix in the file at ``path``. A file in the writer's exact layout
-    is parsed from its numbers, half of its rows by a forked child if the
-    caller shares it (see ``_parts``); any other file by ``json.load``, as is
+    is parsed from its numbers, a large one half by a forked child where one
+    may start (see ``_parts``); any other file by ``json.load``, as is
     one that holds a number that is not a finite double, so that it fails
     with the same MatrixFileError."""
     try:
@@ -217,7 +217,7 @@ def load_matrix(path, share: bool = False) -> np.ndarray:
             raw = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    m = _read_exact(raw, share)
+    m = _read_exact(raw)
     return _read_json(raw, path) if m is None else m
 
 
@@ -248,8 +248,8 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def save_matrix(path, m, share: bool = False) -> None:
-    """Write ``m`` to ``path``. Its rows are formatted half here and half by
-    a forked child if the caller shares it (see ``_parts``), else all here.
-    The child only formats floats, never calling BLAS or LAPACK."""
-    atomic_write_text(path, _encode(_float_rows(m), share))
+def save_matrix(path, m) -> None:
+    """Write ``m`` to ``path``. A large matrix's rows are formatted half here
+    and half by a forked child where one may start (see ``_parts``), else all
+    here. The child only formats floats, never calling BLAS or LAPACK."""
+    atomic_write_text(path, _encode(_float_rows(m)))

@@ -31,7 +31,7 @@ ITERATE = ["iterate", "IN", "--output", "OUT"]
 
 
 _PARENT_PID = os.getpid()
-# verify and iterate fork children only where BLAS's thread count can be set.
+# The commands fork children only where BLAS's thread count can be set.
 needs_blas_threads = pytest.mark.skipif(_workers._openblas_threads() is None, reason="no known BLAS thread-count setter")
 
 
@@ -157,6 +157,7 @@ class TestTransform:
         assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
         assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
 
+    @needs_blas_threads
     def test_factors_parallel_saves_match_serial(self, tmp_path, monkeypatch, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
         outputs = ["out.json", "out.isometry.json", "out.modulus.json"]
@@ -669,15 +670,15 @@ class TestBlasWorkers:
         try:
             inherited = get_threads()
             raises = pytest.raises(ValueError, match="block failed") if exit == "exception" else contextlib.nullcontext()
-            with raises, _workers._blas_children() as fork:
-                assert fork is True and get_threads() == 1
+            with raises, _workers._blas_children():
+                assert _workers._may_fork and get_threads() == 1
                 results = list(_workers._fork_join(_blas_thread_count, range(4)))
                 results += [row for _, row in _workers._in_batches(_blas_thread_count, range(5), 2, 2)]
                 if exit == "exception":
                     raise ValueError("block failed")
             # One child for verify's odd items, and one for each batch of iterate's.
             assert results == [(1, False), (1, True)] * 2 + [(1, True)] * 5
-            assert get_threads() == inherited and len(forks) == 4
+            assert get_threads() == inherited and len(forks) == 4 and not _workers._may_fork
         finally:
             set_threads(before)
         assert_no_child()
@@ -687,11 +688,13 @@ class TestBlasWorkers:
         before = threads and threads[1]()
         monkeypatch.setattr(_workers, "_openblas_threads", lambda: None)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        with _workers._blas_children() as fork:
-            assert fork is False and (threads and threads[1]()) == before
+        with _workers._blas_children():
+            assert not _workers._may_fork and (threads and threads[1]()) == before
+            assert list(_workers._fork_join(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
         assert (threads and threads[1]()) == before and forks == []
 
-    def test_child_computes_the_odd_items_in_order(self, forks):
+    @needs_blas_threads
+    def test_child_computes_the_odd_items_in_order(self, forks, children):
         results = list(_workers._fork_join(lambda k: (k, os.getpid() != _PARENT_PID), list(range(7))))
         assert results == [(k, k % 2 == 1) for k in range(7)]
         assert forks == [[1, 3, 5]]
@@ -749,7 +752,7 @@ def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     before = threads and threads[1]()
     code = main(["iterate", src, *argv, "--output", str(out)])
     assert_no_child()
-    assert (threads and threads[1]()) == before
+    assert (threads and threads[1]()) == before and not _workers._may_fork
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
@@ -761,8 +764,9 @@ def live_children(monkeypatch):
     class Counting(_workers._Child):
         def __init__(self, fn, items):
             super().__init__(fn, items)
-            alive.add(self)
-            counts.append(len(alive))
+            if self.pipe is not None:
+                alive.add(self)
+                counts.append(len(alive))
 
         def close(self):
             alive.discard(self)
@@ -779,8 +783,9 @@ class TestIterateWorkers:
         assert code == EXIT_OK and trace.count(b"\n") == 22
         assert forks == [] and 4 < cli.ITERATE_POOL_N
 
+    @needs_blas_threads
     @pytest.mark.parametrize("window", [1, 4])
-    def test_window_bounds_steps_in_flight(self, live_children, window):
+    def test_window_bounds_steps_in_flight(self, live_children, children, window):
         # ``window`` items per child, at most two children alive: the command
         # holds the items of those two batches at most.
         pulled, rows = [], []
@@ -796,7 +801,8 @@ class TestIterateWorkers:
         assert rows == [(k, k * k) for k in range(21)]
         assert max(live_children) == 2 and len(live_children) == -(-21 // window)
 
-    def test_items_handed_out_at_the_call(self, forks):
+    @needs_blas_threads
+    def test_items_handed_out_at_the_call(self, forks, children):
         # A batch is forked as soon as its items exist: the first row is
         # taken only before a third batch is pulled.
         pulled = []
@@ -807,8 +813,15 @@ class TestIterateWorkers:
         assert forks == [[0, 1], [2, 3], [4]]
         assert_no_child()
 
+    def test_without_children_items_are_pulled_one_at_a_time(self, forks):
+        # Outside the commands' process context no child starts, so no batch is held.
+        pulled = []
+        results = _workers._in_batches(lambda k: k * k, (pulled.append(k) or k for k in range(5)), 2, 2)
+        assert next(results) == (0, 0) and pulled == [0]
+        assert list(results) == [(k, k * k) for k in range(1, 5)] and forks == []
+
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_item_error_surfaces_after_earlier_items(self, pooled):
+    def test_item_error_surfaces_after_earlier_items(self, children, pooled):
         def items(stop):
             yield from range(stop)
             raise FloatingPointError("no more items")
@@ -840,8 +853,8 @@ class TestIterateWorkers:
         monkeypatch.setattr(cli, "_in_batches", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
         assert iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
-        setter = _workers._openblas_threads() is not None
-        assert calls == [(cli.ITERATE_BATCH, 2 if setter else 0), (cli.ITERATE_BATCH, 0)]
+        # The window follows the input's order alone; the context decides whether its children fork.
+        assert calls == [(cli.ITERATE_BATCH, 2), (cli.ITERATE_BATCH, 2)]
 
     def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(4), 128))
@@ -863,6 +876,18 @@ class TestIterateWorkers:
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         assert len(forks) == -(-12 // cli.ITERATE_BATCH)
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
+
+    @needs_blas_threads
+    def test_large_input_load_is_shared(self, tmp_path, monkeypatch, capsys, forks):
+        # As in transform, one child parses half of a large input's rows.
+        assert 200 * 200 >= matrixio.PARALLEL_ENTRIES and 200 >= cli.ITERATE_POOL_N
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(9), 200))
+        argv = ["--max-iter", "3", "--conv-tol", "1e-300"]
+        serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
+        assert forks == []
+        forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
+        assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 5
+        assert [type(items[0]) for items in forks] == [bytes, tuple]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
@@ -892,7 +917,7 @@ class TestIterateWorkers:
         with pytest.raises(KeyboardInterrupt):
             main(["iterate", iterate_input, "--output", str(tmp_path / "trace.csv")])
         assert_no_child()
-        assert (threads and threads[1]()) == before
+        assert (threads and threads[1]()) == before and not _workers._may_fork
 
     @needs_blas_threads
     def test_every_process_runs_one_blas_thread(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
@@ -983,11 +1008,13 @@ class TestTransformWorker:
         assert 8 * 8 < matrixio.PARALLEL_ENTRIES
         assert transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(3), 8)) == ["0 0 False False False"]
 
+    @needs_blas_threads
     def test_large_input_forks_once_per_load_and_save_and_loads_no_pool_module(self, tmp_path):
         assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
         out = transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(5), 300))
         assert out == ["0 4 False False False"]
 
+    @needs_blas_threads
     def test_the_load_and_every_save_fork_one_child_each(self, tmp_path, monkeypatch, capsys, forks, shared_input):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
         assert forks == []
@@ -995,6 +1022,7 @@ class TestTransformWorker:
         assert shared == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
         assert [type(items[-1]) for items in forks] == [bytes, np.ndarray, np.ndarray, np.ndarray]
 
+    @needs_blas_threads
     @pytest.mark.parametrize("stage", ["load", "save"])
     def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input, stage):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
@@ -1007,12 +1035,15 @@ class TestTransformWorker:
         # Every call forks a child of its own: one that dies costs only its share.
         assert len(forks) == 4
 
+    @needs_blas_threads
     def test_failed_fork_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
-        monkeypatch.setattr(os, "fork", _fork_fails)
+        tries = []
+        monkeypatch.setattr(os, "fork", lambda: tries.append(1) or _fork_fails())
         shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
-        assert shared == serial and serial[0] == EXIT_OK and len(forks) == 4
+        assert shared == serial and serial[0] == EXIT_OK and len(tries) == 4 and forks == []
 
+    @needs_blas_threads
     def test_input_not_in_the_exact_layout_gets_shared_saves(self, tmp_path, monkeypatch, capsys, forks):
         # json.load reads the input in the command; each save is still shared.
         m = ginibre(np.random.default_rng(6), 300)
@@ -1023,6 +1054,7 @@ class TestTransformWorker:
         assert shared == serial and serial[0] == EXIT_OK
         assert [[block.shape for block in items] for items in forks] == [[(150, 600)]] * 3
 
+    @needs_blas_threads
     @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])
     def test_exit_path_leaves_no_worker(self, tmp_path, monkeypatch, capsys, forks, shared_input, case):
         src, output = shared_input, None
@@ -1049,3 +1081,109 @@ class TestTransformWorker:
         with pytest.raises(KeyboardInterrupt):
             main(["transform", shared_input, "--factors", "--output", str(tmp_path / "out.json")])
         assert_no_child()
+
+
+def _pipe_fails():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+class TestProcessContext:
+    """``main`` runs every command inside ``_workers._blas_children``."""
+
+    @needs_blas_threads
+    @pytest.mark.parametrize(
+        "command, way, code",
+        [
+            ("transform", "ok", EXIT_OK),
+            ("transform", "malformed", EXIT_USAGE),
+            ("transform", "non_square", EXIT_SHAPE),
+            ("transform", "unwritable", EXIT_USAGE),
+            ("transform", "interrupt", None),
+            ("iterate", "ok", EXIT_OK),
+            ("iterate", "bad_args", EXIT_USAGE),
+            ("iterate", "non_square", EXIT_SHAPE),
+            ("iterate", "unwritable", EXIT_USAGE),
+            ("iterate", "interrupt", None),
+            ("verify", "ok", EXIT_OK),
+            ("verify", "failures", EXIT_CHECK_FAILURES),
+            ("verify", "bad_config", EXIT_USAGE),
+            ("verify", "unwritable", EXIT_USAGE),
+            ("verify", "interrupt", None),
+        ],
+    )
+    def test_every_way_out_restores_blas_and_forbids_children(
+        self, tmp_path, monkeypatch, capsys, shared_input, command, way, code
+    ):
+        # Given two CPUs, every command here forks: the 6 x 6 input is split
+        # (PARALLEL_ENTRIES is 1) and iterate takes its measures in children.
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
+        (tmp_path / "bad.json").write_text("{")
+        src = {"malformed": str(tmp_path / "bad.json"), "non_square": write(tmp_path / "rect.json", np.ones((2, 3)))}
+        src = src.get(way, shared_input)
+        out = str(tmp_path / ("no_such_dir" if way == "unwritable" else "") / "out")
+        if command == "transform":
+            argv = ["transform", src, "--factors", "--output", out]
+            if way == "interrupt":
+                monkeypatch.setattr(cli, "_transform_and_factors", _interrupted)
+        elif command == "iterate":
+            argv = ["iterate", src, "--max-iter", "6", "--conv-tol", "1e-300", "--output", out]
+            argv += ["--lambda", "2"] if way == "bad_args" else []
+            if way == "interrupt":
+                monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(KeyboardInterrupt(), 5))
+        else:
+            checks = ["square_identity", "interrupted" if way == "interrupt" else "rank_one_formula"]
+            extra = {"failures": ["--tol-eq", "0.5", "--trials", "50", "--seed", "3"], "bad_config": ["--trials", "0"]}
+            if way == "unwritable":
+                out = str(tmp_path / "out")
+                os.makedirs(tmp_path / "out" / "square_identity_dim3.json")
+            argv = ["verify", "--checks", *checks, "--dims", "2", "3", "--trials", "10", *extra.get(way, []),
+                    "--output-dir", out]
+            _register(monkeypatch, "interrupted", _interrupted)
+        set_threads, get_threads = _workers._openblas_threads()
+        before = get_threads()
+        set_threads(2)
+        try:
+            inherited = get_threads()
+            if code is None:
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert get_threads() == inherited and not _workers._may_fork
+        finally:
+            set_threads(before)
+        assert_no_child()
+        capsys.readouterr()
+
+    @needs_blas_threads
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_failed_pipe_gives_the_one_cpu_run(self, tmp_path, monkeypatch, capsys, forks, shared_input, command):
+        # A pipe that cannot be made (EMFILE) is a fork that failed: the command computes every item.
+        def on(cpus):
+            if command == "transform":
+                return transform_on(cpus, monkeypatch, capsys, tmp_path, shared_input)
+            return run_on(cpus, monkeypatch, capsys, tmp_path, "--dims", "2", "3", "--trials", "10")
+
+        serial = on(1)
+        tries = []
+        monkeypatch.setattr(os, "pipe", lambda: tries.append(1) or _pipe_fails())
+        assert on(2) == serial and serial[0] == EXIT_OK
+        assert forks == [] and len(tries) == (1 if command == "verify" else 4)
+
+    def test_transform_bytes_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch, capsys):
+        # At n = 256 OpenBLAS gives other SVD bits on one thread and on two;
+        # the command runs on one whatever count it inherits and whatever the CPUs.
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(11), 256))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        runs = []
+        for threads in ("1", "2"):
+            where = tmp_path / f"threads{threads}"
+            where.mkdir()
+            argv = ["transform", src, "--factors", "--output", str(where / "out.json")]
+            subprocess.run([sys.executable, "-m", "aluthge.cli", *argv], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           check=True)
+            runs.append({p.name: p.read_bytes() for p in sorted(where.iterdir())})
+        assert runs[0] == runs[1] and len(runs[0]) == 3
+        for cpus in (1, 2):
+            assert transform_on(cpus, monkeypatch, capsys, tmp_path, src) == (EXIT_OK, "", runs[0])

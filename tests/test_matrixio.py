@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import os
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from aluthge import _workers, matrixio
 from aluthge.matrixio import MatrixFileError, _format_rows, _matrix_from_obj, atomic_write_text, load_matrix, save_matrix
 
+# A child forks only inside the commands' process context, and only where BLAS's thread count can be set.
+needs_blas_threads = pytest.mark.skipif(_workers._openblas_threads() is None, reason="no known BLAS thread-count setter")
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1e300, -1e300, 0.1]
 _PARENT_PID = os.getpid()
 
@@ -54,6 +57,13 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def sharing(share: bool):
+    """The commands' process context where ``share``, so that a large matrix
+    file is split with a forked child; else nothing, so it is split in this
+    process alone."""
+    return _workers._blas_children() if share else contextlib.nullcontext()
+
+
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
     """Every test sees two usable CPUs, and none leaves a child behind."""
@@ -89,12 +99,13 @@ def test_save_matrix_bytes_and_exact_round_trip(tmp_path, name):
     assert back.tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
 
 
+@needs_blas_threads
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SPLIT_CASES))
-def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, forks, name):
+def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, forks, children, name):
     m = {**CASES, **SPLIT_CASES}[name]
     path = tmp_path / "m.json"
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    save_matrix(path, m, share=True)
+    save_matrix(path, m)
     assert path.read_bytes() == reference_bytes(m)
     assert len(forks) == (m.shape[0] > 1)
     assert_no_child()
@@ -128,74 +139,95 @@ def test_load_matrix_leaves_gc_as_found(tmp_path, collecting, name):
         (gc.enable if was else gc.disable)()
 
 
-def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, forks):
-    # Only a caller that shares a matrix forks: without share, it formats every row.
+def _no_fork():
+    pytest.fail("forked outside the commands' process context")
+
+
+def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, monkeypatch, forks):
+    # Only inside the commands' process context does a call fork: outside it,
+    # a large save and load, and _fork_join of two items, run in this process.
     assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
+    monkeypatch.setattr(os, "fork", _no_fork)
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
     save_matrix(tmp_path / "m.json", m)
-    assert forks == []
+    assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
+    assert list(_workers._fork_join(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
+    assert forks == [] and not _workers._may_fork
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
 
 
-def test_large_matrix_takes_the_parallel_path(tmp_path, forks):
-    # The real threshold: a 300 x 300 matrix lies above it, so a shared save
-    # forks a child, which formats the second half of the rows.
+@needs_blas_threads
+def test_large_matrix_takes_the_parallel_path(tmp_path, forks, children):
+    # The real threshold: a 300 x 300 matrix lies above it, so a save in the
+    # commands' context forks a child, which formats the second half of the rows.
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
-    save_matrix(tmp_path / "m.json", m, share=True)
+    save_matrix(tmp_path / "m.json", m)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
     assert [[block.shape for block in items] for items in forks] == [[(150, 600)]]
 
 
+@needs_blas_threads
 def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
     small = int(np.sqrt(matrixio.PARALLEL_ENTRIES)) - 1
     for n in (small, small + 1):
         save_matrix(tmp_path / f"{n}.json", np.zeros((n, n), dtype=complex))
-        assert load_matrix(tmp_path / f"{n}.json", share=True).shape == (n, n)
+        with _workers._blas_children():
+            assert load_matrix(tmp_path / f"{n}.json").shape == (n, n)
     # The decision comes from the shape the header gives, once the bytes are read.
     assert [len(items) for items in forks] == [1]
-    assert [matrixio._parts(True, n, n) for n in (small, small + 1)] == [1, 2]
-    assert matrixio._parts(False, small + 1, small + 1) == 1
+    assert [matrixio._parts(n, n) for n in (small, small + 1)] == [1, 2]
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    assert matrixio._parts(True, 10, 10) == 2
+    assert matrixio._parts(10, 10) == 2
+    # On one usable CPU the context lets no child start.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-    assert matrixio._parts(True, 10, 10) == 1
-    save_matrix(tmp_path / "edge.json", edge_matrix(), share=True)
-    load_matrix(tmp_path / "edge.json", share=True)
+    with _workers._blas_children():
+        save_matrix(tmp_path / "edge.json", edge_matrix())
+        load_matrix(tmp_path / "edge.json")
     assert len(forks) == 1
 
 
+@needs_blas_threads
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_shares_capped_at_one_worker(monkeypatch, cpus):
-    # The computed split only: no child is forked.
+def test_shares_capped_at_one_worker(tmp_path, monkeypatch, forks, cpus):
+    # The split depends on the shape alone; a split save forks one child
+    # whatever the CPU count from two on, and none on one CPU.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-    parts = {(r, c): matrixio._parts(True, r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
-    assert parts == {(200, 200): min(cpus, 2), (2, 20000): min(cpus, 2), (1, 40000): 1, (170, 190): 1}
+    parts = {(r, c): matrixio._parts(r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
+    assert parts == {(200, 200): 2, (2, 20000): 2, (1, 40000): 1, (170, 190): 1}
+    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    with _workers._blas_children():
+        save_matrix(tmp_path / "m.json", edge_matrix())
+    assert len(forks) == min(cpus - 1, 1)
+    assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
 
 
-def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch, forks):
+@needs_blas_threads
+def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch, forks, children):
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _dies_in_workers)
-    save_matrix(tmp_path / "m.json", edge_matrix(), share=True)
+    save_matrix(tmp_path / "m.json", edge_matrix())
     assert len(forks) == 1
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
-def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, forks):
+@needs_blas_threads
+def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, forks, children):
     old = tmp_path / "old.json"
     save_matrix(old, np.eye(2))
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _fails_on_later_rows)
     with pytest.raises(OSError, match="No space left"):
-        save_matrix(tmp_path / "new.json", edge_matrix(), share=True)
+        save_matrix(tmp_path / "new.json", edge_matrix())
     with pytest.raises(OSError, match="No space left"):
-        save_matrix(old, edge_matrix(), share=True)
+        save_matrix(old, edge_matrix())
     assert len(forks) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
     assert old.read_bytes() == reference_bytes(np.eye(2))
 
 
-def test_child_computes_the_last_item_and_sends_it_back():
+@needs_blas_threads
+def test_child_computes_the_last_item_and_sends_it_back(children):
     computed_here = []
 
     def fn(k):
@@ -208,7 +240,7 @@ def test_child_computes_the_last_item_and_sends_it_back():
     assert [pid == _PARENT_PID for _, pid in results] == [True, False]
 
 
-def test_interrupt_while_the_child_writes_leaves_no_child():
+def test_interrupt_while_the_child_writes_leaves_no_child(children):
     # The child's result outgrows the pipe, so it blocks writing until the
     # read end is closed; the autouse fixture checks that it was reaped.
     def fn(k):
@@ -268,9 +300,11 @@ def reference_load(path):
 
 
 def load_outcome(path, share=False):
-    """``load_matrix``'s matrix, or its MatrixFileError message."""
+    """``load_matrix``'s matrix, or its MatrixFileError message, inside the
+    commands' process context where ``share``."""
     try:
-        return load_matrix(path, share)
+        with sharing(share):
+            return load_matrix(path)
     except MatrixFileError as exc:
         return str(exc)
 
@@ -379,7 +413,8 @@ def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monk
     start = time.perf_counter()
     try:
         with pytest.raises(MatrixFileError) as exc:
-            load_matrix(path, share=True)
+            with _workers._blas_children():
+                load_matrix(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -388,21 +423,24 @@ def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monk
     assert forks == []  # no child is forked for it either
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, forks, shared):
+@needs_blas_threads
+@pytest.mark.parametrize("share", [False, True], ids=["False", "True"])
+def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, forks, share):
     m = np.arange(1.0, 41.0).reshape(8, 5) * (0.1 - 3j)
     save_matrix(tmp_path / "m.json", m)
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_read_json", lambda raw, path: pytest.fail("fell back to json.load"))
-    assert load_matrix(tmp_path / "m.json", shared).tobytes() == m.tobytes()
-    assert len(forks) == shared
+    with sharing(share):
+        assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
+    assert len(forks) == share
 
 
-def test_worker_parses_the_rows_after_the_middle(tmp_path, monkeypatch, forks):
+@needs_blas_threads
+def test_worker_parses_the_rows_after_the_middle(tmp_path, monkeypatch, forks, children):
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    assert load_matrix(tmp_path / "m.json", share=True).tobytes() == m.tobytes()
+    assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
     text = (tmp_path / "m.json").read_bytes()
     ((theirs,),) = forks
     # The cut is the first row break after the middle byte of the rows.
@@ -421,14 +459,15 @@ def _rows_die_in_workers(text, cols):
     return _PARSE_ROWS(text, cols)
 
 
-def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch, forks):
+@needs_blas_threads
+def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch, forks, children):
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_parse_rows", _rows_die_in_workers)
-    assert load_matrix(tmp_path / "m.json", share=True).tobytes() == m.tobytes()
+    assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
     # A dead child costs only its own call: the next save forks a child of its own.
-    save_matrix(tmp_path / "out.json", m, share=True)
+    save_matrix(tmp_path / "out.json", m)
     assert (tmp_path / "out.json").read_bytes() == reference_bytes(m)
     assert len(forks) == 2
 
@@ -445,19 +484,21 @@ def matrices(draw):
 
 
 def test_save_load_round_trip_property(monkeypatch):
-    # Every shared example of two or more rows is split, whatever its size;
-    # unshared, it is saved and loaded in this process alone.
+    # Every example of two or more rows is split, whatever its size: inside
+    # the commands' process context with a forked child, else in this process alone.
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @given(matrices(), st.booleans())
-        def round_trip(m, shared):
-            save_matrix(path, m, shared)
+        def round_trip(m, share):
+            with sharing(share):
+                save_matrix(path, m)
             with open(path, "rb") as fh:
                 assert fh.read() == reference_bytes(m)
-            back = load_matrix(path, shared)
+            with sharing(share):
+                back = load_matrix(path)
             assert back.shape == m.shape and back.tobytes() == m.tobytes()
             with open(path, encoding="utf-8") as fh:
                 assert back.tobytes() == _matrix_from_obj(json.load(fh)).tobytes()
