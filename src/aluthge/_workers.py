@@ -6,9 +6,10 @@ is forked once its items exist, so it inherits them and the pin, and writes
 each result to a pipe; the caller reads them in item order, computes any the
 child did not send, and reaps it however it leaves. Outside the context a
 ``_Child`` computes its items in the caller, so a library call starts no
-process. ``_fork_join`` gives one child the odd items (``verify``'s reports,
-the second half of a large matrix file); ``_in_batches`` forks one child per
-batch (``iterate``'s measures).
+process. Both helpers yield ``fn(item)`` for each item, in item order:
+``_fork_join`` gives one child the odd items (``verify``'s reports, the
+second half of a large matrix file); ``_in_batches`` forks one child per
+batch (``iterate``'s step rows).
 """
 
 from __future__ import annotations
@@ -171,22 +172,22 @@ def _fork_join(fn, items: list):
 
 
 def _in_batches(fn, items, size: int, most: int):
-    """(item, fn(item)) for each of ``items`` in order, pulling ``items``
-    lazily. Each run of ``size`` items, and a shorter last one, is computed by
-    a ``_Child`` forked once the run exists; while ``most`` children run, this
-    process takes the oldest one's results before it pulls another run, so it
-    holds at most ``most`` runs. With ``most`` 0, or where no child may
-    start, each item is computed here as it is pulled, so no run is held. An
-    error raised by ``items`` surfaces after the results of the items before
-    it, as it does without children, and every child is reaped when the
-    generator finishes, raises or is closed."""
+    """``fn(item)`` for each of ``items`` in order, as ``_fork_join`` gives
+    it, pulling ``items`` lazily. Each run of ``size`` items, and a shorter
+    last one, is computed by a ``_Child`` forked once the run exists; while
+    ``most`` children run, this process takes the oldest one's results before
+    it pulls another run, so it holds at most ``most`` runs. With ``most`` 0,
+    or where no child may start, each item is computed here as it is pulled,
+    so no run is held. An error raised by ``items`` surfaces after the results
+    of the items before it, as it does without children, and every child is
+    reaped when the generator finishes, raises or is closed."""
     if most == 0 or not _may_fork:
-        yield from ((item, fn(item)) for item in items)
+        yield from map(fn, items)
         return
     children, items, error, more = collections.deque(), iter(items), None, True
 
     def oldest():
-        yield from zip(children[0].items, children[0])
+        yield from children[0]
         children.popleft().close()
 
     try:

@@ -155,7 +155,7 @@ def cmd_iterate(args) -> int:
     most = 2 if m.shape[0] >= ITERATE_POOL_N else 0
     try:
         with contextlib.closing(_in_batches(measures, steps, ITERATE_BATCH, most)) as rows:
-            for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
+            for step, (delta, converged, distance, drift) in enumerate(rows, start=1):
                 writer.writerow([step, repr(delta), repr(distance), repr(drift)])
     except FloatingPointError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
@@ -234,11 +234,12 @@ def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tole
     return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
 
 
-def _step_measures(sigma0: np.ndarray, step: tuple) -> tuple[float, float]:
-    """(distance to normal, spectral drift) of the iterate of ``step``, an
-    item of ``iterate_aluthge``, whose input has the spectrum ``sigma0``."""
-    it = step[0]
-    return _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
+def _step_measures(sigma0: np.ndarray, step: tuple) -> tuple[float, bool, float, float]:
+    """The trace row (delta, converged, distance to normal, spectral drift)
+    of ``step``, an item of ``iterate_aluthge``, whose input has the
+    spectrum ``sigma0``."""
+    it, delta, converged = step
+    return delta, converged, _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
 
 
 def cmd_verify(args) -> int:

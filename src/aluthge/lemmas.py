@@ -226,10 +226,8 @@ def _conditioned(blk: _Block) -> np.ndarray:
 
 def _aluthge(blk: _Block, t: np.ndarray) -> np.ndarray:
     """The lambda-Aluthge transforms of a stack at the run's lambda and
-    tolerances. The stack is made C-contiguous first: the kernel lays out the
-    isometry of a stack of mixed ranks like its input, so a stack of
-    transposed views could round otherwise than its contiguous copy."""
-    return aluthge_stack(np.ascontiguousarray(t), blk.lam, blk.tol)
+    tolerances."""
+    return aluthge_stack(t, blk.lam, blk.tol)
 
 
 def run_check(

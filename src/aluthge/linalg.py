@@ -96,13 +96,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
         x = x.swapaxes(-1, -2)
     # Each element flat and contiguous, as ravel(order="K") leaves it there.
     x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
-    if x.dtype.char == "d":
-        sq = x[:, None, :] @ x[:, :, None]
-    else:
-        # Strided views of the complex array, as np.linalg.norm takes them:
-        # on contiguous copies the dot products may round differently.
-        re, im = x.real, x.imag
-        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    # Strided views of a complex array, as np.linalg.norm takes them: on
+    # contiguous copies the dot products may round differently. A float
+    # array's imaginary part is zeros, whose +0.0 products change no bit.
+    re, im = x.real, x.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     return np.sqrt(sq[:, 0, 0])
 
 

@@ -6,7 +6,8 @@ frames, so V annihilates exactly the numerical null space of T. The
 lambda-Aluthge transform is |T|^lambda V |T|^(1-lambda); lambda endpoints
 bypass fractional powers entirely and return V|T| (= T) resp. |T|V (Duggal).
 The kernel works on stacks T[B, n, n] with one stacked SVD; a single matrix
-is a stack of one. ``polar`` returns V and |T|; the CLI's ``transform
+is a stack of one. It builds V one way, in C order, whatever the ranks and
+layout of the stack. ``polar`` returns V and |T|; the CLI's ``transform
 --factors`` takes the transform and both factors from one SVD through the
 private ``_transform_and_factors``.
 """
@@ -51,19 +52,16 @@ class PolarDecomposition:
 
 def _decompose(t: np.ndarray, tol: Tolerances):
     """One stacked SVD T = W S X* of a validated stack T[B, n, n]: returns
-    V = W_r X_r*, S, X and the numerical ranks r, one per element."""
+    V = W_r X_r*, S, X and the numerical ranks r, one per element. V is
+    built one way, one product per rank present, into a C-ordered stack, so
+    its bits depend neither on the other ranks in T nor on T's layout."""
     w, s, xh = np.linalg.svd(t)
     n = t.shape[-1]
     ranks = (s > tol.rank_rel * s[:, :1] * n).sum(axis=-1)
-    r = int(ranks.max(initial=0))
-    if (ranks == r).all():
-        # One rank for the whole stack: the truncated frames are views.
-        v = w[..., :r] @ xh[..., :r, :]
-    else:
-        v = np.empty_like(t)
-        for rank in set(ranks.tolist()):
-            group = ranks == rank
-            v[group] = w[group][..., :rank] @ xh[group][..., :rank, :]
+    v = np.empty(t.shape, dtype=np.complex128)
+    for rank in set(ranks.tolist()):
+        group = ranks == rank
+        v[group] = w[group][..., :rank] @ xh[group][..., :rank, :]
     return v, s, xh.conj().swapaxes(-1, -2), ranks
 
 

@@ -673,7 +673,7 @@ class TestBlasWorkers:
             with raises, _workers._blas_children():
                 assert _workers._may_fork and get_threads() == 1
                 results = list(_workers._fork_join(_blas_thread_count, range(4)))
-                results += [row for _, row in _workers._in_batches(_blas_thread_count, range(5), 2, 2)]
+                results += list(_workers._in_batches(_blas_thread_count, range(5), 2, 2))
                 if exit == "exception":
                     raise ValueError("block failed")
             # One child for verify's odd items, and one for each batch of iterate's.
@@ -715,8 +715,9 @@ def _measures_raise(sigma0, step):
 
 
 def _measures_blas_threads(sigma0, step):
-    """This process's BLAS thread count, and 1.0 in a child, 0.0 here."""
-    return float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
+    """The step's delta and convergence, then this process's BLAS thread
+    count, and 1.0 in a child, 0.0 here."""
+    return step[1], step[2], float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
 
 
 def _chain_stops(exc, after, threads=None):
@@ -795,7 +796,7 @@ class TestIterateWorkers:
                 pulled.append(k)
                 yield k
 
-        for k, square in _workers._in_batches(lambda k: k * k, items(), window, 2):
+        for k, square in _workers._in_batches(lambda k: (k, k * k), items(), window, 2):
             assert len(pulled) <= len(rows) + 2 * window
             rows.append((k, square))
         assert rows == [(k, k * k) for k in range(21)]
@@ -806,7 +807,7 @@ class TestIterateWorkers:
         # A batch is forked as soon as its items exist: the first row is
         # taken only before a third batch is pulled.
         pulled = []
-        results = _workers._in_batches(lambda k: k * k, (pulled.append(k) or k for k in range(5)), 2, 2)
+        results = _workers._in_batches(lambda k: (k, k * k), (pulled.append(k) or k for k in range(5)), 2, 2)
         assert next(results) == (0, 0)
         assert pulled == [0, 1, 2, 3] and forks == [[0, 1], [2, 3]]
         assert list(results) == [(k, k * k) for k in range(1, 5)]
@@ -816,7 +817,7 @@ class TestIterateWorkers:
     def test_without_children_items_are_pulled_one_at_a_time(self, forks):
         # Outside the commands' process context no child starts, so no batch is held.
         pulled = []
-        results = _workers._in_batches(lambda k: k * k, (pulled.append(k) or k for k in range(5)), 2, 2)
+        results = _workers._in_batches(lambda k: (k, k * k), (pulled.append(k) or k for k in range(5)), 2, 2)
         assert next(results) == (0, 0) and pulled == [0]
         assert list(results) == [(k, k * k) for k in range(1, 5)] and forks == []
 
@@ -829,7 +830,7 @@ class TestIterateWorkers:
         def fn(k):
             if k == 3:
                 raise ValueError("item 3 cannot run")
-            return k
+            return k, k
 
         most = 2 if pooled else 0
         rows = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge import transform
-from aluthge.linalg import spectra_pairing_distance, spectrum
+from aluthge.linalg import _star, spectra_pairing_distance, spectrum
 from aluthge.transform import (
     aluthge,
     aluthge_rank_one,
@@ -151,16 +151,34 @@ def low_rank(rng, n, rank):
     return cgauss(rng, n, rank) @ cgauss(rng, rank, n)
 
 
+# The rank sets of a stack of order 6, and the layouts it is handed over in:
+# C order, conjugate-transposed views and Fortran order.
+RANKS = {(6, 1, 3, 0, 6, 3): "mixed", (6, 6, 6): "uniform", (3, 3, 3): "truncated"}
+LAYOUTS = {np.ascontiguousarray: "", _star: "-star", np.asfortranarray: "-F"}
+
+
 class TestAluthgeStack:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
-    @pytest.mark.parametrize("ranks", [(6, 1, 3, 0, 6, 3), (6, 6, 6)], ids=["mixed", "uniform"])
-    def test_stack_equals_each_element_bit_for_bit(self, lam, ranks):
+    @pytest.mark.parametrize(
+        ("ranks", "layout"),
+        [(ranks, layout) for layout in LAYOUTS for ranks in RANKS],
+        ids=[f"{name}{suffix}" for suffix in LAYOUTS.values() for name in RANKS.values()],
+    )
+    def test_stack_equals_each_element_bit_for_bit(self, lam, ranks, layout):
         rng = np.random.default_rng(40)
-        stack = np.stack([low_rank(rng, 6, r) for r in ranks])
+        stack = layout(np.stack([low_rank(rng, 6, r) for r in ranks]))
         out = aluthge_stack(stack, lam)
         assert out.shape == stack.shape
         for t, d in zip(stack, out):
-            np.testing.assert_array_equal(d, aluthge(t, lam))
+            np.testing.assert_array_equal(d, aluthge(np.ascontiguousarray(t), lam))
+        # V is built one way, into a C-ordered stack, whatever the input's layout.
+        v, *_ = transform._decompose(stack, transform.DEFAULT_TOL)
+        assert v.flags.c_contiguous
+        if len(set(ranks)) == 1:
+            # One rank for the whole stack: V is the product of the truncated frames' views.
+            w, _, xh = np.linalg.svd(stack)
+            r = ranks[0]
+            assert v.tobytes() == (w[..., :r] @ xh[..., :r, :]).tobytes()
 
     def test_mixed_ranks_are_decided_per_element(self):
         rng = np.random.default_rng(41)
