@@ -1,23 +1,27 @@
 """Forked children and the BLAS thread count, shared by the commands.
 
 ``cli.main`` runs every command inside ``_blas_children``, the one process
-context: BLAS on one thread, and the only place a ``_Child`` forks. A child
-is forked once its items exist, so it inherits them and the pin, and writes
-each result to a pipe; the caller reads them in item order, computes any the
-child did not send, and reaps it however it leaves. Outside the context a
-``_Child`` computes its items in the caller, so a library call starts no
-process. Both helpers yield ``fn(item)`` for each item, in item order:
-``_fork_join`` gives one child the odd items (``verify``'s reports, the
-second half of a large matrix file); ``_in_batches`` forks one child per
-batch (``iterate``'s step rows).
+context: BLAS on one thread, and the only place a child forks. Outside the
+context every item is computed in the caller, so a library call starts no
+process. Two kinds of child send their results back through a pipe; the
+caller reads them in item order, computes any the child did not send, and
+reaps it however it leaves. A ``_Child`` is forked once its items exist, so
+it inherits them; ``_fork_join`` gives one the odd items (``verify``'s
+reports, the second half of a large matrix file). A ``_Ring`` is forked
+before its items exist and is handed each through a shared-memory slot;
+``_in_ring`` keeps one busy with ``iterate``'s steps while the caller
+computes the chain, and measures a step itself while every slot is taken.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import math
 import os
 import pickle
+
+import numpy as np
 
 # OpenBLAS's (set, get) thread-count entry points, under the names its builds
 # export: scipy-openblas (numpy 2 wheels) with and without the ILP64 suffix,
@@ -59,19 +63,21 @@ def _openblas_threads():
     return None
 
 
-# Whether a ``_Child`` may fork: set by ``_blas_children`` for its block and
-# restored on its way out. It is process-wide, as the BLAS thread count is.
+# Whether a ``_Child`` or a ``_Ring`` may fork: set by ``_blas_children`` for
+# its block and restored on its way out. It is process-wide, as the BLAS
+# thread count is.
 _may_fork = False
 
 
 @contextlib.contextmanager
 def _blas_children():
     """Run the block with this process's BLAS on one thread, and let a
-    ``_Child`` fork in it where two CPUs are usable and the thread count can
-    be set, so that every process runs BLAS on one thread and no result
-    depends on the CPU count. With another BLAS, BLAS is left alone and no
-    child starts: children that kept its threads would oversubscribe the
-    CPUs. The count and the rule found are restored however the block exits."""
+    ``_Child`` or a ``_Ring`` fork in it where two CPUs are usable and the
+    thread count can be set, so that every process runs BLAS on one thread
+    and no result depends on the CPU count. With another BLAS, BLAS is left
+    alone and no child starts: children that kept its threads would
+    oversubscribe the CPUs. The count and the rule found are restored however
+    the block exits."""
     global _may_fork
     blas_threads, allowed = _openblas_threads(), _may_fork
     if blas_threads is not None:
@@ -171,45 +177,161 @@ def _fork_join(fn, items: list):
         child.close()
 
 
-def _in_batches(fn, items, size: int, most: int):
-    """``fn(item)`` for each of ``items`` in order, as ``_fork_join`` gives
-    it, pulling ``items`` lazily. Each run of ``size`` items, and a shorter
-    last one, is computed by a ``_Child`` forked once the run exists; while
-    ``most`` children run, this process takes the oldest one's results before
-    it pulls another run, so it holds at most ``most`` runs. With ``most`` 0,
-    or where no child may start, each item is computed here as it is pulled,
-    so no run is held. An error raised by ``items`` surfaces after the results
-    of the items before it, as it does without children, and every child is
-    reaped when the generator finishes, raises or is closed."""
-    if most == 0 or not _may_fork:
-        yield from map(fn, items)
-        return
-    children, items, error, more = collections.deque(), iter(items), None, True
-
-    def oldest():
-        yield from children[0]
-        children.popleft().close()
-
+def _outcome(fn, x) -> tuple:
+    """(True, ``fn(x)``), or (False, the exception it raised)."""
     try:
-        while more:
-            if len(children) == most:
-                yield from oldest()
-            batch = []
+        return True, fn(x)
+    except Exception as exc:
+        return False, exc
+
+
+class _Ring:
+    """A child forked at construction inside ``_blas_children`` that computes
+    ``fn`` of each array it is handed, in the order handed. ``send`` copies an
+    entry's array, complex128 of ``shape``, into the next of ``slots`` slots
+    of an anonymous shared mmap and writes the slot's 4-byte number to a
+    token pipe; the child writes each result to a result pipe as a length and
+    a pickle, and leaves through ``os._exit`` on every path. An entry is a
+    list ``[item, outcome]`` whose ``item[0]`` is the array; ``take`` sets the
+    outcome of each entry the child answers to (True, result), in the order
+    sent. Once the child is gone (no child may start, the mmap, a pipe or the
+    fork failed, or the child was killed, ran out of memory or raised), it is
+    reaped and every entry it held is computed here, from the entry's own
+    array. ``close`` reaps the child."""
+
+    def __init__(self, fn, shape: tuple, slots: int):
+        self.fn, self.slots, self.held, self.pid = fn, slots, collections.deque(), 0
+        self.size, self.sent, self.unread, self.ring = 16 * math.prod(shape), 0, bytearray(), None
+        if not _may_fork:
+            return
+        # Imported here: loading mmap at import would cost every command about 0.2 MiB.
+        import mmap
+
+        fds = []
+        try:
+            self.ring = mmap.mmap(-1, slots * self.size)
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        read_tokens, self.tokens, self.results, write_results = fds
+        if self.pid == 0:
             try:
-                for item in items:
-                    batch.append(item)
-                    if len(batch) == size:
-                        break
-                else:
-                    more = False
+                os.close(self.tokens)
+                os.close(self.results)
+                with open(read_tokens, "rb") as tokens, open(write_results, "wb") as results:
+                    while len(token := tokens.read(4)) == 4:
+                        at = int.from_bytes(token, "little") * self.size
+                        matrix = np.frombuffer(self.ring, np.complex128, self.size // 16, at).reshape(shape)
+                        sent = pickle.dumps(fn(matrix), pickle.HIGHEST_PROTOCOL)
+                        results.write(len(sent).to_bytes(8, "little") + sent)
+                        results.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(read_tokens)
+        os.close(write_results)
+
+    def send(self, entry: list) -> bool:
+        """Whether ``entry``'s array was handed to the child: not while it
+        holds ``slots`` of them, nor once it is gone."""
+        if not self.pid or len(self.held) == self.slots:
+            return False
+        at = self.sent % self.slots
+        self.ring[at * self.size : (at + 1) * self.size] = np.ascontiguousarray(entry[0][0])
+        try:
+            os.write(self.tokens, at.to_bytes(4, "little"))
+        except BrokenPipeError:
+            # The child is gone: take what it sent, then compute the rest here.
+            self.take(block=True)
+            return False
+        self.sent += 1
+        self.held.append(entry)
+        return True
+
+    def take(self, block: bool) -> None:
+        """Set the outcome of the entries the child has answered; with
+        ``block``, wait until it has answered every entry it holds."""
+        while self.held and self.pid:
+            os.set_blocking(self.results, block)
+            try:
+                got = os.read(self.results, 1 << 16)
+            except BlockingIOError:
+                return
+            if not got:
+                self.close()
+                break
+            self.unread += got
+            while len(self.unread) >= 8:
+                end = 8 + int.from_bytes(self.unread[:8], "little")
+                if len(self.unread) < end:
+                    break
+                self.held.popleft()[1] = True, pickle.loads(self.unread[8:end])
+                del self.unread[:end]
+        if not self.pid:
+            for entry in self.held:
+                entry[1] = _outcome(self.fn, entry[0][0])
+            self.held.clear()
+
+    def close(self) -> None:
+        """Reap the child, if that is not done yet. The result pipe is closed
+        first, so a child still writing gets EPIPE and exits, then the token
+        pipe, so a child waiting for a slot reads its end."""
+        if self.pid:
+            os.close(self.results)
+            os.close(self.tokens)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self.ring is not None:
+            self.ring.close()
+
+
+def _known(rows: collections.deque):
+    """The leading entries of ``rows`` whose outcome is set, popped, as
+    ``(item, result)``; a failed one raises its exception."""
+    while rows and rows[0][1] is not None:
+        item, (ok, value) = rows.popleft()
+        if not ok:
+            raise value
+        yield item, value
+
+
+def _in_ring(fn, items, shape: tuple, slots: int):
+    """``(item, fn(item[0]))`` for each of ``items`` in order, each a tuple
+    led by a complex128 array of ``shape``, pulling ``items`` lazily. With
+    ``slots`` > 0 and where a child may start, one ``_Ring`` child, forked
+    before the first item is pulled, computes ``fn`` of each array it is
+    handed while this process pulls the next items; an item is handed to it
+    while it holds fewer than ``slots``, else computed here. Otherwise each
+    item is computed here as it is pulled. An error raised by ``items`` or by
+    ``fn`` surfaces after the results of the items before it, as it does
+    without a child, and the child is reaped when the generator finishes,
+    raises or is closed."""
+    if slots == 0 or not _may_fork:
+        for item in items:
+            yield item, fn(item[0])
+        return
+    ring, items, rows, failed = _Ring(fn, shape, slots), iter(items), collections.deque(), False
+    try:
+        while not failed:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
             except Exception as exc:
-                error, more = exc, False
-            if batch:
-                children.append(_Child(fn, batch))
-        while children:
-            yield from oldest()
-        if error is not None:
-            raise error
+                rows.append([None, (False, exc)])
+                break
+            entry = [item, None]
+            rows.append(entry)
+            if not ring.send(entry):
+                entry[1] = _outcome(fn, item[0])
+                failed = not entry[1][0]
+            ring.take(block=False)
+            yield from _known(rows)
+        ring.take(block=True)
+        yield from _known(rows)
     finally:
-        for child in children:
-            child.close()
+        ring.close()

@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._workers import _blas_children, _fork_join, _in_batches
+from ._workers import _blas_children, _fork_join, _in_ring
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -45,16 +45,21 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Order of the input from which iterate's per-step measures are taken by
-# forked children. Measured on 2 CPUs, 300 steps, medians of 4, in the command
-# against in children: n = 32 took 0.83 s against 0.91 s, n = 48 1.46 s
-# against 1.46 s, n = 64 2.55 s against 1.81 s.
-ITERATE_POOL_N = 64
-# Steps whose measures one child takes. Each child costs a fork round trip
-# (about 4 ms), and the command keeps the iterates of two batches until their
-# rows are written. At n = 128, 100 steps (2 CPUs), batches of 3, 4 and 6 took
-# 2.64, 2.68 and 2.64 s (medians of 8) and peaked at 39.2, 39.7 and 40.7 MiB.
-ITERATE_BATCH = 4
+# Order of the input from which iterate hands its steps to a measuring child.
+# On 2 CPUs, 300 steps, alternating pairs of runs in the command and with the
+# child (medians; pairs the child won):
+#   n = 4    0.247 s against 0.262 s, 4 of 12
+#   n = 8    0.300 s against 0.271 s, 9 of 12
+#   n = 16   0.369 s against 0.328 s, 10 of 12
+#   n = 32   0.599 s against 0.460 s, 8 of 8 (and 8 of 8 in an earlier set)
+ITERATE_POOL_N = 32
+# Iterates the measuring child may hold: the slots of its shared-memory ring,
+# each an n x n complex128 matrix. While every slot is busy, the command
+# measures the step itself. At n = 128, 100 steps (2 CPUs, 8 runs each in
+# rotating order), depths 2, 4 and 8 took medians of 2.12, 1.89 and 1.99 s
+# and peaked at 39.6, 40.7 and 42.9 MiB, against 2.16 s and 39.1 MiB with a
+# child forked for each batch of 4 steps.
+ITERATE_RING = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,14 +153,14 @@ def cmd_iterate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    # The command runs the chain; at most two children at a time take the
-    # measures of a batch of steps each.
+    # The command runs the chain and hands each iterate to one measuring child
+    # through a ring of ITERATE_RING slots; while all are busy it measures the step itself.
     measures = functools.partial(_step_measures, spectrum(m))
     steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
-    most = 2 if m.shape[0] >= ITERATE_POOL_N else 0
+    slots = ITERATE_RING if m.shape[0] >= ITERATE_POOL_N else 0
     try:
-        with contextlib.closing(_in_batches(measures, steps, ITERATE_BATCH, most)) as rows:
-            for step, (delta, converged, distance, drift) in enumerate(rows, start=1):
+        with contextlib.closing(_in_ring(measures, steps, m.shape, slots)) as rows:
+            for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
                 writer.writerow([step, repr(delta), repr(distance), repr(drift)])
     except FloatingPointError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
@@ -234,12 +239,10 @@ def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tole
     return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
 
 
-def _step_measures(sigma0: np.ndarray, step: tuple) -> tuple[float, bool, float, float]:
-    """The trace row (delta, converged, distance to normal, spectral drift)
-    of ``step``, an item of ``iterate_aluthge``, whose input has the
-    spectrum ``sigma0``."""
-    it, delta, converged = step
-    return delta, converged, _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
+def _step_measures(sigma0: np.ndarray, it: np.ndarray) -> tuple[float, float]:
+    """The distance to normal and the spectral drift of ``it``, an iterate
+    of ``iterate_aluthge`` whose input has the spectrum ``sigma0``."""
+    return _distance_to_normal(it), spectra_pairing_distance(sigma0, spectrum(it))
 
 
 def cmd_verify(args) -> int:

@@ -5,9 +5,10 @@ from aluthge import _workers
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The items of each child that ``_workers._Child`` forked, recorded as
-    the children are forked; a ``_Child`` that computes its items here (no
-    child may start, or the pipe or the fork failed) is not recorded."""
+    """What each forked child was given, recorded as the children are forked:
+    the items of a ``_workers._Child``, the ``(shape, slots)`` of a
+    ``_workers._Ring``. One that computes here (no child may start, or the
+    pipe, the mmap or the fork failed) is not recorded."""
     calls = []
 
     class Recording(_workers._Child):
@@ -16,7 +17,14 @@ def forks(monkeypatch):
             if self.pipe is not None:
                 calls.append(items)
 
+    class RecordingRing(_workers._Ring):
+        def __init__(self, fn, shape, slots):
+            super().__init__(fn, shape, slots)
+            if self.pid:
+                calls.append((shape, slots))
+
     monkeypatch.setattr(_workers, "_Child", Recording)
+    monkeypatch.setattr(_workers, "_Ring", RecordingRing)
     return calls
 
 

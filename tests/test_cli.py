@@ -2,9 +2,12 @@ import contextlib
 import errno
 import json
 import os
+import random
+import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -657,6 +660,16 @@ def _blas_thread_count(item):
     return _workers._openblas_threads()[1](), os.getpid() != _PARENT_PID
 
 
+def _matrices(count, n=2):
+    """``count`` ring items: one-tuples of the n x n complex128 matrix k * I, k = 0, 1, ..."""
+    return [(k * np.eye(n, dtype=np.complex128),) for k in range(count)]
+
+
+def _trace_in(a):
+    """The trace of ``a`` and whether a child computed it."""
+    return float(np.trace(a).real), os.getpid() != _PARENT_PID
+
+
 class TestBlasWorkers:
     @needs_blas_threads
     @pytest.mark.parametrize("exit", ["normal", "exception"])
@@ -673,12 +686,14 @@ class TestBlasWorkers:
             with raises, _workers._blas_children():
                 assert _workers._may_fork and get_threads() == 1
                 results = list(_workers._fork_join(_blas_thread_count, range(4)))
-                results += list(_workers._in_batches(_blas_thread_count, range(5), 2, 2))
+                ring = [result for _, result in _workers._in_ring(_blas_thread_count, _matrices(5), (2, 2), 2)]
                 if exit == "exception":
                     raise ValueError("block failed")
-            # One child for verify's odd items, and one for each batch of iterate's.
-            assert results == [(1, False), (1, True)] * 2 + [(1, True)] * 5
-            assert get_threads() == inherited and len(forks) == 4 and not _workers._may_fork
+            # One child for verify's odd items, and one for iterate's ring, which
+            # is handed the first item; the command computes those it finds the ring full for.
+            assert results == [(1, False), (1, True)] * 2
+            assert ring[0] == (1, True) and [threads for threads, _ in ring] == [1] * 5
+            assert get_threads() == inherited and forks == [range(1, 4, 2), ((2, 2), 2)] and not _workers._may_fork
         finally:
             set_threads(before)
         assert_no_child()
@@ -704,20 +719,31 @@ class TestBlasWorkers:
 _STEP_MEASURES = cli._step_measures
 
 
-def _measures_die_in_workers(sigma0, step):
+def _measures_die_in_workers(sigma0, it):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
-    return _STEP_MEASURES(sigma0, step)
+    return _STEP_MEASURES(sigma0, it)
 
 
-def _measures_raise(sigma0, step):
+# The steps a child has measured, kept in that child; the command's copy stays empty.
+_MEASURED_IN_CHILD = []
+
+
+def _measures_die_in_workers_at_the_third(sigma0, it):
+    if os.getpid() != _PARENT_PID:
+        _MEASURED_IN_CHILD.append(it)
+        if len(_MEASURED_IN_CHILD) == 3:
+            os._exit(1)
+    return _STEP_MEASURES(sigma0, it)
+
+
+def _measures_raise(sigma0, it):
     raise ValueError("these measures cannot be taken")
 
 
-def _measures_blas_threads(sigma0, step):
-    """The step's delta and convergence, then this process's BLAS thread
-    count, and 1.0 in a child, 0.0 here."""
-    return step[1], step[2], float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
+def _measures_blas_threads(sigma0, it):
+    """This process's BLAS thread count, and 1.0 in a child, 0.0 here."""
+    return float(_workers._openblas_threads()[1]()), float(os.getpid() != _PARENT_PID)
 
 
 def _chain_stops(exc, after, threads=None):
@@ -738,7 +764,7 @@ def _chain_stops(exc, after, threads=None):
 
 @pytest.fixture
 def iterate_input(tmp_path, monkeypatch):
-    """A 6 x 6 input whose iterate forks children wherever they can start."""
+    """A 6 x 6 input whose iterate forks a measuring child wherever it can start."""
     monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
     return write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 6))
 
@@ -758,23 +784,25 @@ def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
 
 
 @pytest.fixture
-def live_children(monkeypatch):
-    """The children alive (forked and not yet reaped) after each fork."""
-    alive, counts = set(), []
+def in_flight(monkeypatch):
+    """The entries a ``_Ring`` child holds after each ``send``."""
+    counts = []
 
-    class Counting(_workers._Child):
-        def __init__(self, fn, items):
-            super().__init__(fn, items)
-            if self.pipe is not None:
-                alive.add(self)
-                counts.append(len(alive))
+    class Counting(_workers._Ring):
+        def send(self, entry):
+            handed = super().send(entry)
+            counts.append(len(self.held))
+            return handed
 
-        def close(self):
-            alive.discard(self)
-            super().close()
-
-    monkeypatch.setattr(_workers, "_Child", Counting)
+    monkeypatch.setattr(_workers, "_Ring", Counting)
     return counts
+
+
+def _slow_in_workers(a):
+    """``_trace_in``, 50 ms late in a child, so that its ring fills."""
+    if os.getpid() != _PARENT_PID:
+        time.sleep(0.05)
+    return _trace_in(a)
 
 
 class TestIterateWorkers:
@@ -785,77 +813,146 @@ class TestIterateWorkers:
         assert forks == [] and 4 < cli.ITERATE_POOL_N
 
     @needs_blas_threads
-    @pytest.mark.parametrize("window", [1, 4])
-    def test_window_bounds_steps_in_flight(self, live_children, children, window):
-        # ``window`` items per child, at most two children alive: the command
-        # holds the items of those two batches at most.
-        pulled, rows = [], []
+    @pytest.mark.parametrize("window", [1, cli.ITERATE_RING])
+    def test_window_bounds_steps_in_flight(self, in_flight, forks, children, window):
+        # A ring of ``window`` slots; the child takes 50 ms an item, so the
+        # command hands it ``window`` and computes the items it finds the ring
+        # full for, the rows in order all the same.
+        rows = [result for _, result in _workers._in_ring(_slow_in_workers, _matrices(12), (2, 2), window)]
+        assert [trace for trace, _ in rows] == [2.0 * k for k in range(12)]
+        assert max(in_flight) == window and forks == [((2, 2), window)]
+        in_child = [child for _, child in rows]
+        assert in_child[0] and not all(in_child)
+        assert_no_child()
 
-        def items():
-            for k in range(21):
-                pulled.append(k)
-                yield k
+    @needs_blas_threads
+    def test_busy_slots_are_never_overwritten(self, children):
+        # The child reads each slot after a random delay of up to 2 ms, while
+        # the command keeps handing it items: a slot reused before the child
+        # answered would give another item's trace.
+        def fn(a):
+            if os.getpid() != _PARENT_PID:
+                time.sleep(random.random() * 0.002)
+            return _trace_in(a)
 
-        for k, square in _workers._in_batches(lambda k: (k, k * k), items(), window, 2):
-            assert len(pulled) <= len(rows) + 2 * window
-            rows.append((k, square))
-        assert rows == [(k, k * k) for k in range(21)]
-        assert max(live_children) == 2 and len(live_children) == -(-21 // window)
+        rows = [result for _, result in _workers._in_ring(fn, _matrices(300, 8), (8, 8), cli.ITERATE_RING)]
+        assert [trace for trace, _ in rows] == [8.0 * k for k in range(300)]
+        assert any(child for _, child in rows)
+        assert_no_child()
 
     @needs_blas_threads
     def test_items_handed_out_at_the_call(self, forks, children):
-        # A batch is forked as soon as its items exist: the first row is
-        # taken only before a third batch is pulled.
+        # The ring's child is forked at the first result asked for, before
+        # the first item is pulled, and is the only one.
         pulled = []
-        results = _workers._in_batches(lambda k: (k, k * k), (pulled.append(k) or k for k in range(5)), 2, 2)
-        assert next(results) == (0, 0)
-        assert pulled == [0, 1, 2, 3] and forks == [[0, 1], [2, 3]]
-        assert list(results) == [(k, k * k) for k in range(1, 5)]
-        assert forks == [[0, 1], [2, 3], [4]]
+
+        def items():
+            for item in _matrices(5):
+                # The child exists when the chain's first step is pulled.
+                assert forks == [((2, 2), cli.ITERATE_RING)]
+                pulled.append(item)
+                yield item
+
+        results = _workers._in_ring(_trace_in, items(), (2, 2), cli.ITERATE_RING)
+        assert forks == [] and pulled == []
+        assert [trace for _, (trace, _) in results] == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert len(pulled) == 5 and len(forks) == 1
         assert_no_child()
 
     def test_without_children_items_are_pulled_one_at_a_time(self, forks):
-        # Outside the commands' process context no child starts, so no batch is held.
+        # Outside the commands' process context no child starts, so no item is held.
         pulled = []
-        results = _workers._in_batches(lambda k: (k, k * k), (pulled.append(k) or k for k in range(5)), 2, 2)
-        assert next(results) == (0, 0) and pulled == [0]
-        assert list(results) == [(k, k * k) for k in range(1, 5)] and forks == []
+        items = (pulled.append(item) or item for item in _matrices(5))
+        results = _workers._in_ring(_trace_in, items, (2, 2), cli.ITERATE_RING)
+        item, result = next(results)
+        assert result == (0.0, False) and pulled == [item]
+        assert [result for _, result in results] == [(2.0 * k, False) for k in range(1, 5)] and forks == []
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_item_error_surfaces_after_earlier_items(self, children, pooled):
         def items(stop):
-            yield from range(stop)
+            yield from _matrices(stop)
             raise FloatingPointError("no more items")
 
-        def fn(k):
-            if k == 3:
+        def fn(a):
+            if np.trace(a) == 6.0:
                 raise ValueError("item 3 cannot run")
-            return k, k
+            return _trace_in(a)[0]
 
-        most = 2 if pooled else 0
+        slots = cli.ITERATE_RING if pooled else 0
         rows = []
         with pytest.raises(FloatingPointError, match="no more items"):
-            for row in _workers._in_batches(fn, items(3), 2, most):
+            for _, row in _workers._in_ring(fn, items(3), (2, 2), slots):
                 rows.append(row)
-        assert rows == [(0, 0), (1, 1), (2, 2)]
+        assert rows == [0.0, 2.0, 4.0]
         # An earlier item's error comes first, as it does without children.
+        rows = []
         with pytest.raises(ValueError, match="item 3 cannot run"):
-            list(_workers._in_batches(fn, items(5), 2, most))
+            for _, row in _workers._in_ring(fn, items(5), (2, 2), slots):
+                rows.append(row)
+        assert rows == [0.0, 2.0, 4.0]
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_error_here_waits_for_the_rows_the_child_holds(self, children):
+        # The child holds items 0-3 for 50 ms each, so the command computes
+        # item 4 itself, and its error comes after their rows.
+        def fn(a):
+            if os.getpid() != _PARENT_PID:
+                time.sleep(0.05)
+            elif np.trace(a) == 8.0:
+                raise ValueError("item 4 cannot run")
+            return _trace_in(a)
+
+        rows = []
+        with pytest.raises(ValueError, match="item 4 cannot run"):
+            for _, row in _workers._in_ring(fn, _matrices(8), (2, 2), cli.ITERATE_RING):
+                rows.append(row)
+        assert rows == [(2.0 * k, True) for k in range(4)]
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_early_close_reaps_the_child(self, forks, children):
+        results = _workers._in_ring(_slow_in_workers, _matrices(8), (2, 2), cli.ITERATE_RING)
+        assert next(results)[1] == (0.0, True)
+        results.close()
+        assert len(forks) == 1
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_child_gone_before_a_send_is_reaped_and_its_items_computed_here(self, children):
+        # The child, killed while it holds an item, has closed the token pipe:
+        # the next send meets EPIPE, reaps it and leaves both items to the command.
+        def fn(a):
+            if os.getpid() != _PARENT_PID:
+                time.sleep(60)
+            return _trace_in(a)
+
+        ring = _workers._Ring(fn, (2, 2), 2)
+        held, later = [[item, None] for item in _matrices(2)]
+        try:
+            assert ring.send(held) and ring.pid
+            os.kill(ring.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, ring.pid, os.WEXITED | os.WNOWAIT)
+            assert not ring.send(later)
+            assert ring.pid == 0 and not ring.held and held[1] == (True, (0.0, False)) and later[1] is None
+        finally:
+            ring.close()
         assert_no_child()
 
     def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, iterate_input):
         calls = []
-        in_batches = _workers._in_batches
+        in_ring = _workers._in_ring
 
-        def recording(fn, items, size, most):
-            calls.append((size, most))
-            return in_batches(fn, items, size, most)
+        def recording(fn, items, shape, slots):
+            calls.append((shape, slots))
+            return in_ring(fn, items, shape, slots)
 
-        monkeypatch.setattr(cli, "_in_batches", recording)
+        monkeypatch.setattr(cli, "_in_ring", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
         assert iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
-        # The window follows the input's order alone; the context decides whether its children fork.
-        assert calls == [(cli.ITERATE_BATCH, 2), (cli.ITERATE_BATCH, 2)]
+        # The ring follows the input's order alone; the context decides whether its child forks.
+        assert calls == [((6, 6), cli.ITERATE_RING), ((6, 6), cli.ITERATE_RING)]
 
     def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(4), 128))
@@ -865,9 +962,8 @@ class TestIterateWorkers:
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
         if _workers._openblas_threads() is not None:
-            # One child per batch of steps; the last batch is shorter.
-            sizes = [len(items) for items in forks]
-            assert sum(sizes) == 10 and set(sizes[:-1]) == {cli.ITERATE_BATCH} and sizes[-1] <= cli.ITERATE_BATCH
+            # One measuring child for the whole run.
+            assert forks == [((128, 128), cli.ITERATE_RING)]
 
     @needs_blas_threads
     def test_killed_worker_rows_run_here(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
@@ -875,8 +971,19 @@ class TestIterateWorkers:
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers)
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
-        assert len(forks) == -(-12 // cli.ITERATE_BATCH)
+        assert forks == [((6, 6), cli.ITERATE_RING)]
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
+
+    @needs_blas_threads
+    def test_worker_killed_mid_run_rows_run_here(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
+        # The child answers two steps and dies on its third: the command
+        # measures every step it did not answer, from its own iterates.
+        argv = ["--max-iter", "12", "--conv-tol", "1e-300"]
+        serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
+        monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers_at_the_third)
+        forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
+        assert forks == [((6, 6), cli.ITERATE_RING)]
+        assert forked == serial and serial[0] == EXIT_OK
 
     @needs_blas_threads
     def test_large_input_load_is_shared(self, tmp_path, monkeypatch, capsys, forks):
@@ -888,7 +995,7 @@ class TestIterateWorkers:
         assert forks == []
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 5
-        assert [type(items[0]) for items in forks] == [bytes, tuple]
+        assert [type(forks[0][0]), forks[1]] == [bytes, ((200, 200), cli.ITERATE_RING)] and len(forks) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
@@ -926,10 +1033,11 @@ class TestIterateWorkers:
         monkeypatch.setattr(cli, "_step_measures", _measures_blas_threads)
         monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(None, 5, chain_threads))
         code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input)
-        assert code == EXIT_OK and len(forks) == -(-5 // cli.ITERATE_BATCH)
-        # Each row's distance column holds a child's thread count, its drift column 1.0.
-        rows = trace.decode().splitlines()[1:-1]
-        assert [row.split(",", 2)[2] for row in rows] == ["1.0,1.0"] * 5
+        assert code == EXIT_OK and forks == [((6, 6), cli.ITERATE_RING)]
+        # Each row's distance column holds a thread count, its drift column 1.0
+        # where the child measured the step, as it does the first.
+        columns = [row.split(",")[2:] for row in trace.decode().splitlines()[1:-1]]
+        assert [threads for threads, _ in columns] == ["1.0"] * 5 and columns[0][1] == "1.0"
         assert chain_threads == [1] * 5
 
 
@@ -1158,19 +1266,23 @@ class TestProcessContext:
         capsys.readouterr()
 
     @needs_blas_threads
-    @pytest.mark.parametrize("command", ["verify", "transform"])
+    @pytest.mark.parametrize("command", ["verify", "transform", "iterate"])
     def test_failed_pipe_gives_the_one_cpu_run(self, tmp_path, monkeypatch, capsys, forks, shared_input, command):
         # A pipe that cannot be made (EMFILE) is a fork that failed: the command computes every item.
         def on(cpus):
             if command == "transform":
                 return transform_on(cpus, monkeypatch, capsys, tmp_path, shared_input)
+            if command == "iterate":
+                monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
+                return iterate_on(cpus, monkeypatch, capsys, tmp_path, shared_input, "--max-iter", "8")
             return run_on(cpus, monkeypatch, capsys, tmp_path, "--dims", "2", "3", "--trials", "10")
 
         serial = on(1)
         tries = []
         monkeypatch.setattr(os, "pipe", lambda: tries.append(1) or _pipe_fails())
         assert on(2) == serial and serial[0] == EXIT_OK
-        assert forks == [] and len(tries) == (1 if command == "verify" else 4)
+        # verify's one child; transform's load and three saves; iterate's load and ring.
+        assert forks == [] and len(tries) == {"verify": 1, "transform": 4, "iterate": 2}[command]
 
     def test_transform_bytes_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch, capsys):
         # At n = 256 OpenBLAS gives other SVD bits on one thread and on two;
