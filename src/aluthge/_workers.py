@@ -3,8 +3,9 @@
 ``cli.main`` runs every command inside ``_blas_children``, the one process
 context: BLAS on one thread, and the only place a child forks. Outside the
 context every item is computed in the caller, so a library call starts no
-process. Two kinds of child send their results back through a pipe; the
-caller reads them in item order, computes any the child did not send, and
+process. Every child is a ``_Forked``: one body that writes each result
+to a pipe and leaves through ``os._exit``, and one reader, which takes the
+results in order, lets the caller compute any the child did not send, and
 reaps it however it leaves. A ``_Child`` is forked once its items exist, so
 it inherits them; ``_fork_join`` gives one the odd items (``verify``'s
 reports, the second half of a large matrix file). A ``_Ring`` is forked
@@ -93,27 +94,25 @@ def _blas_children():
             set_threads(found)
 
 
-class _Child:
-    """``fn`` of each of ``items``, computed by a child forked at
-    construction inside ``_blas_children``, once the items exist, so that
-    nothing is sent to it. The child writes each result to a pipe as soon as
-    it has it, as a length and a pickle, and leaves through ``os._exit`` on
-    every path, so it never unwinds into the caller or flushes inherited
-    buffers. Iterating gives the results in item order; from the first one
-    the child did not send (no child may start, the pipe or the fork failed,
-    or the child was killed, ran out of memory or raised), the items are
-    computed here, so an error is raised here as it would be without a child.
-    ``close`` reaps the child."""
+class _Forked:
+    """A child forked inside ``_blas_children`` that writes ``fn(x)`` for each
+    ``x`` of ``source``, iterated in the child, to a result pipe as an 8-byte
+    length and a pickle as soon as it has it, and leaves through ``os._exit``
+    on every path, so it never unwinds into the caller or flushes inherited
+    buffers. ``pid`` is 0 where none started (no child may start, or the pipe
+    or the fork failed) and once it is reaped. ``_receive`` reads its results
+    in order; ``close`` reaps it."""
 
-    def __init__(self, fn, items: list):
-        self.fn, self.items, self.pipe = fn, items, None
+    pid = 0
+
+    def _start(self, fn, source) -> None:
         if not _may_fork:
             return
         fds = ()
         # OpenBLAS stops its threads before a fork (its atfork handler) and the
         # commands start no other thread, so a child holds no lock another took.
         try:
-            fds = read_fd, write_fd = os.pipe()
+            fds = self.results, write_fd = os.pipe()
             self.pid = os.fork()
         except OSError:
             for fd in fds:
@@ -121,10 +120,10 @@ class _Child:
             return
         if self.pid == 0:
             try:
-                os.close(read_fd)
+                os.close(self.results)
                 with open(write_fd, "wb") as pipe:
-                    for item in items:
-                        sent = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+                    for x in source:
+                        sent = pickle.dumps(fn(x), pickle.HIGHEST_PROTOCOL)
                         pipe.write(len(sent).to_bytes(8, "little"))
                         pipe.write(sent)
                         pipe.flush()
@@ -132,32 +131,54 @@ class _Child:
             finally:
                 os._exit(1)
         os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
+
+    def _receive(self) -> bytearray | None:
+        """The next result the child sends, pickled, waited for; None, once
+        the child is reaped, if it sends no more."""
+        if self.pid:
+            head = self._read(8)
+            sent = None if head is None else self._read(int.from_bytes(head, "little"))
+            if sent is not None:
+                return sent
+            self.close()
+        return None
+
+    def _read(self, size: int) -> bytearray | None:
+        """The next ``size`` bytes of the result pipe; None if it ends first."""
+        buf, got = bytearray(size), 0
+        with memoryview(buf) as view:
+            while got < size:
+                n = os.readv(self.results, [view[got:]])
+                if n == 0:
+                    return None
+                got += n
+        return buf
+
+    def close(self) -> None:
+        """Reap the child, if that is not done yet. The result pipe is closed
+        first, so a child still writing gets EPIPE and exits."""
+        if self.pid:
+            os.close(self.results)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+class _Child(_Forked):
+    """``fn`` of each of ``items``, computed by a ``_Forked`` child forked at
+    construction, once the items exist, so that nothing is sent to it.
+    Iterating gives the results in item order; from the first one the child
+    did not send (none started, or it was killed, ran out of memory or
+    raised), the items are computed here, so an error is raised here as it
+    would be without a child."""
+
+    def __init__(self, fn, items: list):
+        self.fn, self.items = fn, items
+        self._start(fn, items)
 
     def __iter__(self):
         for item in self.items:
             sent = self._receive()
             yield self.fn(item) if sent is None else pickle.loads(sent)
-
-    def _receive(self) -> bytes | None:
-        """The next result the child sends, pickled; None, once the child is
-        reaped, if it sends no more."""
-        if self.pipe is not None:
-            head = self.pipe.read(8)
-            size = int.from_bytes(head, "little")
-            sent = self.pipe.read(size) if len(head) == 8 else b""
-            if len(head) == 8 and len(sent) == size:
-                return sent
-            self.close()
-        return None
-
-    def close(self) -> None:
-        """Reap the child, if that is not done yet. The read end is closed
-        first, so a child still writing gets EPIPE and exits."""
-        if self.pipe is not None:
-            self.pipe.close()
-            self.pipe = None
-            os.waitpid(self.pid, 0)
 
 
 def _fork_join(fn, items: list):
@@ -185,55 +206,48 @@ def _outcome(fn, x) -> tuple:
         return False, exc
 
 
-class _Ring:
-    """A child forked at construction inside ``_blas_children`` that computes
-    ``fn`` of each array it is handed, in the order handed. ``send`` copies an
-    entry's array, complex128 of ``shape``, into the next of ``slots`` slots
-    of an anonymous shared mmap and writes the slot's 4-byte number to a
-    token pipe; the child writes each result to a result pipe as a length and
-    a pickle, and leaves through ``os._exit`` on every path. An entry is a
-    list ``[item, outcome]`` whose ``item[0]`` is the array; ``take`` sets the
-    outcome of each entry the child answers to (True, result), in the order
-    sent. Once the child is gone (no child may start, the mmap, a pipe or the
-    fork failed, or the child was killed, ran out of memory or raised), it is
-    reaped and every entry it held is computed here, from the entry's own
-    array. ``close`` reaps the child."""
+class _Ring(_Forked):
+    """A ``_Forked`` child, forked at construction before its arrays exist,
+    that computes ``fn`` of each array it is handed, in the order handed.
+    ``send`` copies an entry's array, complex128 of ``shape``, into the next
+    of ``slots`` slots of an anonymous shared mmap and writes the slot's
+    4-byte number to a token pipe. An entry is a list ``[array, outcome]``;
+    ``take`` sets the outcome of each entry the child answers to (True,
+    result), in the order sent. Once the child is gone (none started, the
+    mmap or the token pipe failed, or it was killed, ran out of memory or
+    raised), it is reaped and every entry it held is computed here, from the
+    entry's own array."""
 
     def __init__(self, fn, shape: tuple, slots: int):
-        self.fn, self.slots, self.held, self.pid = fn, slots, collections.deque(), 0
-        self.size, self.sent, self.unread, self.ring = 16 * math.prod(shape), 0, bytearray(), None
+        self.fn, self.shape, self.slots, self.held, self.sent = fn, shape, slots, collections.deque(), 0
+        self.size, self.ring = 16 * math.prod(shape), None
         if not _may_fork:
             return
-        # Imported here: loading mmap at import would cost every command about 0.2 MiB.
+        # Imported here: loading them at import would cost every command about 0.2 MiB.
         import mmap
+        import select
 
-        fds = []
         try:
             self.ring = mmap.mmap(-1, slots * self.size)
-            fds += os.pipe()
-            fds += os.pipe()
-            self.pid = os.fork()
+            read_tokens, self.tokens = os.pipe()
         except OSError:
-            for fd in fds:
-                os.close(fd)
             return
-        read_tokens, self.tokens, self.results, write_results = fds
-        if self.pid == 0:
-            try:
-                os.close(self.tokens)
-                os.close(self.results)
-                with open(read_tokens, "rb") as tokens, open(write_results, "wb") as results:
-                    while len(token := tokens.read(4)) == 4:
-                        at = int.from_bytes(token, "little") * self.size
-                        matrix = np.frombuffer(self.ring, np.complex128, self.size // 16, at).reshape(shape)
-                        sent = pickle.dumps(fn(matrix), pickle.HIGHEST_PROTOCOL)
-                        results.write(len(sent).to_bytes(8, "little") + sent)
-                        results.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
+        self._start(fn, self._handed(read_tokens))
         os.close(read_tokens)
-        os.close(write_results)
+        if not self.pid:
+            os.close(self.tokens)
+            return
+        self.answers = select.poll()
+        self.answers.register(self.results, select.POLLIN)
+
+    def _handed(self, read_tokens: int):
+        """In the child: the array in each slot whose number the token pipe
+        brings, until the pipe ends."""
+        os.close(self.tokens)
+        with open(read_tokens, "rb") as tokens:
+            while len(token := tokens.read(4)) == 4:
+                at = int.from_bytes(token, "little") * self.size
+                yield np.frombuffer(self.ring, np.complex128, self.size // 16, at).reshape(self.shape)
 
     def send(self, entry: list) -> bool:
         """Whether ``entry``'s array was handed to the child: not while it
@@ -241,97 +255,87 @@ class _Ring:
         if not self.pid or len(self.held) == self.slots:
             return False
         at = self.sent % self.slots
-        self.ring[at * self.size : (at + 1) * self.size] = np.ascontiguousarray(entry[0][0])
+        self.ring[at * self.size : (at + 1) * self.size] = np.ascontiguousarray(entry[0])
         try:
             os.write(self.tokens, at.to_bytes(4, "little"))
         except BrokenPipeError:
             # The child is gone: take what it sent, then compute the rest here.
-            self.take(block=True)
+            self.take(keep=0)
             return False
         self.sent += 1
         self.held.append(entry)
         return True
 
-    def take(self, block: bool) -> None:
-        """Set the outcome of the entries the child has answered; with
-        ``block``, wait until it has answered every entry it holds."""
-        while self.held and self.pid:
-            os.set_blocking(self.results, block)
-            try:
-                got = os.read(self.results, 1 << 16)
-            except BlockingIOError:
-                return
-            if not got:
-                self.close()
-                break
-            self.unread += got
-            while len(self.unread) >= 8:
-                end = 8 + int.from_bytes(self.unread[:8], "little")
-                if len(self.unread) < end:
-                    break
-                self.held.popleft()[1] = True, pickle.loads(self.unread[8:end])
-                del self.unread[:end]
+    def take(self, keep: int) -> None:
+        """Set the outcome of each entry the child has answered, waiting
+        until it holds at most ``keep``."""
+        while self.pid and self.held and (len(self.held) > keep or self.answers.poll(0)):
+            sent = self._receive()
+            if sent is not None:
+                self.held.popleft()[1] = True, pickle.loads(sent)
         if not self.pid:
             for entry in self.held:
-                entry[1] = _outcome(self.fn, entry[0][0])
+                entry[1] = _outcome(self.fn, entry[0])
             self.held.clear()
 
     def close(self) -> None:
-        """Reap the child, if that is not done yet. The result pipe is closed
-        first, so a child still writing gets EPIPE and exits, then the token
-        pipe, so a child waiting for a slot reads its end."""
+        """Reap the child, if that is not done yet, closing the token pipe
+        first, so that a child waiting for a slot reads its end; then release
+        the ring."""
         if self.pid:
-            os.close(self.results)
             os.close(self.tokens)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
+        super().close()
         if self.ring is not None:
             self.ring.close()
+            self.ring = None
 
 
 def _known(rows: collections.deque):
-    """The leading entries of ``rows`` whose outcome is set, popped, as
-    ``(item, result)``; a failed one raises its exception."""
+    """The leading results of ``rows`` whose outcome is set, popped; a failed
+    one raises its exception."""
     while rows and rows[0][1] is not None:
-        item, (ok, value) = rows.popleft()
+        ok, value = rows.popleft()[1]
         if not ok:
             raise value
-        yield item, value
+        yield value
 
 
-def _in_ring(fn, items, shape: tuple, slots: int):
-    """``(item, fn(item[0]))`` for each of ``items`` in order, each a tuple
-    led by a complex128 array of ``shape``, pulling ``items`` lazily. With
-    ``slots`` > 0 and where a child may start, one ``_Ring`` child, forked
-    before the first item is pulled, computes ``fn`` of each array it is
-    handed while this process pulls the next items; an item is handed to it
-    while it holds fewer than ``slots``, else computed here. Otherwise each
-    item is computed here as it is pulled. An error raised by ``items`` or by
-    ``fn`` surfaces after the results of the items before it, as it does
-    without a child, and the child is reaped when the generator finishes,
-    raises or is closed."""
+def _in_ring(fn, arrays, shape: tuple, slots: int):
+    """``fn(array)`` for each of ``arrays`` in order, each complex128 of
+    ``shape``, pulling ``arrays`` lazily. With ``slots`` > 0 and where a
+    child may start, one ``_Ring`` child, forked before the first array is
+    pulled, computes ``fn`` of each array it is handed while this process
+    pulls the next; an array is handed to it while it holds fewer than
+    ``slots``, else computed here, and at most ``2 * slots`` arrays are
+    pulled ahead of the results yielded. Otherwise each array is computed
+    here as it is pulled. An error raised by ``arrays`` or by ``fn`` surfaces
+    after the results before it, as it does without a child, and the child is
+    reaped when the generator finishes, raises or is closed."""
     if slots == 0 or not _may_fork:
-        for item in items:
-            yield item, fn(item[0])
+        yield from map(fn, arrays)
         return
-    ring, items, rows, failed = _Ring(fn, shape, slots), iter(items), collections.deque(), False
+    ring, arrays, rows, failed = _Ring(fn, shape, slots), iter(arrays), collections.deque(), False
     try:
         while not failed:
+            # The oldest row is the child's to answer: wait for it before pulling more.
+            while len(rows) >= 2 * slots:
+                ring.take(keep=len(ring.held) - 1)
+                yield from _known(rows)
             try:
-                item = next(items)
+                array = next(arrays)
             except StopIteration:
                 break
             except Exception as exc:
                 rows.append([None, (False, exc)])
                 break
-            entry = [item, None]
+            entry = [array, None]
             rows.append(entry)
             if not ring.send(entry):
-                entry[1] = _outcome(fn, item[0])
+                entry[1] = _outcome(fn, array)
                 failed = not entry[1][0]
-            ring.take(block=False)
+            ring.take(keep=slots)
             yield from _known(rows)
-        ring.take(block=True)
+        ring.take(keep=0)
         yield from _known(rows)
     finally:
         ring.close()

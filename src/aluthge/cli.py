@@ -15,6 +15,7 @@ thread in every process, so no output depends on the CPU or thread count.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import datetime
@@ -155,12 +156,20 @@ def cmd_iterate(args) -> int:
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
     # The command runs the chain and hands each iterate to one measuring child
     # through a ring of ITERATE_RING slots; while all are busy it measures the step itself.
+    # Each step's delta and convergence wait here, in step order, for its measures.
     measures = functools.partial(_step_measures, spectrum(m))
-    steps = iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol)
+    pulled = collections.deque()
+
+    def iterates():
+        for it, delta, converged in iterate_aluthge(m, args.lam, max_iter=args.max_iter, conv_tol=args.conv_tol):
+            pulled.append((delta, converged))
+            yield it
+
     slots = ITERATE_RING if m.shape[0] >= ITERATE_POOL_N else 0
     try:
-        with contextlib.closing(_in_ring(measures, steps, m.shape, slots)) as rows:
-            for step, ((_, delta, converged), (distance, drift)) in enumerate(rows, start=1):
+        with contextlib.closing(_in_ring(measures, iterates(), m.shape, slots)) as rows:
+            for step, (distance, drift) in enumerate(rows, start=1):
+                delta, converged = pulled.popleft()
                 writer.writerow([step, repr(delta), repr(distance), repr(drift)])
     except FloatingPointError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)

@@ -7,11 +7,10 @@ order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
 result. A large matrix is parsed and formatted in two halves of its rows
-(see ``_parts``) through ``_workers._fork_join`` where a child may start
-(inside the commands' process context), the second half by a child forked
-once the bytes or the matrix exist; elsewhere it is done here in one piece,
-with the same bytes. Writes are atomic (temp file + rename) and honour the
-process umask.
+(see ``_parts``) through ``_workers._fork_join``: inside the commands'
+process context the second half by a child forked once the bytes or the
+matrix exist, elsewhere both here, with the same bytes. Writes are atomic
+(temp file + rename) and honour the process umask.
 """
 
 from __future__ import annotations
@@ -83,10 +82,9 @@ def _format_rows(rows: np.ndarray) -> str:
 
 def _parts(n_rows: int, cols: int) -> int:
     """The blocks of rows an ``n_rows`` x ``cols`` matrix is parsed or formatted
-    in: 2, the second by a forked child, where one may start and the matrix
-    has two or more rows and ``PARALLEL_ENTRIES`` entries; else 1, so that a
-    process that works alone keeps no second copy of the body or the blocks."""
-    return 2 if _workers._may_fork and n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES else 1
+    in: 2, the second by a forked child where one may start, if it has two or
+    more rows and ``PARALLEL_ENTRIES`` entries; else 1."""
+    return 2 if n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES else 1
 
 
 def _encode(rows: np.ndarray):

@@ -14,7 +14,7 @@ def forks(monkeypatch):
     class Recording(_workers._Child):
         def __init__(self, fn, items):
             super().__init__(fn, items)
-            if self.pipe is not None:
+            if self.pid:
                 calls.append(items)
 
     class RecordingRing(_workers._Ring):

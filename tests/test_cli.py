@@ -661,8 +661,8 @@ def _blas_thread_count(item):
 
 
 def _matrices(count, n=2):
-    """``count`` ring items: one-tuples of the n x n complex128 matrix k * I, k = 0, 1, ..."""
-    return [(k * np.eye(n, dtype=np.complex128),) for k in range(count)]
+    """``count`` ring items: the n x n complex128 matrices k * I, k = 0, 1, ..."""
+    return [k * np.eye(n, dtype=np.complex128) for k in range(count)]
 
 
 def _trace_in(a):
@@ -686,7 +686,7 @@ class TestBlasWorkers:
             with raises, _workers._blas_children():
                 assert _workers._may_fork and get_threads() == 1
                 results = list(_workers._fork_join(_blas_thread_count, range(4)))
-                ring = [result for _, result in _workers._in_ring(_blas_thread_count, _matrices(5), (2, 2), 2)]
+                ring = list(_workers._in_ring(_blas_thread_count, _matrices(5), (2, 2), 2))
                 if exit == "exception":
                     raise ValueError("block failed")
             # One child for verify's odd items, and one for iterate's ring, which
@@ -817,8 +817,18 @@ class TestIterateWorkers:
     def test_window_bounds_steps_in_flight(self, in_flight, forks, children, window):
         # A ring of ``window`` slots; the child takes 50 ms an item, so the
         # command hands it ``window`` and computes the items it finds the ring
-        # full for, the rows in order all the same.
-        rows = [result for _, result in _workers._in_ring(_slow_in_workers, _matrices(12), (2, 2), window)]
+        # full for, the rows in order all the same. It pulls at most
+        # ``2 * window`` items ahead of the rows it has given.
+        pulled, rows = [], []
+
+        def items():
+            for item in _matrices(12):
+                pulled.append(item)
+                yield item
+
+        for row in _workers._in_ring(_slow_in_workers, items(), (2, 2), window):
+            assert len(pulled) <= len(rows) + 2 * window
+            rows.append(row)
         assert [trace for trace, _ in rows] == [2.0 * k for k in range(12)]
         assert max(in_flight) == window and forks == [((2, 2), window)]
         in_child = [child for _, child in rows]
@@ -835,7 +845,7 @@ class TestIterateWorkers:
                 time.sleep(random.random() * 0.002)
             return _trace_in(a)
 
-        rows = [result for _, result in _workers._in_ring(fn, _matrices(300, 8), (8, 8), cli.ITERATE_RING)]
+        rows = list(_workers._in_ring(fn, _matrices(300, 8), (8, 8), cli.ITERATE_RING))
         assert [trace for trace, _ in rows] == [8.0 * k for k in range(300)]
         assert any(child for _, child in rows)
         assert_no_child()
@@ -855,7 +865,7 @@ class TestIterateWorkers:
 
         results = _workers._in_ring(_trace_in, items(), (2, 2), cli.ITERATE_RING)
         assert forks == [] and pulled == []
-        assert [trace for _, (trace, _) in results] == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert [trace for trace, _ in results] == [0.0, 2.0, 4.0, 6.0, 8.0]
         assert len(pulled) == 5 and len(forks) == 1
         assert_no_child()
 
@@ -864,9 +874,8 @@ class TestIterateWorkers:
         pulled = []
         items = (pulled.append(item) or item for item in _matrices(5))
         results = _workers._in_ring(_trace_in, items, (2, 2), cli.ITERATE_RING)
-        item, result = next(results)
-        assert result == (0.0, False) and pulled == [item]
-        assert [result for _, result in results] == [(2.0 * k, False) for k in range(1, 5)] and forks == []
+        assert next(results) == (0.0, False) and len(pulled) == 1
+        assert list(results) == [(2.0 * k, False) for k in range(1, 5)] and forks == []
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_item_error_surfaces_after_earlier_items(self, children, pooled):
@@ -882,13 +891,13 @@ class TestIterateWorkers:
         slots = cli.ITERATE_RING if pooled else 0
         rows = []
         with pytest.raises(FloatingPointError, match="no more items"):
-            for _, row in _workers._in_ring(fn, items(3), (2, 2), slots):
+            for row in _workers._in_ring(fn, items(3), (2, 2), slots):
                 rows.append(row)
         assert rows == [0.0, 2.0, 4.0]
         # An earlier item's error comes first, as it does without children.
         rows = []
         with pytest.raises(ValueError, match="item 3 cannot run"):
-            for _, row in _workers._in_ring(fn, items(5), (2, 2), slots):
+            for row in _workers._in_ring(fn, items(5), (2, 2), slots):
                 rows.append(row)
         assert rows == [0.0, 2.0, 4.0]
         assert_no_child()
@@ -906,7 +915,7 @@ class TestIterateWorkers:
 
         rows = []
         with pytest.raises(ValueError, match="item 4 cannot run"):
-            for _, row in _workers._in_ring(fn, _matrices(8), (2, 2), cli.ITERATE_RING):
+            for row in _workers._in_ring(fn, _matrices(8), (2, 2), cli.ITERATE_RING):
                 rows.append(row)
         assert rows == [(2.0 * k, True) for k in range(4)]
         assert_no_child()
@@ -914,7 +923,7 @@ class TestIterateWorkers:
     @needs_blas_threads
     def test_early_close_reaps_the_child(self, forks, children):
         results = _workers._in_ring(_slow_in_workers, _matrices(8), (2, 2), cli.ITERATE_RING)
-        assert next(results)[1] == (0.0, True)
+        assert next(results) == (0.0, True)
         results.close()
         assert len(forks) == 1
         assert_no_child()

@@ -59,8 +59,8 @@ def assert_no_child():
 
 def sharing(share: bool):
     """The commands' process context where ``share``, so that a large matrix
-    file is split with a forked child; else nothing, so it is parsed and
-    formatted in one piece."""
+    file is split with a forked child; else nothing, so it is split in this
+    process alone."""
     return _workers._blas_children() if share else contextlib.nullcontext()
 
 
@@ -175,17 +175,12 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
             assert load_matrix(tmp_path / f"{n}.json").shape == (n, n)
     # The decision comes from the shape the header gives, once the bytes are read.
     assert [len(items) for items in forks] == [1]
-    with _workers._blas_children():
-        assert [matrixio._parts(n, n) for n in (small, small + 1)] == [1, 2]
-    # Outside the context the matrix stays in one piece.
-    assert matrixio._parts(small + 1, small + 1) == 1
+    assert [matrixio._parts(n, n) for n in (small, small + 1)] == [1, 2]
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    with _workers._blas_children():
-        assert matrixio._parts(10, 10) == 2
-    # On one usable CPU the context lets no child start, and splits nothing.
+    assert matrixio._parts(10, 10) == 2
+    # On one usable CPU the context lets no child start.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     with _workers._blas_children():
-        assert matrixio._parts(10, 10) == 1
         save_matrix(tmp_path / "edge.json", edge_matrix())
         load_matrix(tmp_path / "edge.json")
     assert len(forks) == 1
@@ -194,13 +189,11 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
 @needs_blas_threads
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_shares_capped_at_one_worker(tmp_path, monkeypatch, forks, cpus):
-    # From two CPUs on, the split depends on the shape alone, and a split save
-    # forks one child whatever the CPU count; on one CPU nothing is split.
+    # The split depends on the shape alone; a split save forks one child
+    # whatever the CPU count from two on, and none on one CPU.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-    with _workers._blas_children():
-        parts = {(r, c): matrixio._parts(r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
-    split = 2 if cpus > 1 else 1
-    assert parts == {(200, 200): split, (2, 20000): split, (1, 40000): 1, (170, 190): 1}
+    parts = {(r, c): matrixio._parts(r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
+    assert parts == {(200, 200): 2, (2, 20000): 2, (1, 40000): 1, (170, 190): 1}
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     with _workers._blas_children():
         save_matrix(tmp_path / "m.json", edge_matrix())
@@ -491,8 +484,8 @@ def matrices(draw):
 
 
 def test_save_load_round_trip_property(monkeypatch):
-    # Inside the commands' process context every example of two or more rows
-    # is split with a forked child, whatever its size; outside it none is split.
+    # Every example of two or more rows is split, whatever its size: inside
+    # the commands' process context with a forked child, else in this process alone.
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
