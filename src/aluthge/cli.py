@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._workers import _blas_children, _fork_join, _in_ring
+from ._workers import _blas_children, _shared
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
@@ -46,21 +46,19 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Order of the input from which iterate hands its steps to a measuring child.
-# On 2 CPUs, 300 steps, alternating pairs of runs in the command and with the
-# child (medians; pairs the child won):
-#   n = 4    0.247 s against 0.262 s, 4 of 12
-#   n = 8    0.300 s against 0.271 s, 9 of 12
-#   n = 16   0.369 s against 0.328 s, 10 of 12
-#   n = 32   0.599 s against 0.460 s, 8 of 8 (and 8 of 8 in an earlier set)
+# Order of the input from which iterate shares its steps' measures with a
+# child. On 2 CPUs, 300 steps, alternating pairs of `main` calls in the
+# command alone and with the child (medians; pairs the child won):
+#   n = 16   0.155 s against 0.100 s, 6 of 8 (0.227 against 0.189 s, 6 of 12, in a second set)
+#   n = 32   0.367 s against 0.234 s, 8 of 8
+#   n = 48   1.123 s against 0.555 s, 8 of 8
 ITERATE_POOL_N = 32
-# Iterates the measuring child may hold: the slots of its shared-memory ring,
-# each an n x n complex128 matrix. While every slot is busy, the command
-# measures the step itself. At n = 128, 100 steps (2 CPUs, 8 runs each in
-# rotating order), depths 2, 4 and 8 took medians of 2.12, 1.89 and 1.99 s
-# and peaked at 39.6, 40.7 and 42.9 MiB, against 2.16 s and 39.1 MiB with a
-# child forked for each batch of 4 steps.
-ITERATE_RING = 4
+# Slots of the ring that iterate copies its iterates into, each an n x n
+# complex128 matrix: at most this many are pulled ahead of the rows written.
+# At n = 128, 100 steps (2 CPUs, 8 alternating pairs of `main` calls), 4 and
+# 8 slots took medians of 1.597 and 1.501 s (8 faster in 7 of 8), and the
+# command peaked at 39.4 and 40.4 MiB (4 runs each).
+ITERATE_RING = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,9 +152,10 @@ def cmd_iterate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    # The command runs the chain and hands each iterate to one measuring child
-    # through a ring of ITERATE_RING slots; while all are busy it measures the step itself.
-    # Each step's delta and convergence wait here, in step order, for its measures.
+    # The command runs the chain and copies each iterate into a ring of
+    # ITERATE_RING slots; it and one measuring child each claim the next step
+    # to measure. Each step's delta and convergence wait here, in step order,
+    # for its measures.
     measures = functools.partial(_step_measures, spectrum(m))
     pulled = collections.deque()
 
@@ -167,7 +166,7 @@ def cmd_iterate(args) -> int:
 
     slots = ITERATE_RING if m.shape[0] >= ITERATE_POOL_N else 0
     try:
-        with contextlib.closing(_in_ring(measures, iterates(), m.shape, slots)) as rows:
+        with contextlib.closing(_shared(measures, iterates(), m.shape, slots)) as rows:
             for step, (distance, drift) in enumerate(rows, start=1):
                 delta, converged = pulled.popleft()
                 writer.writerow([step, repr(delta), repr(distance), repr(drift)])
@@ -267,8 +266,8 @@ def cmd_verify(args) -> int:
     run = functools.partial(_report, seed=cfg["seed"], lam=cfg["lambda"], trials=cfg["trials"], tol=tol)
     reports = []
     total_failures = 0
-    # The command computes the reports at even positions and one child the odd ones.
-    with contextlib.closing(_fork_join(run, tasks)) as done:
+    # The command and one child each claim the next report as they fall idle.
+    with contextlib.closing(_shared(run, tasks)) as done:
         for (check_id, dim), report in zip(tasks, done):
             reports.append(report)
             total_failures += report["failures"]

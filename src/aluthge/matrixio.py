@@ -7,10 +7,10 @@ order rows, cols, data, separators ", " and ": ", every number as the shortest
 repr that round-trips the double. The reader parses a file in that exact layout
 from its numbers alone and hands any other file to ``json.load``, with the same
 result. A large matrix is parsed and formatted in two halves of its rows
-(see ``_parts``) through ``_workers._fork_join``: inside the commands'
-process context the second half by a child forked once the bytes or the
-matrix exist, elsewhere both here, with the same bytes. Writes are atomic
-(temp file + rename) and honour the process umask.
+(see ``_parts``) through ``_workers._shared``: inside the commands' process
+context the caller and a child forked once the bytes or the matrix exist
+each claim a half, elsewhere both are done here, with the same bytes. Writes
+are atomic (temp file + rename) and honour the process umask.
 """
 
 from __future__ import annotations
@@ -82,18 +82,18 @@ def _format_rows(rows: np.ndarray) -> str:
 
 def _parts(n_rows: int, cols: int) -> int:
     """The blocks of rows an ``n_rows`` x ``cols`` matrix is parsed or formatted
-    in: 2, the second by a forked child where one may start, if it has two or
+    in: 2, shared with a forked child where one may start, if it has two or
     more rows and ``PARALLEL_ENTRIES`` entries; else 1."""
     return 2 if n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES else 1
 
 
 def _encode(rows: np.ndarray):
     """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows =
-    _float_rows(m)``, the second half of the rows formatted by a forked child
-    where ``_parts`` splits them and one may start."""
+    _float_rows(m)``, the halves of the rows shared with a forked child where
+    ``_parts`` splits them and one may start."""
     n_rows, cols = rows.shape[0], rows.shape[1] // 2
     yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    first, *rest = _workers._fork_join(_format_rows, np.array_split(rows, _parts(n_rows, cols)))
+    first, *rest = _workers._shared(_format_rows, np.array_split(rows, _parts(n_rows, cols)))
     yield first
     for text in rest:
         yield ", "
@@ -169,8 +169,8 @@ def _row_runs(text: bytes, parts: int) -> list:
 def _read_exact(raw: bytes) -> np.ndarray | None:
     """The matrix in ``raw`` if it is a file in the writer's exact layout of
     finite doubles, else None. Where ``_parts`` splits it and a child may
-    start, a forked child parses the rows after the middle byte while this
-    process parses the rest."""
+    start, this process and a forked child each claim one of the runs of rows
+    before and after the middle byte."""
     header = _HEADER.match(raw)
     if header is None or not raw.endswith(_TRAILER):
         return None
@@ -181,7 +181,7 @@ def _read_exact(raw: bytes) -> np.ndarray | None:
     if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
         return None
     runs = _row_runs(body, _parts(n_rows, cols))
-    blocks = list(_workers._fork_join(lambda run: _parse_rows(run, cols), runs))
+    blocks = list(_workers._shared(lambda run: _parse_rows(run, cols), runs))
     if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
         return None
     return np.concatenate(blocks).view(np.complex128)

@@ -169,12 +169,13 @@ class TestTransform:
         monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
-        # A child parsed the rows after the input's middle byte, and one for
-        # each file formatted the second half of its rows.
-        (theirs,), *saves = forks
-        child_rows = theirs.count(b"]], [[") + 1
-        assert theirs.startswith(b"[[") and theirs.endswith(b"]]") and 1 <= child_rows < 6
-        assert [[block.shape for block in items] for items in saves] == [[(3, 12)]] * 3
+        # One child could claim either half of the input's rows, cut at the
+        # first row break after its middle byte, and one for each file either
+        # half of its rows.
+        runs, *saves = forks
+        child_rows = runs[1].count(b"]], [[") + 1
+        assert runs[1].startswith(b"[[") and runs[1].endswith(b"]]") and 1 <= child_rows < 6
+        assert [[block.shape for block in items] for items in saves] == [[(3, 12), (3, 12)]] * 3
         assert_no_child()
         for name in outputs:
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
@@ -507,6 +508,8 @@ def _register(monkeypatch, id, block):
 def _dies_in_workers(blk):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
+    # 50 ms here, so that the child claims one of these reports meanwhile.
+    time.sleep(0.05)
     _observe(blk, blk.trials.astype(float), np.zeros(len(blk), dtype=bool))
 
 
@@ -548,7 +551,8 @@ class TestVerifyWorkers:
         argv = ["--checks", "rank_one_formula", "--dims", "2", "3", "4", "--trials", "2"]
         assert run_on(cpus, monkeypatch, capsys, tmp_path, *argv)[0] == EXIT_OK
         setter = _workers._openblas_threads() is not None
-        assert forks == ([[("rank_one_formula", 3)]] if cpus > 1 and setter else [])
+        tasks = [("rank_one_formula", dim) for dim in (2, 3, 4)]
+        assert forks == ([tasks] if cpus > 1 and setter else [])
         monkeypatch.setattr(_workers, "_openblas_threads", lambda: None)
         assert run_on(cpus, monkeypatch, capsys, tmp_path, *argv)[0] == EXIT_OK
         assert len(forks) == (cpus > 1 and setter)
@@ -561,9 +565,9 @@ class TestVerifyWorkers:
         assert forked == serial
         assert serial[0] == EXIT_OK and len(serial[3]) == len(CHECKS) * 2 + 2
         if _workers._openblas_threads() is not None:
-            # The command ran the reports at even positions, one child the odd ones.
+            # One child could claim any of the reports.
             tasks = [(check_id, dim) for check_id in sorted(CHECKS) for dim in (2, 3)]
-            assert forks == [tasks[1::2]]
+            assert forks == [tasks]
 
     @needs_blas_threads
     def test_killed_worker_reports_run_here(self, tmp_path, monkeypatch, capsys, forks):
@@ -572,9 +576,10 @@ class TestVerifyWorkers:
                 "--trials", "10"]
         serial = run_on(1, monkeypatch, capsys, tmp_path, *argv)
         forked = run_on(2, monkeypatch, capsys, tmp_path, *argv)
-        # The child died at its second report; the command ran that one and the later odd ones.
-        odd = [("rank_one_formula", 3), ("dies_in_workers", 2), ("dies_in_workers", 4), ("nilpotent_kernel", 3)]
-        assert forks == [odd]
+        # The child dies at the first dies_in_workers report it claims; the
+        # command runs that one and every later report.
+        checks = ("rank_one_formula", "dies_in_workers", "nilpotent_kernel")
+        assert forks == [[(check_id, dim) for check_id in checks for dim in (2, 3, 4)]]
         assert forked == serial and serial[0] == EXIT_OK
 
     def test_unwritable_report_exits_2_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
@@ -614,8 +619,8 @@ class TestVerifyWorkers:
 
     @needs_blas_threads
     def test_raising_trial_leaves_no_worker(self, tmp_path, monkeypatch, forks):
-        # The first report that raises is the third, run in the command, then
-        # the fourth, run by the child and again in the command.
+        # Every ``raises`` report raises, in the child and again in the
+        # command, which raises the first of them after the reports before it.
         _register(monkeypatch, "raises", _raises)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         for dims in (["2", "3"], ["2", "3", "4"]):
@@ -632,8 +637,8 @@ class TestVerifyWorkers:
         _register(monkeypatch, "blas_threads", _observes_blas_threads)
         code, _, _, files = run_on(2, monkeypatch, capsys, tmp_path, "--checks", "blas_threads", "--dims", "2", "3",
                                    "--trials", "2")
-        # The dim-2 report ran in the command, the dim-3 report in the child.
-        assert code == EXIT_OK and forks == [[("blas_threads", 3)]]
+        # Each report ran on one BLAS thread, whichever process claimed it.
+        assert code == EXIT_OK and forks == [[("blas_threads", 2), ("blas_threads", 3)]]
         assert [r["worst_residual"] for r in json.loads(files["aggregate.json"])["reports"]] == [1.0, 1.0]
         assert get_threads() == before
 
@@ -657,6 +662,10 @@ class TestVerifyWorkers:
 
 
 def _blas_thread_count(item):
+    """This process's BLAS thread count and whether a child computed the
+    item; 50 ms late here, so that a child claims some items meanwhile."""
+    if os.getpid() == _PARENT_PID:
+        time.sleep(0.05)
     return _workers._openblas_threads()[1](), os.getpid() != _PARENT_PID
 
 
@@ -685,15 +694,15 @@ class TestBlasWorkers:
             raises = pytest.raises(ValueError, match="block failed") if exit == "exception" else contextlib.nullcontext()
             with raises, _workers._blas_children():
                 assert _workers._may_fork and get_threads() == 1
-                results = list(_workers._fork_join(_blas_thread_count, range(4)))
-                ring = list(_workers._in_ring(_blas_thread_count, _matrices(5), (2, 2), 2))
+                results = list(_workers._shared(_blas_thread_count, range(4)))
+                ring = list(_workers._shared(_blas_thread_count, iter(_matrices(5)), (2, 2), 2))
                 if exit == "exception":
                     raise ValueError("block failed")
-            # One child for verify's odd items, and one for iterate's ring, which
-            # is handed the first item; the command computes those it finds the ring full for.
-            assert results == [(1, False), (1, True)] * 2
-            assert ring[0] == (1, True) and [threads for threads, _ in ring] == [1] * 5
-            assert get_threads() == inherited and forks == [range(1, 4, 2), ((2, 2), 2)] and not _workers._may_fork
+            # One child for a list and one for a stream's ring, each of which
+            # claims some items: every process runs one BLAS thread.
+            assert [threads for threads, _ in results + ring] == [1] * 9
+            assert any(child for _, child in results) and any(child for _, child in ring)
+            assert get_threads() == inherited and forks == [range(4), ((2, 2), 2)] and not _workers._may_fork
         finally:
             set_threads(before)
         assert_no_child()
@@ -705,14 +714,63 @@ class TestBlasWorkers:
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         with _workers._blas_children():
             assert not _workers._may_fork and (threads and threads[1]()) == before
-            assert list(_workers._fork_join(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
+            assert list(_workers._shared(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
         assert (threads and threads[1]()) == before and forks == []
 
     @needs_blas_threads
-    def test_child_computes_the_odd_items_in_order(self, forks, children):
-        results = list(_workers._fork_join(lambda k: (k, os.getpid() != _PARENT_PID), list(range(7))))
-        assert results == [(k, k % 2 == 1) for k in range(7)]
-        assert forks == [[1, 3, 5]]
+    def test_command_computes_every_item_the_child_does_not_hold(self, forks, children):
+        # The child holds the first item it claims for 0.5 s; meanwhile the
+        # command, at 10 ms an item, claims and computes every other item.
+        def fn(k):
+            time.sleep(0.5 if os.getpid() != _PARENT_PID else 0.01)
+            return k, os.getpid() != _PARENT_PID
+
+        results = list(_workers._shared(fn, list(range(12))))
+        assert [k for k, _ in results] == list(range(12))
+        assert sum(child for _, child in results) == 1 and forks == [list(range(12))]
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_more_items_than_numbers_out_finish_in_order(self, forks, children):
+        # Three times the numbers a list may have out at once: the command
+        # writes the later ones as results are yielded.
+        count = 3 * _workers._TOKENS_OUT
+        results = list(_workers._shared(lambda k: (k, os.getpid() != _PARENT_PID), list(range(count))))
+        assert [k for k, _ in results] == list(range(count)) and len(forks) == 1
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_stopped_child_bounds_the_stream_pulled_ahead(self, tmp_path, forks, children):
+        # The child stops itself on the first item it claims, and is continued
+        # 0.5 s later: until then the command pulls at most ``slots`` items
+        # ahead of the rows it has given, computing those it can claim.
+        slots, pid_file = 4, tmp_path / "child.pid"
+
+        def fn(a):
+            if os.getpid() != _PARENT_PID and not pid_file.exists():
+                pid_file.write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGSTOP)
+            return _trace_in(a)
+
+        pulled, rows = [], []
+
+        def items():
+            for item in _matrices(3 * slots):
+                time.sleep(0.01)
+                pulled.append(item)
+                yield item
+
+        resume = signal.signal(signal.SIGALRM, lambda *_: os.kill(int(pid_file.read_text()), signal.SIGCONT))
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            for row in _workers._shared(fn, items(), (2, 2), slots):
+                assert len(pulled) <= len(rows) + slots
+                rows.append(row)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, resume)
+        assert [trace for trace, _ in rows] == [2.0 * k for k in range(3 * slots)]
+        assert rows[0] == (0.0, True) and forks == [((2, 2), slots)]
         assert_no_child()
 
 
@@ -783,21 +841,6 @@ def iterate_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
-@pytest.fixture
-def in_flight(monkeypatch):
-    """The entries a ``_Ring`` child holds after each ``send``."""
-    counts = []
-
-    class Counting(_workers._Ring):
-        def send(self, entry):
-            handed = super().send(entry)
-            counts.append(len(self.held))
-            return handed
-
-    monkeypatch.setattr(_workers, "_Ring", Counting)
-    return counts
-
-
 def _slow_in_workers(a):
     """``_trace_in``, 50 ms late in a child, so that its ring fills."""
     if os.getpid() != _PARENT_PID:
@@ -813,39 +856,37 @@ class TestIterateWorkers:
         assert forks == [] and 4 < cli.ITERATE_POOL_N
 
     @needs_blas_threads
-    @pytest.mark.parametrize("window", [1, cli.ITERATE_RING])
-    def test_window_bounds_steps_in_flight(self, in_flight, forks, children, window):
-        # A ring of ``window`` slots; the child takes 50 ms an item, so the
-        # command hands it ``window`` and computes the items it finds the ring
-        # full for, the rows in order all the same. It pulls at most
-        # ``2 * window`` items ahead of the rows it has given.
+    @pytest.mark.parametrize("window", [1, 4, cli.ITERATE_RING])
+    def test_window_bounds_steps_in_flight(self, forks, children, window):
+        # A ring of ``window`` slots, an item every 5 ms, and a child that
+        # takes 50 ms an item: the command pulls at most ``window`` items
+        # ahead of the rows it has given and computes every item it claims,
+        # the rows in order all the same.
         pulled, rows = [], []
 
         def items():
             for item in _matrices(12):
+                time.sleep(0.005)
                 pulled.append(item)
                 yield item
 
-        for row in _workers._in_ring(_slow_in_workers, items(), (2, 2), window):
-            assert len(pulled) <= len(rows) + 2 * window
+        for row in _workers._shared(_slow_in_workers, items(), (2, 2), window):
+            assert len(pulled) <= len(rows) + window
             rows.append(row)
         assert [trace for trace, _ in rows] == [2.0 * k for k in range(12)]
-        assert max(in_flight) == window and forks == [((2, 2), window)]
-        in_child = [child for _, child in rows]
-        assert in_child[0] and not all(in_child)
+        assert forks == [((2, 2), window)] and not all(child for _, child in rows)
         assert_no_child()
 
     @needs_blas_threads
     def test_busy_slots_are_never_overwritten(self, children):
-        # The child reads each slot after a random delay of up to 2 ms, while
-        # the command keeps handing it items: a slot reused before the child
-        # answered would give another item's trace.
+        # Each process reads the slot of an item it claims after a random
+        # delay of up to 2 ms, while the command keeps handing out items: a
+        # slot reused before its item was computed would give another trace.
         def fn(a):
-            if os.getpid() != _PARENT_PID:
-                time.sleep(random.random() * 0.002)
+            time.sleep(random.random() * 0.002)
             return _trace_in(a)
 
-        rows = list(_workers._in_ring(fn, _matrices(300, 8), (8, 8), cli.ITERATE_RING))
+        rows = list(_workers._shared(fn, iter(_matrices(300, 8)), (8, 8), cli.ITERATE_RING))
         assert [trace for trace, _ in rows] == [8.0 * k for k in range(300)]
         assert any(child for _, child in rows)
         assert_no_child()
@@ -863,7 +904,7 @@ class TestIterateWorkers:
                 pulled.append(item)
                 yield item
 
-        results = _workers._in_ring(_trace_in, items(), (2, 2), cli.ITERATE_RING)
+        results = _workers._shared(_trace_in, items(), (2, 2), cli.ITERATE_RING)
         assert forks == [] and pulled == []
         assert [trace for trace, _ in results] == [0.0, 2.0, 4.0, 6.0, 8.0]
         assert len(pulled) == 5 and len(forks) == 1
@@ -873,7 +914,7 @@ class TestIterateWorkers:
         # Outside the commands' process context no child starts, so no item is held.
         pulled = []
         items = (pulled.append(item) or item for item in _matrices(5))
-        results = _workers._in_ring(_trace_in, items, (2, 2), cli.ITERATE_RING)
+        results = _workers._shared(_trace_in, items, (2, 2), cli.ITERATE_RING)
         assert next(results) == (0.0, False) and len(pulled) == 1
         assert list(results) == [(2.0 * k, False) for k in range(1, 5)] and forks == []
 
@@ -891,73 +932,80 @@ class TestIterateWorkers:
         slots = cli.ITERATE_RING if pooled else 0
         rows = []
         with pytest.raises(FloatingPointError, match="no more items"):
-            for row in _workers._in_ring(fn, items(3), (2, 2), slots):
+            for row in _workers._shared(fn, items(3), (2, 2), slots):
                 rows.append(row)
         assert rows == [0.0, 2.0, 4.0]
-        # An earlier item's error comes first, as it does without children.
-        rows = []
-        with pytest.raises(ValueError, match="item 3 cannot run"):
-            for row in _workers._in_ring(fn, items(5), (2, 2), slots):
-                rows.append(row)
-        assert rows == [0.0, 2.0, 4.0]
+        # An earlier item's error comes first, as it does without children,
+        # for a stream and for a list.
+        for results in (_workers._shared(fn, items(5), (2, 2), slots), _workers._shared(fn, _matrices(5))):
+            rows = []
+            with pytest.raises(ValueError, match="item 3 cannot run"):
+                for row in results:
+                    rows.append(row)
+            assert rows == [0.0, 2.0, 4.0]
         assert_no_child()
 
     @needs_blas_threads
     def test_error_here_waits_for_the_rows_the_child_holds(self, children):
-        # The child holds items 0-3 for 50 ms each, so the command computes
-        # item 4 itself, and its error comes after their rows.
+        # Items come every 10 ms, and the child holds each it claims for
+        # 100 ms: it claims item 0, and the command, once it has pulled the
+        # 8 its ring holds, claims items 1-4 and raises item 4's error after
+        # the rows before it. A list's error comes after its earlier rows too.
         def fn(a):
             if os.getpid() != _PARENT_PID:
-                time.sleep(0.05)
+                time.sleep(0.1)
             elif np.trace(a) == 8.0:
                 raise ValueError("item 4 cannot run")
             return _trace_in(a)
 
-        rows = []
-        with pytest.raises(ValueError, match="item 4 cannot run"):
-            for row in _workers._in_ring(fn, _matrices(8), (2, 2), cli.ITERATE_RING):
-                rows.append(row)
-        assert rows == [(2.0 * k, True) for k in range(4)]
+        def items():
+            for item in _matrices(8):
+                time.sleep(0.01)
+                yield item
+
+        for results in (_workers._shared(fn, items(), (2, 2), 8), _workers._shared(fn, _matrices(8))):
+            rows = []
+            with pytest.raises(ValueError, match="item 4 cannot run"):
+                for row in results:
+                    rows.append(row)
+            assert [trace for trace, _ in rows] == [0.0, 2.0, 4.0, 6.0]
         assert_no_child()
 
     @needs_blas_threads
     def test_early_close_reaps_the_child(self, forks, children):
-        results = _workers._in_ring(_slow_in_workers, _matrices(8), (2, 2), cli.ITERATE_RING)
-        assert next(results) == (0.0, True)
-        results.close()
-        assert len(forks) == 1
-        assert_no_child()
+        stream = _workers._shared(_slow_in_workers, iter(_matrices(8)), (2, 2), cli.ITERATE_RING)
+        for results in (stream, _workers._shared(_slow_in_workers, _matrices(8))):
+            assert next(results)[0] == 0.0
+            results.close()
+            assert_no_child()
+        assert len(forks) == 2
 
     @needs_blas_threads
-    def test_child_gone_before_a_send_is_reaped_and_its_items_computed_here(self, children):
-        # The child, killed while it holds an item, has closed the token pipe:
-        # the next send meets EPIPE, reaps it and leaves both items to the command.
+    def test_child_gone_before_a_send_is_reaped_and_its_items_computed_here(self, forks, children):
+        # The child is killed on the first item it claims, before it sends
+        # anything: the command reaps it and computes that item and every
+        # other, for a stream and for a list alike.
         def fn(a):
             if os.getpid() != _PARENT_PID:
-                time.sleep(60)
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.01)
             return _trace_in(a)
 
-        ring = _workers._Ring(fn, (2, 2), 2)
-        held, later = [[item, None] for item in _matrices(2)]
-        try:
-            assert ring.send(held) and ring.pid
-            os.kill(ring.pid, signal.SIGKILL)
-            os.waitid(os.P_PID, ring.pid, os.WEXITED | os.WNOWAIT)
-            assert not ring.send(later)
-            assert ring.pid == 0 and not ring.held and held[1] == (True, (0.0, False)) and later[1] is None
-        finally:
-            ring.close()
+        expected = [(2.0 * k, False) for k in range(6)]
+        assert list(_workers._shared(fn, iter(_matrices(6)), (2, 2), 2)) == expected
+        assert list(_workers._shared(fn, _matrices(6))) == expected
+        assert len(forks) == 2
         assert_no_child()
 
     def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, iterate_input):
         calls = []
-        in_ring = _workers._in_ring
+        shared = _workers._shared
 
         def recording(fn, items, shape, slots):
             calls.append((shape, slots))
-            return in_ring(fn, items, shape, slots)
+            return shared(fn, items, shape, slots)
 
-        monkeypatch.setattr(cli, "_in_ring", recording)
+        monkeypatch.setattr(cli, "_shared", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
         assert iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
         # The ring follows the input's order alone; the context decides whether its child forks.
@@ -986,7 +1034,7 @@ class TestIterateWorkers:
     @needs_blas_threads
     def test_worker_killed_mid_run_rows_run_here(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
         # The child answers two steps and dies on its third: the command
-        # measures every step it did not answer, from its own iterates.
+        # measures every step it did not answer, from their ring slots.
         argv = ["--max-iter", "12", "--conv-tol", "1e-300"]
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers_at_the_third)
@@ -1170,7 +1218,7 @@ class TestTransformWorker:
         serial = transform_on(1, monkeypatch, capsys, tmp_path, str(src))
         shared = transform_on(2, monkeypatch, capsys, tmp_path, str(src))
         assert shared == serial and serial[0] == EXIT_OK
-        assert [[block.shape for block in items] for items in forks] == [[(150, 600)]] * 3
+        assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]] * 3
 
     @needs_blas_threads
     @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])

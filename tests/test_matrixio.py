@@ -145,13 +145,13 @@ def _no_fork():
 
 def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, monkeypatch, forks):
     # Only inside the commands' process context does a call fork: outside it,
-    # a large save and load, and _fork_join of two items, run in this process.
+    # a large save and load, and _shared of two items, run in this process.
     assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
     monkeypatch.setattr(os, "fork", _no_fork)
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
     save_matrix(tmp_path / "m.json", m)
     assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
-    assert list(_workers._fork_join(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
+    assert list(_workers._shared(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
     assert forks == [] and not _workers._may_fork
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
 
@@ -159,11 +159,11 @@ def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, monkeypatch, for
 @needs_blas_threads
 def test_large_matrix_takes_the_parallel_path(tmp_path, forks, children):
     # The real threshold: a 300 x 300 matrix lies above it, so a save in the
-    # commands' context forks a child, which formats the second half of the rows.
+    # commands' context forks a child, which could claim either half of the rows.
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
     save_matrix(tmp_path / "m.json", m)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
-    assert [[block.shape for block in items] for items in forks] == [[(150, 600)]]
+    assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]]
 
 
 @needs_blas_threads
@@ -174,7 +174,7 @@ def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
         with _workers._blas_children():
             assert load_matrix(tmp_path / f"{n}.json").shape == (n, n)
     # The decision comes from the shape the header gives, once the bytes are read.
-    assert [len(items) for items in forks] == [1]
+    assert [len(items) for items in forks] == [2]
     assert [matrixio._parts(n, n) for n in (small, small + 1)] == [1, 2]
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     assert matrixio._parts(10, 10) == 2
@@ -228,28 +228,33 @@ def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, forks, c
 
 @needs_blas_threads
 def test_child_computes_the_last_item_and_sends_it_back(children):
+    # Each item takes 50 ms, so the child claims one while the command
+    # computes the other, and sends its result back.
     computed_here = []
 
     def fn(k):
         computed_here.append(k)
+        time.sleep(0.05)
         return k, os.getpid()
 
-    results = list(_workers._fork_join(fn, [0, 1]))
-    assert computed_here == [0]
+    results = list(_workers._shared(fn, [0, 1]))
+    assert len(computed_here) == 1
     assert [k for k, _ in results] == [0, 1]
-    assert [pid == _PARENT_PID for _, pid in results] == [True, False]
+    assert sorted(pid == _PARENT_PID for _, pid in results) == [False, True]
 
 
 def test_interrupt_while_the_child_writes_leaves_no_child(children):
-    # The child's result outgrows the pipe, so it blocks writing until the
-    # read end is closed; the autouse fixture checks that it was reaped.
+    # The command is interrupted 0.1 s into the item it claims; the child's
+    # result for the other outgrows the pipe, so it blocks writing until the
+    # read end is closed. The autouse fixture checks that it was reaped.
     def fn(k):
-        if k == 0:
+        if os.getpid() == _PARENT_PID:
+            time.sleep(0.1)
             raise KeyboardInterrupt
         return b"x" * (1 << 20)
 
     with pytest.raises(KeyboardInterrupt):
-        list(_workers._fork_join(fn, [0, 1]))
+        list(_workers._shared(fn, [0, 1]))
 
 
 def test_atomic_write_follows_symlink_to_regular_file(tmp_path):
@@ -442,11 +447,12 @@ def test_worker_parses_the_rows_after_the_middle(tmp_path, monkeypatch, forks, c
     monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
     text = (tmp_path / "m.json").read_bytes()
-    ((theirs,),) = forks
-    # The cut is the first row break after the middle byte of the rows.
+    # A child could claim either run of rows, cut at the first row break
+    # after the middle byte of the rows.
+    ((_, later),) = forks
     body = text[text.index(b"[[[") + 1 : -len(b"]}\n")]
-    cut = len(body) - len(theirs) - len(b"]], ")
-    assert body[cut:].startswith(b"]], [[") and body.endswith(theirs)
+    cut = len(body) - len(later) - len(b"]], ")
+    assert body[cut:].startswith(b"]], [[") and body.endswith(later)
     assert body.rfind(b"]], [[", 0, cut) < len(body) // 2 <= cut
 
 
