@@ -3,9 +3,12 @@ import gc
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +479,82 @@ def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch, forks, childr
     save_matrix(tmp_path / "out.json", m)
     assert (tmp_path / "out.json").read_bytes() == reference_bytes(m)
     assert len(forks) == 2
+
+
+_NO_BRACKETS = str.maketrans("", "", "[]")
+
+
+def rendered(values) -> list:
+    """The writer's text of each of ``values``, written as one row of a matrix
+    (padded with a 0.0 to whole [re, im] entries)."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    row = np.concatenate([x, np.zeros(x.size % 2)])[None, :]
+    return _format_rows(row).translate(_NO_BRACKETS).split(", ")[: x.size]
+
+
+def with_neighbours(x):
+    """``x``, both signs, and the doubles one ulp either side of each."""
+    x = np.concatenate([x, -x])
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def test_random_bit_patterns_render_as_repr():
+    # Uniform 64-bit patterns cover every exponent alike; the few NaNs and
+    # infinities among them, which validate_matrix refuses, are dropped.
+    bits = np.random.default_rng(30).integers(0, 1 << 64, size=1_001_000, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)][:1_000_000]
+    assert x.size == 1_000_000
+    assert rendered(x) == [repr(v) for v in x.tolist()]
+
+
+EXTREME_SETS = {
+    "powers_of_two": np.ldexp(1.0, np.arange(-1074, 1024)),
+    "powers_of_ten": np.array([float(f"1e{k}") for k in range(-323, 309)]),
+    "integers_near_2_53": float(2**53) + np.arange(-2000.0, 2000.0),
+    "notation_boundaries": np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]),
+    "zero_and_subnormal_extremes": np.array([0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308]),
+    "edge_values": np.array(EDGE_VALUES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_SETS))
+def test_extreme_values_render_as_repr(name):
+    x = with_neighbours(EXTREME_SETS[name])
+    assert rendered(x) == [repr(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("shape", [
+    (1, matrixio._CHUNK // 2 - 1), (1, matrixio._CHUNK // 2), (1, matrixio._CHUNK // 2 + 1),
+    (matrixio._CHUNK - 1, 1), (matrixio._CHUNK, 1), (matrixio._CHUNK + 1, 1), (3, 2 * matrixio._CHUNK // 3),
+], ids=str)
+def test_chunk_edges_and_thin_matrices_match_json_dumps(tmp_path, shape):
+    # Numbers are rendered _CHUNK at a time: a chunk may end inside a row, at
+    # its end or one entry either side, and a 1 x n or n x 1 matrix holds one
+    # row or one column of them. The values mix notations, zeros and subnormals.
+    rng = np.random.default_rng(sum(shape))
+    pool = np.concatenate([with_neighbours(EXTREME_SETS["powers_of_ten"]), EDGE_VALUES, rng.standard_normal(500)])
+    m = rng.choice(pool, size=(*shape, 2)).view(np.complex128)[..., 0]
+    save_matrix(tmp_path / "m.json", m)
+    assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
+
+
+def test_writer_tables_are_built_only_by_a_save(tmp_path):
+    # Importing the commands and running verify and iterate write no matrix
+    # file, so none of them builds the writer's tables; a save does.
+    m = np.random.default_rng(3).standard_normal((4, 8)).view(np.complex128)
+    (tmp_path / "in.json").write_text(json.dumps(matrixio.matrix_to_obj(m)) + "\n")
+    verify = ["verify", "--dims", "2", "3", "--trials", "5", "--output-dir", str(tmp_path / "v")]
+    iterate = ["iterate", str(tmp_path / "in.json"), "--output", str(tmp_path / "trace.csv")]
+    code = (
+        "from aluthge.cli import main\nfrom aluthge.matrixio import _tables, save_matrix\n"
+        f"built = [_tables.cache_info().misses]\nassert main({verify!r}) == 0\nbuilt.append(_tables.cache_info().misses)\n"
+        f"assert main({iterate!r}) == 0\nbuilt.append(_tables.cache_info().misses)\n"
+        f"save_matrix({str(tmp_path / 'out.json')!r}, [[1.0]])\nprint(*built, _tables.cache_info().misses)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matrixio.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1].split() == ["0", "0", "0", "1"]
 
 
 FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
