@@ -9,16 +9,18 @@ number to a token pipe, and the caller and the child each claim the next
 number written and compute that item, so neither sits idle while the other
 holds work. The rule relies on Linux serializing reads on a pipe, so that
 each read of 4 bytes takes one whole token, which one process alone gets.
-An item that exists before the fork (``verify``'s reports, the halves of a
-large matrix file) is inherited by the child; one pulled later (``iterate``'s
-iterates) is copied into a slot of a shared-memory ring before its number is
-written. The caller yields the results in item order, computes every item
-the child did not answer, and reaps the child however it leaves.
+A list's items (``verify``'s reports, a large matrix file's halves) are
+inherited by the child. A stream (``iterate``'s iterates) forks it once the
+first item is pulled, with a shared-memory ring shaped like that item, and
+copies each item into a slot before its number is written. The caller
+yields the results in item order, computes every item the child did not
+answer, and reaps the child however it leaves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -100,24 +102,30 @@ def _blas_children():
 # token write never waits, although a page is freed only once read out.
 _TOKENS_OUT = 4096 // 4
 
+# Slots of a stream's ring, at most this many items pulled ahead of the
+# results yielded. For iterate at n = 128, 100 steps (2 CPUs, 8 alternating
+# pairs of `main` calls), 4 and 8 slots took medians of 1.597 and 1.501 s (8
+# faster in 7 of 8), and the command peaked at 39.4 and 40.4 MiB (4 runs each).
+_RING_SLOTS = 8
+
 
 class _Forked:
     """The child of one ``_shared`` call, forked inside ``_blas_children``.
     ``hand`` writes an item's number to a token pipe, and the caller and the
-    child each ``claim`` the next number written. An item of a list is
-    inherited by the child; an item of a stream is copied, before its number
-    is written, into slot ``k % slots`` of ``ring``, an anonymous shared mmap
-    of complex128 arrays. The child writes the number and ``fn`` of each item
-    it claims to a result pipe, as an 8-byte length and a pickle, and leaves
-    through ``os._exit`` on every path, so it never unwinds into the caller
-    or flushes inherited buffers. ``pid`` is 0 where none started (no child
-    may start, or the mmap, a pipe or the fork failed) and once it is reaped.
-    ``receive`` reads its results in order; ``close`` reaps it."""
+    child each ``claim`` the next number written. A list's items are
+    inherited; given ``shape``, a stream's item is copied, before its number
+    is written, into slot ``k % _RING_SLOTS`` of ``ring``, an anonymous
+    shared mmap of complex128 arrays of that shape. The child sends the
+    number and ``fn`` of each item it claims on a result pipe, as an 8-byte
+    length and a pickle, and leaves through ``os._exit`` on every path, so
+    it never unwinds into the caller or flushes inherited buffers. ``pid`` is
+    0 where none started (no child may start, or the mmap, a pipe or the
+    fork failed) and once reaped. ``receive`` reads results; ``close`` reaps."""
 
     pid = 0
 
-    def __init__(self, fn, items, shape: tuple | None, slots: int):
-        self.items, self.slots, self.ring = items, slots, None
+    def __init__(self, fn, items, shape: tuple | None = None):
+        self.items, self.ring = items, None
         if not _may_fork:
             return
         # Imported here: loading them at import would cost every command about 0.2 MiB.
@@ -129,8 +137,8 @@ class _Forked:
         # commands start no other thread, so a child holds no lock another took.
         try:
             if shape is not None:
-                self.ring = np.frombuffer(mmap.mmap(-1, slots * 16 * math.prod(shape)), np.complex128)
-                self.ring = self.ring.reshape(slots, *shape)
+                self.ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * 16 * math.prod(shape)), np.complex128)
+                self.ring = self.ring.reshape(_RING_SLOTS, *shape)
             fds = os.pipe()
             fds += os.pipe()
             # Both token-pipe ends, shared with the child: a claim never waits.
@@ -171,7 +179,7 @@ class _Forked:
 
     def item(self, k: int):
         """Item ``k``: from the list, or from its slot of the ring."""
-        return self.items[k] if self.ring is None else self.ring[k % self.slots]
+        return self.items[k] if self.ring is None else self.ring[k % _RING_SLOTS]
 
     def hand(self, k: int) -> None:
         """Write number ``k`` to the token pipe, while the child runs."""
@@ -230,27 +238,34 @@ def _outcome(fn, x) -> tuple:
         return False, exc
 
 
-def _shared(fn, items, shape: tuple | None = None, slots: int = 0):
+def _shared(fn, items):
     """``fn(item)`` for each of ``items`` in order, shared with one
-    ``_Forked`` child where one may start: a list of two or more items, or,
-    given ``shape`` and ``slots`` > 0, a stream of complex128 arrays of that
-    shape, pulled lazily, the child forked before the first is pulled.
-    Otherwise each item is computed here as it comes. Items are handed out in
-    order, up to ``_TOKENS_OUT`` of a list or ``slots`` of a stream ahead of
-    the results yielded, so a ring slot is reused only once its item's result
-    is yielded. A result must not keep a view of its array past that point.
-    Between results this process hands out the next item, else takes an
-    answer the child has sent, else claims and computes the next number,
-    else waits for the child's next answer; once the child is gone, it
-    computes every item left. An error raised by ``items`` or by ``fn``
-    surfaces after the results before it, as it does without a child, and
-    the child is reaped when the generator finishes, raises or is closed."""
-    child = _Forked(fn, items, shape, slots) if (len(items) > 1 if shape is None else slots > 0) else None
+    ``_Forked`` child where one may start: a sized ``items`` (a list or a
+    range) of two or more, inherited by the child, or a stream (any other
+    iterable) of complex128 arrays, pulled lazily, whose child is forked
+    once the first is pulled, with a ring shaped like it. An empty stream,
+    or one whose first pull raises, forks none; where none starts, each
+    item is computed here as it comes. Items are handed out in order, up to
+    ``_TOKENS_OUT`` of a list or ``_RING_SLOTS`` of a stream ahead of the
+    results yielded, so a ring slot is reused only once its result is
+    yielded: a result must not keep a view of its array. Between results
+    this process hands out the next item, else takes an answer the child
+    sent, else claims and computes the next number, else waits for the
+    child; once the child is gone, it computes every item left. An error
+    raised by ``items`` or ``fn`` surfaces after the results before it, as
+    without a child, and the child is reaped however the generator ends."""
+    if hasattr(items, "__len__"):
+        stream, ahead, end = None, _TOKENS_OUT, len(items)
+        child = _Forked(fn, items) if end > 1 else None
+    else:
+        stream = iter(items)
+        if (first := next(stream, None)) is None:
+            return
+        items = stream = itertools.chain((first,), stream)
+        ahead, end, child = _RING_SLOTS, math.inf, _Forked(fn, None, first.shape)
     if child is None or not child.pid:
         yield from map(fn, items)
         return
-    stream = None if shape is None else iter(items)
-    ahead, end = (_TOKENS_OUT, len(items)) if stream is None else (slots, math.inf)
     known, sent, done = {}, 0, 0
     try:
         while done < end:
@@ -263,7 +278,7 @@ def _shared(fn, items, shape: tuple | None = None, slots: int = 0):
             elif sent < end and sent - done < ahead:
                 try:
                     if stream is not None:
-                        child.ring[sent % slots] = next(stream)
+                        child.ring[sent % _RING_SLOTS] = next(stream)
                 except StopIteration:
                     end = sent
                 except Exception as exc:

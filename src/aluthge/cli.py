@@ -46,21 +46,6 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 DEFAULT_LAMBDA = 0.5
 
-# Order of the input from which iterate shares its steps' measures with a
-# child. On 2 CPUs, 300 steps, alternating pairs of `main` calls in the
-# command alone and with the child (medians; pairs the child won):
-#   n = 16   0.155 s against 0.100 s, 6 of 8 (0.227 against 0.189 s, 6 of 12, in a second set)
-#   n = 32   0.367 s against 0.234 s, 8 of 8
-#   n = 48   1.123 s against 0.555 s, 8 of 8
-ITERATE_POOL_N = 32
-# Slots of the ring that iterate copies its iterates into, each an n x n
-# complex128 matrix: at most this many are pulled ahead of the rows written.
-# At n = 128, 100 steps (2 CPUs, 8 alternating pairs of `main` calls), 4 and
-# 8 slots took medians of 1.597 and 1.501 s (8 faster in 7 of 8), and the
-# command peaked at 39.4 and 40.4 MiB (4 runs each).
-ITERATE_RING = 8
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aluthge", description="lambda-Aluthge transform toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,10 +137,10 @@ def cmd_iterate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "delta_frobenius", "distance_to_normal", "spectral_drift"])
-    # The command runs the chain and copies each iterate into a ring of
-    # ITERATE_RING slots; it and one measuring child each claim the next step
-    # to measure. Each step's delta and convergence wait here, in step order,
-    # for its measures.
+    # The command runs the chain and, where a child may start, copies each
+    # iterate into the ring of one measuring child, forked at the first step;
+    # the two each claim the next step to measure. Each step's delta and
+    # convergence wait here, in step order, for its measures.
     measures = functools.partial(_step_measures, spectrum(m))
     pulled = collections.deque()
 
@@ -164,9 +149,8 @@ def cmd_iterate(args) -> int:
             pulled.append((delta, converged))
             yield it
 
-    slots = ITERATE_RING if m.shape[0] >= ITERATE_POOL_N else 0
     try:
-        with contextlib.closing(_shared(measures, iterates(), m.shape, slots)) as rows:
+        with contextlib.closing(_shared(measures, iterates())) as rows:
             for step, (distance, drift) in enumerate(rows, start=1):
                 delta, converged = pulled.popleft()
                 writer.writerow([step, repr(delta), repr(distance), repr(drift)])

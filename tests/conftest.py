@@ -6,16 +6,17 @@ from aluthge import _workers
 @pytest.fixture
 def forks(monkeypatch):
     """Each child ``_workers._shared`` started, recorded once, as it is
-    forked: the list of items it could claim, or the ``(shape, slots)`` of a
-    stream's ring. A call that computes here alone (no child may start, or
-    the mmap, a pipe or the fork failed) is not recorded."""
+    forked: the list of items it could claim, or the shape of a stream's
+    ring, ``_RING_SLOTS`` slots each shaped like the stream's first item. A
+    call that computes here alone (no child may start, or the mmap, a pipe
+    or the fork failed) is not recorded."""
     calls = []
 
     class Recording(_workers._Forked):
-        def __init__(self, fn, items, shape, slots):
-            super().__init__(fn, items, shape, slots)
+        def __init__(self, fn, items, shape=None):
+            super().__init__(fn, items, shape)
             if self.pid:
-                calls.append(items if shape is None else (shape, slots))
+                calls.append(items if shape is None else self.ring.shape)
 
     monkeypatch.setattr(_workers, "_Forked", Recording)
     return calls

@@ -9,9 +9,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aluthge import _workers, cli, matrixio
 from aluthge.cli import EXIT_CHECK_FAILURES, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, main
@@ -686,6 +689,7 @@ class TestBlasWorkers:
         # The children set no thread count of their own: they are forked inside
         # the command's pin. The command's count comes back however the block exits.
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "_RING_SLOTS", 2)
         set_threads, get_threads = _workers._openblas_threads()
         before = get_threads()
         set_threads(2)
@@ -695,14 +699,14 @@ class TestBlasWorkers:
             with raises, _workers._blas_children():
                 assert _workers._may_fork and get_threads() == 1
                 results = list(_workers._shared(_blas_thread_count, range(4)))
-                ring = list(_workers._shared(_blas_thread_count, iter(_matrices(5)), (2, 2), 2))
+                ring = list(_workers._shared(_blas_thread_count, iter(_matrices(5))))
                 if exit == "exception":
                     raise ValueError("block failed")
             # One child for a list and one for a stream's ring, each of which
             # claims some items: every process runs one BLAS thread.
             assert [threads for threads, _ in results + ring] == [1] * 9
             assert any(child for _, child in results) and any(child for _, child in ring)
-            assert get_threads() == inherited and forks == [range(4), ((2, 2), 2)] and not _workers._may_fork
+            assert get_threads() == inherited and forks == [range(4), (2, 2, 2)] and not _workers._may_fork
         finally:
             set_threads(before)
         assert_no_child()
@@ -740,11 +744,12 @@ class TestBlasWorkers:
         assert_no_child()
 
     @needs_blas_threads
-    def test_stopped_child_bounds_the_stream_pulled_ahead(self, tmp_path, forks, children):
+    def test_stopped_child_bounds_the_stream_pulled_ahead(self, tmp_path, monkeypatch, forks, children):
         # The child stops itself on the first item it claims, and is continued
         # 0.5 s later: until then the command pulls at most ``slots`` items
         # ahead of the rows it has given, computing those it can claim.
         slots, pid_file = 4, tmp_path / "child.pid"
+        monkeypatch.setattr(_workers, "_RING_SLOTS", slots)
 
         def fn(a):
             if os.getpid() != _PARENT_PID and not pid_file.exists():
@@ -763,15 +768,48 @@ class TestBlasWorkers:
         resume = signal.signal(signal.SIGALRM, lambda *_: os.kill(int(pid_file.read_text()), signal.SIGCONT))
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         try:
-            for row in _workers._shared(fn, items(), (2, 2), slots):
+            for row in _workers._shared(fn, items()):
                 assert len(pulled) <= len(rows) + slots
                 rows.append(row)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, resume)
         assert [trace for trace, _ in rows] == [2.0 * k for k in range(3 * slots)]
-        assert rows[0] == (0.0, True) and forks == [((2, 2), slots)]
+        assert rows[0] == (0.0, True) and forks == [(slots, 2, 2)]
         assert_no_child()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from([0.0, 5e-4, 5e-3]), max_size=40), st.none() | st.integers(0, 39), st.booleans(), st.booleans()
+)
+def test_shared_is_map_up_to_the_error(delays, bad, stream, inside):
+    # Item k, the matrix k * I, takes delays[k] s in a child and a quarter of
+    # that here, and item ``bad`` raises wherever it runs: a list or a stream
+    # of them gives the results of ``map`` before that error and then the
+    # error, inside the commands' context on two CPUs and outside it, and
+    # leaves no child. The trace is read after the delay, so that a ring slot
+    # reused too early gives another.
+    def fn(a):
+        k = int(a[0, 0].real)
+        time.sleep(delays[k] if os.getpid() != _PARENT_PID else delays[k] / 4)
+        if k == bad:
+            raise ValueError(f"item {k} cannot run")
+        return k, float(np.trace(a).real)
+
+    items = _matrices(len(delays))
+    expected = [fn(a) for a in items[: bad if bad is not None and bad < len(items) else None]]
+    rows = []
+    with contextlib.ExitStack() as stack:
+        if inside:
+            stack.enter_context(mock.patch.object(_workers, "_usable_cpus", lambda: 2))
+            stack.enter_context(_workers._blas_children())
+        if len(expected) < len(items):
+            stack.enter_context(pytest.raises(ValueError, match=f"item {bad} cannot run"))
+        for row in _workers._shared(fn, iter(items) if stream else items):
+            rows.append(row)
+    assert rows == expected and not _workers._may_fork
+    assert_no_child()
 
 
 _STEP_MEASURES = cli._step_measures
@@ -821,9 +859,8 @@ def _chain_stops(exc, after, threads=None):
 
 
 @pytest.fixture
-def iterate_input(tmp_path, monkeypatch):
-    """A 6 x 6 input whose iterate forks a measuring child wherever it can start."""
-    monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
+def iterate_input(tmp_path):
+    """A 6 x 6 input, whose iterate forks a measuring child wherever one can start."""
     return write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 6))
 
 
@@ -849,19 +886,27 @@ def _slow_in_workers(a):
 
 
 class TestIterateWorkers:
-    def test_small_input_starts_no_process(self, tmp_path, monkeypatch, capsys, forks):
-        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(8), 4))
-        code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, src, "--max-iter", "20")
-        assert code == EXIT_OK and trace.count(b"\n") == 22
-        assert forks == [] and 4 < cli.ITERATE_POOL_N
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_small_input_shares_its_measures(self, tmp_path, monkeypatch, capsys, forks, n):
+        # Every order forks one ring child on two CPUs, and writes the one-CPU bytes.
+        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(8), n))
+        argv = ["--max-iter", "20", "--conv-tol", "1e-300"]
+        serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
+        assert forks == []
+        forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
+        # A 1 x 1 input is normal: its first step moves it by an ulp, its second converges.
+        assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == (4 if n == 1 else 22)
+        if _workers._openblas_threads() is not None:
+            assert forks == [(_workers._RING_SLOTS, n, n)]
 
     @needs_blas_threads
-    @pytest.mark.parametrize("window", [1, 4, cli.ITERATE_RING])
-    def test_window_bounds_steps_in_flight(self, forks, children, window):
+    @pytest.mark.parametrize("window", [1, 4, _workers._RING_SLOTS])
+    def test_window_bounds_steps_in_flight(self, monkeypatch, forks, children, window):
         # A ring of ``window`` slots, an item every 5 ms, and a child that
         # takes 50 ms an item: the command pulls at most ``window`` items
         # ahead of the rows it has given and computes every item it claims,
         # the rows in order all the same.
+        monkeypatch.setattr(_workers, "_RING_SLOTS", window)
         pulled, rows = [], []
 
         def items():
@@ -870,11 +915,11 @@ class TestIterateWorkers:
                 pulled.append(item)
                 yield item
 
-        for row in _workers._shared(_slow_in_workers, items(), (2, 2), window):
+        for row in _workers._shared(_slow_in_workers, items()):
             assert len(pulled) <= len(rows) + window
             rows.append(row)
         assert [trace for trace, _ in rows] == [2.0 * k for k in range(12)]
-        assert forks == [((2, 2), window)] and not all(child for _, child in rows)
+        assert forks == [(window, 2, 2)] and not all(child for _, child in rows)
         assert_no_child()
 
     @needs_blas_threads
@@ -886,40 +931,66 @@ class TestIterateWorkers:
             time.sleep(random.random() * 0.002)
             return _trace_in(a)
 
-        rows = list(_workers._shared(fn, iter(_matrices(300, 8)), (8, 8), cli.ITERATE_RING))
+        rows = list(_workers._shared(fn, iter(_matrices(300, 8))))
         assert [trace for trace, _ in rows] == [8.0 * k for k in range(300)]
         assert any(child for _, child in rows)
         assert_no_child()
 
     @needs_blas_threads
     def test_items_handed_out_at_the_call(self, forks, children):
-        # The ring's child is forked at the first result asked for, before
-        # the first item is pulled, and is the only one.
+        # Nothing is pulled or forked at the call. At the first result asked
+        # for, the first item is pulled and then the ring's child is forked,
+        # shaped like that item; it is the only one.
         pulled = []
 
         def items():
             for item in _matrices(5):
-                # The child exists when the chain's first step is pulled.
-                assert forks == [((2, 2), cli.ITERATE_RING)]
+                # No child exists when the first item is pulled; one does at every later pull.
+                assert forks == ([(_workers._RING_SLOTS, 2, 2)] if pulled else [])
                 pulled.append(item)
                 yield item
 
-        results = _workers._shared(_trace_in, items(), (2, 2), cli.ITERATE_RING)
+        results = _workers._shared(_trace_in, items())
         assert forks == [] and pulled == []
         assert [trace for trace, _ in results] == [0.0, 2.0, 4.0, 6.0, 8.0]
         assert len(pulled) == 5 and len(forks) == 1
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_empty_stream_forks_nothing(self, forks, children):
+        assert list(_workers._shared(_trace_in, iter(()))) == [] and forks == []
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_first_pull_error_forks_nothing(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
+        def items():
+            raise FloatingPointError("step 1: not finite")
+            yield
+
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with _workers._blas_children(), pytest.raises(FloatingPointError, match="step 1: not finite"):
+            next(_workers._shared(_trace_in, items()))
+        assert forks == []
+        # So iterate, whose chain fails at its first step, exits as on one CPU.
+        monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(FloatingPointError("step 1: not finite"), 0))
+        runs = [iterate_on(cpus, monkeypatch, capsys, tmp_path, iterate_input) for cpus in (1, 2)]
+        assert runs[0] == runs[1] == (EXIT_USAGE, f"error: {iterate_input}: step 1: not finite\n", None)
+        assert forks == []
         assert_no_child()
 
     def test_without_children_items_are_pulled_one_at_a_time(self, forks):
         # Outside the commands' process context no child starts, so no item is held.
         pulled = []
         items = (pulled.append(item) or item for item in _matrices(5))
-        results = _workers._shared(_trace_in, items, (2, 2), cli.ITERATE_RING)
+        results = _workers._shared(_trace_in, items)
         assert next(results) == (0.0, False) and len(pulled) == 1
         assert list(results) == [(2.0 * k, False) for k in range(1, 5)] and forks == []
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_item_error_surfaces_after_earlier_items(self, children, pooled):
+    def test_item_error_surfaces_after_earlier_items(self, request, pooled):
+        if pooled:
+            request.getfixturevalue("children")
+
         def items(stop):
             yield from _matrices(stop)
             raise FloatingPointError("no more items")
@@ -929,15 +1000,14 @@ class TestIterateWorkers:
                 raise ValueError("item 3 cannot run")
             return _trace_in(a)[0]
 
-        slots = cli.ITERATE_RING if pooled else 0
         rows = []
         with pytest.raises(FloatingPointError, match="no more items"):
-            for row in _workers._shared(fn, items(3), (2, 2), slots):
+            for row in _workers._shared(fn, items(3)):
                 rows.append(row)
         assert rows == [0.0, 2.0, 4.0]
         # An earlier item's error comes first, as it does without children,
         # for a stream and for a list.
-        for results in (_workers._shared(fn, items(5), (2, 2), slots), _workers._shared(fn, _matrices(5))):
+        for results in (_workers._shared(fn, items(5)), _workers._shared(fn, _matrices(5))):
             rows = []
             with pytest.raises(ValueError, match="item 3 cannot run"):
                 for row in results:
@@ -963,7 +1033,7 @@ class TestIterateWorkers:
                 time.sleep(0.01)
                 yield item
 
-        for results in (_workers._shared(fn, items(), (2, 2), 8), _workers._shared(fn, _matrices(8))):
+        for results in (_workers._shared(fn, items()), _workers._shared(fn, _matrices(8))):
             rows = []
             with pytest.raises(ValueError, match="item 4 cannot run"):
                 for row in results:
@@ -973,7 +1043,7 @@ class TestIterateWorkers:
 
     @needs_blas_threads
     def test_early_close_reaps_the_child(self, forks, children):
-        stream = _workers._shared(_slow_in_workers, iter(_matrices(8)), (2, 2), cli.ITERATE_RING)
+        stream = _workers._shared(_slow_in_workers, iter(_matrices(8)))
         for results in (stream, _workers._shared(_slow_in_workers, _matrices(8))):
             assert next(results)[0] == 0.0
             results.close()
@@ -981,7 +1051,7 @@ class TestIterateWorkers:
         assert len(forks) == 2
 
     @needs_blas_threads
-    def test_child_gone_before_a_send_is_reaped_and_its_items_computed_here(self, forks, children):
+    def test_child_gone_before_a_send_is_reaped_and_its_items_computed_here(self, monkeypatch, forks, children):
         # The child is killed on the first item it claims, before it sends
         # anything: the command reaps it and computes that item and every
         # other, for a stream and for a list alike.
@@ -991,25 +1061,28 @@ class TestIterateWorkers:
             time.sleep(0.01)
             return _trace_in(a)
 
+        monkeypatch.setattr(_workers, "_RING_SLOTS", 2)
         expected = [(2.0 * k, False) for k in range(6)]
-        assert list(_workers._shared(fn, iter(_matrices(6)), (2, 2), 2)) == expected
+        assert list(_workers._shared(fn, iter(_matrices(6)))) == expected
         assert list(_workers._shared(fn, _matrices(6))) == expected
         assert len(forks) == 2
         assert_no_child()
 
-    def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, iterate_input):
+    def test_iterate_uses_the_window(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
         calls = []
         shared = _workers._shared
 
-        def recording(fn, items, shape, slots):
-            calls.append((shape, slots))
-            return shared(fn, items, shape, slots)
+        def recording(fn, items):
+            calls.append(hasattr(items, "__len__"))
+            return shared(fn, items)
 
         monkeypatch.setattr(cli, "_shared", recording)
         assert iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
         assert iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, "--max-iter", "5")[0] == EXIT_OK
-        # The ring follows the input's order alone; the context decides whether its child forks.
-        assert calls == [((6, 6), cli.ITERATE_RING), ((6, 6), cli.ITERATE_RING)]
+        # The command hands its iterates over as a stream on any CPU count; the
+        # context decides whether a child forks, its ring shaped like the first.
+        assert calls == [False, False]
+        assert forks == ([(_workers._RING_SLOTS, 6, 6)] if _workers._openblas_threads() is not None else [])
 
     def test_pooled_trace_matches_in_process_at_128(self, tmp_path, monkeypatch, capsys, forks):
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(4), 128))
@@ -1020,7 +1093,7 @@ class TestIterateWorkers:
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 12
         if _workers._openblas_threads() is not None:
             # One measuring child for the whole run.
-            assert forks == [((128, 128), cli.ITERATE_RING)]
+            assert forks == [(_workers._RING_SLOTS, 128, 128)]
 
     @needs_blas_threads
     def test_killed_worker_rows_run_here(self, tmp_path, monkeypatch, capsys, forks, iterate_input):
@@ -1028,7 +1101,7 @@ class TestIterateWorkers:
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers)
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
-        assert forks == [((6, 6), cli.ITERATE_RING)]
+        assert forks == [(_workers._RING_SLOTS, 6, 6)]
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 14
 
     @needs_blas_threads
@@ -1039,20 +1112,20 @@ class TestIterateWorkers:
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, iterate_input, *argv)
         monkeypatch.setattr(cli, "_step_measures", _measures_die_in_workers_at_the_third)
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input, *argv)
-        assert forks == [((6, 6), cli.ITERATE_RING)]
+        assert forks == [(_workers._RING_SLOTS, 6, 6)]
         assert forked == serial and serial[0] == EXIT_OK
 
     @needs_blas_threads
     def test_large_input_load_is_shared(self, tmp_path, monkeypatch, capsys, forks):
         # As in transform, one child parses half of a large input's rows.
-        assert 200 * 200 >= matrixio.PARALLEL_ENTRIES and 200 >= cli.ITERATE_POOL_N
+        assert 200 * 200 >= matrixio.PARALLEL_ENTRIES
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(9), 200))
         argv = ["--max-iter", "3", "--conv-tol", "1e-300"]
         serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
         assert forks == []
         forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
         assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 5
-        assert [type(forks[0][0]), forks[1]] == [bytes, ((200, 200), cli.ITERATE_RING)] and len(forks) == 2
+        assert [type(forks[0][0]), forks[1]] == [bytes, (_workers._RING_SLOTS, 200, 200)] and len(forks) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
@@ -1090,7 +1163,7 @@ class TestIterateWorkers:
         monkeypatch.setattr(cli, "_step_measures", _measures_blas_threads)
         monkeypatch.setattr(cli, "iterate_aluthge", _chain_stops(None, 5, chain_threads))
         code, _, trace = iterate_on(2, monkeypatch, capsys, tmp_path, iterate_input)
-        assert code == EXIT_OK and forks == [((6, 6), cli.ITERATE_RING)]
+        assert code == EXIT_OK and forks == [(_workers._RING_SLOTS, 6, 6)]
         # Each row's distance column holds a thread count, its drift column 1.0
         # where the child measured the step, as it does the first.
         columns = [row.split(",")[2:] for row in trace.decode().splitlines()[1:-1]]
@@ -1283,7 +1356,6 @@ class TestProcessContext:
         # Given two CPUs, every command here forks: the 6 x 6 input is split
         # (PARALLEL_ENTRIES is 1) and iterate takes its measures in children.
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
         (tmp_path / "bad.json").write_text("{")
         src = {"malformed": str(tmp_path / "bad.json"), "non_square": write(tmp_path / "rect.json", np.ones((2, 3)))}
         src = src.get(way, shared_input)
@@ -1330,7 +1402,6 @@ class TestProcessContext:
             if command == "transform":
                 return transform_on(cpus, monkeypatch, capsys, tmp_path, shared_input)
             if command == "iterate":
-                monkeypatch.setattr(cli, "ITERATE_POOL_N", 6)
                 return iterate_on(cpus, monkeypatch, capsys, tmp_path, shared_input, "--max-iter", "8")
             return run_on(cpus, monkeypatch, capsys, tmp_path, "--dims", "2", "3", "--trials", "10")
 
