@@ -1,7 +1,8 @@
 """Forked children and the BLAS thread count, shared by the commands.
 
 ``cli.main`` runs every command inside ``_blas_children``, the one process
-context: BLAS on one thread, and the only place a child forks. Outside the
+context: BLAS on one thread, and the only place a child forks; only ``cli``
+calls ``_shared``, and every command shares whole items. Outside the
 context every item is computed in the caller, so a library call starts no
 process. Inside it ``_shared`` computes a run's items with one ``_Forked``
 child by one rule: for each item it hands out, the caller writes a 4-byte
@@ -9,7 +10,7 @@ number to a token pipe, and the caller and the child each claim the next
 number written and compute that item, so neither sits idle while the other
 holds work. The rule relies on Linux serializing reads on a pipe, so that
 each read of 4 bytes takes one whole token, which one process alone gets.
-A list's items (``verify``'s reports, a large matrix file's halves) are
+A list's items (``verify``'s reports, ``transform``'s output matrices) are
 inherited by the child. A stream (``iterate``'s iterates) forks it once the
 first item is pulled, with a shared-memory ring shaped like that item, and
 copies each item into a slot before its number is written. The caller
@@ -110,17 +111,18 @@ _RING_SLOTS = 8
 
 
 class _Forked:
-    """The child of one ``_shared`` call, forked inside ``_blas_children``.
-    ``hand`` writes an item's number to a token pipe, and the caller and the
-    child each ``claim`` the next number written. A list's items are
-    inherited; given ``shape``, a stream's item is copied, before its number
-    is written, into slot ``k % _RING_SLOTS`` of ``ring``, an anonymous
-    shared mmap of complex128 arrays of that shape. The child sends the
-    number and ``fn`` of each item it claims on a result pipe, as an 8-byte
-    length and a pickle, and leaves through ``os._exit`` on every path, so
-    it never unwinds into the caller or flushes inherited buffers. ``pid`` is
-    0 where none started (no child may start, or the mmap, a pipe or the
-    fork failed) and once reaped. ``receive`` reads results; ``close`` reaps."""
+    """The child of one ``_shared`` call, forked inside ``_blas_children``:
+    the only process a command starts. ``hand`` writes an item's number to a
+    token pipe, and the caller and the child each ``claim`` the next number
+    written. A list's items are inherited; given ``shape``, a stream's item
+    is copied, before its number is written, into slot ``k % _RING_SLOTS``
+    of ``ring``, an anonymous shared mmap of complex128 arrays of that
+    shape. The child sends the number and ``fn`` of each item it claims on a
+    result pipe, as an 8-byte length and a pickle, and leaves through
+    ``os._exit`` on every path, so it never unwinds into the caller or
+    flushes inherited buffers. ``pid`` is 0 where none started (no child may
+    start, or the mmap, a pipe or the fork failed) and once reaped.
+    ``receive`` reads results; ``close`` reaps."""
 
     pid = 0
 
@@ -241,13 +243,14 @@ def _outcome(fn, x) -> tuple:
 def _shared(fn, items):
     """``fn(item)`` for each of ``items`` in order, shared with one
     ``_Forked`` child where one may start: a sized ``items`` (a list or a
-    range) of two or more, inherited by the child, or a stream (any other
-    iterable) of complex128 arrays, pulled lazily, whose child is forked
-    once the first is pulled, with a ring shaped like it. An empty stream,
-    or one whose first pull raises, forks none; where none starts, each
-    item is computed here as it comes. Items are handed out in order, up to
-    ``_TOKENS_OUT`` of a list or ``_RING_SLOTS`` of a stream ahead of the
-    results yielded, so a ring slot is reused only once its result is
+    range) of two or more, inherited by the child (``verify``'s reports,
+    ``transform``'s output matrices), or a stream (any other iterable) of
+    complex128 arrays (``iterate``'s iterates), pulled lazily, whose child
+    is forked once the first is pulled, with a ring shaped like it. An empty
+    stream, or one whose first pull raises, forks none; where none starts,
+    each item is computed here as it comes. Items are handed out in order,
+    up to ``_TOKENS_OUT`` of a list or ``_RING_SLOTS`` of a stream ahead of
+    the results yielded, so a ring slot is reused only once its result is
     yielded: a result must not keep a view of its array. Between results
     this process hands out the next item, else takes an answer the child
     sent, else claims and computes the next number, else waits for the

@@ -33,7 +33,7 @@ from ._workers import _blas_children, _shared
 from .lemmas import run_check
 from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
-from .matrixio import MatrixFileError, atomic_write_text, load_matrix, save_matrix
+from .matrixio import MatrixFileError, _encode, atomic_write_text, load_matrix
 from .transform import _transform_and_factors, aluthge, iterate_aluthge
 
 EXIT_OK = 0
@@ -121,9 +121,12 @@ def cmd_transform(args) -> int:
             f"{stem}.isometry{ext or '.json'}": isometry,
             f"{stem}.modulus{ext or '.json'}": modulus,
         }
-    for path, matrix in outputs.items():
-        if not _written(path, save_matrix, matrix):
-            return EXIT_USAGE
+    # The command and, for the three files of --factors, one child each claim
+    # the next file to render; the command writes the files in order.
+    with contextlib.closing(_shared(_file_pieces, list(outputs.values()))) as texts:
+        for path, pieces in zip(outputs, texts):
+            if not _written(path, atomic_write_text, pieces):
+                return EXIT_USAGE
     return EXIT_OK
 
 
@@ -229,6 +232,11 @@ def _verify_config(args) -> tuple[dict, Tolerances]:
 def _report(task: tuple[str, int], seed: int, lam: float, trials: int, tol: Tolerances) -> dict:
     check_id, dim = task
     return run_check(CHECKS[check_id], dim, seed, lam, trials, tol)
+
+
+def _file_pieces(m: np.ndarray) -> list:
+    """The text of ``m``'s matrix file, in the pieces the writer renders."""
+    return list(_encode(m))
 
 
 def _step_measures(sigma0: np.ndarray, it: np.ndarray) -> tuple[float, float]:

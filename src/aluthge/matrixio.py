@@ -9,12 +9,11 @@ time, with no per-number Python call: Schubfach's integer arithmetic gives the
 shortest, closest digits, which are laid out as ``repr`` lays them out (fixed
 for a decimal point from -3 to 16, else with an exponent of 2 or 3 digits, a
 ".0" on whole numbers, "0.0" and "-0.0" for zeros); only subnormals are
-written by ``repr`` one at a time. The reader parses a file in that exact
-layout from its numbers alone and hands any other file to ``json.load``, with
-the same result. A large matrix is parsed and written in two halves of its
-rows (see ``_parts``) through ``_workers._shared``: inside the commands'
-process context the caller and a child forked once the bytes or the matrix
-exist each claim a half, elsewhere both are done here, with the same bytes.
+written by ``repr`` one at a time. A save streams the file's text into it a
+chunk at a time. The reader parses a file in that exact layout from its
+numbers alone, one run of rows before and one after the body's middle byte,
+so that the parse's transients are held at half size; it hands any other
+file to ``json.load``, with the same result. Nothing here starts a process.
 Writes are atomic (temp file + rename) and honour the process umask.
 """
 
@@ -31,7 +30,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import _workers
 from .linalg import validate_matrix
 
 __all__ = [
@@ -43,27 +41,6 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# Entries from which a matrix file is parsed or written in two halves, in the
-# commands by the caller and one forked child through _workers._shared (the
-# only count measured, on 2 CPUs). One load or save of an n x n Ginibre matrix
-# in the commands' context, in ms, one piece : halves (medians of 12 or 16
-# alternating pairs, 2-vCPU host, the numpy writer; two runs of the save):
-#
-#   n     load       save        save, second run
-#   128   19 : 27
-#   180   30 : 31    22 : 34
-#   200   36 : 37
-#   224                          42 : 34
-#   256   61 : 44    41 : 52     41 : 40
-#   288                          54 : 47
-#   300              64 : 49     68 : 49
-#   512              194 : 125
-#
-# The load breaks even near n = 190, the save near n = 256. A whole
-# transform --factors with its saves in one piece took a median of 0.415 s
-# against 0.412 s with halves at n = 256, and 1.064 s against 0.955 s at
-# n = 512 (10 alternating pairs), so one threshold serves both.
-PARALLEL_ENTRIES = 180 * 180
 # The writer's header, with at most 18 digits a size, and its trailer.
 _HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _TRAILER = b"]}\n"
@@ -335,9 +312,10 @@ def _render(x: np.ndarray, start: int, row_len: int, tables: tuple, work: tuple)
     return text.tobytes().translate(None, b"\0")
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """The JSON rows of a block of ``_float_rows``, joined by ", ": each
-    number as float.__repr__ writes it, the formatter json.dumps uses."""
+def _format_rows(rows: np.ndarray):
+    """The JSON rows of a block of ``_float_rows``, joined by ", ", in one
+    piece per _CHUNK numbers: each number as float.__repr__ writes it, the
+    formatter json.dumps uses."""
     tables = _tables()
     flat = rows.reshape(-1)
     n = min(flat.size, _CHUNK)
@@ -345,29 +323,16 @@ def _format_rows(rows: np.ndarray) -> str:
     source = np.empty((n, 8), dtype=np.uint32)
     source[:, 7] = _WORD7
     work = np.empty((n, _CELL), dtype=np.int32), source, offsets, (offsets * 32).astype(np.int32)[:, None]
-    pieces = [_render(flat[i : i + _CHUNK], i, rows.shape[1], tables, work) for i in range(0, flat.size, _CHUNK)]
-    return b"".join(pieces).decode("ascii")
+    for i in range(0, flat.size, _CHUNK):
+        yield _render(flat[i : i + _CHUNK], i, rows.shape[1], tables, work).decode("ascii")
 
 
-def _parts(n_rows: int, cols: int) -> int:
-    """The blocks of rows an ``n_rows`` x ``cols`` matrix is parsed or formatted
-    in: 2, shared with a forked child where one may start, if it has two or
-    more rows and ``PARALLEL_ENTRIES`` entries; else 1."""
-    return 2 if n_rows > 1 and n_rows * cols >= PARALLEL_ENTRIES else 1
-
-
-def _encode(rows: np.ndarray):
-    """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, for ``rows =
-    _float_rows(m)``, the halves of the rows shared with a forked child where
-    ``_parts`` splits them and one may start."""
-    n_rows, cols = rows.shape[0], rows.shape[1] // 2
-    yield f'{{"rows": {n_rows}, "cols": {cols}, "data": ['
-    first, *rest = _workers._shared(_format_rows, np.array_split(rows, _parts(n_rows, cols)))
-    yield first
-    for text in rest:
-        yield ", "
-        yield text
-    yield "]}\n"
+def _encode(m):
+    """``json.dumps(matrix_to_obj(m)) + "\\n"`` in pieces, rendered as they
+    are taken; ``m`` is validated at the call."""
+    rows = _float_rows(m)
+    header = f'{{"rows": {rows.shape[0]}, "cols": {rows.shape[1] // 2}, "data": ['
+    return chain((header,), _format_rows(rows), ("]}\n",))
 
 
 def _matrix_from_obj(obj) -> np.ndarray:
@@ -428,18 +393,10 @@ def _parse_rows(text: bytes, cols: int) -> np.ndarray | None:
     return floats.reshape(n_rows, 2 * cols) if np.isfinite(floats).all() else None
 
 
-def _row_runs(text: bytes, parts: int) -> list:
-    """``text``, written rows joined by ", ", whole or, for ``parts`` 2, cut
-    at the first row break after its middle byte."""
-    cut = text.find(_ROW_BREAK, len(text) // 2) if parts > 1 else -1
-    return [text] if cut < 0 else [text[: cut + 2], text[cut + 4 :]]
-
-
 def _read_exact(raw: bytes) -> np.ndarray | None:
     """The matrix in ``raw`` if it is a file in the writer's exact layout of
-    finite doubles, else None. Where ``_parts`` splits it and a child may
-    start, this process and a forked child each claim one of the runs of rows
-    before and after the middle byte."""
+    finite doubles, else None. The rows are parsed in two runs, cut at the
+    first row break after the body's middle byte, one after the other."""
     header = _HEADER.match(raw)
     if header is None or not raw.endswith(_TRAILER):
         return None
@@ -449,8 +406,9 @@ def _read_exact(raw: bytes) -> np.ndarray | None:
     # more entries than the file can hold is refused before any work per entry.
     if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
         return None
-    runs = _row_runs(body, _parts(n_rows, cols))
-    blocks = list(_workers._shared(lambda run: _parse_rows(run, cols), runs))
+    cut = body.find(_ROW_BREAK, len(body) // 2)
+    runs = [body] if cut < 0 else [body[: cut + 2], body[cut + 4 :]]
+    blocks = [_parse_rows(run, cols) for run in runs]
     if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
         return None
     return np.concatenate(blocks).view(np.complex128)
@@ -477,10 +435,9 @@ def _read_json(raw: bytes, path) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     """The matrix in the file at ``path``. A file in the writer's exact layout
-    is parsed from its numbers, a large one half by a forked child where one
-    may start (see ``_parts``); any other file by ``json.load``, as is
-    one that holds a number that is not a finite double, so that it fails
-    with the same MatrixFileError."""
+    is parsed from its numbers (see ``_read_exact``); any other file by
+    ``json.load``, as is one that holds a number that is not a finite
+    double, so that it fails with the same MatrixFileError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -518,7 +475,5 @@ def atomic_write_text(path, text) -> None:
 
 
 def save_matrix(path, m) -> None:
-    """Write ``m`` to ``path``. A large matrix's rows are formatted half here
-    and half by a forked child where one may start (see ``_parts``), else all
-    here. The child only formats floats, never calling BLAS or LAPACK."""
-    atomic_write_text(path, _encode(_float_rows(m)))
+    """Write ``m`` to ``path``, its text streamed into the file as it is rendered."""
+    atomic_write_text(path, _encode(m))

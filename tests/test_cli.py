@@ -168,20 +168,18 @@ class TestTransform:
         src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
         outputs = ["out.json", "out.isometry.json", "out.modulus.json"]
         os.mkdir(tmp_path / "serial")
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
         assert main(["transform", src, "--output", str(tmp_path / "serial" / "out.json"), "--factors"]) == EXIT_OK
-        monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+        assert forks == []
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         assert main(["transform", src, "--output", str(tmp_path / "out.json"), "--factors"]) == EXIT_OK
-        # One child could claim either half of the input's rows, cut at the
-        # first row break after its middle byte, and one for each file either
-        # half of its rows.
-        runs, *saves = forks
-        child_rows = runs[1].count(b"]], [[") + 1
-        assert runs[1].startswith(b"[[") and runs[1].endswith(b"]]") and 1 <= child_rows < 6
-        assert [[block.shape for block in items] for items in saves] == [[(3, 12), (3, 12)]] * 3
+        # One child, forked once the load and the SVD are done, could claim
+        # any of the three matrices, in the order of their files.
+        ((delta, isometry, modulus),) = forks
         assert_no_child()
-        for name in outputs:
+        for name, matrix in zip(outputs, (delta, isometry, modulus)):
             assert (tmp_path / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            assert load_matrix(tmp_path / name).tobytes() == matrix.tobytes()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["transform", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
@@ -1115,18 +1113,6 @@ class TestIterateWorkers:
         assert forks == [(_workers._RING_SLOTS, 6, 6)]
         assert forked == serial and serial[0] == EXIT_OK
 
-    @needs_blas_threads
-    def test_large_input_load_is_shared(self, tmp_path, monkeypatch, capsys, forks):
-        # As in transform, one child parses half of a large input's rows.
-        assert 200 * 200 >= matrixio.PARALLEL_ENTRIES
-        src = write(tmp_path / "in.json", ginibre(np.random.default_rng(9), 200))
-        argv = ["--max-iter", "3", "--conv-tol", "1e-300"]
-        serial = iterate_on(1, monkeypatch, capsys, tmp_path, src, *argv)
-        assert forks == []
-        forked = iterate_on(2, monkeypatch, capsys, tmp_path, src, *argv)
-        assert forked == serial and serial[0] == EXIT_OK and serial[2].count(b"\n") == 5
-        assert [type(forks[0][0]), forks[1]] == [bytes, (_workers._RING_SLOTS, 200, 200)] and len(forks) == 2
-
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_measures_fail_as_in_process(self, tmp_path, monkeypatch, capsys, iterate_input, cpus):
         monkeypatch.setattr(cli, "_step_measures", _measures_raise)
@@ -1171,13 +1157,7 @@ class TestIterateWorkers:
         assert chain_threads == [1] * 5
 
 
-_PARSE_ROWS, _FORMAT_ROWS = matrixio._parse_rows, matrixio._format_rows
-
-
-def _parse_dies_in_workers(text, cols):
-    if os.getpid() != _PARENT_PID:
-        os._exit(9)
-    return _PARSE_ROWS(text, cols)
+_FORMAT_ROWS = matrixio._format_rows
 
 
 def _format_dies_in_workers(rows):
@@ -1195,12 +1175,10 @@ def _fork_fails():
 
 
 @pytest.fixture
-def shared_input(tmp_path, monkeypatch):
-    """A 6 x 6 input that a transform shares with forked children wherever
-    they can start: PARALLEL_ENTRIES is 1."""
-    src = write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    return src
+def shared_input(tmp_path):
+    """A 6 x 6 input, whose ``transform --factors`` shares its three files
+    with a forked child wherever one can start."""
+    return write(tmp_path / "in.json", ginibre(np.random.default_rng(12), 6))
 
 
 def transform_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
@@ -1215,13 +1193,13 @@ def transform_on(cpus, monkeypatch, capsys, tmp_path, src, *argv, output=None):
     return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
 
 
-def transform_in_a_fresh_process(tmp_path, m):
-    """The exit code of ``main(["transform", ..., "--factors", ...])`` on
-    ``m``, run in a fresh interpreter with two usable CPUs, then the forks it
-    made, whether ``multiprocessing`` and ``concurrent.futures`` were loaded
-    and whether it left a child."""
+def transform_in_a_fresh_process(tmp_path, m, *flags):
+    """The exit code of ``main(["transform", ..., *flags, ...])`` on ``m``,
+    run in a fresh interpreter with two usable CPUs, then the forks it made,
+    whether ``multiprocessing`` and ``concurrent.futures`` were loaded and
+    whether it left a child."""
     src = write(tmp_path / "in.json", m)
-    argv = ["transform", src, "--factors", "--output", str(tmp_path / "out.json")]
+    argv = ["transform", src, *flags, "--output", str(tmp_path / "out.json")]
     code = (
         "import os, sys\n"
         "from aluthge import _workers\n"
@@ -1243,36 +1221,22 @@ def transform_in_a_fresh_process(tmp_path, m):
 
 
 class TestTransformWorker:
-    def test_small_input_loads_no_pool_module_and_starts_no_process(self, tmp_path):
-        assert 8 * 8 < matrixio.PARALLEL_ENTRIES
-        assert transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(3), 8)) == ["0 0 False False False"]
+    @needs_blas_threads
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_factors_fork_one_child_at_every_order_and_load_no_pool_module(self, tmp_path, n):
+        m = ginibre(np.random.default_rng(5), n)
+        assert transform_in_a_fresh_process(tmp_path, m, "--factors") == ["0 1 False False False"]
+        # A lone output file is rendered in the command, and the load forks none.
+        assert transform_in_a_fresh_process(tmp_path, m) == ["0 0 False False False"]
 
     @needs_blas_threads
-    def test_large_input_forks_once_per_load_and_save_and_loads_no_pool_module(self, tmp_path):
-        assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
-        out = transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(5), 300))
-        assert out == ["0 4 False False False"]
-
-    @needs_blas_threads
-    def test_the_load_and_every_save_fork_one_child_each(self, tmp_path, monkeypatch, capsys, forks, shared_input):
+    def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input):
         serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
-        assert forks == []
-        shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
-        assert shared == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
-        assert [type(items[-1]) for items in forks] == [bytes, np.ndarray, np.ndarray, np.ndarray]
-
-    @needs_blas_threads
-    @pytest.mark.parametrize("stage", ["load", "save"])
-    def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input, stage):
-        serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
-        if stage == "load":
-            monkeypatch.setattr(matrixio, "_parse_rows", _parse_dies_in_workers)
-        else:
-            monkeypatch.setattr(matrixio, "_format_rows", _format_dies_in_workers)
+        monkeypatch.setattr(matrixio, "_format_rows", _format_dies_in_workers)
         shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
         assert shared == serial and serial[0] == EXIT_OK
-        # Every call forks a child of its own: one that dies costs only its share.
-        assert len(forks) == 4
+        # The child dies rendering the first file it claims; the command renders the rest.
+        assert len(forks) == 1
 
     @needs_blas_threads
     def test_failed_fork_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input):
@@ -1280,18 +1244,41 @@ class TestTransformWorker:
         tries = []
         monkeypatch.setattr(os, "fork", lambda: tries.append(1) or _fork_fails())
         shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
-        assert shared == serial and serial[0] == EXIT_OK and len(tries) == 4 and forks == []
+        assert shared == serial and serial[0] == EXIT_OK and len(tries) == 1 and forks == []
 
     @needs_blas_threads
     def test_input_not_in_the_exact_layout_gets_shared_saves(self, tmp_path, monkeypatch, capsys, forks):
-        # json.load reads the input in the command; each save is still shared.
+        # json.load reads the input in the command; the files are still shared.
         m = ginibre(np.random.default_rng(6), 300)
         src = tmp_path / "in.json"
         src.write_text(json.dumps(matrix_to_obj(m), indent=1) + "\n")
         serial = transform_on(1, monkeypatch, capsys, tmp_path, str(src))
         shared = transform_on(2, monkeypatch, capsys, tmp_path, str(src))
         assert shared == serial and serial[0] == EXIT_OK
-        assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]] * 3
+        assert [[matrix.shape for matrix in items] for items in forks] == [[(300, 300)] * 3]
+
+    @needs_blas_threads
+    def test_unwritable_middle_output_stops_the_writes_in_order(self, tmp_path, monkeypatch, capsys, forks,
+                                                                shared_input):
+        # out.isometry.json is a FIFO: out.json is written, the FIFO is refused
+        # before anything is written to it, and out.modulus.json never is.
+        runs = []
+        for cpus in (1, 2):
+            where = tmp_path / f"cpus{cpus}"
+            where.mkdir()
+            os.mkfifo(where / "out.isometry.json")
+            monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+            code = main(["transform", shared_input, "--factors", "--output", str(where / "out.json")])
+            assert_no_child()
+            err = capsys.readouterr().err.replace(str(where), "WHERE")
+            files = {p.name: p.read_bytes() if p.is_file() else "fifo" for p in sorted(where.iterdir())}
+            runs.append((code, err, files))
+        assert runs[0] == runs[1] and len(forks) == 1
+        code, err, files = runs[0]
+        assert code == EXIT_USAGE and err == "error: cannot write WHERE/out.isometry.json: not a regular file\n"
+        assert list(files) == ["out.isometry.json", "out.json"] and files["out.isometry.json"] == "fifo"
+        delta = aluthge(load_matrix(shared_input), 0.5)
+        assert load_matrix(tmp_path / "cpus1" / "out.json").tobytes() == delta.tobytes()
 
     @needs_blas_threads
     @pytest.mark.parametrize("case", ["malformed_second_half", "non_square", "unwritable_output"])
@@ -1311,7 +1298,8 @@ class TestTransformWorker:
         assert files == {} and code == (EXIT_SHAPE if case == "non_square" else EXIT_USAGE)
         if case == "malformed_second_half":
             assert err.startswith(f"error: invalid JSON in {src}: Expecting ','")
-        assert len(forks) == 1  # the shared run forked a child for the load
+        # Only the files are shared: the shared run forked a child once they were to be written.
+        assert len(forks) == (case == "unwritable_output")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_interrupt_leaves_no_worker(self, tmp_path, monkeypatch, shared_input, cpus):
@@ -1353,8 +1341,8 @@ class TestProcessContext:
     def test_every_way_out_restores_blas_and_forbids_children(
         self, tmp_path, monkeypatch, capsys, shared_input, command, way, code
     ):
-        # Given two CPUs, every command here forks: the 6 x 6 input is split
-        # (PARALLEL_ENTRIES is 1) and iterate takes its measures in children.
+        # Given two CPUs, every command that gets as far as its work forks:
+        # transform shares its three files, iterate its measures, verify its reports.
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         (tmp_path / "bad.json").write_text("{")
         src = {"malformed": str(tmp_path / "bad.json"), "non_square": write(tmp_path / "rect.json", np.ones((2, 3)))}
@@ -1409,8 +1397,8 @@ class TestProcessContext:
         tries = []
         monkeypatch.setattr(os, "pipe", lambda: tries.append(1) or _pipe_fails())
         assert on(2) == serial and serial[0] == EXIT_OK
-        # verify's one child; transform's load and three saves; iterate's load and ring.
-        assert forks == [] and len(tries) == {"verify": 1, "transform": 4, "iterate": 2}[command]
+        # verify's reports, transform's three files or iterate's ring: one child each.
+        assert forks == [] and len(tries) == 1
 
     def test_transform_bytes_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch, capsys):
         # At n = 256 OpenBLAS gives other SVD bits on one thread and on two;

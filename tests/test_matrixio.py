@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aluthge import _workers, matrixio
+from aluthge import _workers, cli, matrixio
 from aluthge.matrixio import MatrixFileError, _format_rows, _matrix_from_obj, atomic_write_text, load_matrix, save_matrix
 
 # A child forks only inside the commands' process context, and only where BLAS's thread count can be set.
+# A command renders its files through _workers._shared, as cli._file_pieces.
 needs_blas_threads = pytest.mark.skipif(_workers._openblas_threads() is None, reason="no known BLAS thread-count setter")
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1e300, -1e300, 0.1]
 _PARENT_PID = os.getpid()
@@ -36,8 +37,8 @@ CASES = {
     "column": np.arange(1.0, 6.0)[:, None] * (1e-5 + 1e16j),
     "single": np.array([[-0.0 + 5e-324j]]),
 }
-# Row counts around the two-way split of the parallel path: one row (too few
-# to split, so no child), one column, and an odd count.
+# Row counts around the cut of a load's two-run parse: one row (no row break,
+# so one run), one column, and an odd count.
 SPLIT_CASES = {
     "one_row": np.arange(40.0)[None, :] * (0.1 - 3j),
     "one_column": np.arange(40.0)[:, None] * (1e-300 + 0.7j),
@@ -61,9 +62,8 @@ def assert_no_child():
 
 
 def sharing(share: bool):
-    """The commands' process context where ``share``, so that a large matrix
-    file is split with a forked child; else nothing, so it is split in this
-    process alone."""
+    """The commands' process context where ``share``, in which a child may
+    start but no load or save forks one; else nothing."""
     return _workers._blas_children() if share else contextlib.nullcontext()
 
 
@@ -75,12 +75,11 @@ def two_cpus(monkeypatch):
     assert_no_child()
 
 
-def _fails_on_later_rows(rows):
-    # The second half of edge_matrix's rows starts at this number: those rows
-    # fail in the child and again in the rerun here.
-    if rows[0, 0] == EDGE_VALUES[len(EDGE_VALUES) // 2]:
-        raise OSError(28, "No space left on device")
-    return _format_rows(rows)
+def _fails_after_the_first_piece(rows):
+    # The header and the first chunk of rows are written, then the write fails.
+    pieces = _format_rows(rows)
+    yield next(pieces)
+    raise OSError(28, "No space left on device")
 
 
 def _dies_in_workers(rows):
@@ -104,15 +103,18 @@ def test_save_matrix_bytes_and_exact_round_trip(tmp_path, name):
 
 @needs_blas_threads
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SPLIT_CASES))
-def test_parallel_save_bytes_and_exact_round_trip(tmp_path, monkeypatch, forks, children, name):
+def test_parallel_save_bytes_and_exact_round_trip(tmp_path, forks, children, name):
+    # Two files of the matrix, rendered as a command renders its files: the
+    # command and one forked child each claim the next. The load forks none.
     m = {**CASES, **SPLIT_CASES}[name]
-    path = tmp_path / "m.json"
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    save_matrix(path, m)
-    assert path.read_bytes() == reference_bytes(m)
-    assert len(forks) == (m.shape[0] > 1)
+    texts = list(_workers._shared(cli._file_pieces, [m, m]))
+    assert ["".join(pieces).encode() for pieces in texts] == [reference_bytes(m)] * 2
+    assert len(forks) == 1
     assert_no_child()
+    path = tmp_path / "m.json"
+    atomic_write_text(path, texts[1])
     assert load_matrix(path).tobytes() == np.ascontiguousarray(m, dtype=np.complex128).tobytes()
+    assert len(forks) == 1  # the load forked none
 
 
 LOAD_CASES = {
@@ -147,84 +149,56 @@ def _no_fork():
 
 
 def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, monkeypatch, forks):
-    # Only inside the commands' process context does a call fork: outside it,
-    # a large save and load, and _shared of two items, run in this process.
-    assert 300 * 300 >= matrixio.PARALLEL_ENTRIES
+    # A save or a load forks no child, at any size, outside the commands'
+    # process context or inside it (two usable CPUs); outside it, _shared of
+    # two items runs in this process too.
     monkeypatch.setattr(os, "fork", _no_fork)
     m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
-    save_matrix(tmp_path / "m.json", m)
-    assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
+    for share in (False, True):
+        with sharing(share):
+            save_matrix(tmp_path / "m.json", m)
+            assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
+        assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
     assert list(_workers._shared(lambda k: (k, os.getpid()), [0, 1])) == [(0, _PARENT_PID), (1, _PARENT_PID)]
     assert forks == [] and not _workers._may_fork
-    assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
-
-
-@needs_blas_threads
-def test_large_matrix_takes_the_parallel_path(tmp_path, forks, children):
-    # The real threshold: a 300 x 300 matrix lies above it, so a save in the
-    # commands' context forks a child, which could claim either half of the rows.
-    m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
-    save_matrix(tmp_path / "m.json", m)
-    assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
-    assert [[block.shape for block in items] for items in forks] == [[(150, 600), (150, 600)]]
-
-
-@needs_blas_threads
-def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
-    small = int(np.sqrt(matrixio.PARALLEL_ENTRIES)) - 1
-    for n in (small, small + 1):
-        save_matrix(tmp_path / f"{n}.json", np.zeros((n, n), dtype=complex))
-        with _workers._blas_children():
-            assert load_matrix(tmp_path / f"{n}.json").shape == (n, n)
-    # The decision comes from the shape the header gives, once the bytes are read.
-    assert [len(items) for items in forks] == [2]
-    assert [matrixio._parts(n, n) for n in (small, small + 1)] == [1, 2]
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    assert matrixio._parts(10, 10) == 2
-    # On one usable CPU the context lets no child start.
-    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-    with _workers._blas_children():
-        save_matrix(tmp_path / "edge.json", edge_matrix())
-        load_matrix(tmp_path / "edge.json")
-    assert len(forks) == 1
 
 
 @needs_blas_threads
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_shares_capped_at_one_worker(tmp_path, monkeypatch, forks, cpus):
-    # The split depends on the shape alone; a split save forks one child
-    # whatever the CPU count from two on, and none on one CPU.
+    # A command's files fork one child whatever the CPU count from two on,
+    # and none on one CPU; a lone save forks none on any count.
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-    parts = {(r, c): matrixio._parts(r, c) for r, c in [(200, 200), (2, 20000), (1, 40000), (170, 190)]}
-    assert parts == {(200, 200): 2, (2, 20000): 2, (1, 40000): 1, (170, 190): 1}
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     with _workers._blas_children():
         save_matrix(tmp_path / "m.json", edge_matrix())
+        assert forks == []
+        texts = list(_workers._shared(cli._file_pieces, [edge_matrix()] * 3))
     assert len(forks) == min(cpus - 1, 1)
     assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
+    assert ["".join(pieces).encode() for pieces in texts] == [reference_bytes(edge_matrix())] * 3
 
 
 @needs_blas_threads
 def test_killed_worker_block_is_formatted_here(tmp_path, monkeypatch, forks, children):
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_format_rows", _dies_in_workers)
-    save_matrix(tmp_path / "m.json", edge_matrix())
+    outputs = {tmp_path / "a.json": edge_matrix(), tmp_path / "b.json": np.eye(2)}
+    for path, pieces in zip(outputs, _workers._shared(cli._file_pieces, list(outputs.values()))):
+        atomic_write_text(path, pieces)
     assert len(forks) == 1
-    assert (tmp_path / "m.json").read_bytes() == reference_bytes(edge_matrix())
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+    assert [path.read_bytes() for path in outputs] == [reference_bytes(m) for m in outputs.values()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
 
 @needs_blas_threads
 def test_write_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, forks, children):
     old = tmp_path / "old.json"
     save_matrix(old, np.eye(2))
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    monkeypatch.setattr(matrixio, "_format_rows", _fails_on_later_rows)
+    monkeypatch.setattr(matrixio, "_format_rows", _fails_after_the_first_piece)
     with pytest.raises(OSError, match="No space left"):
         save_matrix(tmp_path / "new.json", edge_matrix())
     with pytest.raises(OSError, match="No space left"):
         save_matrix(old, edge_matrix())
-    assert len(forks) == 2
+    assert forks == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
     assert old.read_bytes() == reference_bytes(np.eye(2))
 
@@ -325,7 +299,7 @@ def assert_same_outcome(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# Four written rows; a change to the last number falls in the rows a child parses.
+# Four written rows; a change to the last number falls in the second run of the parse.
 NEAR_MISS_BASE = np.array(
     [[1.5 + 0.25j, -2.0 + 3.0j], [4.0 - 0.0j, 0.5 + 7.0j], [0.125 + 8.0j, 9.0 + 0.75j], [6.5 + 1e-300j, complex(-0.0, 2.5)]]
 )
@@ -391,12 +365,11 @@ NEAR_MISSES = {
 
 
 @pytest.mark.parametrize("shared", [False, True])
-def test_near_misses_read_as_json_load_reads_them(tmp_path, monkeypatch, shared):
+def test_near_misses_read_as_json_load_reads_them(tmp_path, shared):
     base = tmp_path / "base.json"
     save_matrix(base, NEAR_MISS_BASE)
     text = base.read_bytes()
     assert text.endswith(NEAR_MISS_END) and load_matrix(base).tobytes() == NEAR_MISS_BASE.tobytes()
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     valid = []
     for name, change in sorted(NEAR_MISSES.items()):
         path = tmp_path / f"{name}.json"
@@ -436,49 +409,27 @@ def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monk
 def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, forks, share):
     m = np.arange(1.0, 41.0).reshape(8, 5) * (0.1 - 3j)
     save_matrix(tmp_path / "m.json", m)
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(matrixio, "_read_json", lambda raw, path: pytest.fail("fell back to json.load"))
     with sharing(share):
         assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
-    assert len(forks) == share
+    assert forks == []
 
 
-@needs_blas_threads
-def test_worker_parses_the_rows_after_the_middle(tmp_path, monkeypatch, forks, children):
+def test_rows_are_parsed_in_two_runs_cut_after_the_middle(tmp_path, monkeypatch, forks, children):
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+    parse_rows, runs = matrixio._parse_rows, []
+    monkeypatch.setattr(matrixio, "_parse_rows", lambda text, cols: runs.append(text) or parse_rows(text, cols))
     assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
     text = (tmp_path / "m.json").read_bytes()
-    # A child could claim either run of rows, cut at the first row break
-    # after the middle byte of the rows.
-    ((_, later),) = forks
+    # The command parses the rows before and after the first row break after
+    # the middle byte of the rows, one run after the other, in this process.
+    earlier, later = runs
     body = text[text.index(b"[[[") + 1 : -len(b"]}\n")]
-    cut = len(body) - len(later) - len(b"]], ")
-    assert body[cut:].startswith(b"]], [[") and body.endswith(later)
+    cut = len(earlier) - len(b"]]")
+    assert body == earlier + b", " + later and body[cut:].startswith(b"]], [[")
     assert body.rfind(b"]], [[", 0, cut) < len(body) // 2 <= cut
-
-
-_PARSE_ROWS = matrixio._parse_rows
-
-
-def _rows_die_in_workers(text, cols):
-    if os.getpid() != _PARENT_PID:
-        os._exit(9)
-    return _PARSE_ROWS(text, cols)
-
-
-@needs_blas_threads
-def test_killed_worker_rows_are_parsed_here(tmp_path, monkeypatch, forks, children):
-    m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
-    save_matrix(tmp_path / "m.json", m)
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
-    monkeypatch.setattr(matrixio, "_parse_rows", _rows_die_in_workers)
-    assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
-    # A dead child costs only its own call: the next save forks a child of its own.
-    save_matrix(tmp_path / "out.json", m)
-    assert (tmp_path / "out.json").read_bytes() == reference_bytes(m)
-    assert len(forks) == 2
+    assert forks == []
 
 
 _NO_BRACKETS = str.maketrans("", "", "[]")
@@ -489,7 +440,7 @@ def rendered(values) -> list:
     (padded with a 0.0 to whole [re, im] entries)."""
     x = np.asarray(values, dtype=np.float64).ravel()
     row = np.concatenate([x, np.zeros(x.size % 2)])[None, :]
-    return _format_rows(row).translate(_NO_BRACKETS).split(", ")[: x.size]
+    return "".join(_format_rows(row)).translate(_NO_BRACKETS).split(", ")[: x.size]
 
 
 def with_neighbours(x):
@@ -562,16 +513,15 @@ FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allo
 
 @st.composite
 def matrices(draw):
-    # 1 x k, k x 1 and row counts around the split of 1 to 9 rows.
+    # 1 x k, k x 1 and row counts around the parse's cut, of 1 to 9 rows.
     rows, cols = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (4, 4), (5, 3), (9, 2)]))
     parts = draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
     return np.array(parts).view(np.complex128).reshape(rows, cols)
 
 
-def test_save_load_round_trip_property(monkeypatch):
-    # Every example of two or more rows is split, whatever its size: inside
-    # the commands' process context with a forked child, else in this process alone.
-    monkeypatch.setattr(matrixio, "PARALLEL_ENTRIES", 1)
+def test_save_load_round_trip_property():
+    # Every example of two or more rows is parsed in two runs, whatever its
+    # size, inside the commands' process context or outside it.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
 
