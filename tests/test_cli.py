@@ -1221,13 +1221,28 @@ def transform_in_a_fresh_process(tmp_path, m, *flags):
 
 
 class TestTransformWorker:
-    @needs_blas_threads
-    @pytest.mark.parametrize("n", [8, 300])
-    def test_factors_fork_one_child_at_every_order_and_load_no_pool_module(self, tmp_path, n):
-        m = ginibre(np.random.default_rng(5), n)
-        assert transform_in_a_fresh_process(tmp_path, m, "--factors") == ["0 1 False False False"]
+    def test_small_input_loads_no_pool_module_and_starts_no_process(self, tmp_path):
         # A lone output file is rendered in the command, and the load forks none.
-        assert transform_in_a_fresh_process(tmp_path, m) == ["0 0 False False False"]
+        assert transform_in_a_fresh_process(tmp_path, ginibre(np.random.default_rng(3), 8)) == ["0 0 False False False"]
+
+    @needs_blas_threads
+    def test_large_input_forks_once_per_load_and_save_and_loads_no_pool_module(self, tmp_path):
+        # At any order the load forks none and the three --factors files fork
+        # one child between them; a plain transform forks none.
+        for n in (8, 300):
+            m = ginibre(np.random.default_rng(5), n)
+            assert transform_in_a_fresh_process(tmp_path, m, "--factors") == ["0 1 False False False"]
+            assert transform_in_a_fresh_process(tmp_path, m) == ["0 0 False False False"]
+
+    @needs_blas_threads
+    def test_the_load_and_every_save_fork_one_child_each(self, tmp_path, monkeypatch, capsys, forks, shared_input):
+        # The load forks none; the saves fork one child that could claim any
+        # of the three output matrices.
+        serial = transform_on(1, monkeypatch, capsys, tmp_path, shared_input)
+        assert forks == []
+        shared = transform_on(2, monkeypatch, capsys, tmp_path, shared_input)
+        assert shared == serial and serial[0] == EXIT_OK and len(serial[2]) == 3
+        assert [[type(m) for m in items] for items in forks] == [[np.ndarray] * 3]
 
     @needs_blas_threads
     def test_killed_worker_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, forks, shared_input):

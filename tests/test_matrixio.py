@@ -164,6 +164,39 @@ def test_bare_save_of_a_large_matrix_starts_no_worker(tmp_path, monkeypatch, for
 
 
 @needs_blas_threads
+def test_large_matrix_takes_the_parallel_path(tmp_path, forks, children):
+    # A 300 x 300 matrix: its save in the commands' context forks none, and
+    # the files of a command forks one child, which could claim either.
+    m = np.random.default_rng(8).standard_normal((300, 600)).view(np.complex128)
+    save_matrix(tmp_path / "m.json", m)
+    assert forks == []
+    texts = list(_workers._shared(cli._file_pieces, [m, m]))
+    assert ["".join(pieces).encode() for pieces in texts] == [reference_bytes(m)] * 2
+    assert (tmp_path / "m.json").read_bytes() == reference_bytes(m)
+    assert [[matrix.shape for matrix in items] for items in forks] == [[(300, 300), (300, 300)]]
+
+
+@needs_blas_threads
+def test_no_worker_below_threshold_or_on_one_cpu(tmp_path, monkeypatch, forks):
+    # There is no size threshold: in the commands' context a save or a load
+    # forks none at any size, and a lone file is rendered here.
+    with _workers._blas_children():
+        for n in (1, 299, 300):
+            save_matrix(tmp_path / f"{n}.json", np.zeros((n, n), dtype=complex))
+            assert load_matrix(tmp_path / f"{n}.json").shape == (n, n)
+        assert ["".join(pieces).encode() for pieces in _workers._shared(cli._file_pieces, [np.eye(2)])] == [
+            reference_bytes(np.eye(2))
+        ]
+    assert forks == []
+    # On one usable CPU the context lets no child start for a command's files.
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    with _workers._blas_children():
+        texts = list(_workers._shared(cli._file_pieces, [edge_matrix(), edge_matrix()]))
+    assert ["".join(pieces).encode() for pieces in texts] == [reference_bytes(edge_matrix())] * 2
+    assert forks == []
+
+
+@needs_blas_threads
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_shares_capped_at_one_worker(tmp_path, monkeypatch, forks, cpus):
     # A command's files fork one child whatever the CPU count from two on,
