@@ -13,7 +13,9 @@ each read of 4 bytes takes one whole token, which one process alone gets.
 A list's items (``verify``'s reports, ``transform``'s output matrices) are
 inherited by the child. A stream (``iterate``'s iterates) forks it once the
 first item is pulled, with a shared-memory ring shaped like that item, and
-copies each item into a slot before its number is written. The caller
+copies each item into a slot before its number is written. The child
+pickles each answer onto a result pipe, and the caller unpickles it from
+the pipe as it arrives, never holding a whole copy of its bytes. The caller
 yields the results in item order, computes every item the child did not
 answer, and reaps the child however it leaves.
 """
@@ -21,6 +23,7 @@ answer, and reaps the child however it leaves.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -117,12 +120,12 @@ class _Forked:
     written. A list's items are inherited; given ``shape``, a stream's item
     is copied, before its number is written, into slot ``k % _RING_SLOTS``
     of ``ring``, an anonymous shared mmap of complex128 arrays of that
-    shape. The child sends the number and ``fn`` of each item it claims on a
-    result pipe, as an 8-byte length and a pickle, and leaves through
-    ``os._exit`` on every path, so it never unwinds into the caller or
-    flushes inherited buffers. ``pid`` is 0 where none started (no child may
-    start, or the mmap, a pipe or the fork failed) and once reaped.
-    ``receive`` reads results; ``close`` reaps."""
+    shape. The child pickles the number and ``fn`` of each item it claims
+    onto a result pipe, and leaves through ``os._exit`` on every path, so it
+    never unwinds into the caller or flushes inherited buffers. ``pid`` is 0
+    where none started (no child may start, or the mmap, a pipe or the fork
+    failed) and once reaped. ``receive`` unpickles results straight from the
+    pipe; ``close`` reaps."""
 
     pid = 0
 
@@ -168,14 +171,15 @@ class _Forked:
                         if not token:
                             break
                         k = int.from_bytes(token, "little")
-                        sent = pickle.dumps((k, fn(self.item(k))), pickle.HIGHEST_PROTOCOL)
-                        pipe.write(len(sent).to_bytes(8, "little"))
-                        pipe.write(sent)
+                        pickle.dump((k, fn(self.item(k))), pipe, pickle.HIGHEST_PROTOCOL)
                         pipe.flush()
                 os._exit(0)
             finally:
                 os._exit(1)
         os.close(answers)
+        # A one-byte buffer: a read takes no byte past the answer being
+        # unpickled, so the next one stays in the pipe, where ``answers`` sees it.
+        self.results = io.BufferedReader(io.FileIO(self.results), buffer_size=1)
         self.answers = select.poll()
         self.answers.register(self.results, select.POLLIN)
 
@@ -200,25 +204,14 @@ class _Forked:
 
     def receive(self, known: dict) -> None:
         """Wait for the child's next answer and put it in ``known`` as
-        number: (True, result); once the child sends no more, reap it."""
-        head = self._read(8)
-        sent = None if head is None else self._read(int.from_bytes(head, "little"))
-        if sent is None:
+        number: (True, result); once the child sends no more, or its answer
+        is cut short, reap it."""
+        try:
+            k, value = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
             self.close()
         else:
-            k, value = pickle.loads(sent)
             known[k] = True, value
-
-    def _read(self, size: int) -> bytearray | None:
-        """The next ``size`` bytes of the result pipe; None if it ends first."""
-        buf, got = bytearray(size), 0
-        with memoryview(buf) as view:
-            while got < size:
-                n = os.readv(self.results, [view[got:]])
-                if n == 0:
-                    return None
-                got += n
-        return buf
 
     def close(self) -> None:
         """Reap the child, if that is not done yet. The pipes are closed
@@ -226,8 +219,9 @@ class _Forked:
         end once it is empty, and a child still writing gets EPIPE: either
         exits."""
         if self.pid:
-            for fd in (self.handed, self.tokens, self.results):
-                os.close(fd)
+            os.close(self.handed)
+            os.close(self.tokens)
+            self.results.close()
             os.waitpid(self.pid, 0)
             self.pid = 0
 

@@ -1,13 +1,17 @@
 import contextlib
 import errno
+import fcntl
 import json
 import os
+import pickle
 import random
 import signal
 import stat
 import subprocess
 import sys
+import termios
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -774,6 +778,133 @@ class TestBlasWorkers:
             signal.signal(signal.SIGALRM, resume)
         assert [trace for trace, _ in rows] == [2.0 * k for k in range(3 * slots)]
         assert rows[0] == (0.0, True) and forks == [(slots, 2, 2)]
+        assert_no_child()
+
+
+class _ExitsWhenPickled:
+    """Ends the process that pickles it: a child sending it dies partway
+    through its answer, after the text before it has crossed the pipe."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+_EXITS_WHEN_PICKLED = _ExitsWhenPickled()
+
+
+def _cut_short(k):
+    """An answer whose pickle a child starts and never finishes."""
+    return [k, "x" * 200_000, _EXITS_WHEN_PICKLED]
+
+
+def _waiting_bytes(fd):
+    """Bytes waiting in the pipe whose read end is ``fd``."""
+    return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+
+
+class TestResultPipe:
+    """The child's answers cross the result pipe as plain pickles, which
+    ``_Forked.receive`` unpickles straight from the pipe."""
+
+    @needs_blas_threads
+    @pytest.mark.parametrize("cut", ["at_an_opcode", "inside_the_text"])
+    def test_answer_cut_short_reaps_the_child(self, monkeypatch, children, cut):
+        # The command claims no number, so the child claims 0 and starts its
+        # answer with 200,000 characters of text. Dying as it pickles the next
+        # object, it cuts the answer after the text, where pickle reads the
+        # end of input as EOFError; killed once the pipe holds a page of the
+        # text, which does not fit in the pipe, it cuts the answer inside
+        # the text, where pickle raises UnpicklingError.
+        raised, load = [], pickle.load
+
+        def recording(file):
+            try:
+                return load(file)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(pickle, "load", recording)
+        child = _workers._Forked(_cut_short if cut == "at_an_opcode" else lambda k: _cut_short(k)[:2], [0])
+        assert child.pid
+        child.hand(0)
+        if cut == "inside_the_text":
+            deadline = time.monotonic() + 10
+            while _waiting_bytes(child.results.fileno()) < 4096:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            os.kill(child.pid, signal.SIGKILL)
+        known = {}
+        child.receive(known)
+        expected = EOFError if cut == "at_an_opcode" else pickle.UnpicklingError
+        assert known == {} and raised == [expected] and child.pid == 0
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_answer_cut_short_is_computed_here(self, forks, children):
+        # The command's first item waits until the child has claimed one, so
+        # the child always dies sending an answer; the command computes it.
+        started, tell = os.pipe()
+        waited = []
+
+        def fn(k):
+            if os.getpid() != _PARENT_PID:
+                os.write(tell, b"1")
+            elif not waited:
+                waited.append(os.read(started, 1))
+            return _cut_short(k)
+
+        try:
+            results = list(_workers._shared(fn, list(range(3))))
+        finally:
+            os.close(started)
+            os.close(tell)
+        assert results == [_cut_short(k) for k in range(3)] and waited == [b"1"] and len(forks) == 1
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_queued_answers_stay_visible_to_poll(self, children):
+        # Both answers wait in the pipe while the child waits for a number:
+        # taking the first must leave the second where ``poll`` sees it.
+        child = _workers._Forked(lambda k: ("answer", k), [0, 1, 2])
+        try:
+            child.hand(0)
+            child.hand(1)
+            queued = sum(len(pickle.dumps((k, ("answer", k)), pickle.HIGHEST_PROTOCOL)) for k in (0, 1))
+            deadline = time.monotonic() + 10
+            while _waiting_bytes(child.results.fileno()) < queued:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            known = {}
+            child.receive(known)
+            assert known == {0: (True, ("answer", 0))} and child.answers.poll(0)
+            child.receive(known)
+            assert known == {0: (True, ("answer", 0)), 1: (True, ("answer", 1))} and not child.answers.poll(0)
+        finally:
+            child.close()
+        assert_no_child()
+
+    @needs_blas_threads
+    def test_receive_holds_no_second_copy_of_an_answer(self, children):
+        # A 300 x 300 file's text (over 3 MiB) is unpickled from the pipe as it
+        # arrives: the command's allocations peak below 1.5 times the text.
+        m = ginibre(np.random.default_rng(8), 300)
+        pieces = cli._file_pieces(m)
+        size = sum(map(len, pieces))
+        assert size >= 3 * 2**20
+        child = _workers._Forked(cli._file_pieces, [m])
+        known = {}
+        try:
+            child.hand(0)
+            tracemalloc.start()
+            try:
+                child.receive(known)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            child.close()
+        assert known == {0: (True, pieces)} and peak < 1.5 * size
         assert_no_child()
 
 
