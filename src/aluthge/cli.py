@@ -110,21 +110,18 @@ def cmd_transform(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         print("error: --lambda must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
-    if not args.factors:
-        outputs = {args.output: aluthge(m, args.lam)}
-    else:
+    try:
         # One SVD serves the transform and both factor files.
-        delta, isometry, modulus = _transform_and_factors(m, args.lam)
-        stem, ext = os.path.splitext(args.output)
-        outputs = {
-            args.output: delta,
-            f"{stem}.isometry{ext or '.json'}": isometry,
-            f"{stem}.modulus{ext or '.json'}": modulus,
-        }
+        matrices = _transform_and_factors(m, args.lam) if args.factors else (aluthge(m, args.lam),)
+    except FloatingPointError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    stem, ext = os.path.splitext(args.output)
+    paths = [args.output, f"{stem}.isometry{ext or '.json'}", f"{stem}.modulus{ext or '.json'}"]
     # The command and, for the three files of --factors, one child each claim
     # the next file to render; the command writes the files in order.
-    with contextlib.closing(_shared(_file_pieces, list(outputs.values()))) as texts:
-        for path, pieces in zip(outputs, texts):
+    with contextlib.closing(_shared(_file_pieces, list(matrices))) as texts:
+        for path, pieces in zip(paths, texts):
             if not _written(path, atomic_write_text, pieces):
                 return EXIT_USAGE
     return EXIT_OK

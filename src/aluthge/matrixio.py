@@ -10,10 +10,8 @@ shortest, closest digits, which are laid out as ``repr`` lays them out (fixed
 for a decimal point from -3 to 16, else with an exponent of 2 or 3 digits, a
 ".0" on whole numbers, "0.0" and "-0.0" for zeros); only subnormals are
 written by ``repr`` one at a time. A save streams the file's text into it a
-chunk at a time. The reader parses a file in that exact layout from its
-numbers alone, one run of rows before and one after the body's middle byte,
-so that the parse's transients are held at half size; it hands any other
-file to ``json.load``, with the same result. Nothing here starts a process.
+chunk at a time. The reader is ``json.load`` of the file, whatever its
+layout, and checks the object it gives. Nothing here starts a process.
 Writes are atomic (temp file + rename) and honour the process umask.
 """
 
@@ -21,10 +19,8 @@ from __future__ import annotations
 
 import functools
 import gc
-import io
 import json
 import os
-import re
 import tempfile
 from itertools import chain
 
@@ -40,16 +36,6 @@ __all__ = [
     "vector_payload",
     "atomic_write_text",
 ]
-
-# The writer's header, with at most 18 digits a size, and its trailer.
-_HEADER = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
-_TRAILER = b"]}\n"
-# The bytes JSON numbers are made of, the break between two written rows, and
-# a table that blanks brackets, which JSON then reads as whitespace.
-_NUMBER_BYTES = b"0123456789.eE+-"
-_ROW_BREAK = b"]], [["
-_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
-
 
 class MatrixFileError(ValueError):
     """Raised for malformed matrix files."""
@@ -368,83 +354,27 @@ def _matrix_from_obj(obj) -> np.ndarray:
     return m.view(np.complex128).reshape(rows, cols)
 
 
-def _parse_rows(text: bytes, cols: int) -> np.ndarray | None:
-    """``text``, written rows of ``cols`` entries joined by ", ", as a (rows,
-    2 * cols) float array of re, im, re, im, ...; None where ``text``
-    deviates from the writer's layout or holds a number that JSON does not
-    allow or that is not a finite double."""
-    # Once the number bytes are deleted, the brackets, commas and spaces left
-    # must be those of the layout, in order, and no slot of a number may be
-    # empty ("[," or " ]"). Then each number sits alone between two commas
-    # exactly when it sits in its slot, which json.loads of the text with its
-    # brackets blanked confirms, reading every number by the JSON grammar.
-    skeleton = text.translate(None, _NUMBER_BYTES)
-    n_rows, extra = divmod(len(skeleton) + 2, 6 * cols + 2)
-    if extra or not n_rows:
-        return None
-    row = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
-    if skeleton != b", ".join([row] * n_rows) or b"[," in text or b" ]" in text:
-        return None
-    try:
-        values = json.loads("[" + text.translate(_BLANK_BRACKETS).decode("ascii") + "]")
-        floats = np.array(values, dtype=np.float64)
-    except (ValueError, OverflowError):
-        return None
-    return floats.reshape(n_rows, 2 * cols) if np.isfinite(floats).all() else None
-
-
-def _read_exact(raw: bytes) -> np.ndarray | None:
-    """The matrix in ``raw`` if it is a file in the writer's exact layout of
-    finite doubles, else None. The rows are parsed in two runs, cut at the
-    first row break after the body's middle byte, one after the other."""
-    header = _HEADER.match(raw)
-    if header is None or not raw.endswith(_TRAILER):
-        return None
-    n_rows, cols = int(header[1]), int(header[2])
-    body = raw[header.end() : -len(_TRAILER)]
-    # Each entry takes at least 8 bytes ("[0, 0], "): a header that promises
-    # more entries than the file can hold is refused before any work per entry.
-    if len(body) < 8 * n_rows * cols + 2 * (n_rows - 1):
-        return None
-    cut = body.find(_ROW_BREAK, len(body) // 2)
-    runs = [body] if cut < 0 else [body[: cut + 2], body[cut + 4 :]]
-    blocks = [_parse_rows(run, cols) for run in runs]
-    if any(block is None for block in blocks) or sum(map(len, blocks)) != n_rows:
-        return None
-    return np.concatenate(blocks).view(np.complex128)
-
-
-def _read_json(raw: bytes, path) -> np.ndarray:
-    """The matrix in ``raw``, the bytes of the file at ``path``, read as
-    ``json.load`` of that file opened as UTF-8 text reads it."""
+def load_matrix(path) -> np.ndarray:
+    """The matrix in the file at ``path``, read by ``json.load`` of the file
+    opened as UTF-8 text and checked by ``_matrix_from_obj``."""
     # The parser allocates a list per row and per entry (262,656 at n = 512),
     # which would run the cyclic collector over and over; none of them can
     # form a cycle, so it is paused for the parse and restored as found.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        obj = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError and over-long integer literals.
-        raise MatrixFileError(f"invalid JSON in {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                # JSONDecodeError, UnicodeDecodeError and over-long integer literals.
+                raise MatrixFileError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
     finally:
         if collecting:
             gc.enable()
     return _matrix_from_obj(obj)
-
-
-def load_matrix(path) -> np.ndarray:
-    """The matrix in the file at ``path``. A file in the writer's exact layout
-    is parsed from its numbers (see ``_read_exact``); any other file by
-    ``json.load``, as is one that holds a number that is not a finite
-    double, so that it fails with the same MatrixFileError."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    m = _read_exact(raw)
-    return _read_json(raw, path) if m is None else m
 
 
 def _umask() -> int:

@@ -54,8 +54,12 @@ def _decompose(t: np.ndarray, tol: Tolerances):
     """One stacked SVD T = W S X* of a validated stack T[B, n, n]: returns
     V = W_r X_r*, S, X and the numerical ranks r, one per element. V is
     built one way, one product per rank present, into a C-ordered stack, so
-    its bits depend neither on the other ranks in T nor on T's layout."""
+    its bits depend neither on the other ranks in T nor on T's layout.
+    Raises FloatingPointError when a singular value is not finite (an
+    element's largest lies beyond the double range), where no rank holds."""
     w, s, xh = np.linalg.svd(t)
+    if not np.isfinite(s).all():
+        raise FloatingPointError("the singular values of the input overflow; scale the matrix down")
     n = t.shape[-1]
     ranks = (s > tol.rank_rel * s[:, :1] * n).sum(axis=-1)
     v = np.empty(t.shape, dtype=np.complex128)

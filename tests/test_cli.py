@@ -33,6 +33,8 @@ NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 MATRIX_2X2 = b'{"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}'
 # A 4x4 matrix of entries 1e308: finite, but its Frobenius norm exceeds the double range.
 MATRIX_1E308 = json.dumps(matrix_to_obj(np.full((4, 4), 1e308, dtype=complex))).encode()
+# A 3x3 matrix of finite entries whose singular values exceed the double range: the SVD gives NaNs.
+MATRIX_SVD_OVERFLOWS = json.dumps(matrix_to_obj(np.full((3, 3), 1.7e308 - 1.7e308j))).encode()
 # Command lines for the malformed-input cases; IN is the bad file, OUT the
 # output, NODIR an output path in a directory that does not exist.
 TRANSFORM = ["transform", "IN", "--output", "OUT"]
@@ -127,6 +129,11 @@ class TestTransform:
             pytest.param(ITERATE + ["--conv-tol", "nan"], MATRIX_2X2, id="iterate_conv_tol_nan"),
             pytest.param(ITERATE + ["--conv-tol", "inf"], MATRIX_2X2, id="iterate_conv_tol_inf"),
             pytest.param(ITERATE, MATRIX_1E308, id="iterate_norm_overflows"),
+            pytest.param(TRANSFORM, MATRIX_SVD_OVERFLOWS, id="transform_singular_values_overflow"),
+            pytest.param(TRANSFORM + ["--lambda", "0"], MATRIX_SVD_OVERFLOWS,
+                         id="transform_lambda_0_singular_values_overflow"),
+            pytest.param(TRANSFORM + ["--factors"], MATRIX_SVD_OVERFLOWS,
+                         id="transform_factors_singular_values_overflow"),
             pytest.param(["verify", "--output-dir", "IN"], b"{}", id="verify_output_dir_is_a_file"),
             pytest.param(["transform", "IN", "--output", "NODIR"], MATRIX_2X2, id="transform_output_unwritable"),
             pytest.param(["iterate", "IN", "--output", "NODIR"], MATRIX_2X2, id="iterate_output_unwritable"),
@@ -140,7 +147,7 @@ class TestTransform:
         argv = [{"IN": str(bad), "OUT": str(out), "NODIR": nodir}.get(arg, arg) for arg in argv]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["bad.json"]  # no output, nor a factor file
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("rank", [6, 3])

@@ -37,8 +37,7 @@ CASES = {
     "column": np.arange(1.0, 6.0)[:, None] * (1e-5 + 1e16j),
     "single": np.array([[-0.0 + 5e-324j]]),
 }
-# Row counts around the cut of a load's two-run parse: one row (no row break,
-# so one run), one column, and an odd count.
+# Thin and odd shapes: one row, one column, and an odd row count.
 SPLIT_CASES = {
     "one_row": np.arange(40.0)[None, :] * (0.1 - 3j),
     "one_column": np.arange(40.0)[:, None] * (1e-300 + 0.7j),
@@ -332,7 +331,7 @@ def assert_same_outcome(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# Four written rows; a change to the last number falls in the second run of the parse.
+# Four written rows; the near misses below change one place in their file.
 NEAR_MISS_BASE = np.array(
     [[1.5 + 0.25j, -2.0 + 3.0j], [4.0 - 0.0j, 0.5 + 7.0j], [0.125 + 8.0j, 9.0 + 0.75j], [6.5 + 1e-300j, complex(-0.0, 2.5)]]
 )
@@ -419,10 +418,9 @@ def test_near_misses_read_as_json_load_reads_them(tmp_path, shared):
     ]
 
 
-def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monkeypatch, forks):
+def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, forks):
     path = tmp_path / "huge.json"
     path.write_bytes(b'{"rows": 1000000000, "cols": 1000000000, "data": [[[1.0, 0.0]]]}\n')
-    monkeypatch.setattr(matrixio, "_parse_rows", lambda *args: pytest.fail("parsed rows the header cannot hold"))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -440,28 +438,27 @@ def test_huge_header_over_small_body_fails_without_work_per_entry(tmp_path, monk
 @needs_blas_threads
 @pytest.mark.parametrize("share", [False, True], ids=["False", "True"])
 def test_exact_layout_takes_the_fast_path(tmp_path, monkeypatch, forks, share):
+    # A written file reads back bit for bit through one json.load of it,
+    # inside the commands' process context or outside it, and forks nothing.
     m = np.arange(1.0, 41.0).reshape(8, 5) * (0.1 - 3j)
-    save_matrix(tmp_path / "m.json", m)
-    monkeypatch.setattr(matrixio, "_read_json", lambda raw, path: pytest.fail("fell back to json.load"))
+    path = tmp_path / "m.json"
+    save_matrix(path, m)
+    load, names = json.load, []
+    monkeypatch.setattr(json, "load", lambda fh, **kwargs: names.append(fh.name) or load(fh, **kwargs))
     with sharing(share):
-        assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
-    assert forks == []
+        assert load_matrix(path).tobytes() == m.tobytes()
+    assert names == [str(path)] and forks == []
 
 
 def test_rows_are_parsed_in_two_runs_cut_after_the_middle(tmp_path, monkeypatch, forks, children):
+    # The rows are parsed by a single json.load of the whole file, in this
+    # process: one json.loads of the file's text.
     m = np.arange(1.0, 161.0).reshape(10, 16) - 2j
     save_matrix(tmp_path / "m.json", m)
-    parse_rows, runs = matrixio._parse_rows, []
-    monkeypatch.setattr(matrixio, "_parse_rows", lambda text, cols: runs.append(text) or parse_rows(text, cols))
+    loads, texts = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text, **kwargs: texts.append(text) or loads(text, **kwargs))
     assert load_matrix(tmp_path / "m.json").tobytes() == m.tobytes()
-    text = (tmp_path / "m.json").read_bytes()
-    # The command parses the rows before and after the first row break after
-    # the middle byte of the rows, one run after the other, in this process.
-    earlier, later = runs
-    body = text[text.index(b"[[[") + 1 : -len(b"]}\n")]
-    cut = len(earlier) - len(b"]]")
-    assert body == earlier + b", " + later and body[cut:].startswith(b"]], [[")
-    assert body.rfind(b"]], [[", 0, cut) < len(body) // 2 <= cut
+    assert texts == [(tmp_path / "m.json").read_text(encoding="utf-8")]
     assert forks == []
 
 
@@ -546,15 +543,15 @@ FINITE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allo
 
 @st.composite
 def matrices(draw):
-    # 1 x k, k x 1 and row counts around the parse's cut, of 1 to 9 rows.
+    # 1 x k, k x 1 and other shapes of 1 to 9 rows.
     rows, cols = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (4, 4), (5, 3), (9, 2)]))
     parts = draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
     return np.array(parts).view(np.complex128).reshape(rows, cols)
 
 
 def test_save_load_round_trip_property():
-    # Every example of two or more rows is parsed in two runs, whatever its
-    # size, inside the commands' process context or outside it.
+    # Every example reads back bit for bit through json.load, inside the
+    # commands' process context or outside it.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
 

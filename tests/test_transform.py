@@ -146,6 +146,15 @@ class TestAluthge:
         with pytest.raises(ValueError, match="lambda"):
             aluthge(np.eye(2), 1.5)
 
+    def test_overflowing_singular_values_raise(self):
+        # Finite entries whose largest singular value exceeds the double range.
+        m = np.full((3, 3), 1.7e308 - 1.7e308j)
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            with pytest.raises(FloatingPointError, match="singular values"):
+                aluthge(m, lam)
+        with pytest.raises(FloatingPointError, match="singular values"):
+            polar(m)
+
 
 def low_rank(rng, n, rank):
     return cgauss(rng, n, rank) @ cgauss(rng, rank, n)
