@@ -31,7 +31,7 @@ import numpy as np
 
 from ._workers import _blas_children, _shared
 from .lemmas import run_check
-from .linalg import DEFAULT_TOL, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
+from .linalg import CLOSED, DEFAULT_TOL, OPEN, Tolerances, _distance_to_normal, lambda_admitted, spectra_pairing_distance, spectrum
 from .maps import CHECKS
 from .matrixio import MatrixFileError, _encode, atomic_write_text, load_matrix
 from .transform import _transform_and_factors, aluthge, iterate_aluthge
@@ -107,7 +107,7 @@ def cmd_transform(args) -> int:
     m = _load_square(args.input)
     if isinstance(m, int):
         return m
-    if not 0.0 <= args.lam <= 1.0:
+    if not lambda_admitted(args.lam, CLOSED):
         print("error: --lambda must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -131,7 +131,7 @@ def cmd_iterate(args) -> int:
     m = _load_square(args.input)
     if isinstance(m, int):
         return m
-    if not 0.0 < args.lam < 1.0 or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
+    if not lambda_admitted(args.lam, OPEN) or args.max_iter < 1 or not 0.0 < args.conv_tol < math.inf:
         print("error: require 0 < lambda < 1, max-iter >= 1, finite conv-tol > 0", file=sys.stderr)
         return EXIT_USAGE
     buf = io.StringIO()

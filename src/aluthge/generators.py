@@ -7,8 +7,6 @@ deterministic and order-independent regardless of how trials are scheduled.
 from __future__ import annotations
 
 import functools
-import operator
-import sys
 import zlib
 
 import numpy as np
@@ -34,9 +32,9 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _hashmix(value, const: int, mult: int):
-    """One step of the seed_seq hash of ``value`` (a uint32 as a Python int or
-    a uint64 array of them) under the running constant ``const``: the hashed
-    value and the next constant."""
+    """One step of the seed_seq hash of ``value`` (uint32 values in a uint64
+    array) under the running constant ``const``: the hashed value and the next
+    constant."""
     value = value ^ const
     const = const * mult & _MASK32
     value = value * const & _MASK32
@@ -49,38 +47,32 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+def _words(x: int) -> int:
+    """The number of uint32 words SeedSequence splits the integer ``x`` into."""
+    return (int(x).bit_length() + 31) // 32 or 1
+
+
 def _trial_rngs(seed: int, key: int, dim: int, start: int, stop: int) -> list[np.random.Generator]:
     """The streams of trials ``start`` .. ``stop`` - 1, each with exactly the
     ``bit_generator.state`` of ``trial_rng(seed, key, dim, t)``.
 
-    When seed, key, dim and every t fit one uint32 word, the entropy of trial t
-    is the seven words (seed, 0, 0, 0, key, dim, t). The pool words from the
-    first six are the same for every trial and are hashed once; t and the
+    The entropy of trial t is that of ``SeedSequence(seed, spawn_key=(key,
+    dim))`` followed by t's words, so that sequence's pool is every trial's
+    pool before t is mixed in. When every t fits one uint32 word, t and the
     output state are hashed for the whole block as uint32 arithmetic in uint64
-    arrays. Otherwise, and on a big-endian host, where no test has compared
-    the two, each stream comes from ``trial_rng``.
+    arrays; otherwise each stream comes from ``trial_rng``.
     """
-    # Python ints, so that numpy integer arguments hash without overflow.
-    seed, key, dim = map(operator.index, (seed, key, dim))
-    if min(seed, key, dim, start) < 0 or max(seed, key, dim, stop - 1) > _MASK32 or sys.byteorder != "little":
+    if stop - 1 > _MASK32:
         return [trial_rng(seed, key, dim, t) for t in range(start, stop)]
-    const = _INIT_A
-    pool = []
-    # The seed, zero-padded to fill the pool.
-    for word in (seed, 0, 0, 0):
-        hashed, const = _hashmix(word, const, _MULT_A)
-        pool.append(hashed)
-    # Every pool word mixes into every other, so that late words reach early ones.
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    # Each entropy word past the pool mixes into every pool word.
-    for word in (key, dim, np.arange(start, stop, dtype=np.uint64)):
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
+    pool = np.random.SeedSequence(seed, spawn_key=(key, dim)).pool.tolist()
+    # numpy hashes four times per entropy word it mixes, the seed zero-padded
+    # to fill the pool.
+    mixed = max(_POOL_SIZE, _words(seed)) + _words(key) + _words(dim)
+    const = _INIT_A * pow(_MULT_A, 4 * mixed, 1 << 32) & _MASK32
+    t = np.arange(start, stop, dtype=np.uint64)
+    for dst in range(_POOL_SIZE):
+        hashed, const = _hashmix(t, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], hashed)
     # generate_state(4, np.uint64): eight uint32 words from the cycled pool,
     # paired low word first.
     const = _INIT_B

@@ -7,16 +7,16 @@ lambda-Aluthge transform is |T|^lambda V |T|^(1-lambda); lambda endpoints
 bypass fractional powers entirely and return V|T| (= T) resp. |T|V (Duggal).
 The kernel works on stacks T[B, n, n] with one stacked SVD; a single matrix
 is a stack of one. It builds V one way, in C order, whatever the ranks and
-layout of the stack. ``polar`` returns V and |T|; the CLI's ``transform
---factors`` takes the transform and both factors from one SVD through the
-private ``_transform_and_factors``.
+layout of the stack. The CLI's ``transform --factors`` takes the transform
+and both polar factors from one SVD through the private
+``_transform_and_factors``; ``_aluthge_rank_ones`` is the stacked rank-one
+closed form that the ``rank_one_formula`` check runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,10 @@ from .linalg import (
 )
 
 __all__ = [
-    "PolarDecomposition",
-    "polar",
     "aluthge",
     "aluthge_stack",
-    "aluthge_rank_one",
     "iterate_aluthge",
 ]
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """Factors of T = V|T| with V a partial isometry and |T| = (T*T)^(1/2) PSD."""
-
-    isometry_part: np.ndarray
-    modulus: np.ndarray
 
 
 def _decompose(t: np.ndarray, tol: Tolerances):
@@ -89,20 +78,11 @@ def _transform(v, s, x, ranks, lam: float) -> np.ndarray:
     return left @ v @ right
 
 
-def polar(t, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
-    """Polar decomposition with the null-space convention N(V) = N(T).
-
-    Built from the SVD T = W S X*: with r the numerical rank,
-    V = W_r X_r* and |T| = X S X*. The zero matrix yields V = 0, |T| = 0.
-    """
-    t = validate_matrix(t, square=True)
-    v, s, x, _ = _decompose(t[None], tol)
-    return PolarDecomposition(isometry_part=v[0], modulus=_modulus(s, x)[0])
-
-
 def _transform_and_factors(t: np.ndarray, lam: float, tol: Tolerances = DEFAULT_TOL):
     """(Delta_lam(T), V, |T|) of a validated square T from one SVD: the
-    transform bit for bit as ``aluthge`` gives it, the factors as ``polar``."""
+    transform bit for bit as ``aluthge`` gives it and the polar factors
+    V = W_r X_r* and |T| = X S X*, with r the numerical rank (the zero matrix
+    yields V = 0, |T| = 0)."""
     v, s, x, ranks = _decompose(t[None], tol)
     return _transform(v, s, x, ranks, lam)[0], v[0], _modulus(s, x)[0]
 
@@ -122,22 +102,11 @@ def aluthge(t, lam: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return aluthge_stack(validate_matrix(t, square=True)[None], lam, tol)[0]
 
 
-def aluthge_rank_one(x, y, lam: float) -> np.ndarray:
-    """Closed form Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), lambda in (0,1),
-    taken without a decomposition: ``_aluthge_rank_ones`` of one pair."""
-    check_lambda(lam, OPEN)
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not np.any(x) or not np.any(y):
-        raise ValueError("aluthge_rank_one requires nonzero vectors")
-    return _aluthge_rank_ones(x[None], y[None])[0]
-
-
 def _aluthge_rank_ones(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``aluthge_rank_one`` of each pair of rows of two complex128 stacks
-    x[B, n] and y[B, n], no row of y zero, bit for bit; unvalidated."""
+    """The closed form Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), lambda in
+    (0, 1), taken without a decomposition, of each pair of rows of two
+    complex128 stacks x[B, n] and y[B, n], no row of y zero; unvalidated.
+    Row b is bit for bit that of the stack of row b alone."""
     c, d = _inners(x, y), _inners(y, y).real
     coef = np.empty_like(c)
     # Python's complex / float, part by part; numpy's multiplies by a reciprocal.

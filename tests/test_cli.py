@@ -27,7 +27,7 @@ from aluthge.lemmas import Check, _observe, run_check
 from aluthge.linalg import Tolerances
 from aluthge.maps import CHECKS
 from aluthge.matrixio import load_matrix, matrix_to_obj, save_matrix
-from aluthge.transform import aluthge, iterate_aluthge, polar
+from aluthge.transform import _transform_and_factors, aluthge, iterate_aluthge
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 MATRIX_2X2 = b'{"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}'
@@ -169,10 +169,10 @@ class TestTransform:
         assert main(["transform", src, "--lambda", str(lam), "--output", str(out), "--factors"]) == EXIT_OK
         assert len(calls) == 1
         monkeypatch.undo()
-        pd = polar(m)
+        v, mod = _transform_and_factors(m, lam)[1:]
         assert load_matrix(out).tobytes() == aluthge(m, lam).tobytes()
-        assert load_matrix(tmp_path / "out.isometry.json").tobytes() == pd.isometry_part.tobytes()
-        assert load_matrix(tmp_path / "out.modulus.json").tobytes() == pd.modulus.tobytes()
+        assert load_matrix(tmp_path / "out.isometry.json").tobytes() == v.tobytes()
+        assert load_matrix(tmp_path / "out.modulus.json").tobytes() == mod.tobytes()
 
     @needs_blas_threads
     def test_factors_parallel_saves_match_serial(self, tmp_path, monkeypatch, forks):

@@ -85,28 +85,37 @@ class TestBlockStreams:
         oracle = generators.trial_rng
         monkeypatch.setattr(generators, "trial_rng", lambda *a: calls.append(a) or oracle(*a))
         streams = _trial_rngs(seed, self.KEY, 4, 3, 13)
-        # A seed of two uint32 words takes trial_rng for every stream.
-        assert len(calls) == (10 if seed >= 2**32 else 0)
+        # A seed of any width takes the block hash, not trial_rng.
+        assert calls == []
         for t, rng in zip(range(3, 13), streams):
             assert rng.bit_generator.state == oracle(seed, self.KEY, 4, t).bit_generator.state
 
     @pytest.mark.parametrize(
         "key, dim, start, stop",
-        [(2**32 - 1, 48, 0, 20), (5, 2**32 - 1, 0, 5), (5, 4, 2**32 - 4, 2**32), (5, 4, 2**32 - 2, 2**32 + 2)],
-        ids=["key_max", "dim_max", "trial_max", "trial_past_one_word"],
+        [
+            (2**32 - 1, 48, 0, 20),
+            (5, 2**32 - 1, 0, 5),
+            (2**32, 48, 0, 20),
+            (5, 2**32, 0, 5),
+            (5, 4, 2**32 - 4, 2**32),
+            (5, 4, 2**32 - 2, 2**32 + 2),
+        ],
+        ids=["key_max", "dim_max", "key_two_words", "dim_two_words", "trial_max", "trial_past_one_word"],
     )
     def test_word_limits(self, key, dim, start, stop):
         assert_block_matches_trial_rng(2**32 - 1, key, dim, start, stop)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**160),
         key=st.integers(0, 2**32 - 1),
-        dim=st.integers(2, 2**32 - 1),
-        start=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 2**40),
+        start=st.integers(0, 2**33),
         length=st.integers(1, 8),
     )
     def test_matches_trial_rng(self, seed, key, dim, start, length):
+        # Seeds of one to six uint32 words, dims of one or two (only hashed,
+        # never drawn at) and blocks past one word, which take trial_rng.
         assert_block_matches_trial_rng(seed, key, dim, start, start + length)
 
     def test_reports_match_per_trial_streams(self, monkeypatch):

@@ -18,7 +18,7 @@ from aluthge.linalg import (
     spectrum,
     validate_matrix,
 )
-from aluthge.transform import aluthge, aluthge_rank_one, aluthge_stack, iterate_aluthge
+from aluthge.transform import aluthge, aluthge_stack, iterate_aluthge
 from predicates import is_normal, is_partial_isometry, is_quasi_normal, rank_one
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -210,7 +210,6 @@ class TestLambdaDomain:
         [
             (lambda: aluthge(np.eye(2), 1.5), "[0, 1], got 1.5"),
             (lambda: aluthge_stack(np.eye(2)[None], -0.1), "[0, 1], got -0.1"),
-            (lambda: aluthge_rank_one([1, 0], [1, 1], 1.0), "(0, 1), got 1.0"),
             (lambda: next(iterate_aluthge(np.eye(2), 0.0)), "(0, 1), got 0.0"),
         ],
     )

@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge import transform
-from aluthge.linalg import _star, spectra_pairing_distance, spectrum
-from aluthge.transform import (
-    aluthge,
-    aluthge_rank_one,
-    aluthge_stack,
-    iterate_aluthge,
-    polar,
-)
+from aluthge.linalg import _star, spectra_pairing_distance, spectrum, validate_matrix
+from aluthge.transform import _aluthge_rank_ones, _transform_and_factors, aluthge, aluthge_stack, iterate_aluthge
 from predicates import is_normal, is_partial_isometry, rank_one
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -21,6 +15,17 @@ NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 
 def cgauss(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def polar_factors(t):
+    """V and |T| of T, as ``transform --factors`` writes them."""
+    return _transform_and_factors(validate_matrix(t, square=True), 0.5)[1:]
+
+
+def closed_form(x, y):
+    """The rank-one closed form of Delta_lambda(x⊗y): the stack of one pair."""
+    x, y = (np.asarray(v, dtype=np.complex128) for v in (x, y))
+    return _aluthge_rank_ones(x[None], y[None])[0]
 
 
 def haar(rng, n):
@@ -41,41 +46,40 @@ SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 class TestPolar:
     def test_hand_svd_example(self):
         # T = [[0,2],[0,0]] maps e2 -> 2 e1: V = e1 e2*, |T| = diag(0,2)
-        pd = polar(np.array([[0, 2], [0, 0]], dtype=complex))
-        np.testing.assert_allclose(pd.isometry_part, NIL, atol=1e-14)
-        np.testing.assert_allclose(pd.modulus, np.diag([0.0, 2.0]), atol=1e-14)
+        v, mod = polar_factors(np.array([[0, 2], [0, 0]], dtype=complex))
+        np.testing.assert_allclose(v, NIL, atol=1e-14)
+        np.testing.assert_allclose(mod, np.diag([0.0, 2.0]), atol=1e-14)
 
     def test_unitary_input(self):
         rng = np.random.default_rng(0)
         u = haar(rng, 4)
-        pd = polar(u)
-        np.testing.assert_allclose(pd.isometry_part, u, atol=1e-12)
-        np.testing.assert_allclose(pd.modulus, np.eye(4), atol=1e-12)
+        v, mod = polar_factors(u)
+        np.testing.assert_allclose(v, u, atol=1e-12)
+        np.testing.assert_allclose(mod, np.eye(4), atol=1e-12)
 
     def test_psd_input(self):
         rng = np.random.default_rng(1)
         g = cgauss(rng, 4, 4)
         m = g @ g.conj().T
-        pd = polar(m)
-        np.testing.assert_allclose(pd.modulus, m, atol=1e-10)
-        v = pd.isometry_part
+        v, mod = polar_factors(m)
+        np.testing.assert_allclose(mod, m, atol=1e-10)
         # V is the projection onto range(M) here
         np.testing.assert_allclose(v @ v, v, atol=1e-10)
         np.testing.assert_allclose(v @ m, m, atol=1e-9)
 
     def test_zero_matrix(self):
-        pd = polar(np.zeros((3, 3)))
-        np.testing.assert_array_equal(pd.isometry_part, np.zeros((3, 3)))
-        np.testing.assert_array_equal(pd.modulus, np.zeros((3, 3)))
+        v, mod = polar_factors(np.zeros((3, 3)))
+        np.testing.assert_array_equal(v, np.zeros((3, 3)))
+        np.testing.assert_array_equal(mod, np.zeros((3, 3)))
 
     def test_invariants_random(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             t = cgauss(rng, 5, 5)
-            pd = polar(t)
-            assert np.linalg.norm(pd.isometry_part @ pd.modulus - t) <= 1e-10 * (1 + np.linalg.norm(t))
-            assert is_partial_isometry(pd.isometry_part)
-            w = np.linalg.eigvalsh((pd.modulus + pd.modulus.conj().T) / 2)
+            v, mod = polar_factors(t)
+            assert np.linalg.norm(v @ mod - t) <= 1e-10 * (1 + np.linalg.norm(t))
+            assert is_partial_isometry(v)
+            w = np.linalg.eigvalsh((mod + mod.conj().T) / 2)
             assert w[0] >= -1e-12 * max(w[-1], 1.0)
 
     def test_null_space_convention(self):
@@ -83,12 +87,12 @@ class TestPolar:
         rng = np.random.default_rng(3)
         x, y = cgauss(rng, 4), cgauss(rng, 4)
         t = rank_one(x, y)
-        pd = polar(t)
+        v, _ = polar_factors(t)
         _, _, vh = np.linalg.svd(t)
         null_basis = vh[1:].conj().T  # numerical null space of T
-        assert np.linalg.norm(pd.isometry_part @ null_basis) <= 1e-12
+        assert np.linalg.norm(v @ null_basis) <= 1e-12
         range_vec = y / np.linalg.norm(y)
-        assert np.linalg.norm(pd.isometry_part @ range_vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v @ range_vec) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAluthge:
@@ -110,8 +114,8 @@ class TestAluthge:
         rng = np.random.default_rng(5)
         t = cgauss(rng, 4, 4)
         np.testing.assert_allclose(aluthge(t, 0.0), t, atol=1e-10 * (1 + np.linalg.norm(t)))
-        pd = polar(t)
-        np.testing.assert_allclose(aluthge(t, 1.0), pd.modulus @ pd.isometry_part, atol=1e-12)
+        v, mod = _transform_and_factors(t, 1.0)[1:]
+        np.testing.assert_allclose(aluthge(t, 1.0), mod @ v, atol=1e-12)
 
     def test_endpoint_zero_on_singular_input(self):
         # endpoints bypass fractional powers, so singular T reconstructs exactly
@@ -153,7 +157,7 @@ class TestAluthge:
             with pytest.raises(FloatingPointError, match="singular values"):
                 aluthge(m, lam)
         with pytest.raises(FloatingPointError, match="singular values"):
-            polar(m)
+            polar_factors(m)
 
 
 def low_rank(rng, n, rank):
@@ -216,33 +220,25 @@ class TestAluthgeRankOne:
         x = np.array([1.0, 0.0])
         y = np.array([1.0, 1.0]) / np.sqrt(2)
         expected = (1 / np.sqrt(2)) * np.array([[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(aluthge_rank_one(x, y, 0.5), expected, atol=1e-14)
+        np.testing.assert_allclose(closed_form(x, y), expected, atol=1e-14)
         np.testing.assert_allclose(aluthge(rank_one(x, y), 0.5), expected, atol=1e-12)
 
     def test_orthogonal_gives_zero(self):
-        np.testing.assert_allclose(aluthge_rank_one([1, 0], [0, 1], 0.3), np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(closed_form([1, 0], [0, 1]), np.zeros((2, 2)), atol=1e-15)
 
     def test_projection_fixed_point(self):
         rng = np.random.default_rng(9)
         x = cgauss(rng, 4)
         x /= np.linalg.norm(x)
-        np.testing.assert_allclose(aluthge_rank_one(x, x, 0.7), rank_one(x, x), atol=1e-14)
+        np.testing.assert_allclose(closed_form(x, x), rank_one(x, x), atol=1e-14)
 
     def test_agrees_with_decomposition_path(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             x, y = cgauss(rng, dim), cgauss(rng, dim)
-            resid = np.linalg.norm(aluthge(rank_one(x, y), 0.5) - aluthge_rank_one(x, y, 0.5))
+            resid = np.linalg.norm(aluthge(rank_one(x, y), 0.5) - closed_form(x, y))
             assert resid <= 1e-9 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
-
-    def test_endpoint_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda"):
-            aluthge_rank_one([1, 0], [0, 1], 0.0)
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
-            aluthge_rank_one([1, 0], [0, 1, 1], 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 32])
     def test_stacked_form_matches_each_pair_bitwise(self, n):
@@ -258,11 +254,11 @@ class TestAluthgeRankOne:
         inner = np.array([complex(np.vdot(yb, xb)) for xb, yb in zip(x, y)])
         assert (inner[:16].imag == 0).all() and (inner[16:32].real == 0).all()
         assert (inner[:16].real < 0).any() and (inner[16:32].imag < 0).any()
-        got = transform._aluthge_rank_ones(x, y)
+        got = _aluthge_rank_ones(x, y)
         for xb, yb, c, g in zip(x, y, inner.tolist(), got):
             expected = (c / float(np.vdot(yb, yb).real)) * np.outer(yb, yb.conj())
             assert g.tobytes() == expected.tobytes()
-            assert g.tobytes() == aluthge_rank_one(xb, yb, 0.5).tobytes()
+            assert g.tobytes() == _aluthge_rank_ones(xb[None], yb[None])[0].tobytes()
 
 
 class TestDuggal:
@@ -316,7 +312,7 @@ class TestProperties:
         # Delta_lambda(x⊗y) = (<x,y> / ||y||^2) (y⊗y), with x scaled by c.
         rng = np.random.default_rng(seed)
         x, y = cgauss(rng, n), cgauss(rng, n)
-        gap = aluthge(rank_one(c * x, y), lam) - aluthge_rank_one(c * x, y, lam)
+        gap = aluthge(rank_one(c * x, y), lam) - closed_form(c * x, y)
         assert np.linalg.norm(gap / c) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
     @PROPERTY
